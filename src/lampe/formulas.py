@@ -1,14 +1,16 @@
 """Named Boolean formulas and their exact measure on the product Cantor space.
 
 Atoms are (name, index) pairs; each atom is an independent fair bit, so the
-measure of a formula is (#satisfying assignments) / 2^(#atoms).  Counting is
-by truth-table enumeration over the atoms that actually occur, guarded by a
-hard cap.
+measure of a formula is the probability that it holds.  Every query compiles
+its operands into a fresh reduced ordered binary decision diagram (Bryant
+1986) over the atoms that actually occur, ordered by (name text, index), and
+reads the answer off the diagram: the measure is a weighted model count,
+entailment and equivalence are node identities.  Queries are guarded by a
+hard cap on the number of distinct atoms.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,11 +117,6 @@ def eval_formula(b, valuation):
     raise TypeError(b)
 
 
-def _assignments(atom_list):
-    for bits in itertools.product((0, 1), repeat=len(atom_list)):
-        yield dict(zip(atom_list, bits))
-
-
 def _check_cap(atom_set):
     if len(atom_set) > ATOM_CAP:
         raise TooManyAtomsError(
@@ -127,29 +124,137 @@ def _check_cap(atom_set):
         )
 
 
+class _BDD:
+    """A reduced ordered BDD private to one query.
+
+    Nodes are ints: 0 and 1 are the terminals, every other node is an index
+    into the parallel `_level`/`_low`/`_high` lists.  The unique table keeps
+    the diagram reduced, so two formulas over this instance denote the same
+    function iff they compile to the same node.  The variable order is
+    (name text, index), which does not depend on interning history.
+    """
+
+    def __init__(self, atom_set):
+        _check_cap(atom_set)
+        order = sorted(atom_set, key=lambda ni: (ni[0].text, ni[1]))
+        self._var_level = {atom: i for i, atom in enumerate(order)}
+        terminal = len(order)  # below every variable
+        self._level = [terminal, terminal]
+        self._low = [0, 1]
+        self._high = [0, 1]
+        self._unique = {}
+        self._not_memo = {}
+        self._and_memo = {}
+
+    def _node(self, level, low, high):
+        if low == high:
+            return low
+        key = (level, low, high)
+        u = self._unique.get(key)
+        if u is None:
+            u = len(self._level)
+            self._level.append(level)
+            self._low.append(low)
+            self._high.append(high)
+            self._unique[key] = u
+        return u
+
+    def neg(self, u):
+        if u < 2:
+            return 1 - u
+        r = self._not_memo.get(u)
+        if r is None:
+            r = self._node(
+                self._level[u], self.neg(self._low[u]), self.neg(self._high[u])
+            )
+            self._not_memo[u] = r
+        return r
+
+    def conj(self, u, v):
+        if u == 0 or v == 0:
+            return 0
+        if u == 1 or u == v:
+            return v
+        if v == 1:
+            return u
+        if u > v:
+            u, v = v, u
+        key = (u, v)
+        r = self._and_memo.get(key)
+        if r is None:
+            lu, lv = self._level[u], self._level[v]
+            if lu == lv:
+                r = self._node(
+                    lu,
+                    self.conj(self._low[u], self._low[v]),
+                    self.conj(self._high[u], self._high[v]),
+                )
+            elif lu < lv:
+                r = self._node(
+                    lu, self.conj(self._low[u], v), self.conj(self._high[u], v)
+                )
+            else:
+                r = self._node(
+                    lv, self.conj(u, self._low[v]), self.conj(u, self._high[v])
+                )
+            self._and_memo[key] = r
+        return r
+
+    def build(self, b):
+        if isinstance(b, Top):
+            return 1
+        if isinstance(b, Bot):
+            return 0
+        if isinstance(b, Atom):
+            return self._node(self._var_level[(b.name, b.index)], 0, 1)
+        if isinstance(b, Not):
+            return self.neg(self.build(b.arg))
+        if isinstance(b, And):
+            return self.conj(self.build(b.left), self.build(b.right))
+        if isinstance(b, Or):
+            return self.neg(
+                self.conj(self.neg(self.build(b.left)), self.neg(self.build(b.right)))
+            )
+        raise TypeError(b)
+
+    def weight(self, u):
+        """Probability that node u holds, as an exact Fraction.
+
+        The weighted model count runs in integers scaled by 2^n: terminal 1
+        counts all 2^n assignments and each inner node halves the sum of its
+        children's counts.  A child does not depend on its parent's variable,
+        so both counts are even and the halving is exact."""
+        n = len(self._var_level)
+        memo = {0: 0, 1: 1 << n}
+
+        def count(v):
+            r = memo.get(v)
+            if r is None:
+                r = memo[v] = (count(self._low[v]) + count(self._high[v])) >> 1
+            return r
+
+        return Fraction(count(u), 1 << n)
+
+
 def measure(b):
     """Exact measure of the event denoted by b, as a Fraction."""
-    ats = sorted(atoms(b), key=lambda ni: (ni[0].seq, ni[1]))
-    _check_cap(ats)
-    count = sum(1 for v in _assignments(ats) if eval_formula(b, v))
-    return Fraction(count, 2 ** len(ats))
+    bdd = _BDD(atoms(b))
+    return bdd.weight(bdd.build(b))
 
 
 def entails(b, c):
     """True iff every assignment satisfying b satisfies c."""
-    ats = sorted(atoms(b) | atoms(c), key=lambda ni: (ni[0].seq, ni[1]))
-    _check_cap(ats)
-    return all(
-        eval_formula(c, v) for v in _assignments(ats) if eval_formula(b, v)
-    )
+    bdd = _BDD(atoms(b) | atoms(c))
+    return bdd.conj(bdd.build(b), bdd.neg(bdd.build(c))) == 0
 
 
 def equivalent(b, c):
-    return entails(b, c) and entails(c, b)
+    bdd = _BDD(atoms(b) | atoms(c))
+    return bdd.build(b) == bdd.build(c)
 
 
 def satisfiable(b):
-    return not entails(b, BOT)
+    return _BDD(atoms(b)).build(b) != 0
 
 
 # ---------------------------------------------------------------------------

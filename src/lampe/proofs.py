@@ -926,6 +926,8 @@ def verify_simulation(p, fuel=1000):
             detail = "" if ok else (
                 f"reached {print_term(witnessed)}, expected {print_term(after)}"
             )
+        except (RecursionError, MemoryError):
+            raise
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
             witnessed, steps, ok = None, [], False
             detail = str(exc)

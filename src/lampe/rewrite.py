@@ -285,10 +285,6 @@ def _collect_leaves(tree, name, out):
         out.append(tree)
 
 
-def is_pseudo_value(t, mode=PE):
-    return not isinstance(t, Nu) and is_pnf(t, mode)
-
-
 # ---------------------------------------------------------------------------
 # Head reduction
 

@@ -254,9 +254,6 @@ def rename_bound_name(t, new_name):
 # ---------------------------------------------------------------------------
 # Substitution and alpha-equivalence
 
-_fresh_var_counter = [0]
-
-
 def fresh_var(base, avoid):
     stem = base.split("'")[0]
     cand = stem + "'"

@@ -804,18 +804,15 @@ _RULE_CHECKERS = {
 # The admissible generalized counting rule
 
 
-def _minterms(name, indices, constraint_part):
-    """Complete sign patterns over the given indices consistent with the
-    conjunction-of-literals part for this name."""
+def _minterms(name, indices):
+    """Complete sign patterns over the given indices of one name."""
     out = []
     for bits in itertools.product((0, 1), repeat=len(indices)):
-        val = {(name, i): b for i, b in zip(indices, bits)}
-        if fm.eval_formula(constraint_part, val):
-            lits = [
-                Atom(name, i) if b == 1 else Not(Atom(name, i))
-                for i, b in zip(indices, bits)
-            ]
-            out.append(conj(lits))
+        lits = [
+            Atom(name, i) if b == 1 else Not(Atom(name, i))
+            for i, b in zip(indices, bits)
+        ]
+        out.append(conj(lits))
     return out
 
 
@@ -846,7 +843,7 @@ def apply_mu_star(d, order=None):
     }
     rows = [[]]
     for a in names:
-        per_name = _minterms(a, indices[a], TOP)
+        per_name = _minterms(a, indices[a])
         rows = [row + [m] for row in rows for m in per_name]
     kept = []
     seen = set()
@@ -978,10 +975,7 @@ def derivation_to_json(d):
 
 
 def _parse_arg(text):
-    text = text.strip()
-    if text.startswith("["):
-        return parse_type(text)
-    return parse_type(text)
+    return parse_type(text.strip())
 
 
 def judgement_from_json(obj):

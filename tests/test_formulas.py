@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,16 +13,27 @@ from lampe.formulas import (
     Or,
     TOP,
     atoms,
+    conj,
+    disj,
     entails,
+    equivalent,
     eval_formula,
     measure,
     parse_formula,
     print_formula,
+    satisfiable,
 )
 from lampe.terms import Name
 
 a = Name("a")
 b = Name("b")
+
+
+def truth_table(*fs):
+    """Reference oracle: every valuation of the atoms occurring in fs."""
+    keys = sorted(set().union(*map(atoms, fs)), key=lambda ni: (ni[0].text, ni[1]))
+    for bits in itertools.product((0, 1), repeat=len(keys)):
+        yield dict(zip(keys, bits))
 
 
 def test_eval_basic():
@@ -46,11 +58,19 @@ def test_measure_fixed_points():
 
 
 def test_measure_cap():
-    big = TOP
-    for i in range(30):
-        big = And(big, Atom(a, i))
+    edge = [Atom(a, i) for i in range(24)]
+    assert measure(conj(edge)) == Fraction(1, 2**24)
+    assert measure(disj(edge)) == 1 - Fraction(1, 2**24)
+    for n in (25, 30):
+        with pytest.raises(TooManyAtomsError):
+            measure(conj(Atom(a, i) for i in range(n)))
+
+
+def test_entails_cap_counts_union():
+    left = conj(Atom(a, i) for i in range(13))
+    right = conj(Atom(b, i) for i in range(13))
     with pytest.raises(TooManyAtomsError):
-        measure(big)
+        entails(left, right)
 
 
 def test_entails_examples():
@@ -68,7 +88,7 @@ def test_formula_roundtrip():
 
 
 @st.composite
-def formulas(draw, depth=3):
+def formulas(draw, depth=3, names=("a", "b", "c")):
     if depth == 0:
         kind = draw(st.sampled_from(["top", "bot", "atom"]))
     else:
@@ -79,14 +99,18 @@ def formulas(draw, depth=3):
         return BOT
     if kind == "atom":
         return Atom(
-            Name(draw(st.sampled_from(["a", "b", "c"]))),
+            Name(draw(st.sampled_from(names))),
             draw(st.integers(min_value=0, max_value=2)),
         )
     if kind == "not":
-        return Not(draw(formulas(depth=depth - 1)))
-    left = draw(formulas(depth=depth - 1))
-    right = draw(formulas(depth=depth - 1))
+        return Not(draw(formulas(depth - 1, names)))
+    left = draw(formulas(depth - 1, names))
+    right = draw(formulas(depth - 1, names))
     return And(left, right) if kind == "and" else Or(left, right)
+
+
+# up to 4 names x 3 indices, depth 5: the reference stays at <= 4096 rows
+wide_formulas = formulas(depth=5, names=("a", "b", "c", "d"))
 
 
 @given(formulas())
@@ -111,18 +135,21 @@ def test_independent_names_multiply(f, g):
     assert measure(And(f, g)) == measure(f) * measure(g)
 
 
-@given(formulas(), formulas())
+@given(wide_formulas, wide_formulas)
 @settings(max_examples=150, deadline=None)
 def test_equivalence_matches_truth_tables(f, g):
-    both = entails(f, g) and entails(g, f)
-    keys = sorted(atoms(f) | atoms(g), key=lambda ni: (ni[0].seq, ni[1]))
-    import itertools
+    agree = all(eval_formula(f, v) == eval_formula(g, v) for v in truth_table(f, g))
+    assert equivalent(f, g) == agree
+    assert (entails(f, g) and entails(g, f)) == agree
 
-    agree = all(
-        eval_formula(f, dict(zip(keys, bits))) == eval_formula(g, dict(zip(keys, bits)))
-        for bits in itertools.product((0, 1), repeat=len(keys))
-    )
-    assert both == agree
+
+@given(wide_formulas, wide_formulas)
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_truth_tables(f, g):
+    rows = [(eval_formula(f, v), eval_formula(g, v)) for v in truth_table(f, g)]
+    assert measure(f) == Fraction(sum(x for x, _ in rows), len(rows))
+    assert satisfiable(f) == any(x for x, _ in rows)
+    assert entails(f, g) == all(y for x, y in rows if x)
 
 
 @given(formulas())

@@ -183,6 +183,26 @@ def test_random_proofs_simulate():
         assert not rep.failures, rep.failures[0]
 
 
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_simulation_propagates_resource_errors(monkeypatch, exc):
+    def replay(*args):
+        raise exc("replay")
+
+    monkeypatch.setattr("lampe.proofs._witness_steps", replay)
+    with pytest.raises(exc):
+        verify_simulation(cut_proof(), fuel=1000)
+
+
+def test_simulation_records_replay_failures(monkeypatch):
+    def replay(*args):
+        raise ValueError("no witness")
+
+    monkeypatch.setattr("lampe.proofs._witness_steps", replay)
+    rep = verify_simulation(cut_proof(), fuel=1000)
+    assert rep.failures
+    assert all(e.detail == "no witness" for e in rep.failures)
+
+
 def test_proof_json_roundtrip():
     for p in proof_fixture_corpus():
         back = proof_from_json(proof_to_json(p))
