@@ -82,9 +82,14 @@ class ReduceOutcome:
 
 
 def contains_cbv(t):
-    if isinstance(t, CbvApp):
-        return True
-    return any(contains_cbv(c) for c in children(t))
+    out = t.__dict__.get("_contains_cbv")
+    if out is not None:
+        return out
+    out = isinstance(t, CbvApp)
+    for c in children(t):
+        out = out or contains_cbv(c)
+    t.__dict__["_contains_cbv"] = out
+    return out
 
 
 def _require_mode(t, mode):
@@ -116,8 +121,9 @@ def _fresh_avoiding(base, *terms):
     return Name(f"{base.text}_{k}")
 
 
-def _local_results(t, env, mode, include_beta):
-    """Rule applications available at the root of t.  Yields (rule, result)."""
+def _local_results(t, env, mode, include_beta, ordered):
+    """Rule applications available at the root of t.  Yields (rule, result).
+    With `ordered` false the plus-plus rules skip their ordering guard."""
     braces = mode == PE_BRACES
     if isinstance(t, Choice):
         left, right, a, i = t.left, t.right, t.name, t.index
@@ -130,7 +136,7 @@ def _local_results(t, env, mode, include_beta):
         if (
             isinstance(left, Choice)
             and (left.name, left.index) != (a, i)
-            and _pair_before(left.name, left.index, a, i, env)
+            and (not ordered or _pair_before(left.name, left.index, a, i, env))
         ):
             b2, j2 = left.name, left.index
             yield "plus-plus-1", Choice(
@@ -142,7 +148,7 @@ def _local_results(t, env, mode, include_beta):
         if (
             isinstance(right, Choice)
             and (right.name, right.index) != (a, i)
-            and _pair_before(right.name, right.index, a, i, env)
+            and (not ordered or _pair_before(right.name, right.index, a, i, env))
         ):
             b2, j2 = right.name, right.index
             yield "plus-plus-2", Choice(
@@ -209,7 +215,7 @@ def _iter_redexes(root, mode, include_beta):
     """Pre-order enumeration of (rule, path, result_subterm)."""
 
     def go(t, path, env, depth):
-        for rule, result in _local_results(t, env, mode, include_beta):
+        for rule, result in _local_results(t, env, mode, include_beta, ordered=True):
             yield rule, path, result
         kids = children(t)
         for i, c in enumerate(kids):
@@ -343,27 +349,9 @@ def apply_rule_at(t, rule, path, mode=PE):
     The ordering guard of the plus-plus rules is skipped (callers replay
     steps that already fired in context)."""
     sub = subterm_at(t, path)
-    for r, result in _local_results(sub, {}, mode, include_beta=True):
+    for r, result in _local_results(sub, {}, mode, include_beta=True, ordered=False):
         if r == rule:
             return replace_at(t, path, result)
-    if rule == "plus-plus-1" and isinstance(sub, Choice) and isinstance(sub.left, Choice):
-        inner = sub.left
-        result = Choice(
-            Choice(inner.left, sub.right, sub.name, sub.index),
-            Choice(inner.right, sub.right, sub.name, sub.index),
-            inner.name,
-            inner.index,
-        )
-        return replace_at(t, path, result)
-    if rule == "plus-plus-2" and isinstance(sub, Choice) and isinstance(sub.right, Choice):
-        inner = sub.right
-        result = Choice(
-            Choice(sub.left, inner.left, sub.name, sub.index),
-            Choice(sub.left, inner.right, sub.name, sub.index),
-            inner.name,
-            inner.index,
-        )
-        return replace_at(t, path, result)
     raise NotPnfError(f"rule {rule} does not apply at path {path}")
 
 

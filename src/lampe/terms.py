@@ -5,6 +5,10 @@ operators and generators) are interned `Name` objects bound by `nu`.  Names
 are rigid: alpha_eq never renames them, and substitution only freshens a
 nu-binder when it would otherwise capture a free name of the substituted
 term.
+
+Structural facts (`free_names`, `shape_hash`, `canonical_str`) are memoized
+on the node itself, outside its dataclass fields, so they live and die with
+it.
 """
 
 from __future__ import annotations
@@ -165,13 +169,10 @@ def free_vars(t):
     return out
 
 
-_FN_CACHE = {}
-
-
 def free_names(t):
-    cached = _FN_CACHE.get(id(t))
-    if cached is not None and cached[0] is t:
-        return cached[1]
+    out = t.__dict__.get("_free_names")
+    if out is not None:
+        return out
     if isinstance(t, Choice):
         out = free_names(t.left) | free_names(t.right) | {t.name}
     elif isinstance(t, Nu):
@@ -181,19 +182,16 @@ def free_names(t):
         for c in children(t):
             out |= free_names(c)
     out = frozenset(out)
-    _FN_CACHE[id(t)] = (t, out)
+    t.__dict__["_free_names"] = out
     return out
-
-
-_SHAPE_CACHE = {}
 
 
 def shape_hash(t):
     """Alpha-invariant structural hash (variable names erased); equal terms
     up to alpha always share it, so it serves as a fast reject."""
-    cached = _SHAPE_CACHE.get(id(t))
-    if cached is not None and cached[0] is t:
-        return cached[1]
+    out = t.__dict__.get("_shape_hash")
+    if out is not None:
+        return out
     if isinstance(t, Var):
         out = hash(("v",))
     elif isinstance(t, Const):
@@ -210,7 +208,7 @@ def shape_hash(t):
         out = hash(("a", shape_hash(t.fun), shape_hash(t.arg)))
     else:
         out = hash(("b", shape_hash(t.fun), shape_hash(t.arg)))
-    _SHAPE_CACHE[id(t)] = (t, out)
+    t.__dict__["_shape_hash"] = out
     return out
 
 
@@ -389,15 +387,12 @@ def alpha_eq(t, u):
     return go(t, u, {}, {}, 0)
 
 
-_CANON_CACHE = {}
-
-
 def canonical_str(t):
     """Printed form with lambda binders renamed positionally; alpha-invariant,
     suitable as a dictionary key."""
-    cached = _CANON_CACHE.get(id(t))
-    if cached is not None and cached[0] is t:
-        return cached[1]
+    out = t.__dict__.get("_canonical_str")
+    if out is not None:
+        return out
 
     def go(t, env, depth):
         if isinstance(t, Var):
@@ -422,7 +417,7 @@ def canonical_str(t):
         raise TypeError(t)
 
     out = go(t, {}, 0)
-    _CANON_CACHE[id(t)] = (t, out)
+    t.__dict__["_canonical_str"] = out
     return out
 
 
@@ -468,18 +463,12 @@ def project(t, names, valuation):
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_ABBREVIATIONS = {}
-
-
-def _init_abbreviations():
-    if _ABBREVIATIONS:
-        return
-    _ABBREVIATIONS["I"] = Lam("x", Var("x"))
-    w = Lam("x", App(Var("x"), Var("x")))
-    _ABBREVIATIONS["OMEGA"] = App(w, w)
-    _ABBREVIATIONS["2"] = Lam(
-        "y", Lam("x", App(Var("y"), App(Var("y"), Var("x"))))
-    )
+_W = Lam("x", App(Var("x"), Var("x")))
+_ABBREVIATIONS = {
+    "I": Lam("x", Var("x")),
+    "OMEGA": App(_W, _W),
+    "2": Lam("y", Lam("x", App(Var("y"), App(Var("y"), Var("x"))))),
+}
 
 
 class _Lexer:
@@ -568,7 +557,6 @@ class _Lexer:
 
 def parse_term(text):
     """Parse the ASCII term grammar.  Abbreviations: I, OMEGA, 2."""
-    _init_abbreviations()
     lx = _Lexer(text)
     t = _parse_term(lx)
     tok = lx.peek()

@@ -688,13 +688,13 @@ def _local_formula(d, key, a):
     return f
 
 
-def _check_mu(d, system):
+def _mu_common(d, q):
+    """Checks shared by mu and mu-prime; returns the premise and the rational."""
     j = d.judgement
     a = _nu_common(d)
-    _shape(len(d.premises) == 1, "mu takes one premise")
+    _shape(len(d.premises) == 1, f"{d.rule} takes one premise")
     p = d.premises[0].judgement
     dloc = _local_formula(d, "d", a)
-    q = d.side.get("q")
     _shape(q is not None, "missing side rational 'q'")
     if not isinstance(q, Fraction):
         q = parse_rational(q)
@@ -703,27 +703,22 @@ def _check_mu(d, system):
         equivalent(p.constraint, And(j.constraint, dloc)),
         "premise constraint is not the conclusion constraint plus the local part",
     )
-    _shape(j.type == Counted(q, p.type), "conclusion must prefix the premise type")
+    return p, q
+
+
+def _check_mu(d, system):
+    p, q = _mu_common(d, d.side.get("q"))
+    _shape(
+        d.judgement.type == Counted(q, p.type),
+        "conclusion must prefix the premise type",
+    )
 
 
 def _check_mu_prime(d, system):
-    j = d.judgement
-    a = _nu_common(d)
-    _shape(len(d.premises) == 1, "mu-prime takes one premise")
-    p = d.premises[0].judgement
-    dloc = _local_formula(d, "d", a)
-    s = d.side.get("q", d.side.get("s"))
-    _shape(s is not None, "missing side rational 'q'")
-    if not isinstance(s, Fraction):
-        s = parse_rational(s)
-    _side(measure(dloc) >= s, "measure bound fails")
-    _side(
-        equivalent(p.constraint, And(j.constraint, dloc)),
-        "premise constraint is not the conclusion constraint plus the local part",
-    )
+    p, s = _mu_common(d, d.side.get("q", d.side.get("s")))
     _shape(isinstance(p.type, Counted), "premise must carry its quantifier")
     _shape(
-        j.type == Counted(p.type.q * s, p.type.body),
+        d.judgement.type == Counted(p.type.q * s, p.type.body),
         "conclusion exponent must be the product",
     )
 
@@ -759,27 +754,33 @@ def _check_mu_sigma(d, system):
     _shape(j.type == Counted(total, sigma), "conclusion exponent must be the sum")
 
 
-def _check_hn(d, system):
+def _ground_common(d):
+    """Checks shared by hn and n; returns the premise judgement."""
     j = d.judgement
-    _shape(len(d.premises) == 1, "hn takes one premise")
+    _shape(len(d.premises) == 1, f"{d.rule} takes one premise")
     p = d.premises[0].judgement
     _same_env(j, p)
     _shape(alpha_eq(p.term, j.term), "premise subject differs")
-    _shape(p.constraint == j.constraint, "hn keeps the constraint")
+    _shape(p.constraint == j.constraint, f"{d.rule} keeps the constraint")
     _shape(isinstance(p.type, Counted), "premise carries one quantifier")
-    _shape(j.type == Counted(p.type.q, HN), "conclusion must be the hn ground type")
+    return p
+
+
+def _check_hn(d, system):
+    p = _ground_common(d)
+    _shape(
+        d.judgement.type == Counted(p.type.q, HN),
+        "conclusion must be the hn ground type",
+    )
 
 
 def _check_n(d, system):
-    j = d.judgement
-    _shape(len(d.premises) == 1, "n takes one premise")
-    p = d.premises[0].judgement
-    _same_env(j, p)
-    _shape(alpha_eq(p.term, j.term), "premise subject differs")
-    _shape(p.constraint == j.constraint, "n keeps the constraint")
-    _shape(isinstance(p.type, Counted), "premise carries one quantifier")
+    p = _ground_common(d)
     _side(is_safe(p.type.body), "the quantified type must be safe")
-    _shape(j.type == Counted(p.type.q, N), "conclusion must be the n ground type")
+    _shape(
+        d.judgement.type == Counted(p.type.q, N),
+        "conclusion must be the n ground type",
+    )
 
 
 _RULE_CHECKERS = {

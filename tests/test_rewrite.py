@@ -10,6 +10,7 @@ from lampe.rewrite import (
     PE_BRACES,
     Generator,
     PseudoValue,
+    apply_rule_at,
     classify_pnf,
     head_step,
     is_hnv,
@@ -352,3 +353,40 @@ def test_unique_pnf_braces_mode():
         p1 = random_pnf(t, random.Random(3 * i + 1))
         p2 = random_pnf(t, random.Random(3 * i + 2))
         assert alpha_eq(p1, p2)
+
+
+def test_pnf_of_deep_lambda_spine():
+    """600 nested lambdas under one generator: the choice moves out through
+    every binder without exhausting the interpreter stack."""
+    from lampe.distribution import distribution
+
+    depth = 600
+    binders = "".join(f"\\x{i}. " for i in range(depth))
+    t = parse_term(f"nu a. {binders}u (+a.0) v")
+    result, trace = pnf(t)
+    assert len(trace) == depth
+    d = distribution(result)
+    assert sorted(w for _, w in d.entries.values()) == [Fraction(1, 2)] * 2
+
+
+def test_apply_rule_at_replays_guard_blocked_plus_plus():
+    # (a,1) does not come before (a,0), so step() never fires plus-plus-1
+    # here, but a replay applies it regardless of the ordering guard
+    t = parse_term("(x (+a.1) y) (+a.0) z")
+    assert "plus-plus-1" not in rules_of(t)
+    out = apply_rule_at(t, "plus-plus-1", ())
+    assert out == parse_term("(x (+a.0) z) (+a.1) (y (+a.0) z)")
+    t2 = parse_term("x (+a.0) (y (+a.1) z)")
+    assert "plus-plus-2" not in rules_of(t2)
+    out2 = apply_rule_at(t2, "plus-plus-2", ())
+    assert out2 == parse_term("(x (+a.0) y) (+a.1) (x (+a.0) z)")
+
+
+def test_apply_rule_at_rejects_plus_plus_on_the_same_pair():
+    # only c1 is a rule instance here; plus-plus needs two distinct pairs
+    t = parse_term("(x (+a.0) y) (+a.0) z")
+    assert rules_of(t) == ["c1"]
+    with pytest.raises(NotPnfError):
+        apply_rule_at(t, "plus-plus-1", ())
+    with pytest.raises(NotPnfError):
+        apply_rule_at(parse_term("x (+a.0) (y (+a.0) z)"), "plus-plus-2", ())

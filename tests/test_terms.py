@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lampe.errors import ParseError, UndefinedBitError
+from lampe.rewrite import contains_cbv
 from lampe.terms import (
     App,
     CbvApp,
@@ -12,10 +16,12 @@ from lampe.terms import (
     Nu,
     Var,
     alpha_eq,
+    canonical_str,
     free_names,
     parse_term,
     print_term,
     project,
+    shape_hash,
     substitute,
 )
 
@@ -195,3 +201,36 @@ def test_variant_names_reparse():
     payload = parse_term("nu a. u (+a.0) v")
     out = substitute(body, "x", payload)
     assert alpha_eq(parse_term(print_term(out)), out)
+
+
+FACT_TEXT = r"nu c. (\x. {x} (y (+c.0) z)) (+d.1) w"
+
+
+def _query_facts(t):
+    free_names(t)
+    shape_hash(t)
+    canonical_str(t)
+    contains_cbv(t)
+
+
+def test_term_facts_die_with_the_term():
+    t = parse_term(FACT_TEXT)
+    inner = t.body.left.body
+    _query_facts(t)
+    _query_facts(inner)
+    refs = [weakref.ref(t), weakref.ref(inner)]
+    del t, inner
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_term_facts_leave_identity_unchanged():
+    t = parse_term(FACT_TEXT)
+    _query_facts(t)
+    fresh = parse_term(FACT_TEXT)
+    assert t == fresh
+    assert hash(t) == hash(fresh)
+    assert repr(t) == repr(fresh)
+    assert free_names(t) == {Name("d")}
+    assert contains_cbv(t)
+    assert not contains_cbv(t.body.right)

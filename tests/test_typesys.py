@@ -14,6 +14,7 @@ from helpers import (
     cn_fixture_corpus,
     church_two_cbn_derivation,
     church_two_cbv_derivation,
+    cn_coin,
     coin_derivation,
     two_name_quarter_bound_derivation,
     two_name_exact_bound_derivation,
@@ -22,6 +23,7 @@ from helpers import (
 )
 from lampe.errors import (
     PreconditionError,
+    RuleShapeError,
     SideConditionError,
     SystemMismatchError,
 )
@@ -424,3 +426,33 @@ def test_hn_and_n_rules_in_derivations():
     bad = D("n", J((), (), parse_term(r"\z.z"), TOP, Counted(Fraction(1), N)), (lam,))
     with pytest.raises(SideConditionError):
         check_derivation(bad, INT)
+
+
+def test_mu_rules_share_their_premise_checks():
+    import dataclasses
+
+    coin = cn_coin()
+    check_derivation(dataclasses.replace(coin, side={"d": Atom(A_, 0), "s": HALF}), CN)
+    for d, system in ((coin_derivation(), CBV), (coin, CN)):
+        doubled = dataclasses.replace(d, premises=d.premises * 2)
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(doubled, system)
+        assert err.value.message == f"{d.rule} takes one premise"
+        no_rational = dataclasses.replace(d, side={"d": Atom(A_, 0)})
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(no_rational, system)
+        assert err.value.message == "missing side rational 'q'"
+
+
+def test_ground_rules_share_their_premise_checks():
+    base = int_identity()
+    j = base.judgement
+    for rule, ground in (("hn", HN), ("n", N)):
+        ty = Counted(Fraction(1), ground)
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(D(rule, J(j.ctx, j.names, j.term, j.constraint, ty), (base, base)), INT)
+        assert err.value.message == f"{rule} takes one premise"
+        other = Or(TOP, TOP)
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(D(rule, J(j.ctx, j.names, j.term, other, ty), (base,)), INT)
+        assert err.value.message == f"{rule} keeps the constraint"
