@@ -301,6 +301,9 @@ def run(argv):
     except (KeyError, TypeError, ValueError) as exc:
         print(f"E_SCHEMA: malformed input ({exc})", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("E_DEPTH: input nested too deeply to process", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -148,14 +148,6 @@ def print_proof_formula(a):
     raise TypeError(a)
 
 
-def strip_counts(a):
-    qs = []
-    while isinstance(a, Count):
-        qs.append(a.q)
-        a = a.body
-    return qs, a
-
-
 # ---------------------------------------------------------------------------
 # Proofs
 
@@ -467,21 +459,6 @@ def _count_uses(p, k):
 # Normalization
 
 
-_CUT_KINDS = (
-    "beta-cut",
-    "cbv-cut",
-    "m-idem",
-    "m-m-left",
-    "m-m-right",
-    "m-imp-i",
-    "m-imp-e-fun",
-    "m-imp-e-arg",
-    "m-ci",
-    "m-ce-major",
-    "m-ce-minor",
-)
-
-
 def _redex_kind(p):
     """The redex pattern this node heads, if any (first match in the
     canonical order)."""
@@ -662,14 +639,20 @@ def normalize_step(p):
 
 
 def normalize_proof(p, max_steps=10000):
+    """Leftmost-outermost normalization: (normal proof, steps taken).  The
+    input and each new proof are checked once; a proof that still has a
+    redex after max_steps steps raises."""
+    check_proof(p)
     steps = 0
-    while steps < max_steps:
-        nxt = normalize_step(p)
-        if nxt is None:
+    while True:
+        found = find_proof_redex(p)
+        if found is None:
             return p, steps
-        p = nxt
+        if steps == max_steps:
+            raise IllFormedError(f"normalization did not finish in {max_steps} steps")
+        p = _rewrite_at(p, found[0], _transform_redex)
+        check_proof(p)
         steps += 1
-    raise IllFormedError(f"normalization did not finish in {max_steps} steps")
 
 
 # ---------------------------------------------------------------------------

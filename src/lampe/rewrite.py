@@ -255,13 +255,14 @@ def pnf(t, mode=PE, cap=PERM_STEP_CAP):
     """The unique permutative normal form, with the reduction trace."""
     _require_mode(t, mode)
     trace = []
-    for _ in range(cap):
+    while True:
         s = first_step(t, mode, include_beta=False)
         if s is None:
             return t, trace
+        if len(trace) == cap:
+            raise FuelError(f"permutative normalization exceeded {cap} steps")
         trace.append(s)
         t = s.after
-    raise FuelError(f"permutative normalization exceeded {cap} steps")
 
 
 def is_pnf(t, mode=PE):

@@ -225,10 +225,6 @@ def all_names(t):
     return free_names(t) | bound_names(t)
 
 
-def term_size(t):
-    return 1 + sum(term_size(c) for c in children(t))
-
-
 def rename_bound_name(t, new_name):
     """Rename the binder of Nu-term `t` to `new_name` (which must be fresh in t)."""
     assert isinstance(t, Nu)

@@ -462,10 +462,10 @@ def _check_judgement_wf(j, system):
         else:
             _shape(system != INT, "INT declarations are multisets")
             validate_type(a, system)
-    _shape(
-        free_names(j.term) <= j.names,
-        f"term names escape the judgement name set in {j.format()}",
-    )
+    if not free_names(j.term) <= j.names:
+        raise RuleShapeError(
+            f"term names escape the judgement name set in {j.format()}"
+        )
     _shape(
         formula_names(j.constraint) <= j.names,
         "constraint names escape the judgement name set",
@@ -805,25 +805,16 @@ _RULE_CHECKERS = {
 # The admissible generalized counting rule
 
 
-def _minterms(name, indices):
-    """Complete sign patterns over the given indices of one name."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(indices)):
-        lits = [
-            Atom(name, i) if b == 1 else Not(Atom(name, i))
-            for i, b in zip(indices, bits)
-        ]
-        out.append(conj(lits))
-    return out
-
-
 def apply_mu_star(d, order=None):
     """Discharge every name of the root judgement at once, scaling the
     counting exponent by the exact measure of the root constraint.
 
-    The construction normalizes the constraint into pairwise-disjoint
-    per-name minterm rows and folds them with the summing counting rule,
-    name by name, innermost first.
+    A row picks one complete minterm per name over that name's atoms in
+    the constraint, so it decides the constraint, and the rows that satisfy
+    it partition it.  One recursive fold walks the rows in product order,
+    name by name, keeps a row iff the constraint evaluates true on it, and
+    discharges each name with the summing counting rule over the surviving
+    rows under its prefix, innermost first.
     """
     j = check_derivation(d, INT)
     b = j.constraint
@@ -836,96 +827,55 @@ def apply_mu_star(d, order=None):
     names = list(order) if order is not None else sorted(
         j.names, key=lambda n: n.seq
     )
-    if set(names) != set(j.names):
+    if len(names) != len(j.names) or set(names) != j.names:
         raise PreconditionError("name order must enumerate the judgement names")
 
-    indices = {
-        a: sorted(i for (n, i) in fm.atoms(b) if n is a) for a in names
-    }
-    rows = [[]]
+    minterms = []  # per name, in product order: (minterm, measure, bits)
     for a in names:
-        per_name = _minterms(a, indices[a])
-        rows = [row + [m] for row in rows for m in per_name]
-    kept = []
-    seen = set()
-    for row in rows:
-        formula = conj(row) if row else TOP
-        if not satisfiable(And(formula, b)):
-            continue
-        if entails(formula, b):
-            key = tuple(print_formula(m) for m in row)
-            if key not in seen:
-                seen.add(key)
-                kept.append(row)
-        else:
-            raise PreconditionError(
-                "constraint is not a union of complete minterm rows"
-            )
-    # every satisfiable complete row is either inside or outside b, so the
-    # kept rows partition the constraint exactly
+        indices = sorted(i for (n, i) in fm.atoms(b) if n is a)
+        per_name = []
+        for signs in itertools.product((0, 1), repeat=len(indices)):
+            bits = {(a, i): sign for i, sign in zip(indices, signs)}
+            m = conj(Atom(a, i) if bits[a, i] else Not(Atom(a, i)) for i in indices)
+            per_name.append((m, measure(m), bits))
+        minterms.append(per_name)
 
-    def weaken(deriv, new_constraint, names_set):
-        jj = deriv.judgement
-        new_j = Judgement(jj.ctx, frozenset(names_set), jj.term, new_constraint, jj.type)
-        return TypingDerivation("or", new_j, (deriv,), {})
+    def fold(k, prefix, valuation):
+        """The derivation under the row prefix, or None when no row under
+        it satisfies the constraint."""
+        prefix_formula = conj(prefix)
+        if k == len(names):
+            if not fm.eval_formula(b, valuation):
+                return None
+            leaf = Judgement(j.ctx, j.names, j.term, prefix_formula, j.type)
+            return TypingDerivation("or", leaf, (d,), {})
+        premises = []
+        cases = []
+        total = Fraction(0)
+        for m, s, bits in minterms[k]:
+            sub = fold(k + 1, prefix + [m], {**valuation, **bits})
+            if sub is None:
+                continue
+            pj = sub.judgement
+            case = Judgement(pj.ctx, pj.names, pj.term, And(prefix_formula, m), pj.type)
+            premises.append(TypingDerivation("or", case, (sub,), {}))
+            cases.append((m, s))
+            total += pj.type.q * s
+        if not premises:
+            return None
+        root = Judgement(
+            j.ctx,
+            j.names - set(names[k:]),
+            Nu(names[k], pj.term),
+            prefix_formula,
+            Counted(total, j.type.body),
+        )
+        return TypingDerivation("mu-sigma", root, tuple(premises), {"cases": cases})
 
-    level = [
-        (row, weaken(d, conj(row) if row else TOP, j.names)) for row in kept
-    ]
-    current_names = set(j.names)
-    for a in reversed(names):
-        current_names = current_names - {a}
-        groups = {}
-        for row, deriv in level:
-            prefix = tuple(print_formula(m) for m in row[:-1])
-            groups.setdefault(prefix, []).append((row, deriv))
-        new_level = []
-        for group in groups.values():
-            prefix_row = group[0][0][:-1]
-            prefix_formula = conj(prefix_row) if prefix_row else TOP
-            cases = []
-            premises = []
-            total = Fraction(0)
-            for row, deriv in group:
-                dloc = row[-1]
-                s = measure(dloc)
-                pj = deriv.judgement
-                premises.append(
-                    TypingDerivation(
-                        "or",
-                        Judgement(
-                            pj.ctx,
-                            pj.names,
-                            pj.term,
-                            And(prefix_formula, dloc),
-                            pj.type,
-                        ),
-                        (deriv,),
-                        {},
-                    )
-                )
-                cases.append((dloc, s))
-                total += pj.type.q * s
-            root_j = Judgement(
-                premises[0].judgement.ctx,
-                frozenset(current_names),
-                Nu(a, premises[0].judgement.term),
-                prefix_formula,
-                Counted(total, premises[0].judgement.type.body),
-            )
-            node = TypingDerivation(
-                "mu-sigma", root_j, tuple(premises), {"cases": cases}
-            )
-            new_level.append((prefix_row, node))
-        level = new_level
-    assert len(level) == 1
-    _, result = level[0]
-    final_j = result.judgement
+    folded = fold(0, [], {})
+    fj = folded.judgement
     result = TypingDerivation(
-        "or",
-        Judgement(final_j.ctx, final_j.names, final_j.term, TOP, final_j.type),
-        (result,),
-        {},
+        "or", Judgement(fj.ctx, fj.names, fj.term, TOP, fj.type), (folded,), {}
     )
     check_derivation(result, INT)
     expected = Counted(j.type.q * measure(b), j.type.body)
@@ -939,10 +889,6 @@ def apply_mu_star(d, order=None):
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def _arg_to_text(a):
-    return print_type(a)
 
 
 def derivation_to_json(d):
@@ -964,7 +910,7 @@ def derivation_to_json(d):
     return {
         "rule": d.rule,
         "judgement": {
-            "ctx": [[x, _arg_to_text(a)] for x, a in j.ctx],
+            "ctx": [[x, print_type(a)] for x, a in j.ctx],
             "names": sorted(str(n) for n in j.names),
             "term": print_term(j.term),
             "constraint": print_formula(j.constraint),
@@ -975,12 +921,8 @@ def derivation_to_json(d):
     }
 
 
-def _parse_arg(text):
-    return parse_type(text.strip())
-
-
 def judgement_from_json(obj):
-    ctx = tuple((x, _parse_arg(a)) for x, a in obj["ctx"])
+    ctx = tuple((x, parse_type(a)) for x, a in obj["ctx"])
     names = frozenset(Name(n) for n in obj["names"])
     return Judgement(
         ctx,

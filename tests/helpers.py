@@ -864,3 +864,79 @@ def _build_rule(rng, rule, depth, ctx, constraint, formula, supply):
             return None
         return P("imp-e", S(ctx, constraint, formula), (fun, arg))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference construction for the generalized counting rule
+
+
+def reference_mu_star(d, order=None):
+    """The row-enumeration construction of `apply_mu_star` that the fold
+    replaced: every complete minterm row in product order is tested with the
+    oracle, then the kept rows are regrouped level by level under their
+    printed prefixes.  Kept only to pin the fold's output."""
+    import itertools
+
+    from lampe.formulas import atoms, conj, entails, print_formula, satisfiable
+    from lampe.typesys import INT, check_derivation
+
+    j = check_derivation(d, INT)
+    b = j.constraint
+    names = list(order) if order is not None else sorted(j.names, key=lambda n: n.seq)
+    rows = [[]]
+    for a in names:
+        indices = sorted(i for (n, i) in atoms(b) if n is a)
+        per_name = [
+            conj(
+                Atom(a, i) if bit == 1 else Not(Atom(a, i))
+                for i, bit in zip(indices, bits)
+            )
+            for bits in itertools.product((0, 1), repeat=len(indices))
+        ]
+        rows = [row + [m] for row in rows for m in per_name]
+    kept = []
+    for row in rows:
+        formula = conj(row)
+        if satisfiable(And(formula, b)):
+            assert entails(formula, b), "a complete row decides the constraint"
+            kept.append(row)
+
+    def weaken(deriv, constraint, names_set):
+        jj = deriv.judgement
+        return D("or", J(jj.ctx, names_set, jj.term, constraint, jj.type), (deriv,))
+
+    level = [(row, weaken(d, conj(row), j.names)) for row in kept]
+    current_names = set(j.names)
+    for a in reversed(names):
+        current_names = current_names - {a}
+        groups = {}
+        for row, deriv in level:
+            prefix = tuple(print_formula(m) for m in row[:-1])
+            groups.setdefault(prefix, []).append((row, deriv))
+        new_level = []
+        for group in groups.values():
+            prefix_row = group[0][0][:-1]
+            prefix_formula = conj(prefix_row)
+            cases = []
+            premises = []
+            total = Fraction(0)
+            for row, deriv in group:
+                dloc = row[-1]
+                s = measure(dloc)
+                pj = deriv.judgement
+                premises.append(weaken(deriv, And(prefix_formula, dloc), pj.names))
+                cases.append((dloc, s))
+                total += pj.type.q * s
+            first = premises[0].judgement
+            root_j = J(
+                first.ctx,
+                current_names,
+                Nu(a, first.term),
+                prefix_formula,
+                Counted(total, first.type.body),
+            )
+            new_level.append((prefix_row, D("mu-sigma", root_j, premises, {"cases": cases})))
+        level = new_level
+    assert len(level) == 1
+    result = level[0][1]
+    return weaken(result, TOP, result.judgement.names)

@@ -244,3 +244,10 @@ def test_reduced_output_reparses(capsys):
     assert code == 0 and "~2" in out
     code2, out2, _ = invoke(capsys, "parse", out.strip())
     assert code2 == 0 and out2 == out
+
+
+def test_deep_input_reports_depth(capsys):
+    binders = "".join(f"\\x{i}. " for i in range(3000))
+    code, out, err = invoke(capsys, "pnf", f"nu a. {binders}u (+a.0) v")
+    assert code == 1 and err.startswith("E_DEPTH")
+    assert "Traceback" not in out + err

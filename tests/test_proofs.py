@@ -12,7 +12,7 @@ from helpers import (
     proof_fixture_corpus,
     random_proof,
 )
-from lampe.errors import RuleShapeError, SideConditionError
+from lampe.errors import IllFormedError, RuleShapeError, SideConditionError
 from lampe.formulas import And, Atom, BOT, Not, TOP, parse_formula
 from lampe.proofs import (
     Count,
@@ -106,6 +106,14 @@ def test_normalize_cut():
     assert steps == 6
     assert normalize_step(normal) is None
     assert print_proof_formula(normal.sequent.formula) == "A -> C[1/2] C[1/2] A"
+
+
+def test_normalize_proof_step_cap_is_inclusive():
+    # cut_proof needs exactly 6 steps: a cap of 6 is enough, 5 is not
+    normal, steps = normalize_proof(cut_proof(), max_steps=6)
+    assert steps == 6 and normalize_step(normal) is None
+    with pytest.raises(IllFormedError, match="did not finish in 5 steps"):
+        normalize_proof(cut_proof(), max_steps=5)
 
 
 def test_normal_proof_has_no_step():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lampe.errors import ModeViolationError, NotPnfError, OpenNamesError
+from lampe.errors import FuelError, ModeViolationError, NotPnfError, OpenNamesError
 from lampe.rewrite import (
     PE,
     first_step,
@@ -289,6 +289,15 @@ def test_permutative_termination_within_cap():
         t = random_term(rng, rng.randrange(5, 35), [], [])
         result, trace = pnf(t)   # raises E_FUEL on cap overrun
         assert is_pnf(result)
+
+
+def test_pnf_step_cap_is_inclusive():
+    # one permutative step normalizes this term: a cap of 1 is enough, 0 is not
+    t = parse_term("(x (+a.0) y) z")
+    result, trace = pnf(t, cap=1)
+    assert len(trace) == 1 and is_pnf(result)
+    with pytest.raises(FuelError, match="exceeded 0 steps"):
+        pnf(t, cap=0)
 
 
 def test_shadowed_input_still_normalizes():

@@ -20,6 +20,7 @@ from helpers import (
     two_name_exact_bound_derivation,
     correlated_pick_term,
     int_identity,
+    reference_mu_star,
 )
 from lampe.errors import (
     PreconditionError,
@@ -27,8 +28,8 @@ from lampe.errors import (
     SideConditionError,
     SystemMismatchError,
 )
-from lampe.formulas import And, Atom, Not, Or, TOP, parse_formula
-from lampe.terms import Nu, Var, parse_term
+from lampe.formulas import And, Atom, Not, Or, TOP, parse_formula, satisfiable
+from lampe.terms import Name, Nu, Var, parse_term
 from lampe.typesys import (
     Arrow,
     CBV,
@@ -262,27 +263,32 @@ def test_mu_star_two_name_instance():
     assert isinstance(star.judgement.term, Nu)
 
 
-def test_mu_star_single_atom():
+def _single_atom_premise():
     names = {A_}
     half_con = Atom(A_, 0)
     ident = int_identity(names=names, constraint=half_con)
-    # q = 1 under constraint a.0: the discharged exponent is 1 * 1/2
-    star = apply_mu_star(
-        D(
-            "or",
-            J((), names, ident.judgement.term, half_con, ident.judgement.type),
-            (ident,),
-        ),
-        order=[A_],
+    return D(
+        "or",
+        J((), names, ident.judgement.term, half_con, ident.judgement.type),
+        (ident,),
     )
+
+
+def test_mu_star_single_atom():
+    # q = 1 under constraint a.0: the discharged exponent is 1 * 1/2
+    star = apply_mu_star(_single_atom_premise(), order=[A_])
     assert star.judgement.type.q == HALF
 
 
 def test_mu_star_top_constraint():
-    names = {A_}
-    ident = int_identity(names=names, constraint=TOP)
+    ident = int_identity(names={A_}, constraint=TOP)
     star = apply_mu_star(ident, order=[A_])
     assert star.judgement.type == ident.judgement.type
+
+
+def test_mu_star_rejects_repeated_order_name():
+    with pytest.raises(PreconditionError, match="name order must enumerate"):
+        apply_mu_star(_two_name_premise(), order=[A_, A_, B_])
 
 
 def test_mu_star_rejects_unsat():
@@ -310,9 +316,8 @@ def test_derivation_json_roundtrip():
     assert check_derivation(back, INT).type == d.judgement.type
 
 
-def test_mu_star_scaled_premise():
-    # a 1/2-quantified premise under a single-atom constraint discharges
-    # to half of a half
+def _scaled_premise():
+    """A 1/2-quantified premise under the single-atom constraint a.0."""
     names = {A_}
     atom = Atom(A_, 0)
     half_id = int_identity(names=names, constraint=atom)
@@ -350,8 +355,50 @@ def test_mu_star_scaled_premise():
         {"cases": [(Atom(B_, 0), HALF)]},
     )
     check_derivation(halved, INT)
-    star = apply_mu_star(halved, order=[A_])
+    return halved
+
+
+def test_mu_star_scaled_premise():
+    # a 1/2-quantified premise under a single-atom constraint discharges
+    # to half of a half
+    star = apply_mu_star(_scaled_premise(), order=[A_])
     assert star.judgement.type.q == Fraction(1, 4)
+
+
+def _random_constraint(rng, pool, n_atoms):
+    leaves = [Atom(*ai) for ai in rng.sample(pool, n_atoms)]
+    while len(leaves) > 1:
+        left = leaves.pop(rng.randrange(len(leaves)))
+        right = leaves.pop(rng.randrange(len(leaves)))
+        leaves.append(rng.choice((And, Or))(left, right))
+        if rng.random() < 0.3:
+            leaves[-1] = Not(leaves[-1])
+    return leaves[0]
+
+
+def test_mu_star_matches_reference_construction():
+    """The fold emits the derivation of the row-enumeration construction,
+    byte for byte, on the fixed premises and on random constraints."""
+    cases = [
+        (_two_name_premise(), [A_, B_]),
+        (_two_name_premise(), [B_, A_]),
+        (_single_atom_premise(), [A_]),
+        (int_identity(names={A_}, constraint=TOP), [A_]),
+        (_scaled_premise(), [A_]),
+    ]
+    rng = random.Random(4)
+    all_names = [A_, B_, Name("c")]
+    while len(cases) < 60:
+        names = all_names[: rng.randint(1, 3)]
+        pool = [(n, i) for n in names for i in range(3)]
+        b = _random_constraint(rng, pool, rng.randint(1, min(6, len(pool))))
+        if not satisfiable(b):
+            continue
+        order = rng.sample(names, len(names)) if rng.random() < 0.5 else None
+        cases.append((int_identity(names=set(names), constraint=b), order))
+    for premise, order in cases:
+        expected = derivation_to_json(reference_mu_star(premise, order))
+        assert derivation_to_json(apply_mu_star(premise, order)) == expected
 
 
 def test_intersection_app_empty_multiset():
@@ -404,6 +451,15 @@ def test_checker_rejects_mutations():
     )
     with pytest.raises(RuleShapeError):
         check_derivation(leaked_name, CBV)
+
+
+def test_escaping_term_name_message_quotes_the_judgement():
+    j = J((), {B_}, parse_term("x (+a.0) y"), TOP, Counted(Fraction(1), INT_OO))
+    with pytest.raises(RuleShapeError) as err:
+        check_derivation(D("or", j), INT)
+    assert str(err.value) == (
+        f"E_RULE_SHAPE: term names escape the judgement name set in {j.format()}"
+    )
 
 
 def test_hn_and_n_rules_in_derivations():
