@@ -348,6 +348,8 @@ def print_formula(b):
 
 
 def parse_rational(text):
+    if not isinstance(text, str):
+        raise TypeError(f"expected a rational written as text, got {text!r}")
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)

@@ -508,12 +508,12 @@ def find_proof_redex(p, path=()):
     return None
 
 
-def _rewrite_at(p, path, transform):
+def _rewrite_at(p, path, kind):
     if not path:
-        return transform(p)
+        return _transform_redex(p, kind)
     i = path[0]
     premises = list(p.premises)
-    premises[i] = _rewrite_at(premises[i], path[1:], transform)
+    premises[i] = _rewrite_at(premises[i], path[1:], kind)
     return ProofDerivation(p.rule, p.sequent, tuple(premises), p.side)
 
 
@@ -523,10 +523,10 @@ def _mix(left, right, pivot, sequent):
     )
 
 
-def _transform_redex(p):
+def _transform_redex(p, kind):
+    """Contract the redex of the given kind that p heads."""
     s = p.sequent
     b = s.constraint
-    kind = _redex_kind(p)
     if kind == "beta-cut":
         fun, arg = p.premises
         body = fun.premises[0]
@@ -572,19 +572,20 @@ def _transform_redex(p):
             {},
         )
         return _mix(new_left, new_right, inner.side["pivot"], s)
-    if kind in ("m-imp-e-fun", "m-imp-e-arg"):
-        fun_side = kind == "m-imp-e-fun"
-        inner = p.premises[0] if fun_side else p.premises[1]
-        other = p.premises[1] if fun_side else p.premises[0]
+    if kind in ("m-imp-e-fun", "m-imp-e-arg", "m-ce-major", "m-ce-minor"):
+        # the mix heads the function/major premise or the argument/minor one
+        k = 0 if kind in ("m-imp-e-fun", "m-ce-major") else 1
+        inner = p.premises[k]
         pieces = []
         for branch in inner.premises:
             bc = And(b, branch.sequent.constraint)
-            fun_piece = weaken_proof(branch if fun_side else other, bc)
-            arg_piece = weaken_proof(other if fun_side else branch, bc)
+            premises = list(p.premises)
+            premises[k] = branch
             pieces.append(
                 ProofDerivation(
-                    "imp-e", Sequent(s.ctx, bc, s.formula),
-                    (fun_piece, arg_piece), {},
+                    p.rule, Sequent(s.ctx, bc, s.formula),
+                    tuple(weaken_proof(q, bc) for q in premises),
+                    dict(p.side) if p.rule == "ce" else {},
                 )
             )
         return _mix(pieces[0], pieces[1], inner.side["pivot"], s)
@@ -607,22 +608,6 @@ def _transform_redex(p):
                 )
             )
         return _mix(pieces[0], pieces[1], inner.side["pivot"], s)
-    if kind in ("m-ce-major", "m-ce-minor"):
-        major_side = kind == "m-ce-major"
-        inner = p.premises[0] if major_side else p.premises[1]
-        other = p.premises[1] if major_side else p.premises[0]
-        pieces = []
-        for branch in inner.premises:
-            bc = And(b, branch.sequent.constraint)
-            major_piece = weaken_proof(branch if major_side else other, bc)
-            minor_piece = weaken_proof(other if major_side else branch, bc)
-            pieces.append(
-                ProofDerivation(
-                    "ce", Sequent(s.ctx, bc, s.formula),
-                    (major_piece, minor_piece), dict(p.side),
-                )
-            )
-        return _mix(pieces[0], pieces[1], inner.side["pivot"], s)
     raise IllFormedError(f"no redex at this node")
 
 
@@ -632,8 +617,7 @@ def normalize_step(p):
     found = find_proof_redex(p)
     if found is None:
         return None
-    path, _ = found
-    out = _rewrite_at(p, path, _transform_redex)
+    out = _rewrite_at(p, *found)
     check_proof(out)
     return out
 
@@ -650,7 +634,7 @@ def normalize_proof(p, max_steps=10000):
             return p, steps
         if steps == max_steps:
             raise IllFormedError(f"normalization did not finish in {max_steps} steps")
-        p = _rewrite_at(p, found[0], _transform_redex)
+        p = _rewrite_at(p, *found)
         check_proof(p)
         steps += 1
 
@@ -898,7 +882,7 @@ def verify_simulation(p, fuel=1000):
         if found is None:
             break
         path, kind = found
-        nxt = _rewrite_at(p, path, _transform_redex)
+        nxt = _rewrite_at(p, path, kind)
         check_proof(nxt)
         before = proof_term(p)
         after = proof_term(nxt)

@@ -2,36 +2,44 @@
 derivation and a one-step reduction of its subject, rebuild a checked
 derivation of the reduct with the identical judgement.
 
-Beta steps go through the substitution-lemma construction; permutative steps
-are handled by case analysis on the pivot bits (resolving the rearranged
-choices the same way on both sides), and the generator permutations by
-re-associating the counting rule with its neighbour.  Disjunction nodes are
-peeled into their leaves and reassembled around the transformed pieces.
+Every reduct is taken from `rewrite.apply_rule_at`, the one table of rewrite
+rules; the handlers here only type it.  Beta steps go through the
+substitution-lemma construction; permutative steps are handled by a case
+split on the pivot bits (resolving the rearranged choices the same way on
+both sides), and the generator permutations by re-associating the counting
+rule with its neighbour.  Disjunction nodes are peeled into their leaves and
+reassembled around the transformed pieces.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import UnsupportedStepError
+from .errors import NotPnfError, UnsupportedStepError
 from .formulas import And, Atom, Not, BoolFormula
+from .proofs import rename_formula_names
+from .rewrite import apply_rule_at
 from .terms import (
-    App,
     CbvApp,
     Choice,
-    Lam,
     Nu,
     Var,
     alpha_eq,
+    bound_names,
+    children,
+    copy_variant_name,
+    count_free_occurrences,
     free_names,
     free_vars,
+    replace_child,
     substitute,
+    substitute_indexed,
 )
 from .typesys import (
     CBV,
+    Arrow,
     Counted,
     Judgement,
     TypingDerivation,
+    _get_scale,
     check_derivation,
     same_judgement,
     strip_prefix,
@@ -159,7 +167,6 @@ def ctx_weaken(d, pairs):
 def rename_derivation_names(d, mapping):
     """Wholesale renaming of generator names in subjects, name sets, side
     formulas and constraints of a derivation."""
-    from .proofs import rename_formula_names
 
     def rn_term(t):
         if isinstance(t, Nu):
@@ -170,8 +177,6 @@ def rename_derivation_names(d, mapping):
                 mapping.get(t.name, t.name), t.index,
             )
         out = t
-        from .terms import children, replace_child
-
         for i, c in enumerate(children(t)):
             c2 = rn_term(c)
             if c2 is not c:
@@ -202,8 +207,6 @@ def subst_typing(d, x, arg_derivation):
     derivation of t[u/x] whose every node conjoins the argument constraint.
     Occurrences of x are numbered in subject order so duplicated generator
     scopes get the same variant names as term-level substitution."""
-    from .terms import bound_names, count_free_occurrences, substitute_indexed
-
     du = arg_derivation.judgement.constraint
     u = arg_derivation.judgement.term
     base_ctx_vars = {y for y, _ in arg_derivation.judgement.ctx}
@@ -221,10 +224,6 @@ def subst_typing(d, x, arg_derivation):
         t = d.judgement.term
         if d.rule == "or":
             return [offset] * len(d.premises)
-        if d.rule in ("lam", "mu"):
-            return [offset]
-        if d.rule == "plus-l":
-            return [offset]
         if d.rule == "plus-r":
             return [offset + count(t.left)]
         if d.rule in ("app", "cbv"):
@@ -242,8 +241,6 @@ def subst_typing(d, x, arg_derivation):
                 copy_index = offset + 1
                 plug = arg_derivation
                 if duplicating and copy_index > 1:
-                    from .terms import copy_variant_name
-
                     mapping = {
                         n: copy_variant_name(n, copy_index) for n in u_binders
                     }
@@ -255,8 +252,7 @@ def subst_typing(d, x, arg_derivation):
                 return _or([plugged], new_j)
             return _node("id", new_j, ())
         if d.rule == "lam":
-            binder = [y for y, _ in d.premises[0].judgement.ctx
-                      if y not in {z for z, _ in j.ctx}][0]
+            binder = _binder(d)
             premise = d.premises[0]
             if binder in free_vars(u) or binder == x:
                 taken = free_vars(u) | {z for z, _ in j.ctx} | {x}
@@ -280,294 +276,207 @@ def subst_typing(d, x, arg_derivation):
 # Harvesting typed pieces out of choice / generator typings
 
 
+def typed_leaves(d, rules, kind):
+    """The or-leaves of d, each of which must be typed by one of `rules`."""
+    leaves = or_leaves(d)
+    for leaf in leaves:
+        if leaf.rule not in rules:
+            _unsupported(f"{kind} subject typed by rule {leaf.rule}")
+    return leaves
+
+
 def branch_typings(d, want_left):
     """Sub-derivations typing the chosen branch of a choice subject, whose
     constraints jointly cover the subject constraint under the pivot literal."""
-    out = []
-    for leaf in or_leaves(d):
-        if leaf.rule == "plus-l":
-            if want_left:
-                out.append(leaf.premises[0])
-        elif leaf.rule == "plus-r":
-            if not want_left:
-                out.append(leaf.premises[0])
-        else:
-            _unsupported(f"choice subject typed by rule {leaf.rule}")
-    return out
+    keep = "plus-l" if want_left else "plus-r"
+    return [
+        leaf.premises[0]
+        for leaf in typed_leaves(d, ("plus-l", "plus-r"), "choice")
+        if leaf.rule == keep
+    ]
 
 
-def mu_leaves(d):
-    out = []
-    for leaf in or_leaves(d):
-        if leaf.rule != "mu":
-            _unsupported(f"generator subject typed by rule {leaf.rule}")
-        out.append(leaf)
-    return out
-
-
-def lam_leaves(d):
-    out = []
-    for leaf in or_leaves(d):
-        if leaf.rule != "lam":
-            _unsupported(f"lambda subject typed by rule {leaf.rule}")
-        out.append(leaf)
-    return out
+def _binder(d):
+    """The variable that the premise of the lam node d declares."""
+    outer = {z for z, _ in d.judgement.ctx}
+    return [y for y, _ in d.premises[0].judgement.ctx if y not in outer][0]
 
 
 # ---------------------------------------------------------------------------
-# Root-step transformations
+# Root-step transformations: the reduct `after` comes from rewrite's rule
+# table, and each handler types it from the pieces of the old derivation.
 
 
 def _transport_root(d, rule, mode):
-    j = d.judgement
-    t = j.term
-    b = j.constraint
     handler = _ROOT_HANDLERS.get(rule)
     if handler is None:
         _unsupported(f"no transport case for rule {rule}")
-    return handler(d, j, t, b)
+    j = d.judgement
+    return handler(d, j, _reapply(j.term, rule, (), mode))
 
 
-def _root_beta(d, j, t, b):
-    if d.rule != "app" or not isinstance(t, App) or not isinstance(t.fun, Lam):
+def _split(j, after, piece):
+    """Type the choice `after` by splitting j's constraint on its pivot.  On
+    each side bv is the constraint conjoined with that side's pivot literal,
+    and piece(bv, left) types the branch of `after` that bv selects."""
+    x = Atom(after.name, after.index)
+    sides = []
+    for left, literal in ((True, x), (False, Not(x))):
+        bv = And(j.constraint, literal)
+        sides.append(
+            _node(
+                "plus-l" if left else "plus-r",
+                _with(j, term=after, constraint=bv),
+                [piece(bv, left)],
+            )
+        )
+    return _or(sides, _with(j, term=after))
+
+
+def _root_beta(d, j, after):
+    if d.rule != "app":
         _unsupported("beta step against a non-application typing")
     dfun, darg = d.premises
-    after = substitute(t.fun.body, t.fun.var, t.arg)
     pieces = []
-    for lf in lam_leaves(dfun):
-        binder = [y for y, _ in lf.premises[0].judgement.ctx
-                  if y not in {z for z, _ in lf.judgement.ctx}][0]
+    for lf in typed_leaves(dfun, ("lam",), "lambda"):
+        binder = _binder(lf)
         for la in or_leaves(darg):
-            piece = subst_typing(lf.premises[0], binder, la)
-            pieces.append(piece)
+            pieces.append(subst_typing(lf.premises[0], binder, la))
     return _or(pieces, _with(j, term=after))
 
 
-def _pivot(t):
-    return Atom(t.name, t.index)
-
-
-def _root_idem(d, j, t, b):
+def _root_idem(d, j, after):
     # t (+a.i) t ~> t
-    lefts = branch_typings(d, True)
-    rights = branch_typings(d, False)
-    return _or(lefts + rights, _with(j, term=t.left))
+    return _or(
+        branch_typings(d, True) + branch_typings(d, False), _with(j, term=after)
+    )
 
 
-def _choice_piece(core, choice_term, bv, left, j):
-    rule = "plus-l" if left else "plus-r"
-    return _node(rule, _with(j, term=choice_term, constraint=bv), [core])
+def _root_same_pivot(d, j, after, nested_left):
+    # c1: (l (+a.i) m) (+a.i) r ~> l (+a.i) r
+    # c2: l (+a.i) (m (+a.i) r) ~> l (+a.i) r
+    def piece(bv, left):
+        cores = branch_typings(d, left)
+        if left == nested_left:
+            cores = [c for br in cores for c in branch_typings(br, left)]
+        branch = after.left if left else after.right
+        return _or(cores, _with(j, term=branch, constraint=bv))
+
+    return _split(j, after, piece)
 
 
-def _root_c1(d, j, t, b):
-    # (l (+a.i) m) (+a.i) r ~> l (+a.i) r
-    inner, r = t.left, t.right
-    after = Choice(inner.left, r, t.name, t.index)
-    x = _pivot(t)
-    bv1, bv0 = And(b, x), And(b, Not(x))
-    lefts2 = []
-    for ol in branch_typings(d, True):
-        lefts2.extend(branch_typings(ol, True))
-    p1 = _or(lefts2, _with(j, term=inner.left, constraint=bv1))
-    piece1 = _choice_piece(p1, after, bv1, True, j)
-    p0 = _or(branch_typings(d, False), _with(j, term=r, constraint=bv0))
-    piece0 = _choice_piece(p0, after, bv0, False, j)
-    return _or([piece1, piece0], _with(j, term=after))
-
-
-def _root_c2(d, j, t, b):
-    # l (+a.i) (m (+a.i) r) ~> l (+a.i) r
-    inner = t.right
-    after = Choice(t.left, inner.right, t.name, t.index)
-    x = _pivot(t)
-    bv1, bv0 = And(b, x), And(b, Not(x))
-    p1 = _or(branch_typings(d, True), _with(j, term=t.left, constraint=bv1))
-    piece1 = _choice_piece(p1, after, bv1, True, j)
-    rights2 = []
-    for orr in branch_typings(d, False):
-        rights2.extend(branch_typings(orr, False))
-    p0 = _or(rights2, _with(j, term=inner.right, constraint=bv0))
-    piece0 = _choice_piece(p0, after, bv0, False, j)
-    return _or([piece1, piece0], _with(j, term=after))
-
-
-def _root_plus_lam(d, j, t, b):
+def _root_plus_lam(d, j, after):
     # \x. (l (+a.i) r) ~> (\x. l) (+a.i) (\x. r)
     if d.rule != "lam":
         _unsupported("plus-lam against a non-lambda typing")
     body_deriv = d.premises[0]
     pb = body_deriv.judgement
-    choice = pb.term
-    if not isinstance(choice, Choice):
+    if not isinstance(pb.term, Choice):
         _unsupported("lambda body premise is not a choice typing")
-    binder = [y for y, _ in pb.ctx if y not in {z for z, _ in j.ctx}][0]
-    x = _pivot(choice)
-    after = Choice(
-        Lam(binder, choice.left), Lam(binder, choice.right),
-        choice.name, choice.index,
-    )
-    pieces = []
-    for sign, want in ((x, True), (Not(x), False)):
-        bv = And(b, sign)
-        branch = choice.left if want else choice.right
+
+    def piece(bv, left):
         core = _or(
-            branch_typings(body_deriv, want),
-            Judgement(pb.ctx, pb.names, branch, bv, pb.type),
+            branch_typings(body_deriv, left),
+            _with(pb, term=pb.term.left if left else pb.term.right, constraint=bv),
         )
-        lam_node = _node(
-            "lam",
-            _with(j, term=Lam(binder, branch), constraint=bv),
-            [core],
-        )
-        pieces.append(_choice_piece(lam_node, after, bv, want, j))
-    return _or(pieces, _with(j, term=after))
+        lam = after.left if left else after.right
+        return _node("lam", _with(j, term=lam, constraint=bv), [core])
+
+    return _split(j, after, piece)
 
 
-def _root_plus_app(d, j, t, b, cbv, fun_side):
+def _root_plus_app(d, j, after, fun_side):
     """The four choice-past-application permutations."""
-    expected = "cbv" if cbv else "app"
+    expected = "cbv" if isinstance(j.term, CbvApp) else "app"
     if d.rule != expected:
         _unsupported(f"step against a non-{expected} typing")
     dfun, darg = d.premises
-    mk = CbvApp if cbv else App
-    if fun_side:
-        choice = t.fun
-        other, other_deriv, choice_deriv = t.arg, darg, dfun
-        after = Choice(
-            mk(choice.left, other), mk(choice.right, other),
-            choice.name, choice.index,
-        )
-    else:
-        choice = t.arg
-        other, other_deriv, choice_deriv = t.fun, dfun, darg
-        after = Choice(
-            mk(other, choice.left), mk(other, choice.right),
-            choice.name, choice.index,
-        )
-    x = _pivot(choice)
-    pieces = []
-    for sign, want in ((x, True), (Not(x), False)):
-        bv = And(b, sign)
-        branch = choice.left if want else choice.right
+    choice_deriv, other_deriv = (dfun, darg) if fun_side else (darg, dfun)
+
+    def piece(bv, left):
+        app = after.left if left else after.right
         core = _or(
-            branch_typings(choice_deriv, want),
-            _with(choice_deriv.judgement, term=branch, constraint=bv),
+            branch_typings(choice_deriv, left),
+            _with(
+                choice_deriv.judgement,
+                term=app.fun if fun_side else app.arg,
+                constraint=bv,
+            ),
         )
         partner = weaken_constraint(other_deriv, bv)
-        if fun_side:
-            premises = [core, partner]
-            new_term = mk(branch, other)
-        else:
-            premises = [partner, core]
-            new_term = mk(other, branch)
-        app_node = _node(
-            expected,
-            _with(j, term=new_term, constraint=bv),
-            premises,
-            d.side,
-        )
-        pieces.append(_choice_piece(app_node, after, bv, want, j))
-    return _or(pieces, _with(j, term=after))
+        premises = [core, partner] if fun_side else [partner, core]
+        return _node(expected, _with(j, term=app, constraint=bv), premises, d.side)
+
+    return _split(j, after, piece)
 
 
-def _root_plus_plus(d, j, t, b, left_nested):
-    """Reordering of two stacked choices with ordered pivots."""
-    if left_nested:
-        inner, w = t.left, t.right
-        after = Choice(
-            Choice(inner.left, w, t.name, t.index),
-            Choice(inner.right, w, t.name, t.index),
-            inner.name,
-            inner.index,
-        )
-    else:
-        inner, w = t.right, t.left
-        after = Choice(
-            Choice(w, inner.left, t.name, t.index),
-            Choice(w, inner.right, t.name, t.index),
-            inner.name,
-            inner.index,
-        )
-    xa = _pivot(inner)  # the pivot that ends up outermost
-    xb = _pivot(t)
-    pieces = []
-    for sa, wa in ((xa, True), (Not(xa), False)):
-        for sb, wb in ((xb, True), (Not(xb), False)):
-            bv = And(b, And(sa, sb))
+def _root_plus_plus(d, j, after, left_nested):
+    """Reordering of two stacked choices with ordered pivots: the pivot of
+    the nested choice ends up outermost."""
+    t = j.term
+    nested, shared = (t.left, t.right) if left_nested else (t.right, t.left)
+
+    def outer(bv_outer, wa):
+        mid = after.left if wa else after.right
+
+        def inner(bv, wb):
             # which original subterm does this assignment select?
-            picks_inner = wb if left_nested else not wb
-            if picks_inner:
-                cores = []
-                for br in branch_typings(d, left_nested):
-                    cores.extend(branch_typings(br, wa))
-                target = inner.left if wa else inner.right
+            if wb == left_nested:
+                cores = [
+                    c
+                    for br in branch_typings(d, left_nested)
+                    for c in branch_typings(br, wa)
+                ]
+                target = nested.left if wa else nested.right
             else:
                 cores = branch_typings(d, not left_nested)
-                target = w
-            core = _or(cores, _with(j, term=target, constraint=bv))
-            # rebuild the after-term selection: outer pivot xa, inner xb
-            mid_term = after.left if wa else after.right
-            mid_pick = mid_term.left if wb else mid_term.right
-            if not alpha_eq(mid_pick, target):
+                target = shared
+            if not alpha_eq(mid.left if wb else mid.right, target):
                 _unsupported("pivot selection mismatch in choice reordering")
-            mid = _choice_piece(core, mid_term, bv, wb, j)
-            pieces.append(_choice_piece(mid, after, bv, wa, j))
-    return _or(pieces, _with(j, term=after))
+            return _or(cores, _with(j, term=target, constraint=bv))
+
+        return _split(_with(j, constraint=bv_outer), mid, inner)
+
+    return _split(j, after, outer)
 
 
-def _root_plus_nu(d, j, t, b):
+def _root_plus_nu(d, j, after):
     # nu b. (l (+a.i) r) ~> (nu b. l) (+a.i) (nu b. r)
     if d.rule != "mu":
         _unsupported("plus-nu against a non-counting typing")
-    body = t.body
-    x = _pivot(body)
-    dloc = d.side["d"]
-    q = d.side["q"]
-    after = Choice(
-        Nu(t.name, body.left), Nu(t.name, body.right), body.name, body.index
-    )
     inner = d.premises[0]
-    pieces = []
-    for sign, want in ((x, True), (Not(x), False)):
-        bv = And(b, sign)
-        branch = body.left if want else body.right
+    dloc, q = d.side["d"], d.side["q"]
+
+    def piece(bv, left):
+        nu = after.left if left else after.right
         core = _or(
-            branch_typings(inner, want),
-            _with(inner.judgement, term=branch, constraint=And(bv, dloc)),
+            branch_typings(inner, left),
+            _with(inner.judgement, term=nu.body, constraint=And(bv, dloc)),
         )
-        mu_node = _node(
-            "mu",
-            _with(j, term=Nu(t.name, branch), constraint=bv),
-            [core],
-            {"d": dloc, "q": q},
+        return _node(
+            "mu", _with(j, term=nu, constraint=bv), [core], {"d": dloc, "q": q}
         )
-        pieces.append(_choice_piece(mu_node, after, bv, want, j))
-    return _or(pieces, _with(j, term=after))
+
+    return _split(j, after, piece)
 
 
-def _root_nu_lam(d, j, t, b):
+def _root_nu_lam(d, j, after):
     # \x. nu b. B ~> nu b. \x. B
     if d.rule != "lam":
         _unsupported("nu-lam against a non-lambda typing")
     nu_deriv = d.premises[0]
-    pb = nu_deriv.judgement
-    binder = [y for y, _ in pb.ctx if y not in {z for z, _ in j.ctx}][0]
-    nu_term = pb.term
-    after = Nu(nu_term.name, Lam(binder, nu_term.body))
-    arg_type = dict(pb.ctx)[binder]
+    arg_type = dict(nu_deriv.judgement.ctx)[_binder(d)]
     pieces = []
-    for leaf in mu_leaves(nu_deriv):
+    for leaf in typed_leaves(nu_deriv, ("mu",), "generator"):
         inner = leaf.premises[0]
         pi = inner.judgement
         qs, body_sigma = strip_prefix(pi.type)
-        from .typesys import Arrow
-
         lam_node = _node(
             "lam",
             Judgement(
                 j.ctx,
                 pi.names,
-                Lam(binder, pi.term),
+                after.body,
                 pi.constraint,
                 wrap_prefix(qs, Arrow(arg_type, body_sigma)),
             ),
@@ -588,39 +497,38 @@ def _root_nu_lam(d, j, t, b):
     return _or(pieces, _with(j, term=after))
 
 
-def _root_nu_fun(d, j, t, b):
+def _root_nu_fun(d, j, after):
     # (nu b. F) w ~> nu b. (F w)
     if d.rule != "app":
         _unsupported("nu-fun against a non-application typing")
     dfun, darg = d.premises
-    nu_term = t.fun
-    after = Nu(nu_term.name, App(nu_term.body, t.arg))
-    if nu_term.name in free_names(t.arg):
+    # the premises are typed with the old name, which rewrite renames on capture
+    name = j.term.fun.name
+    if name in free_names(j.term.arg):
         _unsupported("argument captures the generator name")
+    bw = darg.judgement.constraint
+    arg_named = names_weaken(darg, {name})
     pieces = []
-    for leaf in mu_leaves(dfun):
+    for leaf in typed_leaves(dfun, ("mu",), "generator"):
         inner = leaf.premises[0]
         pi = inner.judgement
         ci = leaf.judgement.constraint
-        dloc = leaf.side["d"]
-        appc = And(And(ci, darg.judgement.constraint), dloc)
-        arg_in = weaken_constraint(names_weaken(darg, {nu_term.name}), appc)
-        fun_in = weaken_constraint(inner, appc)
+        appc = And(And(ci, bw), leaf.side["d"])
         arrow_qs, arrow = strip_prefix(pi.type)
         app_j = Judgement(
-            j.ctx,
-            pi.names,
-            App(pi.term, t.arg),
-            appc,
-            wrap_prefix(arrow_qs, arrow.cod),
+            j.ctx, pi.names, after.body, appc, wrap_prefix(arrow_qs, arrow.cod)
         )
-        app_node = _node("app", app_j, [fun_in, arg_in])
+        app_node = _node(
+            "app",
+            app_j,
+            [weaken_constraint(inner, appc), weaken_constraint(arg_named, appc)],
+        )
         mu_node = _node(
             "mu",
             _with(
                 j,
                 term=after,
-                constraint=And(ci, darg.judgement.constraint),
+                constraint=And(ci, bw),
                 type_=Counted(leaf.side["q"], app_j.type),
             ),
             [app_node],
@@ -630,50 +538,47 @@ def _root_nu_fun(d, j, t, b):
     return _or(pieces, _with(j, term=after))
 
 
-def _root_cbv_nu(d, j, t, b):
+def _root_cbv_nu(d, j, after):
     # {F} (nu b. U) ~> nu b. (F U)
     if d.rule != "cbv":
         _unsupported("cbv-nu against a non-cbv typing")
     dfun, darg = d.premises
-    nu_term = t.arg
-    if nu_term.name in free_names(t.fun):
+    # the premises are typed with the old name, which rewrite renames on capture
+    name = j.term.arg.name
+    if name in free_names(j.term.fun):
         _unsupported("function captures the generator name")
-    after = Nu(nu_term.name, App(t.fun, nu_term.body))
-    scale = d.side.get("scale", Fraction(1))
-    if not isinstance(scale, Fraction):
-        from .formulas import parse_rational
-
-        scale = parse_rational(scale)
-    r = darg.judgement.type.q
+    q = darg.judgement.type.q * _get_scale(d)
+    bf = dfun.judgement.constraint
+    fun_named = names_weaken(dfun, {name})
+    arrow_qs, arrow = strip_prefix(dfun.judgement.type)
     pieces = []
-    for leaf in mu_leaves(darg):
+    for leaf in typed_leaves(darg, ("mu",), "generator"):
         inner = leaf.premises[0]
-        pi = inner.judgement
         ci = leaf.judgement.constraint
         dloc = leaf.side["d"]
-        appc = And(And(dfun.judgement.constraint, ci), dloc)
-        fun_in = names_weaken(dfun, {nu_term.name})
-        fun_in = weaken_constraint(fun_in, appc)
-        arg_in = weaken_constraint(inner, appc)
-        arrow_qs, arrow = strip_prefix(dfun.judgement.type)
+        appc = And(And(bf, ci), dloc)
         app_j = Judgement(
             j.ctx,
-            pi.names,
-            App(t.fun, pi.term),
+            inner.judgement.names,
+            after.body,
             appc,
             wrap_prefix(arrow_qs, arrow.cod),
         )
-        app_node = _node("app", app_j, [fun_in, arg_in])
+        app_node = _node(
+            "app",
+            app_j,
+            [weaken_constraint(fun_named, appc), weaken_constraint(inner, appc)],
+        )
         mu_node = _node(
             "mu",
             _with(
                 j,
                 term=after,
-                constraint=And(dfun.judgement.constraint, ci),
-                type_=Counted(r * scale, app_j.type),
+                constraint=And(bf, ci),
+                type_=Counted(q, app_j.type),
             ),
             [app_node],
-            {"d": dloc, "q": r * scale},
+            {"d": dloc, "q": q},
         )
         pieces.append(mu_node)
     return _or(pieces, _with(j, term=after))
@@ -682,15 +587,15 @@ def _root_cbv_nu(d, j, t, b):
 _ROOT_HANDLERS = {
     "beta": _root_beta,
     "i": _root_idem,
-    "c1": _root_c1,
-    "c2": _root_c2,
+    "c1": lambda d, j, after: _root_same_pivot(d, j, after, True),
+    "c2": lambda d, j, after: _root_same_pivot(d, j, after, False),
     "plus-lam": _root_plus_lam,
-    "plus-fun": lambda d, j, t, b: _root_plus_app(d, j, t, b, False, True),
-    "plus-arg": lambda d, j, t, b: _root_plus_app(d, j, t, b, False, False),
-    "cbv-plus-1": lambda d, j, t, b: _root_plus_app(d, j, t, b, True, True),
-    "cbv-plus-2": lambda d, j, t, b: _root_plus_app(d, j, t, b, True, False),
-    "plus-plus-1": lambda d, j, t, b: _root_plus_plus(d, j, t, b, True),
-    "plus-plus-2": lambda d, j, t, b: _root_plus_plus(d, j, t, b, False),
+    "plus-fun": lambda d, j, after: _root_plus_app(d, j, after, True),
+    "plus-arg": lambda d, j, after: _root_plus_app(d, j, after, False),
+    "cbv-plus-1": lambda d, j, after: _root_plus_app(d, j, after, True),
+    "cbv-plus-2": lambda d, j, after: _root_plus_app(d, j, after, False),
+    "plus-plus-1": lambda d, j, after: _root_plus_plus(d, j, after, True),
+    "plus-plus-2": lambda d, j, after: _root_plus_plus(d, j, after, False),
     "plus-nu": _root_plus_nu,
     "nu-lam": _root_nu_lam,
     "nu-fun": _root_nu_fun,
@@ -741,9 +646,6 @@ def _descend(d, rule, path, mode):
 
 def _reapply(term, rule, path, mode):
     """Apply the named reduction rule at the path inside `term`."""
-    from .errors import NotPnfError
-    from .rewrite import apply_rule_at
-
     try:
         return apply_rule_at(term, rule, path, mode)
     except NotPnfError as exc:

@@ -749,8 +749,11 @@ def _check_mu_sigma(d, system):
         _shape(pj.type.body == sigma, "premises must share the quantified type")
         total += pj.type.q * s
         parsed.append(dloc)
-    for d1, d2 in itertools.combinations(parsed, 2):
-        _side(entails(And(d1, d2), fm.BOT), "case formulas must be pairwise disjoint")
+    # pairwise disjoint iff each case misses the union of the earlier ones
+    union = parsed[0]
+    for dloc in parsed[1:]:
+        _side(entails(And(union, dloc), fm.BOT), "case formulas must be pairwise disjoint")
+        union = fm.Or(union, dloc)
     _shape(j.type == Counted(total, sigma), "conclusion exponent must be the sum")
 
 

@@ -1,6 +1,7 @@
 import json
 
 from helpers import (
+    braces_coin_derivation,
     cbv_fixture_corpus,
     church_two_cbv_derivation,
     cut_proof,
@@ -229,6 +230,24 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     path.write_text('{"rule": "id"}')
     code, _, err = invoke(capsys, "check", "--system", "cbv", str(path))
     assert code == 1 and "E_SCHEMA" in err
+
+
+def test_numeric_proof_side_value_is_a_schema_error(capsys, tmp_path):
+    blob = proof_to_json(half_id_proof())
+    blob["side"]["q"] = 5
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(blob))
+    code, _, err = invoke(capsys, "check-proof", str(path))
+    assert code == 1 and err.startswith("E_SCHEMA") and "Traceback" not in err
+
+
+def test_numeric_derivation_side_value_is_a_schema_error(capsys, tmp_path):
+    blob = derivation_to_json(braces_coin_derivation())
+    blob["side"]["scale"] = 1
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(blob))
+    code, _, err = invoke(capsys, "check", "--system", "cbv", str(path))
+    assert code == 1 and err.startswith("E_SCHEMA") and "Traceback" not in err
 
 
 def test_missing_file_exits_one(capsys):

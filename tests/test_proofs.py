@@ -244,3 +244,43 @@ def test_normalization_terminates_on_random_proofs():
         normal, steps = normalize_proof(p, max_steps=2000)
         assert normalize_step(normal) is None
         assert normal.sequent == p.sequent
+
+
+def _mix_in_second_premise(rule):
+    """An imp-e or ce node whose second premise is a mix on a.0 of two
+    hypothesis proofs, and whose first premise is a hypothesis."""
+    a0 = Atom(a, 0)
+    if rule == "imp-e":
+        ctx, first, formula, side = (Implies(A, A), A), Implies(A, A), A, {}
+        mix_ctx = ctx
+    else:
+        ctx, first, side = (Count(HALF, A),), Count(HALF, A), {"scale": HALF}
+        formula, mix_ctx = Count(HALF * HALF, A), ctx + (A,)
+    hyp = P("id", S(ctx, TOP, first), (), {"index": 0})
+    branches = tuple(
+        P("id", S(mix_ctx, c, A), (), {"index": len(mix_ctx) - 1}) for c in (a0, Not(a0))
+    )
+    mix = P("m", S(mix_ctx, TOP, A), branches, {"pivot": a0})
+    return P(rule, S(ctx, TOP, formula), (hyp, mix), side)
+
+
+@pytest.mark.parametrize("rule, kind", [("imp-e", "m-imp-e-arg"), ("ce", "m-ce-minor")])
+def test_mix_in_argument_or_minor_premise_is_split(rule, kind):
+    from lampe.proofs import find_proof_redex, weaken_proof
+
+    p = _mix_in_second_premise(rule)
+    assert find_proof_redex(p) == ((), kind)
+    hyp, mix = p.premises
+    pieces = []
+    for branch in mix.premises:
+        bc = And(TOP, branch.sequent.constraint)
+        pieces.append(
+            P(
+                rule,
+                S(p.sequent.ctx, bc, p.sequent.formula),
+                (weaken_proof(hyp, bc), weaken_proof(branch, bc)),
+                dict(p.side),
+            )
+        )
+    expected = P("m", p.sequent, tuple(pieces), {"pivot": Atom(a, 0)})
+    assert normalize_step(p) == expected

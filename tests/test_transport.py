@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from helpers import cbv_fixture_corpus, random_proof
+from helpers import D, J, cbv_fixture_corpus, random_proof
 from lampe.errors import UnsupportedStepError
+from lampe.formulas import And, Atom, Not, TOP
 from lampe.proofs import translate
 from lampe.rewrite import PE_BRACES, step
-from lampe.terms import alpha_eq
+from lampe.terms import Var, alpha_eq, free_names, parse_term
 from lampe.transport import transport_subject_reduction
-from lampe.typesys import CBV, check_derivation, same_judgement
+from lampe.typesys import CBV, O, check_derivation, same_judgement
 
 
 def expected_judgement(d, s):
@@ -92,3 +93,39 @@ def test_transport_rejects_foreign_step():
     bogus = ReductionStep("beta", (), parse_term("x y"), parse_term("z"))
     with pytest.raises(UnsupportedStepError):
         transport_subject_reduction(d, bogus, PE_BRACES)
+
+
+def choice_tree_derivation(t, ctx, names, b):
+    """Type a tree of choices over variables of type o by splitting the
+    constraint b on every pivot."""
+    if isinstance(t, Var):
+        return D("id", J(ctx, names, t, b, O))
+    x = Atom(t.name, t.index)
+    sides = []
+    for rule, literal, branch in (("plus-l", x, t.left), ("plus-r", Not(x), t.right)):
+        bv = And(b, literal)
+        below = choice_tree_derivation(branch, ctx, names, bv)
+        sides.append(D(rule, J(ctx, names, t, bv, O), (below,)))
+    return D("or", J(ctx, names, t, b, O), sides)
+
+
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        ("(x (+a.0) y) (+a.0) z", "c1"),
+        ("x (+a.0) (y (+a.0) z)", "c2"),
+        ("(x (+a.0) y) (+a.1) z", "plus-plus-1"),
+        ("x (+a.1) (y (+a.0) z)", "plus-plus-2"),
+    ],
+    ids=["c1", "c2", "plus-plus-1", "plus-plus-2"],
+)
+def test_transport_root_choice_rules(text, rule):
+    """The root choice rules that no fixture chase reaches."""
+    t = parse_term(text)
+    ctx = (("x", O), ("y", O), ("z", O))
+    d = choice_tree_derivation(t, ctx, free_names(t), TOP)
+    check_derivation(d, CBV)
+    steps = step(t, PE_BRACES)
+    assert [(s.rule, s.path) for s in steps] == [(rule, ())]
+    out = transport_subject_reduction(d, steps[0], PE_BRACES)
+    assert same_judgement(out.judgement, expected_judgement(d, steps[0]))

@@ -225,6 +225,25 @@ def test_mu_sigma_disjointness_enforced():
         check_derivation(bad, INT)
 
 
+def _three_case_node(third):
+    """nu b. I summed over the cases b.0 & b.1, !b.0 and `third`."""
+    b0, b1 = Atom(B_, 0), Atom(B_, 1)
+    cases = [(And(b0, b1), Fraction(1, 4)), (Not(b0), HALF), (third, Fraction(1, 4))]
+    premises = [int_identity(names={B_}, constraint=f) for f, _ in cases]
+    term = Nu(B_, premises[0].judgement.term)
+    return D("mu-sigma", J((), (), term, TOP, Counted(Fraction(1), INT_OO)), premises, {"cases": cases})
+
+
+def test_mu_sigma_disjointness_checks_every_pair():
+    b0, b1 = Atom(B_, 0), Atom(B_, 1)
+    assert check_derivation(_three_case_node(And(b0, Not(b1))), INT).type == Counted(
+        Fraction(1), INT_OO
+    )
+    # only the second and the third case overlap (on !b.0 & b.1)
+    with pytest.raises(SideConditionError, match="pairwise disjoint"):
+        check_derivation(_three_case_node(And(Not(b0), b1)), INT)
+
+
 def test_two_name_bound_exponents():
     assert check_derivation(two_name_quarter_bound_derivation(), CN).type == Counted(
         Fraction(1, 4), parse_type("(C[1/1] o => o)")
