@@ -5,6 +5,10 @@ The distribution of a name-closed PNF assigns each pseudo-value the exact
 measure of the event set leading to it, computed by walking generator trees
 with a partial bit assignment (so the same index met twice along a path is
 not double-counted).
+
+`nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
+normalization plus head beta steps, until a generator or a head normal value
+appears, a head step reproduces its term, or the fuel limit is passed.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModeViolationError, OpenNamesError
+from .errors import ModeViolationError, OpenNamesError, PreconditionError
 from .rewrite import (
     PE,
     PseudoValue,
+    _head_redex,
+    _head_redex_in_value,
     classify_pnf,
     contains_cbv,
-    head_step,
     is_hnv,
     pnf,
 )
@@ -123,29 +128,14 @@ def hnv_mass(t, mode=PE):
     return total
 
 
-class _Budget:
-    def __init__(self, fuel):
-        self.fuel = fuel
-        self.used = 0
-        self.exhausted = False
-
-    @property
-    def remaining(self):
-        return max(self.fuel - self.used, 0)
-
-    def spend(self, n=1):
-        self.used += n
-        if self.used > self.fuel:
-            self.exhausted = True
-            return False
-        return True
+def _check_fuel(fuel):
+    if fuel < 0:
+        raise PreconditionError("fuel must be >= 0")
 
 
-def _head_round(t, mode, budget):
-    """Apply one head beta step in every branch position that has one.
-    Returns (term, number of steps applied)."""
-    from .rewrite import _head_redex_in_value
-
+def _head_round(t, mode, limit):
+    """Apply one head beta step in every branch position that has one, at
+    most `limit` steps in all.  Returns (term, number of steps applied)."""
     applied = [0]
 
     def go(t):
@@ -154,7 +144,7 @@ def _head_round(t, mode, budget):
         if isinstance(t, Choice):
             return Choice(go(t.left), go(t.right), t.name, t.index)
         found = _head_redex_in_value(t, (), mode)
-        if found is None or budget.remaining - applied[0] <= 0:
+        if found is None or applied[0] >= limit:
             return t
         _, path, result = found
         applied[0] += 1
@@ -168,27 +158,55 @@ def hnv_lower_bound(t, fuel, mode=PE):
     """Fuel-bounded under-approximation of the head-normalization
     probability: head-reduce fairly across branches, keeping the best mass
     seen at each permutation-normal stage."""
+    _check_fuel(fuel)
     if free_names(t):
         raise OpenNamesError("term has free names")
-    budget = _Budget(fuel)
+    used = 0
     best = Fraction(0)
     exact = True
     while True:
         t, trace = pnf(t, mode)
-        budget.spend(len(trace))
+        used += len(trace)
         best = max(best, hnv_mass(t, mode))
-        if budget.exhausted or budget.remaining == 0:
+        if used >= fuel:
             exact = False
             break
-        t2, n = _head_round(t, mode, budget)
+        t2, n = _head_round(t, mode, fuel - used)
         if n == 0:
             break
-        budget.spend(n)
+        used += n
         if alpha_eq(t2, t):
             # deterministic head rounds hit a fixpoint: nothing will change
             break
         t = t2
-    return TerminationEstimate(best, min(budget.used, fuel), exact)
+    return TerminationEstimate(best, min(used, fuel), exact)
+
+
+def _segment(t, mode, limit):
+    """Run the deterministic part of a head reduction: permutative
+    normalization plus head beta steps.  Returns (kind, term, steps); kind is
+    "gen" (a generator PNF), "hnv" (a head normal value), "diverged" (a head
+    step reproduces its term) or "out" (more than `limit` steps, counting
+    the head step that passed it)."""
+    steps = 0
+    while True:
+        t, trace = pnf(t, mode)
+        steps += len(trace)
+        if steps > limit:
+            return "out", t, steps
+        if isinstance(t, Nu):
+            return "gen", t, steps
+        found = _head_redex(t, (), mode)
+        if found is None:
+            return "hnv", t, steps
+        steps += 1
+        if steps > limit:
+            return "out", t, steps
+        _, path, result = found
+        after = replace_at(t, path, result)
+        if alpha_eq(after, t):
+            return "diverged", t, steps
+        t = after
 
 
 def _spine_args(t):
@@ -202,53 +220,44 @@ def _spine_args(t):
     return args
 
 
-def _nf_rec(t, budget, mode):
-    """Lower bound for the normalization probability of a name-closed term.
-    Returns (value, exact)."""
+def _nf_rec(t, limit, mode):
+    """Lower bound for the normalization probability of a name-closed term
+    within `limit` steps.  Returns (value, steps used, exact)."""
+    kind, t, used = _segment(t, mode, limit)
+    if kind == "out":
+        return Fraction(0), used, False
+    if kind == "diverged":
+        return Fraction(0), used, True
     exact = True
-    while True:
-        t, trace = pnf(t, mode)
-        if not budget.spend(len(trace)):
-            return Fraction(0), False
-        if isinstance(t, Nu):
-            view = classify_pnf(t, mode)
-            total = Fraction(0)
-            for leaf, weight in _tree_leaf_weights(view.tree, view.name):
-                sub, sub_exact = _nf_rec(leaf, budget, mode)
-                exact = exact and sub_exact
-                total += weight * sub
-            return total, exact
-        if is_hnv(t, mode):
-            total = Fraction(1)
-            for arg in _spine_args(t):
-                sub, sub_exact = _nf_rec(arg, budget, mode)
-                exact = exact and sub_exact
-                total *= sub
-            return total, exact
-        s = head_step(t, mode)
-        if s is None:
-            # head-blocked without being a head normal value
-            return Fraction(0), True
-        if not budget.spend(1):
-            return Fraction(0), False
-        if alpha_eq(s.after, t):
-            # self-looping head redex: this branch never normalizes
-            return Fraction(0), True
-        t = s.after
+    if kind == "gen":
+        total = Fraction(0)
+        for leaf, weight in _tree_leaf_weights(t.body, t.name):
+            sub, sub_used, sub_exact = _nf_rec(leaf, limit - used, mode)
+            used += sub_used
+            exact = exact and sub_exact
+            total += weight * sub
+        return total, used, exact
+    total = Fraction(1)
+    for arg in _spine_args(t):
+        sub, sub_used, sub_exact = _nf_rec(arg, limit - used, mode)
+        used += sub_used
+        exact = exact and sub_exact
+        total *= sub
+    return total, used, exact
 
 
 def nf_mass(t, fuel, mode=PE):
     """Fuel-bounded lower bound for the probability of reaching a normal
     form.  Only defined on the plain calculus."""
+    _check_fuel(fuel)
     if mode != PE or contains_cbv(t):
         raise ModeViolationError(
             "normal-form mass is only defined for plain PE terms"
         )
     if free_names(t):
         raise OpenNamesError("term has free names")
-    budget = _Budget(fuel)
-    value, exact = _nf_rec(t, budget, PE)
-    return TerminationEstimate(value, min(budget.used, fuel), exact)
+    value, used, exact = _nf_rec(t, fuel, PE)
+    return TerminationEstimate(value, min(used, fuel), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -265,56 +274,22 @@ class SampleOutcome:
         return self.kind == "head-normal"
 
 
-_ADVANCE_CAP = 2000
-
-
-def _advance(t, mode, cache):
-    """Run the deterministic part of a sampled reduction: permutative
-    normalization plus head steps, until a generator or a head normal value
-    appears.  Returns (kind, term, steps); kind is one of "gen", "hnv",
-    "diverged" (a detected head-step fixpoint), or "cap" (gave up after the
-    internal cap, so the segment needs more than that many steps)."""
-    key = canonical_str(t)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    steps = 0
-    cur = t
-    result = None
-    while steps <= _ADVANCE_CAP:
-        cur, trace = pnf(cur, mode)
-        steps += len(trace)
-        if isinstance(cur, Nu):
-            result = ("gen", cur, steps)
-            break
-        s = head_step(cur, mode)
-        if s is None:
-            result = ("hnv", cur, steps)
-            break
-        if alpha_eq(s.after, cur):
-            result = ("diverged", cur, steps)
-            break
-        cur = s.after
-        steps += 1
-    if result is None:
-        result = ("cap", cur, steps)
-    cache[key] = result
-    return result
-
-
 def sample_run(t, seed, fuel, mode=PE, _caches=None):
     """One randomized head-reduction run: whenever the term is a generator
     PNF, fresh bits from the seeded PRNG resolve its tree.  Reproducible for
     a fixed seed."""
+    _check_fuel(fuel)
     rng = random.Random(seed)
+    # segments depend on the fuel limit only, which is fixed for the run
     cache = _caches if _caches is not None else {}
     remaining = fuel
     while True:
-        kind, cur, steps = _advance(t, mode, cache)
-        if kind == "cap" and fuel > _ADVANCE_CAP:
-            # honest slow path for very large budgets
-            return _sample_run_plain(t, rng, remaining, mode)
-        if kind in ("diverged", "cap") or steps > remaining:
+        key = canonical_str(t)
+        segment = cache.get(key)
+        if segment is None:
+            segment = cache[key] = _segment(t, mode, fuel)
+        kind, cur, steps = segment
+        if kind in ("diverged", "out") or steps > remaining:
             return SampleOutcome("exhausted")
         remaining -= steps
         if kind == "hnv":
@@ -327,34 +302,11 @@ def sample_run(t, seed, fuel, mode=PE, _caches=None):
         t = node
 
 
-def _sample_run_plain(t, rng, remaining, mode):
-    while True:
-        t, trace = pnf(t, mode)
-        remaining -= len(trace)
-        if remaining < 0:
-            return SampleOutcome("exhausted")
-        if isinstance(t, Nu):
-            bits = {}
-            node = t.body
-            while isinstance(node, Choice) and node.name is t.name:
-                bit = bits.setdefault(node.index, rng.getrandbits(1))
-                node = node.left if bit == 1 else node.right
-            t = node
-            continue
-        s = head_step(t, mode)
-        if s is None:
-            return SampleOutcome("head-normal", t)
-        remaining -= 1
-        if remaining < 0:
-            return SampleOutcome("exhausted")
-        t = s.after
-
-
 def estimate_hnv(t, samples, fuel, seed, mode=PE):
     """Fraction of runs reaching a head normal value, with an upper rational
     bound on the binomial standard error.  Deterministic for a fixed seed."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise PreconditionError("samples must be >= 1")
     caches = {}
     hits = 0
     for k in range(samples):

@@ -6,7 +6,7 @@ CbV-application permutations.
 
 The pair order used by the plus-plus rules at a redex position: (a,i) comes
 before (b,j) when a's binder encloses b's binder at that position (free names
-count as outermost), with interning order breaking ties between free names,
+count as outermost), with name text order breaking ties between free names,
 and index order within one name.
 """
 
@@ -26,6 +26,7 @@ from .terms import (
     alpha_eq,
     children,
     free_names,
+    fresh_name,
     print_term,
     replace_at,
     rename_bound_name,
@@ -107,18 +108,7 @@ def _pair_before(a, i, b, j, env):
     db = env.get(b, -1)
     if da != db:
         return da < db
-    return a.seq < b.seq
-
-
-def _fresh_avoiding(base, *terms):
-    """Deterministic fresh rename target, local to the redex."""
-    from .terms import all_names
-
-    taken = {n.text for t in terms for n in all_names(t)}
-    k = 1
-    while f"{base.text}_{k}" in taken:
-        k += 1
-    return Name(f"{base.text}_{k}")
+    return a.text < b.text
 
 
 def _local_results(t, env, mode, include_beta, ordered):
@@ -179,7 +169,7 @@ def _local_results(t, env, mode, include_beta, ordered):
         if isinstance(fun, Nu):
             nu = fun
             if nu.name in free_names(arg):
-                nu = rename_bound_name(nu, _fresh_avoiding(nu.name, fun, arg))
+                nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
             yield "nu-fun", Nu(nu.name, App(nu.body, arg))
         if include_beta and isinstance(fun, Lam):
             yield "beta", substitute(fun.body, fun.var, arg)
@@ -197,7 +187,7 @@ def _local_results(t, env, mode, include_beta, ordered):
         if isinstance(arg, Nu):
             nu = arg
             if nu.name in free_names(fun):
-                nu = rename_bound_name(nu, _fresh_avoiding(nu.name, fun, arg))
+                nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
             yield "cbv-nu", Nu(nu.name, App(fun, nu.body))
         if isinstance(fun, Choice):
             yield "cbv-plus-1", Choice(

@@ -23,12 +23,12 @@ from .errors import ParseError, UndefinedBitError
 
 
 class Name:
-    """Interned choice/generator label.  Creation order breaks ordering ties."""
+    """Interned choice/generator label.  Names are ordered by their text, so
+    no result depends on the order in which names were interned."""
 
     _table: dict = {}
-    _counter = 0
 
-    __slots__ = ("text", "seq")
+    __slots__ = ("text",)
 
     def __new__(cls, text):
         existing = cls._table.get(text)
@@ -36,21 +36,8 @@ class Name:
             return existing
         obj = object.__new__(cls)
         obj.text = text
-        obj.seq = cls._counter
-        Name._counter += 1
         cls._table[text] = obj
         return obj
-
-    @classmethod
-    def fresh(cls, base="a"):
-        """A name not interned yet, derived from `base`."""
-        stem = base.rstrip("0123456789_")
-        if not stem:
-            stem = "a"
-        i = 1
-        while f"{stem}_{i}" in cls._table:
-            i += 1
-        return cls(f"{stem}_{i}")
 
     def __repr__(self):
         return f"Name({self.text!r})"
@@ -199,10 +186,10 @@ def shape_hash(t):
     elif isinstance(t, Lam):
         out = hash(("l", shape_hash(t.body)))
     elif isinstance(t, Nu):
-        out = hash(("n", t.name.seq, shape_hash(t.body)))
+        out = hash(("n", t.name.text, shape_hash(t.body)))
     elif isinstance(t, Choice):
         out = hash(
-            ("p", t.name.seq, t.index, shape_hash(t.left), shape_hash(t.right))
+            ("p", t.name.text, t.index, shape_hash(t.left), shape_hash(t.right))
         )
     elif isinstance(t, App):
         out = hash(("a", shape_hash(t.fun), shape_hash(t.arg)))
@@ -223,6 +210,17 @@ def bound_names(t):
 
 def all_names(t):
     return free_names(t) | bound_names(t)
+
+
+def fresh_name(base, *terms):
+    """`base` suffixed with the least `_k` that no name of `terms` uses:
+    fresh by a local rule, so it does not depend on what else was
+    interned."""
+    taken = {n.text for t in terms for n in all_names(t)}
+    k = 1
+    while f"{base.text}_{k}" in taken:
+        k += 1
+    return Name(f"{base.text}_{k}")
 
 
 def rename_bound_name(t, new_name):
@@ -321,7 +319,7 @@ def substitute_indexed(t, x, u, start, duplicating):
             if x not in free_vars(t.body):
                 return t
             if t.name in u_fnames:
-                t = rename_bound_name(t, Name.fresh(t.name.text))
+                t = rename_bound_name(t, fresh_name(t.name, t, u))
             return Nu(t.name, go(t.body))
         out = t
         for i, c in enumerate(children(t)):

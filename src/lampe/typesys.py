@@ -817,7 +817,8 @@ def apply_mu_star(d, order=None):
     it partition it.  One recursive fold walks the rows in product order,
     name by name, keeps a row iff the constraint evaluates true on it, and
     discharges each name with the summing counting rule over the surviving
-    rows under its prefix, innermost first.
+    rows under its prefix, innermost first.  Without `order` the names go
+    in text order.
     """
     j = check_derivation(d, INT)
     b = j.constraint
@@ -828,7 +829,7 @@ def apply_mu_star(d, order=None):
     if formula_names(b) - j.names:
         raise PreconditionError("constraint names escape the judgement")
     names = list(order) if order is not None else sorted(
-        j.names, key=lambda n: n.seq
+        j.names, key=lambda n: n.text
     )
     if len(names) != len(j.names) or set(names) != j.names:
         raise PreconditionError("name order must enumerate the judgement names")

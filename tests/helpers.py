@@ -882,7 +882,7 @@ def reference_mu_star(d, order=None):
 
     j = check_derivation(d, INT)
     b = j.constraint
-    names = list(order) if order is not None else sorted(j.names, key=lambda n: n.seq)
+    names = list(order) if order is not None else sorted(j.names, key=lambda n: n.text)
     rows = [[]]
     for a in names:
         indices = sorted(i for (n, i) in atoms(b) if n is a)
@@ -940,3 +940,149 @@ def reference_mu_star(d, order=None):
     assert len(level) == 1
     result = level[0][1]
     return weaken(result, TOP, result.judgement.names)
+
+
+# ---------------------------------------------------------------------------
+# Reference fuel loops for the segment driver
+
+
+def _reference_nf_rec(t, budget):
+    from lampe.distribution import _spine_args, _tree_leaf_weights
+    from lampe.rewrite import classify_pnf, head_step, is_hnv, pnf
+    from lampe.terms import alpha_eq
+
+    def spend(n):
+        budget[0] += n
+        return budget[0] <= budget[1]
+
+    exact = True
+    while True:
+        t, trace = pnf(t)
+        if not spend(len(trace)):
+            return Fraction(0), False
+        if isinstance(t, Nu):
+            view = classify_pnf(t)
+            total = Fraction(0)
+            for leaf, weight in _tree_leaf_weights(view.tree, view.name):
+                sub, sub_exact = _reference_nf_rec(leaf, budget)
+                exact = exact and sub_exact
+                total += weight * sub
+            return total, exact
+        if is_hnv(t):
+            total = Fraction(1)
+            for arg in _spine_args(t):
+                sub, sub_exact = _reference_nf_rec(arg, budget)
+                exact = exact and sub_exact
+                total *= sub
+            return total, exact
+        s = head_step(t)
+        if s is None:
+            return Fraction(0), True
+        if not spend(1):
+            return Fraction(0), False
+        if alpha_eq(s.after, t):
+            return Fraction(0), True
+        t = s.after
+
+
+def reference_nf_mass(t, fuel):
+    """The per-step fuel loop that `nf_mass` ran before the segment driver:
+    pnf, then `is_hnv`, then `head_step`, then the self-loop check.  Returns
+    (value, fuel_used, exact).  Kept only to pin the driver's output."""
+    budget = [0, fuel]  # used, fuel
+    value, exact = _reference_nf_rec(t, budget)
+    return value, min(budget[0], fuel), exact
+
+
+_REFERENCE_ADVANCE_CAP = 2000
+
+
+def _reference_advance(t, cache):
+    from lampe.rewrite import head_step, pnf
+    from lampe.terms import alpha_eq, canonical_str
+
+    key = canonical_str(t)
+    if key in cache:
+        return cache[key]
+    steps = 0
+    result = None
+    while steps <= _REFERENCE_ADVANCE_CAP:
+        t, trace = pnf(t)
+        steps += len(trace)
+        if isinstance(t, Nu):
+            result = ("gen", t, steps)
+            break
+        s = head_step(t)
+        if s is None:
+            result = ("hnv", t, steps)
+            break
+        if alpha_eq(s.after, t):
+            result = ("diverged", t, steps)
+            break
+        t = s.after
+        steps += 1
+    if result is None:
+        result = ("cap", t, steps)
+    cache[key] = result
+    return result
+
+
+def _resolve_generator(t, rng):
+    bits = {}
+    node = t.body
+    while isinstance(node, Choice) and node.name is t.name:
+        bit = bits.setdefault(node.index, rng.getrandbits(1))
+        node = node.left if bit == 1 else node.right
+    return node
+
+
+def _reference_sample_run_plain(t, rng, remaining):
+    from lampe.rewrite import head_step, pnf
+
+    while True:
+        t, trace = pnf(t)
+        remaining -= len(trace)
+        if remaining < 0:
+            return "exhausted", None
+        if isinstance(t, Nu):
+            t = _resolve_generator(t, rng)
+            continue
+        s = head_step(t)
+        if s is None:
+            return "head-normal", t
+        remaining -= 1
+        if remaining < 0:
+            return "exhausted", None
+        t = s.after
+
+
+def reference_sample_run(t, seed, fuel, cache=None):
+    """The sampled run before the segment driver: segments capped at 2000
+    steps, and a step-by-step loop without the self-loop check once a
+    segment passes the cap under a larger fuel.  Returns (kind, term)."""
+    import random
+
+    rng = random.Random(seed)
+    cache = {} if cache is None else cache
+    remaining = fuel
+    while True:
+        kind, cur, steps = _reference_advance(t, cache)
+        if kind == "cap" and fuel > _REFERENCE_ADVANCE_CAP:
+            return _reference_sample_run_plain(t, rng, remaining)
+        if kind in ("diverged", "cap") or steps > remaining:
+            return "exhausted", None
+        remaining -= steps
+        if kind == "hnv":
+            return "head-normal", cur
+        t = _resolve_generator(cur, rng)
+
+
+def reference_estimate_hnv(t, samples, fuel, seed):
+    """Head-normal hits of `estimate_hnv`'s runs, from the reference sampler
+    with one segment cache across the samples."""
+    cache = {}
+    return sum(
+        reference_sample_run(t, seed * 1_000_003 + k, fuel, cache)[0]
+        == "head-normal"
+        for k in range(samples)
+    )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from helpers import (
     braces_coin_derivation,
     cbv_fixture_corpus,
@@ -270,3 +272,21 @@ def test_deep_input_reports_depth(capsys):
     code, out, err = invoke(capsys, "pnf", f"nu a. {binders}u (+a.0) v")
     assert code == 1 and err.startswith("E_DEPTH")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--samples", "0", "I"),
+        ("hnv", "--fuel", "-5", "I"),
+        ("nf", "--fuel", "-5", "I"),
+        ("sample", "--fuel", "-1", "I"),
+        ("estimate", "--fuel", "-1", "I"),
+    ],
+    ids=["estimate-samples", "hnv-fuel", "nf-fuel", "sample-fuel", "estimate-fuel"],
+)
+def test_bad_budget_is_a_precondition_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("E_PRECONDITION: ")
+    assert "Traceback" not in err

@@ -191,3 +191,106 @@ def test_delta_case_on_random_pseudo_values():
         d = distribution(normal)
         assert len(d) == 1 and d.weight_of(normal) == 1
     assert seen >= 20
+
+
+def _church(n):
+    return "\\s.\\z. " + "s (" * n + "z" + ")" * n
+
+
+def _termination_terms(n):
+    """The termination families at size n: coin iteration (mass 1/2^n) with
+    its coin in both branch orders, a fair pick between I and it, and n
+    rounds of "x or I" from OMEGA (mass 1 - 1/2^n) in both orders."""
+    coin_iter = [
+        f"({_church(n)}) (\\y. nu a. {keep} (+a.0) {drop}) I"
+        for keep, drop in (("y", "OMEGA"), ("OMEGA", "y"))
+    ]
+    half_plus = f"nu b. I (+b.0) ({coin_iter[0]})"
+    pick_arg = [
+        f"({_church(n)}) (\\y. (\\x. nu a. {keep} (+a.0) {drop}) y) OMEGA"
+        for keep, drop in (("x", "I"), ("I", "x"))
+    ]
+    return [parse_term(text) for text in coin_iter + [half_plus] + pick_arg]
+
+
+_FIXED_TERMS = [
+    "nu a. I (+a.0) OMEGA",
+    "OMEGA",
+    r"nu a. (\x.\y.(y (+a.0) I) x) (nu b. I (+b.0) OMEGA)",
+    "nu a. I (+a.0) (I (+a.1) OMEGA)",
+    "nu a. I (+a.0) (I (+a.0) OMEGA)",
+    r"\x. x (nu a. I (+a.0) OMEGA)",
+]
+
+# M M with M = \x. (\y. x x) I cycles with period 2, which the self-loop
+# check never catches; a segment of it passes every fuel limit
+_PERIOD_TWO = r"(\x. (\y. x x) I) (\x. (\y. x x) I)"
+
+
+def _driver_inputs():
+    from helpers import random_term
+    from lampe.terms import free_names
+
+    terms = [t for n in range(1, 5) for t in _termination_terms(n)]
+    terms += [parse_term(text) for text in _FIXED_TERMS]
+    rng = random.Random(29)
+    for _ in range(200):
+        t = random_term(rng, rng.randrange(3, 16), [], [])
+        if not free_names(t):
+            terms.append(t)
+    return terms
+
+
+def test_segment_driver_matches_reference_loops():
+    """nf_mass, sample_run and estimate_hnv give the results of the per-step
+    fuel loops and the capped sampler they replaced."""
+    from helpers import (
+        reference_estimate_hnv,
+        reference_nf_mass,
+        reference_sample_run,
+    )
+
+    inputs = _driver_inputs()
+    assert len(inputs) >= 150
+    compared = 0
+    for t in inputs:
+        for fuel in (0, 1, 3, 10, 30, 100, 400, 1200, 2500):
+            est = nf_mass(t, fuel)
+            assert (est.value, est.fuel_used, est.exact) == reference_nf_mass(t, fuel)
+            compared += 1
+        for fuel in (0, 20, 400, 2500):
+            for seed in range(4):
+                out = sample_run(t, seed, fuel)
+                kind, term = reference_sample_run(t, seed, fuel)
+                assert out.kind == kind
+                assert (out.term is None) == (term is None)
+                if term is not None:
+                    assert print_term(out.term) == print_term(term)
+                compared += 1
+        for fuel in (400, 3000):
+            est, _ = estimate_hnv(t, 12, fuel, 5)
+            assert est == Fraction(reference_estimate_hnv(t, 12, fuel, 5), 12)
+            compared += 1
+    assert compared == len(inputs) * (9 + 16 + 2)
+
+
+def test_segment_driver_on_a_period_two_loop():
+    """Past 2000 steps the capped sampler fell back to a step-by-step loop;
+    the driver stops at the run's own fuel with the same outcomes."""
+    from helpers import (
+        reference_estimate_hnv,
+        reference_nf_mass,
+        reference_sample_run,
+    )
+
+    loop = parse_term(_PERIOD_TWO)
+    coin = parse_term(f"nu a. I (+a.0) ({_PERIOD_TWO})")
+    for fuel in (2001, 2500):
+        est = nf_mass(loop, fuel)
+        assert (est.value, est.fuel_used, est.exact) == (0, fuel, False)
+        assert reference_nf_mass(loop, fuel) == (0, fuel, False)
+        assert sample_run(loop, 0, fuel).kind == "exhausted"
+        assert reference_sample_run(loop, 0, fuel) == ("exhausted", None)
+        est, _ = estimate_hnv(coin, 8, fuel, 3)
+        assert est == Fraction(reference_estimate_hnv(coin, 8, fuel, 3), 8)
+        assert 0 < est < 1

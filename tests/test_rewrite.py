@@ -222,7 +222,7 @@ def test_projection_commutes_with_unrelated_steps():
         outer = free_names(t)
         if not outer:
             continue
-        name = sorted(outer, key=lambda n: n.seq)[0]
+        name = sorted(outer, key=lambda n: n.text)[0]
         indices = _indices_of(t, name)
         if len(indices) > 4:
             continue
@@ -327,7 +327,7 @@ def test_shadowed_input_still_normalizes():
         # force shadowing by rebinding an already-bound name
         from lampe.terms import bound_names as bn
 
-        names = sorted(bn(t), key=lambda n: n.seq)
+        names = sorted(bn(t), key=lambda n: n.text)
         if names:
             t = _N(names[0], t)
         result, _ = pnf(t)

@@ -1,4 +1,8 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -234,3 +238,63 @@ def test_term_facts_leave_identity_unchanged():
     assert free_names(t) == {Name("d")}
     assert contains_cbv(t)
     assert not contains_cbv(t.body.right)
+
+
+# Each probe process first interns names in its own order, then prints the
+# results that used to depend on that order: the plus-plus tie between free
+# names, the fresh name of a nu-binder in substitution, a distribution, and
+# mu-star's default name order.
+_PROBE = """
+import json, sys
+from lampe.formulas import parse_formula
+from lampe.terms import Name
+{history}
+sys.path.insert(0, sys.argv[1])
+from helpers import int_identity
+from lampe.distribution import distribution
+from lampe.formulas import And, Atom
+from lampe.rewrite import pnf
+from lampe.terms import parse_term, print_term, substitute
+from lampe.typesys import apply_mu_star, derivation_to_json
+
+a, b = Name("a"), Name("b")
+normal, _ = pnf(parse_term("nu b. nu a. (x (+a.0) y) (+b.0) (z (+a.1) w)"))
+star = apply_mu_star(int_identity({{a, b}}, And(Atom(a, 0), Atom(b, 0))))
+out = {{
+    "pnf": print_term(pnf(parse_term("(x (+a.0) y) (+b.0) z"))[0]),
+    "substitute": print_term(
+        substitute(parse_term("nu a. x (+a.0) y"), "x", parse_term("u (+a.0) v"))
+    ),
+    "distribution": [[print_term(t), str(w)] for t, w in distribution(normal).items()],
+    "mu-star": derivation_to_json(star),
+}}
+print(json.dumps(out, sort_keys=True))
+"""
+
+_HISTORIES = [
+    "",
+    "parse_formula('a.0 & b.0')",
+    "parse_formula('b.0 & a.0')",
+    "Name('a_1'); Name('b_1')",
+]
+
+
+def test_output_does_not_depend_on_interning_history():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(here), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    outputs = []
+    for history in _HISTORIES:
+        done = subprocess.run(
+            [sys.executable, "-c", _PROBE.format(history=history), here],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0]["pnf"] == "(x (+b.0) z) (+a.0) (y (+b.0) z)"
+    assert outputs[0]["substitute"] == "nu a_1. (u (+a.0) v) (+a_1.0) y"
+    for out in outputs[1:]:
+        assert out == outputs[0]
