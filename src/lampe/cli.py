@@ -1,7 +1,7 @@
 """Batch command line over the library: terms, formulas, derivations, proofs.
 
-Exit codes: 0 success, 1 domain error (E_*), 2 usage error.  All numeric
-output is exact num/den.
+Exit codes: 0 success, 1 domain error (E_*) or internal error (E_INTERNAL),
+2 usage error.  All numeric output is exact num/den.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .distribution import (
     nf_mass,
     sample_run,
 )
-from .errors import LampeError
+from .errors import LampeError, PreconditionError, SchemaError
 from .formulas import (
     entails,
     format_rational,
@@ -47,9 +47,15 @@ def _mode(args):
     return PE_BRACES if args.mode == "pe-braces" else PE
 
 
-def _read_json(path):
+def _read_json(path, decode):
+    """Load a JSON file and decode it; a decoder that trips over the shape
+    of the input raises E_SCHEMA."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        obj = json.load(handle)
+    try:
+        return decode(obj)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"malformed input ({exc})") from None
 
 
 def _emit_json(obj):
@@ -129,13 +135,13 @@ def cmd_entails(args):
 
 
 def cmd_check(args):
-    deriv = derivation_from_json(_read_json(args.file))
+    deriv = _read_json(args.file, derivation_from_json)
     judgement = check_derivation(deriv, args.system)
     print(judgement.format())
 
 
 def cmd_mu_star(args):
-    deriv = derivation_from_json(_read_json(args.file))
+    deriv = _read_json(args.file, derivation_from_json)
     result = apply_mu_star(deriv)
     if args.json:
         _emit_json(derivation_to_json(result))
@@ -144,11 +150,11 @@ def cmd_mu_star(args):
 
 
 def cmd_transport(args):
-    deriv = derivation_from_json(_read_json(args.file))
+    deriv = _read_json(args.file, derivation_from_json)
     mode = _mode(args)
     steps = step(deriv.judgement.term, mode)
     if not 0 <= args.step_index < len(steps):
-        raise LampeError(
+        raise PreconditionError(
             f"step index {args.step_index} out of range ({len(steps)} steps)"
         )
     result = transport_subject_reduction(deriv, steps[args.step_index], mode)
@@ -159,12 +165,12 @@ def cmd_transport(args):
 
 
 def cmd_check_proof(args):
-    proof = proof_from_json(_read_json(args.file))
+    proof = _read_json(args.file, proof_from_json)
     print(check_proof(proof).format())
 
 
 def cmd_normalize_proof(args):
-    proof = proof_from_json(_read_json(args.file))
+    proof = _read_json(args.file, proof_from_json)
     normal, steps = normalize_proof(proof, args.fuel)
     print(f"{steps} steps", file=sys.stderr)
     if args.json:
@@ -174,7 +180,7 @@ def cmd_normalize_proof(args):
 
 
 def cmd_translate(args):
-    proof = proof_from_json(_read_json(args.file))
+    proof = _read_json(args.file, proof_from_json)
     term, deriv = translate(proof)
     if args.json:
         _emit_json(
@@ -186,7 +192,7 @@ def cmd_translate(args):
 
 
 def cmd_simulate(args):
-    proof = proof_from_json(_read_json(args.file))
+    proof = _read_json(args.file, proof_from_json)
     report = verify_simulation(proof, args.fuel)
     for entry in report.entries:
         status = "ok" if entry.ok else "FAIL"
@@ -295,14 +301,14 @@ def run(argv):
     except LampeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"E_INPUT: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"E_SCHEMA: malformed input ({exc})", file=sys.stderr)
         return 1
     except RecursionError:
         print("E_DEPTH: input nested too deeply to process", file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - a library fault, not a user error
+        print(f"E_INTERNAL: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -12,6 +12,10 @@ class LampeError(Exception):
         return f"{self.code}: {self.message}" if self.message else self.code
 
 
+class SchemaError(LampeError):
+    code = "E_SCHEMA"
+
+
 class ParseError(LampeError):
     code = "E_SYNTAX"
 

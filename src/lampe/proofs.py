@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
-from .errors import IllFormedError, ParseError, RuleShapeError, SideConditionError
+from .errors import IllFormedError, ParseError, RuleShapeError
 from . import formulas as fm
 from .formulas import (
     And,
@@ -38,7 +39,6 @@ from .terms import (
     CONST,
     Choice,
     Lam,
-    Name,
     Nu,
     Var,
     alpha_eq,
@@ -51,6 +51,12 @@ from .typesys import (
     Judgement,
     O,
     TypingDerivation,
+    _decode_side,
+    _encode_side,
+    _freeze_side,
+    _get_scale,
+    _shape,
+    _side,
     check_derivation,
     strip_prefix,
     wrap_prefix,
@@ -171,17 +177,9 @@ class ProofDerivation:
     rule: str  # id | bot | m | imp-i | imp-e | ci | ce
     sequent: Sequent
     premises: tuple = ()
-    side: dict = field(default_factory=dict)
+    side: MappingProxyType = field(default_factory=dict)
 
-
-def _shape(cond, message):
-    if not cond:
-        raise RuleShapeError(message)
-
-
-def _side_ok(cond, message):
-    if not cond:
-        raise SideConditionError(message)
+    __post_init__ = _freeze_side
 
 
 def check_proof(p):
@@ -201,7 +199,7 @@ def _check_proof_node(p):
         _shape(s.ctx[idx] == s.formula, "id concludes a hypothesis")
     elif p.rule == "bot":
         _shape(not p.premises, "bot takes no premises")
-        _side_ok(entails(s.constraint, fm.BOT), "constraint must be unsatisfiable")
+        _side(entails(s.constraint, fm.BOT), "constraint must be unsatisfiable")
     elif p.rule == "m":
         _shape(len(p.premises) == 2, "m takes two premises")
         left, right = (q.sequent for q in p.premises)
@@ -211,7 +209,7 @@ def _check_proof_node(p):
             "m premises prove the same formula",
         )
         pivot = _pivot_atom(p)
-        _side_ok(
+        _side(
             entails(
                 s.constraint,
                 Or(And(left.constraint, pivot), And(right.constraint, Not(pivot))),
@@ -243,12 +241,12 @@ def _check_proof_node(p):
         _shape(q.ctx == s.ctx, "ci keeps the context")
         _shape(q.formula == s.formula.body, "premise proves the body")
         d = _local_constraint(p)
-        _side_ok(
+        _side(
             not (formula_names(s.constraint) & formula_names(d)),
             "local constraint shares a name with the ambient one",
         )
-        _side_ok(measure(d) >= s.formula.q, "measure bound fails")
-        _side_ok(
+        _side(measure(d) >= s.formula.q, "measure bound fails")
+        _side(
             equivalent(q.constraint, And(s.constraint, d)),
             "premise constraint is not the conclusion constraint plus the local part",
         )
@@ -265,7 +263,7 @@ def _check_proof_node(p):
             major.constraint == s.constraint and minor.constraint == s.constraint,
             "ce keeps the constraint",
         )
-        scale = _scale(p)
+        scale = _get_scale(p)
         _shape(
             s.formula == Count(major.formula.q * scale, minor.formula),
             "conclusion must prefix the minor formula with the scaled exponent",
@@ -277,29 +275,13 @@ def _check_proof_node(p):
 def _pivot_atom(p):
     pivot = p.side.get("pivot")
     _shape(pivot is not None, "m needs its pivot atom")
-    if isinstance(pivot, Atom):
-        return pivot
-    if isinstance(pivot, str):
-        name, idx = pivot.split(".")
-        return Atom(Name(name), int(idx))
-    name, idx = pivot
-    return Atom(name if isinstance(name, Name) else Name(name), int(idx))
+    return pivot
 
 
 def _local_constraint(p):
     d = p.side.get("d")
     _shape(d is not None, "ci needs its local constraint")
-    if isinstance(d, str):
-        d = parse_formula(d)
     return d
-
-
-def _scale(p):
-    s = p.side.get("scale", Fraction(1))
-    if not isinstance(s, Fraction):
-        s = parse_rational(s)
-    _side_ok(0 < s <= 1, f"scale {s} outside (0,1]")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +327,7 @@ def ctx_insert_proof(p, pos, extra):
     s = p.sequent
     side = p.side
     if p.rule == "id" and side["index"] >= pos:
-        side = dict(side)
-        side["index"] += len(extra)
+        side = {**side, "index": side["index"] + len(extra)}
     return ProofDerivation(
         p.rule,
         Sequent(s.ctx[:pos] + extra + s.ctx[pos:], s.constraint, s.formula),
@@ -387,11 +368,9 @@ def counting_names(p):
 def rename_proof_names(p, mapping):
     s = p.sequent
     side = dict(p.side)
-    if "d" in side:
-        side["d"] = rename_formula_names(_local_constraint(p), mapping)
-    if "pivot" in side:
-        pivot = _pivot_atom(p)
-        side["pivot"] = rename_formula_names(pivot, mapping)
+    for key in ("d", "pivot"):
+        if key in side:
+            side[key] = rename_formula_names(side[key], mapping)
     return ProofDerivation(
         p.rule,
         Sequent(s.ctx, rename_formula_names(s.constraint, mapping), s.formula),
@@ -537,7 +516,7 @@ def _transform_redex(p, kind):
         intro = major
         d = _local_constraint(intro)
         q = intro.sequent.formula.q
-        scale = _scale(p)
+        scale = _get_scale(p)
         strengthened = weaken_proof(minor, And(b, d))
         inlined = subst_proof(strengthened, len(s.ctx), intro.premises[0])
         inlined = weaken_proof(inlined, And(b, d))
@@ -585,7 +564,7 @@ def _transform_redex(p, kind):
                 ProofDerivation(
                     p.rule, Sequent(s.ctx, bc, s.formula),
                     tuple(weaken_proof(q, bc) for q in premises),
-                    dict(p.side) if p.rule == "ce" else {},
+                    p.side if p.rule == "ce" else {},
                 )
             )
         return _mix(pieces[0], pieces[1], inner.side["pivot"], s)
@@ -784,7 +763,7 @@ def _translate_node(p, names):
             {},
         )
         return TypingDerivation(
-            "cbv", j, (lam_node, major), {"scale": _scale(p)}
+            "cbv", j, (lam_node, major), {"scale": _get_scale(p)}
         )
     raise RuleShapeError(p.rule)
 
@@ -834,41 +813,30 @@ def _term_path(p, proof_path):
     return tuple(out)
 
 
-_KIND_TERM_RULES = {
-    "beta-cut": ("beta",),
-    "cbv-cut": ("cbv-nu", "beta"),
-    "m-idem": ("i",),
-    "m-m-left": ("c1",),
-    "m-m-right": ("c2",),
-    "m-imp-i": ("plus-lam",),
-    "m-imp-e-fun": ("plus-fun",),
-    "m-imp-e-arg": ("plus-arg",),
-    "m-ci": ("plus-nu",),
-    "m-ce-major": ("cbv-plus-2",),
-    "m-ce-minor": ("plus-lam", "cbv-plus-1"),
+# each normalization kind's reduction steps: (rule, offset below the redex)
+_WITNESS_STEPS = {
+    "beta-cut": (("beta", ()),),
+    "cbv-cut": (("cbv-nu", ()), ("beta", (0,))),
+    "m-idem": (("i", ()),),
+    "m-m-left": (("c1", ()),),
+    "m-m-right": (("c2", ()),),
+    "m-imp-i": (("plus-lam", ()),),
+    "m-imp-e-fun": (("plus-fun", ()),),
+    "m-imp-e-arg": (("plus-arg", ()),),
+    "m-ci": (("plus-nu", ()),),
+    "m-ce-major": (("cbv-plus-2", ()),),
+    "m-ce-minor": (("plus-lam", (0,)), ("cbv-plus-1", ())),
 }
 
 
 def _witness_steps(term, kind, pos):
     """The reduction steps that should realize one normalization step."""
     steps = []
-    if kind == "cbv-cut":
-        term2 = apply_rule_at(term, "cbv-nu", pos, PE_BRACES)
-        steps.append(("cbv-nu", pos))
-        term3 = apply_rule_at(term2, "beta", pos + (0,), PE_BRACES)
-        steps.append(("beta", pos + (0,)))
-        return term3, steps
-    if kind == "m-ce-minor":
-        lam_pos = pos + (0,)
-        term2 = apply_rule_at(term, "plus-lam", lam_pos, PE_BRACES)
-        steps.append(("plus-lam", lam_pos))
-        term3 = apply_rule_at(term2, "cbv-plus-1", pos, PE_BRACES)
-        steps.append(("cbv-plus-1", pos))
-        return term3, steps
-    (rule,) = _KIND_TERM_RULES[kind]
-    term2 = apply_rule_at(term, rule, pos, PE_BRACES)
-    steps.append((rule, pos))
-    return term2, steps
+    for rule, offset in _WITNESS_STEPS[kind]:
+        at = pos + offset
+        term = apply_rule_at(term, rule, at, PE_BRACES)
+        steps.append((rule, at))
+    return term, steps
 
 
 def verify_simulation(p, fuel=1000):
@@ -910,16 +878,6 @@ def verify_simulation(p, fuel=1000):
 
 def proof_to_json(p):
     s = p.sequent
-    side = {}
-    for key, value in p.side.items():
-        if isinstance(value, BoolFormula):
-            side[key] = print_formula(value)
-        elif isinstance(value, Atom):
-            side[key] = f"{value.name}.{value.index}"
-        elif isinstance(value, Fraction):
-            side[key] = fm.format_rational(value)
-        else:
-            side[key] = value
     return {
         "rule": p.rule,
         "sequent": {
@@ -927,21 +885,12 @@ def proof_to_json(p):
             "constraint": print_formula(s.constraint),
             "formula": print_proof_formula(s.formula),
         },
-        "side": side,
+        "side": _encode_side(p.side),
         "premises": [proof_to_json(q) for q in p.premises],
     }
 
 
 def proof_from_json(obj):
-    side = dict(obj.get("side", {}))
-    if "d" in side:
-        side["d"] = parse_formula(side["d"])
-    if "pivot" in side and isinstance(side["pivot"], str):
-        name, idx = side["pivot"].split(".")
-        side["pivot"] = Atom(Name(name), int(idx))
-    for key in ("q", "scale"):
-        if key in side:
-            side[key] = parse_rational(side[key])
     seq = obj["sequent"]
     return ProofDerivation(
         obj["rule"],
@@ -951,5 +900,5 @@ def proof_from_json(obj):
             parse_proof_formula(seq["formula"]),
         ),
         tuple(proof_from_json(q) for q in obj.get("premises", [])),
-        side,
+        _decode_side(obj.get("side", {})),
     )

@@ -14,7 +14,7 @@ reassembled around the transformed pieces.
 from __future__ import annotations
 
 from .errors import NotPnfError, UnsupportedStepError
-from .formulas import And, Atom, Not, BoolFormula
+from .formulas import And, Atom, Not
 from .proofs import rename_formula_names
 from .rewrite import apply_rule_at
 from .terms import (
@@ -186,7 +186,7 @@ def rename_derivation_names(d, mapping):
     def go(d):
         j = d.judgement
         side = dict(d.side)
-        if "d" in side and isinstance(side["d"], BoolFormula):
+        if "d" in side:
             side["d"] = rename_formula_names(side["d"], mapping)
         new_j = Judgement(
             j.ctx,

@@ -14,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     ParseError,
@@ -201,66 +202,47 @@ def _check_q(q):
         raise RuleShapeError(f"counting exponent {q} outside (0,1]")
 
 
+_SIMPLE_TYPE_ERRORS = {
+    CN: "not a CN simple type",
+    CBV: "quantifier right of an arrow",
+    INT: "not an INT simple type",
+}
+
+
 def validate_type(t, system):
-    """Structural validity of a type for the given system."""
-    if system == CN:
-        if not isinstance(t, Counted):
-            raise RuleShapeError(f"CN type must carry one quantifier: {print_type(t)}")
-        _check_q(t.q)
-        _validate_cn_sigma(t.body)
-    elif system == CBV:
+    """Structural validity of a type for the given system: the quantifier
+    prefix (one in CN and INT, a list in CBV), then the arrows down to a
+    ground type."""
+    if system not in _SIMPLE_TYPE_ERRORS:
+        raise ValueError(system)
+    if system == CBV:
         while isinstance(t, Counted):
             _check_q(t.q)
             t = t.body
-        _validate_cbv_sigma(t)
-    elif system == INT:
-        if not isinstance(t, Counted):
-            raise RuleShapeError(f"INT type must carry one quantifier: {print_type(t)}")
-        _check_q(t.q)
-        _validate_int_sigma(t.body)
     else:
-        raise ValueError(system)
-
-
-def _validate_cn_sigma(s):
-    if isinstance(s, Ground):
-        if s.kind != GROUND_O:
-            raise RuleShapeError(f"ground type {s.kind} is not a CN type")
-        return
-    if isinstance(s, Arrow):
-        if isinstance(s.dom, Mset):
-            raise RuleShapeError("multiset argument outside the intersection system")
-        validate_type(s.dom, CN)
-        _validate_cn_sigma(s.cod)
-        return
-    raise RuleShapeError(f"not a CN simple type: {print_type(s)}")
-
-
-def _validate_cbv_sigma(s):
-    if isinstance(s, Ground):
-        if s.kind != GROUND_O:
-            raise RuleShapeError(f"ground type {s.kind} is not a CBV type")
-        return
-    if isinstance(s, Arrow):
-        if isinstance(s.dom, Mset):
-            raise RuleShapeError("multiset argument outside the intersection system")
-        validate_type(s.dom, CBV)
-        _validate_cbv_sigma(s.cod)
-        return
-    raise RuleShapeError(f"quantifier right of an arrow: {print_type(s)}")
-
-
-def _validate_int_sigma(s):
-    if isinstance(s, Ground):
-        return
-    if isinstance(s, Arrow):
-        if not isinstance(s.dom, Mset):
-            raise RuleShapeError("intersection arrows take multiset arguments")
-        for item in s.dom.items:
-            validate_type(item, INT)
-        _validate_int_sigma(s.cod)
-        return
-    raise RuleShapeError(f"not an INT simple type: {print_type(s)}")
+        if not isinstance(t, Counted):
+            raise RuleShapeError(
+                f"{system.upper()} type must carry one quantifier: {print_type(t)}"
+            )
+        _check_q(t.q)
+        t = t.body
+    while isinstance(t, Arrow):
+        if system == INT:
+            if not isinstance(t.dom, Mset):
+                raise RuleShapeError("intersection arrows take multiset arguments")
+            for item in t.dom.items:
+                validate_type(item, INT)
+        else:
+            if isinstance(t.dom, Mset):
+                raise RuleShapeError(
+                    "multiset argument outside the intersection system"
+                )
+            validate_type(t.dom, system)
+        t = t.cod
+    if not isinstance(t, Ground):
+        raise RuleShapeError(f"{_SIMPLE_TYPE_ERRORS[system]}: {print_type(t)}")
+    if system != INT and t.kind != GROUND_O:
+        raise RuleShapeError(f"ground type {t.kind} is not a {system.upper()} type")
 
 
 def strip_prefix(t):
@@ -415,12 +397,24 @@ def same_judgement(j1, j2):
     )
 
 
+_NO_SIDE = MappingProxyType({})
+
+
+def _freeze_side(node):
+    """Store the node's side data as a read-only copy; nodes without side
+    data share one empty mapping."""
+    side = MappingProxyType(dict(node.side)) if node.side else _NO_SIDE
+    object.__setattr__(node, "side", side)
+
+
 @dataclass(frozen=True)
 class TypingDerivation:
     rule: str
     judgement: Judgement
     premises: tuple = ()
-    side: dict = field(default_factory=dict)
+    side: MappingProxyType = field(default_factory=dict)
+
+    __post_init__ = _freeze_side
 
 
 RULES_BY_SYSTEM = {
@@ -636,8 +630,6 @@ def _check_app_int(d, system):
 
 def _get_scale(d):
     s = d.side.get("scale", Fraction(1))
-    if not isinstance(s, Fraction):
-        s = parse_rational(s)
     _side(0 < s <= 1, f"scale {s} outside (0,1]")
     return s
 
@@ -682,8 +674,6 @@ def _nu_common(d):
 def _local_formula(d, key, a):
     f = d.side.get(key)
     _shape(f is not None, f"missing side formula {key!r}")
-    if isinstance(f, str):
-        f = parse_formula(f)
     _side(formula_names(f) <= {a}, f"side formula {key!r} must only use the bound name")
     return f
 
@@ -696,8 +686,6 @@ def _mu_common(d, q):
     p = d.premises[0].judgement
     dloc = _local_formula(d, "d", a)
     _shape(q is not None, "missing side rational 'q'")
-    if not isinstance(q, Fraction):
-        q = parse_rational(q)
     _side(measure(dloc) >= q, "measure bound fails")
     _side(
         equivalent(p.constraint, And(j.constraint, dloc)),
@@ -732,10 +720,7 @@ def _check_mu_sigma(d, system):
     _side(a not in formula_names(j.constraint), "bound name occurs in the constraint")
     total = Fraction(0)
     sigma = None
-    parsed = []
-    for (draw, sraw), p in zip(cases, d.premises):
-        dloc = parse_formula(draw) if isinstance(draw, str) else draw
-        s = parse_rational(sraw) if not isinstance(sraw, Fraction) else sraw
+    for (dloc, s), p in zip(cases, d.premises):
         _side(formula_names(dloc) <= {a}, "case formula must only use the bound name")
         _side(measure(dloc) >= s, "case measure bound fails")
         pj = p.judgement
@@ -748,10 +733,9 @@ def _check_mu_sigma(d, system):
             sigma = pj.type.body
         _shape(pj.type.body == sigma, "premises must share the quantified type")
         total += pj.type.q * s
-        parsed.append(dloc)
     # pairwise disjoint iff each case misses the union of the earlier ones
-    union = parsed[0]
-    for dloc in parsed[1:]:
+    union = cases[0][0]
+    for dloc, _ in cases[1:]:
         _side(entails(And(union, dloc), fm.BOT), "case formulas must be pairwise disjoint")
         union = fm.Or(union, dloc)
     _shape(j.type == Counted(total, sigma), "conclusion exponent must be the sum")
@@ -874,7 +858,9 @@ def apply_mu_star(d, order=None):
             prefix_formula,
             Counted(total, j.type.body),
         )
-        return TypingDerivation("mu-sigma", root, tuple(premises), {"cases": cases})
+        return TypingDerivation(
+            "mu-sigma", root, tuple(premises), {"cases": tuple(cases)}
+        )
 
     folded = fold(0, [], {})
     fj = folded.judgement
@@ -895,22 +881,55 @@ def apply_mu_star(d, order=None):
 # JSON interchange
 
 
+def _decode_pivot(text):
+    name, index = text.split(".")
+    return Atom(Name(name), int(index))
+
+
+def _decode_index(value):
+    if type(value) is not int:
+        raise TypeError(f"expected an integer hypothesis index, got {value!r}")
+    return value
+
+
+def _decode_cases(cases):
+    return tuple((parse_formula(f), parse_rational(s)) for f, s in cases)
+
+
+def _encode_cases(cases):
+    return [[print_formula(f), fm.format_rational(s)] for f, s in cases]
+
+
+def _identity(value):
+    return value
+
+
+_RATIONAL = (parse_rational, fm.format_rational)
+
+# The one text form of each side value of a derivation or proof node, as a
+# (decode, encode) pair; keys outside the table pass through unchanged.
+_SIDE_CODECS = {
+    "d": (parse_formula, print_formula),
+    "q": _RATIONAL,
+    "s": _RATIONAL,
+    "scale": _RATIONAL,
+    "cases": (_decode_cases, _encode_cases),
+    "pivot": (_decode_pivot, print_formula),
+    "index": (_decode_index, _identity),
+}
+_PASS_THROUGH = (_identity, _identity)
+
+
+def _decode_side(obj):
+    return {k: _SIDE_CODECS.get(k, _PASS_THROUGH)[0](v) for k, v in obj.items()}
+
+
+def _encode_side(side):
+    return {k: _SIDE_CODECS.get(k, _PASS_THROUGH)[1](v) for k, v in side.items()}
+
+
 def derivation_to_json(d):
     j = d.judgement
-    side = {}
-    for key, value in d.side.items():
-        if key == "cases":
-            side[key] = [
-                [print_formula(f) if isinstance(f, BoolFormula) else f,
-                 fm.format_rational(s) if isinstance(s, Fraction) else s]
-                for f, s in value
-            ]
-        elif isinstance(value, BoolFormula):
-            side[key] = print_formula(value)
-        elif isinstance(value, Fraction):
-            side[key] = fm.format_rational(value)
-        else:
-            side[key] = value
     return {
         "rule": d.rule,
         "judgement": {
@@ -920,7 +939,7 @@ def derivation_to_json(d):
             "constraint": print_formula(j.constraint),
             "type": print_type(j.type),
         },
-        "side": side,
+        "side": _encode_side(d.side),
         "premises": [derivation_to_json(p) for p in d.premises],
     }
 
@@ -938,19 +957,9 @@ def judgement_from_json(obj):
 
 
 def derivation_from_json(obj):
-    side = dict(obj.get("side", {}))
-    if "cases" in side:
-        side["cases"] = [
-            (parse_formula(f), parse_rational(s)) for f, s in side["cases"]
-        ]
-    if "d" in side:
-        side["d"] = parse_formula(side["d"])
-    for key in ("q", "s", "scale"):
-        if key in side:
-            side[key] = parse_rational(side[key])
     return TypingDerivation(
         obj["rule"],
         judgement_from_json(obj["judgement"]),
         tuple(derivation_from_json(p) for p in obj.get("premises", [])),
-        side,
+        _decode_side(obj.get("side", {})),
     )

@@ -290,3 +290,64 @@ def test_bad_budget_is_a_precondition_error(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("E_PRECONDITION: ")
     assert "Traceback" not in err
+
+
+def _write_with_side(tmp_path, blob, rule, key, value):
+    """Set one side value on the first node with the given rule."""
+    stack = [blob]
+    while stack:
+        node = stack.pop()
+        if node["rule"] == rule:
+            node["side"][key] = value
+            break
+        stack.extend(node["premises"])
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "rule, key, value",
+    [
+        ("id", "index", "0"),
+        ("id", "index", 0.0),
+        ("m", "pivot", ["a", 0]),
+        ("ci", "q", "1/0"),
+    ],
+    ids=["string-index", "float-index", "list-pivot", "zero-denominator"],
+)
+def test_other_side_forms_are_schema_errors(capsys, tmp_path, rule, key, value):
+    path = _write_with_side(tmp_path, proof_to_json(half_id_proof()), rule, key, value)
+    for command in ("check-proof", "normalize-proof"):
+        code, out, err = invoke(capsys, command, "--json", path)
+        assert code == 1 and out == ""
+        assert err.startswith("E_SCHEMA: malformed input (") and "Traceback" not in err
+
+
+def test_library_fault_is_internal_not_schema(capsys, monkeypatch):
+    import lampe.cli
+
+    def fault(args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(lampe.cli._COMMANDS, "mu", fault)
+    code, out, err = invoke(capsys, "mu", "a.0")
+    assert code == 1 and out == ""
+    assert err == "E_INTERNAL: KeyError: 'lost'\n"
+
+
+def test_undecodable_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rule": "\xe9"}')
+    code, _, err = invoke(capsys, "check-proof", str(path))
+    assert code == 1 and err.startswith("E_INPUT: ") and "Traceback" not in err
+
+
+def test_step_index_out_of_range_is_a_precondition_error(capsys, tmp_path):
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps(derivation_to_json(braces_coin_derivation())))
+    code, _, err = invoke(
+        capsys, "transport", "--mode", "pe-braces", "--step-index", "9", str(path)
+    )
+    assert code == 1
+    assert err == "E_PRECONDITION: step index 9 out of range (2 steps)\n"

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -129,3 +130,15 @@ def test_transport_root_choice_rules(text, rule):
     assert [(s.rule, s.path) for s in steps] == [(rule, ())]
     out = transport_subject_reduction(d, steps[0], PE_BRACES)
     assert same_judgement(out.judgement, expected_judgement(d, steps[0]))
+
+
+def test_transport_cbv_nu_on_a_json_decoded_derivation():
+    from helpers import braces_coin_derivation
+    from lampe.typesys import derivation_from_json, derivation_to_json
+
+    text = json.dumps(derivation_to_json(braces_coin_derivation()))
+    d = derivation_from_json(json.loads(text))
+    (s,) = [s for s in step(d.judgement.term, PE_BRACES) if s.rule == "cbv-nu"]
+    out = transport_subject_reduction(d, s, PE_BRACES)
+    check_derivation(out, CBV)
+    assert same_judgement(out.judgement, expected_judgement(d, s))

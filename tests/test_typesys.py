@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from helpers import (
     two_name_quarter_bound_derivation,
     two_name_exact_bound_derivation,
     correlated_pick_term,
+    half_id_proof,
     int_identity,
     reference_mu_star,
 )
@@ -29,6 +31,7 @@ from lampe.errors import (
     SystemMismatchError,
 )
 from lampe.formulas import And, Atom, Not, Or, TOP, parse_formula, satisfiable
+from lampe.proofs import proof_from_json, proof_to_json
 from lampe.terms import Name, Nu, Var, parse_term
 from lampe.typesys import (
     Arrow,
@@ -531,3 +534,60 @@ def test_ground_rules_share_their_premise_checks():
         with pytest.raises(RuleShapeError) as err:
             check_derivation(D(rule, J(j.ctx, j.names, j.term, other, ty), (base,)), INT)
         assert err.value.message == f"{rule} keeps the constraint"
+
+
+# ---------------------------------------------------------------------------
+# Side data: one text form per key, decoded once, read-only on the node
+
+
+SIDE_SAMPLES = [
+    {"d": "a.0 & !a.1", "q": "1/2"},
+    {"d": "a.0", "s": "3/4"},
+    {"scale": "1/2"},
+    {"cases": [["b.0", "1/2"], ["!b.0 & b.1", "1/4"]]},
+    {"pivot": "a.0"},
+    {"index": 2},
+    {"note": ["kept", 1]},
+]
+
+
+@pytest.mark.parametrize("side", SIDE_SAMPLES, ids=lambda side: "-".join(side))
+def test_side_codec_round_trip_is_byte_identical(side):
+    for blob, decode, encode in (
+        (derivation_to_json(coin_derivation()), derivation_from_json, derivation_to_json),
+        (proof_to_json(half_id_proof()), proof_from_json, proof_to_json),
+    ):
+        text = json.dumps({**blob, "side": side})
+        node = decode(json.loads(text))
+        assert json.dumps(encode(node)) == text
+
+
+def test_side_values_are_decoded_on_load():
+    blob = derivation_to_json(coin_derivation())
+    side = derivation_from_json(
+        {**blob, "side": {"d": "a.0", "q": "1/2", "pivot": "b.3",
+                          "cases": [["a.0", "1/2"]], "index": 1}}
+    ).side
+    assert side["d"] == Atom(A_, 0) and side["q"] == HALF
+    assert side["pivot"] == Atom(Name("b"), 3) and side["index"] == 1
+    assert side["cases"] == ((Atom(A_, 0), HALF),)
+
+
+def test_side_is_read_only():
+    for node in (coin_derivation(), half_id_proof()):
+        with pytest.raises(TypeError):
+            node.side["q"] = Fraction(1)
+    # nodes without side data share one empty mapping
+    assert coin_derivation().premises[0].side is int_identity().side
+
+
+def test_side_is_copied_from_the_caller():
+    import dataclasses
+
+    for node in (coin_derivation(), half_id_proof()):
+        caller = dict(node.side)
+        built = dataclasses.replace(node, side=caller)
+        caller["q"] = Fraction(1, 8)
+        caller.pop("d")
+        assert built == node and dict(built.side) == dict(node.side)
+        assert dataclasses.replace(built, premises=()).side == node.side
