@@ -188,9 +188,10 @@ def _segment(t, mode, limit):
     "gen" (a generator PNF), "hnv" (a head normal value), "diverged" (a head
     step reproduces its term) or "out" (more than `limit` steps, counting
     the head step that passed it)."""
-    steps = 0
+    steps, path = 0, ()
     while True:
-        t, trace = pnf(t, mode)
+        # t is normal outside the last head step's subtree and its ancestors
+        t, trace = pnf(t, mode, _from=path)
         steps += len(trace)
         if steps > limit:
             return "out", t, steps

@@ -8,21 +8,34 @@ The pair order used by the plus-plus rules at a redex position: (a,i) comes
 before (b,j) when a's binder encloses b's binder at that position (free names
 count as outermost), with name text order breaking ties between free names,
 and index order within one name.
+
+Leftmost-outermost reduction runs one pre-order scan.  A step at path p
+changes only the subtree at p and its ancestors, and no other node before p in
+pre-order held a redex, so the next scan re-checks those ancestors top-down
+(the i, nu-fun, not-nu and plus rules read their children) and resumes at p.
+`pnf`'s private `_from` path says the term is normal outside one subtree and
+its ancestors; the scan then stays inside the subtree at the highest step.
+A scan that finds no redex records "normal under this mode" (with or without
+beta) in the node's `__dict__`, read first by the next; names are ordered by
+their text, so the fact depends on the node and the mode only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import FuelError, ModeViolationError, NotPnfError, OpenNamesError
 from .terms import (
     App,
     CbvApp,
     Choice,
+    Const,
     Lam,
     Name,
     Nu,
     Term,
+    Var,
     alpha_eq,
     children,
     free_names,
@@ -201,28 +214,55 @@ def _local_results(t, env, mode, include_beta, ordered):
             )
 
 
-def _iter_redexes(root, mode, include_beta):
-    """Pre-order enumeration of (rule, path, result_subterm)."""
-
-    def go(t, path, env, depth):
-        for rule, result in _local_results(t, env, mode, include_beta, ordered=True):
-            yield rule, path, result
+def _redexes(root, mode, include_beta, start=(), top=0):
+    """Pre-order (rule, path, local_result) triples from `start`: its
+    ancestors top-down, then on from `start`, but right of its path only
+    below depth `top`.  `env` maps enclosing nu-names to their depths."""
+    stack = []
+    t, env = root, {}
+    for depth, i in enumerate(start):
+        for rule, result in _local_results(t, env, mode, include_beta, True):
+            yield rule, start[:depth], result
         kids = children(t)
-        for i, c in enumerate(kids):
-            env2 = env
-            if isinstance(t, Nu):
-                env2 = dict(env)
-                env2[t.name] = depth
-            yield from go(c, path + (i,), env2, depth + 1)
+        if isinstance(t, Nu):
+            env = {**env, t.name: depth}
+        elif i == 0 and depth >= top and len(kids) == 2:
+            stack.append((kids[1], start[:depth] + (1,), env, depth + 1))
+        t = kids[i]
+    stack.append((t, start, env, len(start)))
+    while stack:
+        t, path, env, depth = stack.pop()
+        for rule, result in _local_results(t, env, mode, include_beta, True):
+            yield rule, path, result
+        if isinstance(t, Nu):
+            env = {**env, t.name: depth}
+        kids = children(t)
+        for i in range(len(kids) - 1, -1, -1):
+            if not isinstance(kids[i], (Var, Const)):
+                stack.append((kids[i], path + (i,), env, depth + 1))
 
-    yield from go(root, (), {}, 0)
+
+def _lo_steps(t, mode, include_beta, start=()):
+    """Leftmost-outermost steps from t, resumed as the module docstring says."""
+    fact = ("_nf_" if include_beta else "_pnf_") + mode
+    top = len(start)
+    while fact not in t.__dict__:
+        found = next(_redexes(t, mode, include_beta, start, top), None)
+        if found is None:
+            t.__dict__[fact] = True
+            return
+        rule, start, result = found
+        top = min(top, len(start))
+        after = replace_at(t, start, result)
+        yield ReductionStep(rule, start, t, after)
+        t = after
 
 
 def step(t, mode=PE):
     """All one-step redexes of the full reduction, leftmost-outermost first."""
     _require_mode(t, mode)
     out = []
-    for rule, path, result in _iter_redexes(t, mode, include_beta=True):
+    for rule, path, result in _redexes(t, mode, include_beta=True):
         out.append(ReductionStep(rule, path, t, replace_at(t, path, result)))
     return out
 
@@ -231,32 +271,28 @@ def iter_steps(t, mode=PE, include_beta=True):
     """Lazy (rule, path, local_result) triples; the reduct of a triple is
     replace_at(t, path, local_result)."""
     _require_mode(t, mode)
-    yield from _iter_redexes(t, mode, include_beta)
+    yield from _redexes(t, mode, include_beta)
 
 
 def first_step(t, mode=PE, include_beta=True):
     _require_mode(t, mode)
-    for rule, path, result in _iter_redexes(t, mode, include_beta):
-        return ReductionStep(rule, path, t, replace_at(t, path, result))
-    return None
+    return next(_lo_steps(t, mode, include_beta), None)
 
 
-def pnf(t, mode=PE, cap=PERM_STEP_CAP):
-    """The unique permutative normal form, with the reduction trace."""
+def pnf(t, mode=PE, cap=PERM_STEP_CAP, _from=()):
+    """The unique permutative normal form, with the reduction trace.  With the
+    private `_from` path, t must be normal outside its subtree and ancestors."""
     _require_mode(t, mode)
     trace = []
-    while True:
-        s = first_step(t, mode, include_beta=False)
-        if s is None:
-            return t, trace
+    for s in _lo_steps(t, mode, False, _from):
         if len(trace) == cap:
             raise FuelError(f"permutative normalization exceeded {cap} steps")
         trace.append(s)
         t = s.after
+    return t, trace
 
 
 def is_pnf(t, mode=PE):
-    _require_mode(t, mode)
     return first_step(t, mode, include_beta=False) is None
 
 
@@ -346,25 +382,20 @@ def apply_rule_at(t, rule, path, mode=PE):
     raise NotPnfError(f"rule {rule} does not apply at path {path}")
 
 
+def _head_steps(t, mode):
+    while (s := head_step(t, mode)) is not None:
+        yield s
+        t = s.after
+
+
 def reduce_term(t, mode=PE, strategy="full", fuel=1000):
     """Fuel-bounded driver.  `full` takes the leftmost-outermost redex of the
     full reduction; `head` follows head_step."""
     _require_mode(t, mode)
-    trace = []
-    for _ in range(fuel):
-        if strategy == "head":
-            s = head_step(t, mode)
-        elif strategy == "full":
-            s = first_step(t, mode, include_beta=True)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if s is None:
-            return ReduceOutcome(t, trace, exhausted=False)
-        trace.append(s)
-        t = s.after
-    more = (
-        head_step(t, mode)
-        if strategy == "head"
-        else first_step(t, mode, include_beta=True)
-    )
-    return ReduceOutcome(t, trace, exhausted=more is not None)
+    if strategy not in ("full", "head"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    steps = _lo_steps(t, mode, True) if strategy == "full" else _head_steps(t, mode)
+    trace = list(islice(steps, max(fuel, 0)))
+    t = trace[-1].after if trace else t
+    more = len(trace) >= fuel and next(steps, None) is not None
+    return ReduceOutcome(t, trace, exhausted=more)

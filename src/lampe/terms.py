@@ -139,10 +139,13 @@ def subterm_at(t, path):
 
 
 def replace_at(t, path, new):
-    if not path:
-        return new
-    i = path[0]
-    return replace_child(t, i, replace_at(children(t)[i], path[1:], new))
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = children(t)[i]
+    for parent, i in zip(reversed(spine), reversed(path)):
+        new = replace_child(parent, i, new)
+    return new
 
 
 def free_vars(t):

@@ -401,10 +401,14 @@ _NO_SIDE = MappingProxyType({})
 
 
 def _freeze_side(node):
-    """Store the node's side data as a read-only copy; nodes without side
-    data share one empty mapping."""
-    side = MappingProxyType(dict(node.side)) if node.side else _NO_SIDE
-    object.__setattr__(node, "side", side)
+    """Store the node's side data as a read-only copy, with `cases` as a
+    tuple of pairs; nodes without side data share one empty mapping."""
+    side = node.side
+    if side:
+        side = dict(side)
+        if isinstance(side.get("cases"), (list, tuple)):
+            side["cases"] = tuple(map(tuple, side["cases"]))
+    object.__setattr__(node, "side", MappingProxyType(side) if side else _NO_SIDE)
 
 
 @dataclass(frozen=True)

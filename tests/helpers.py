@@ -1086,3 +1086,44 @@ def reference_estimate_hnv(t, samples, fuel, seed):
         == "head-normal"
         for k in range(samples)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference leftmost-outermost loop for the resumed scan
+
+
+def _reference_first_redex(t, mode, include_beta):
+    from lampe.rewrite import _local_results
+    from lampe.terms import children
+
+    def go(t, path, env, depth):
+        for rule, result in _local_results(t, env, mode, include_beta, True):
+            return rule, path, result
+        if isinstance(t, Nu):
+            env = {**env, t.name: depth}
+        for i, c in enumerate(children(t)):
+            found = go(c, path + (i,), env, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    return go(t, (), {}, 0)
+
+
+def reference_pnf(t, mode, include_beta=False, fuel=None):
+    """The leftmost-outermost loop that `pnf` ran before the resumed scan:
+    every step rescans the whole term from the root, and no node fact is
+    read or written.  With `fuel`, stops after that many steps, as
+    `reduce_term` does.  Returns (term, [(rule, path)], exhausted)."""
+    from lampe.terms import replace_at
+
+    trace = []
+    while True:
+        found = _reference_first_redex(t, mode, include_beta)
+        if found is None:
+            return t, trace, False
+        if len(trace) == fuel:
+            return t, trace, True
+        rule, path, result = found
+        trace.append((rule, path))
+        t = replace_at(t, path, result)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -294,3 +295,46 @@ def test_segment_driver_on_a_period_two_loop():
         est, _ = estimate_hnv(coin, 8, fuel, 3)
         assert est == Fraction(reference_estimate_hnv(coin, 8, fuel, 3), 8)
         assert 0 < est < 1
+
+
+# after a head step at path 0.0, pnf steps at the root and later at 0.1.0,
+# right of the hinted path: the scan must widen to the highest step's subtree
+_STEPS_ABOVE_THE_HINT = (
+    r"\u. \w. (nu a. \y. (\x. x) (y (+a.0) y)) "
+    r"(\y. nu b. (\z. y y) (+b.1) ((\x. x) (+b.0) y))"
+)
+
+
+def test_segment_hint_matches_the_restarting_loop(monkeypatch):
+    """After a head step, _segment's pnf scans only the step's ancestors and
+    subtree; every such call takes the steps of the loop that rescans the
+    whole term from the root."""
+    from helpers import reference_pnf
+
+    # the package exports a function of the same name as this module
+    dist = importlib.import_module("lampe.distribution")
+    real_pnf = dist.pnf
+    hinted = []
+
+    def checked_pnf(t, mode, _from=()):
+        result, trace = real_pnf(t, mode, _from=_from)
+        steps = [(s.rule, s.path) for s in trace]
+        assert (result, steps, False) == reference_pnf(t, mode)
+        hinted.append(bool(_from))
+        return result, trace
+
+    monkeypatch.setattr(dist, "pnf", checked_pnf)
+    terms = [t for n in range(1, 6) for t in _termination_terms(n)]
+    terms += [parse_term(text) for text in _FIXED_TERMS + [_STEPS_ABOVE_THE_HINT]]
+    for t in terms:
+        for fuel in (60, 400, 1000):
+            dist._segment(t, PE, fuel)
+            nf_mass(t, fuel)
+    assert sum(hinted) >= 100
+
+
+def test_nf_mass_of_a_spine_that_grows_each_head_step():
+    # each head step makes the spine one application deeper
+    t = parse_term(r"(\v0. (nu a. v0) (nu b. v0)) (nu c. \v0. v0 v0 v0)")
+    est = nf_mass(t, 400)
+    assert (est.value, est.fuel_used, est.exact) == (0, 400, False)

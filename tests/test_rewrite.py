@@ -399,3 +399,61 @@ def test_apply_rule_at_rejects_plus_plus_on_the_same_pair():
         apply_rule_at(t, "plus-plus-1", ())
     with pytest.raises(NotPnfError):
         apply_rule_at(parse_term("x (+a.0) (y (+a.0) z)"), "plus-plus-2", ())
+
+
+def _fixture_terms():
+    from helpers import cbv_fixture_corpus, cn_fixture_corpus
+
+    stack = [d for d, _ in cbv_fixture_corpus()] + cn_fixture_corpus()
+    terms = []
+    while stack:
+        d = stack.pop()
+        terms.append(d.judgement.term)
+        stack.extend(d.premises)
+    return terms
+
+
+def test_resumed_scan_matches_the_restarting_loop():
+    """pnf and reduce_term(full) resume the scan at the last step; the loop
+    that rescans from the root takes the same steps to the same term."""
+    from helpers import random_affine_term, random_term, reference_pnf
+    from lampe.rewrite import contains_cbv
+
+    rng = random.Random(2024)
+    corpus = [random_term(rng, rng.randrange(5, 41), [], []) for _ in range(1000)]
+    joins = []
+    for i in range(1, 400):
+        t = random_affine_term(random.Random(90000 + i), 25, [], [])
+        steps = step(t, PE)
+        if len(steps) >= 2:
+            joins += [steps[0].after, steps[-1].after]
+    fixtures = _fixture_terms()
+    assert len(joins) >= 100 and len(fixtures) >= 40
+    compared = 0
+    for mode in (PE, PE_BRACES):
+        for t in corpus + fixtures:
+            if mode == PE and contains_cbv(t):
+                continue
+            result, trace = pnf(t, mode)
+            assert (result, [(s.rule, s.path) for s in trace], False) == reference_pnf(t, mode)
+            compared += 1
+        for t in joins + fixtures:
+            if mode == PE and contains_cbv(t):
+                continue
+            out = reduce_term(t, mode, "full", 500)
+            trace = [(s.rule, s.path) for s in out.trace]
+            assert (out.term, trace, out.exhausted) == reference_pnf(t, mode, True, 500)
+            compared += 1
+    assert compared >= 2 * (1000 + len(joins))
+
+
+def test_scans_survive_900_nested_lambdas():
+    """The redex scan keeps an explicit stack, so the interpreter stack does
+    not bound the depth of its term."""
+    binders = "".join(f"\\x{i}. " for i in range(900))
+    t = parse_term(f"nu a. {binders}u (+a.0) v")
+    result, trace = pnf(t)
+    assert len(trace) == 900 and is_pnf(result)
+    s = first_step(t)
+    assert s.rule == "plus-lam" and len(s.path) == 900
+    assert [s.rule for s in step(t)] == ["plus-lam"]

@@ -581,6 +581,16 @@ def test_side_is_read_only():
     assert coin_derivation().premises[0].side is int_identity().side
 
 
+def test_cases_are_frozen_at_construction():
+    cases = [[Atom(A_, 0), HALF]]
+    node = TypingDerivation(
+        "mu-sigma", coin_derivation().judgement, (), {"cases": cases}
+    )
+    cases.append((Not(Atom(A_, 0)), HALF))
+    cases[0][1] = Fraction(1)
+    assert node.side["cases"] == ((Atom(A_, 0), HALF),)
+
+
 def test_side_is_copied_from_the_caller():
     import dataclasses
 
