@@ -119,7 +119,7 @@ def cmd_hnv(args):
 
 
 def cmd_nf(args):
-    est = nf_mass(parse_term(args.term), args.fuel)
+    est = nf_mass(parse_term(args.term), args.fuel, _mode(args))
     print(format_rational(est.value))
     if not est.exact:
         print("lower bound (fuel exhausted)", file=sys.stderr)

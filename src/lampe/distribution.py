@@ -17,13 +17,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ModeViolationError, OpenNamesError, PreconditionError
 from .rewrite import (
     PE,
     PseudoValue,
-    _head_redex,
-    _head_redex_in_value,
+    _head_redexes,
     classify_pnf,
     contains_cbv,
     is_hnv,
@@ -39,6 +39,7 @@ from .terms import (
     canonical_str,
     free_names,
     replace_at,
+    subterm_at,
 )
 
 
@@ -133,27 +134,6 @@ def _check_fuel(fuel):
         raise PreconditionError("fuel must be >= 0")
 
 
-def _head_round(t, mode, limit):
-    """Apply one head beta step in every branch position that has one, at
-    most `limit` steps in all.  Returns (term, number of steps applied)."""
-    applied = [0]
-
-    def go(t):
-        if isinstance(t, Nu):
-            return Nu(t.name, go(t.body))
-        if isinstance(t, Choice):
-            return Choice(go(t.left), go(t.right), t.name, t.index)
-        found = _head_redex_in_value(t, (), mode)
-        if found is None or applied[0] >= limit:
-            return t
-        _, path, result = found
-        applied[0] += 1
-        return replace_at(t, path, result)
-
-    out = go(t)
-    return out, applied[0]
-
-
 def hnv_lower_bound(t, fuel, mode=PE):
     """Fuel-bounded under-approximation of the head-normalization
     probability: head-reduce fairly across branches, keeping the best mass
@@ -171,14 +151,16 @@ def hnv_lower_bound(t, fuel, mode=PE):
         if used >= fuel:
             exact = False
             break
-        t2, n = _head_round(t, mode, fuel - used)
-        if n == 0:
+        # one head step in each of the leftmost branches the fuel allows
+        steps = list(islice(_head_redexes(t, mode), fuel - used))
+        if not steps:
             break
-        used += n
-        if alpha_eq(t2, t):
+        used += len(steps)
+        if all(alpha_eq(result, subterm_at(t, path)) for _, path, result in steps):
             # deterministic head rounds hit a fixpoint: nothing will change
             break
-        t = t2
+        for _, path, result in steps:
+            t = replace_at(t, path, result)
     return TerminationEstimate(best, min(used, fuel), exact)
 
 
@@ -197,17 +179,16 @@ def _segment(t, mode, limit):
             return "out", t, steps
         if isinstance(t, Nu):
             return "gen", t, steps
-        found = _head_redex(t, (), mode)
+        found = next(_head_redexes(t, mode), None)
         if found is None:
             return "hnv", t, steps
         steps += 1
         if steps > limit:
             return "out", t, steps
         _, path, result = found
-        after = replace_at(t, path, result)
-        if alpha_eq(after, t):
+        if alpha_eq(result, subterm_at(t, path)):
             return "diverged", t, steps
-        t = after
+        t = replace_at(t, path, result)
 
 
 def _spine_args(t):

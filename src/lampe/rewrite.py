@@ -322,46 +322,61 @@ def _collect_leaves(tree, name, out):
 # Head reduction
 
 
-def _head_redex_in_value(t, path, mode):
-    """Head beta (or CbV-argument) redex inside a permutation-normal
-    pseudo-value position."""
-    if isinstance(t, Lam):
-        return _head_redex_in_value(t.body, path + (0,), mode)
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            return ("beta", path, substitute(t.fun.body, t.fun.var, t.arg))
-        return _head_redex_in_value(t.fun, path + (0,), mode)
-    if mode == PE_BRACES and isinstance(t, CbvApp):
-        found = _head_redex_in_value(t.fun, path + (0,), mode)
-        if found is not None:
-            return found
-        return _head_redex_in_value(t.arg, path + (1,), mode)
-    return None
+def _head_redexes(t, mode):
+    """Head beta redexes (rule, path, result), one for each branch of the
+    randomized context (the nu/choice prefix) that has one, left to right.
+    In a branch the walk follows lambda bodies and application heads; in
+    PE_BRACES a CbV application's argument is tried after its function.
+    Explicit stacks, so the interpreter stack does not bound the spine."""
+    braces = mode == PE_BRACES
+    branches = [(t, ())]
+    while branches:
+        t, path = branches.pop()
+        if isinstance(t, Nu):
+            branches.append((t.body, path + (0,)))
+        elif isinstance(t, Choice):
+            branches.append((t.right, path + (1,)))
+            branches.append((t.left, path + (0,)))
+        else:
+            todo = [(t, path)]
+            while todo:
+                t, path = todo.pop()
+                if isinstance(t, Lam):
+                    todo.append((t.body, path + (0,)))
+                elif isinstance(t, App):
+                    if isinstance(t.fun, Lam):
+                        yield "beta", path, substitute(t.fun.body, t.fun.var, t.arg)
+                        break
+                    todo.append((t.fun, path + (0,)))
+                elif braces and isinstance(t, CbvApp):
+                    todo.append((t.arg, path + (1,)))
+                    todo.append((t.fun, path + (0,)))
 
 
-def _head_redex(t, path, mode):
-    """Descend the randomized context, then look for a head beta redex."""
-    if isinstance(t, Nu):
-        return _head_redex(t.body, path + (0,), mode)
-    if isinstance(t, Choice):
-        found = _head_redex(t.left, path + (0,), mode)
-        if found is not None:
-            return found
-        return _head_redex(t.right, path + (1,), mode)
-    return _head_redex_in_value(t, path, mode)
+def _head_steps(t, mode):
+    """Head-reduction steps from t: leftmost-outermost permutative steps,
+    and a head beta step when there are none.  A head step at p leaves the
+    term normal outside p's subtree and ancestors, so the permutative scan
+    resumes at p."""
+    path = ()
+    while True:
+        for s in _lo_steps(t, mode, False, path):
+            yield s
+            t = s.after
+        found = next(_head_redexes(t, mode), None)
+        if found is None:
+            return
+        rule, path, result = found
+        after = replace_at(t, path, result)
+        yield ReductionStep(rule, path, t, after)
+        t = after
 
 
 def head_step(t, mode=PE):
     """One head-reduction step: the first permutative redex if any, else the
     leftmost head beta redex through the randomized context."""
-    s = first_step(t, mode, include_beta=False)
-    if s is not None:
-        return s
-    found = _head_redex(t, (), mode)
-    if found is None:
-        return None
-    rule, path, result = found
-    return ReductionStep(rule, path, t, replace_at(t, path, result))
+    _require_mode(t, mode)
+    return next(_head_steps(t, mode), None)
 
 
 def is_hnv(t, mode=PE):
@@ -380,12 +395,6 @@ def apply_rule_at(t, rule, path, mode=PE):
         if r == rule:
             return replace_at(t, path, result)
     raise NotPnfError(f"rule {rule} does not apply at path {path}")
-
-
-def _head_steps(t, mode):
-    while (s := head_step(t, mode)) is not None:
-        yield s
-        t = s.after
 
 
 def reduce_term(t, mode=PE, strategy="full", fuel=1000):

@@ -1127,3 +1127,98 @@ def reference_pnf(t, mode, include_beta=False, fuel=None):
         rule, path, result = found
         trace.append((rule, path))
         t = replace_at(t, path, result)
+
+
+# ---------------------------------------------------------------------------
+# Reference head reduction: the recursive head-redex finder and the loop that
+# restarts the permutative scan from the root at every step
+
+
+def _reference_head_redex_in_value(t, path, mode):
+    from lampe.rewrite import PE_BRACES
+    from lampe.terms import substitute
+
+    if isinstance(t, Lam):
+        return _reference_head_redex_in_value(t.body, path + (0,), mode)
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam):
+            return ("beta", path, substitute(t.fun.body, t.fun.var, t.arg))
+        return _reference_head_redex_in_value(t.fun, path + (0,), mode)
+    if mode == PE_BRACES and isinstance(t, CbvApp):
+        found = _reference_head_redex_in_value(t.fun, path + (0,), mode)
+        if found is not None:
+            return found
+        return _reference_head_redex_in_value(t.arg, path + (1,), mode)
+    return None
+
+
+def _reference_head_redex(t, path, mode):
+    if isinstance(t, Nu):
+        return _reference_head_redex(t.body, path + (0,), mode)
+    if isinstance(t, Choice):
+        found = _reference_head_redex(t.left, path + (0,), mode)
+        if found is not None:
+            return found
+        return _reference_head_redex(t.right, path + (1,), mode)
+    return _reference_head_redex_in_value(t, path, mode)
+
+
+def reference_head_steps(t, mode, fuel):
+    """The loop that `reduce_term(strategy="head")` ran before the resumed
+    head walk: every step rescans the whole term from the root for a
+    permutative redex, and only then searches the head beta redex
+    recursively.  Stops after `fuel` steps.  Returns (term, [(rule, path)],
+    exhausted)."""
+    from lampe.terms import replace_at
+
+    trace = []
+    while True:
+        found = _reference_first_redex(t, mode, False)
+        if found is None:
+            found = _reference_head_redex(t, (), mode)
+        if found is None:
+            return t, trace, False
+        if len(trace) == fuel:
+            return t, trace, True
+        rule, path, result = found
+        trace.append((rule, path))
+        t = replace_at(t, path, result)
+
+
+def reference_hnv_lower_bound(t, fuel, mode):
+    """`hnv_lower_bound` before the head walk: each fair round rebuilds the
+    whole nu/choice prefix recursively, and the fixpoint test compares the
+    whole terms.  Returns (value, fuel_used, exact)."""
+    from lampe.distribution import hnv_mass
+    from lampe.rewrite import pnf
+    from lampe.terms import alpha_eq, replace_at
+
+    def head_round(t, limit):
+        applied = [0]
+
+        def go(t):
+            if isinstance(t, Nu):
+                return Nu(t.name, go(t.body))
+            if isinstance(t, Choice):
+                return Choice(go(t.left), go(t.right), t.name, t.index)
+            found = _reference_head_redex_in_value(t, (), mode)
+            if found is None or applied[0] >= limit:
+                return t
+            _, path, result = found
+            applied[0] += 1
+            return replace_at(t, path, result)
+
+        return go(t), applied[0]
+
+    used, best = 0, Fraction(0)
+    while True:
+        t, trace = pnf(t, mode)
+        used += len(trace)
+        best = max(best, hnv_mass(t, mode))
+        if used >= fuel:
+            return best, fuel, False
+        t2, n = head_round(t, fuel - used)
+        used += n
+        if n == 0 or alpha_eq(t2, t):
+            return best, min(used, fuel), True
+        t = t2

@@ -88,6 +88,14 @@ def test_nf_worked_example(capsys):
     assert code == 0 and out.strip() == "1/2"
 
 
+def test_nf_honours_mode(capsys):
+    code, out, err = invoke(
+        capsys, "nf", "--mode", "pe-braces", "--fuel", "100", "nu a. I (+a.0) OMEGA"
+    )
+    assert code == 1 and out == ""
+    assert err == "E_MODE_VIOLATION: normal-form mass is only defined for plain PE terms\n"
+
+
 def test_check_cbv(capsys, tmp_path):
     path = tmp_path / "church_two_cbv.json"
     path.write_text(json.dumps(derivation_to_json(church_two_cbv_derivation())))

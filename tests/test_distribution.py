@@ -333,6 +333,38 @@ def test_segment_hint_matches_the_restarting_loop(monkeypatch):
     assert sum(hinted) >= 100
 
 
+def test_head_walk_matches_the_recursive_finder():
+    """reduce_term(head) and head_step resume the permutative scan after each
+    head step, and hnv_lower_bound's rounds apply the head walk's redexes in
+    place; all take the steps of the recursive head finder and the loop that
+    rescans from the root."""
+    from helpers import random_term, reference_head_steps, reference_hnv_lower_bound
+    from lampe.rewrite import contains_cbv, head_step, reduce_term
+
+    rng = random.Random(31)
+    terms = [
+        random_term(rng, rng.randrange(3, 16), [], [], allow_cbv=i % 3 == 0)
+        for i in range(150)
+    ]
+    terms += [t for n in range(1, 5) for t in _termination_terms(n)]
+    compared = 0
+    for t in terms:
+        for mode in (PE_BRACES,) if contains_cbv(t) else (PE, PE_BRACES):
+            for fuel in (1, 20, 200):
+                out = reduce_term(t, mode, "head", fuel)
+                trace = [(s.rule, s.path) for s in out.trace]
+                assert (out.term, trace, out.exhausted) == reference_head_steps(t, mode, fuel)
+            s = head_step(t, mode)
+            assert ([(s.rule, s.path)] if s else []) == reference_head_steps(t, mode, 1)[1]
+            for fuel in (7, 60):
+                est = hnv_lower_bound(t, fuel, mode)
+                assert (est.value, est.fuel_used, est.exact) == reference_hnv_lower_bound(
+                    t, fuel, mode
+                )
+            compared += 1
+    assert compared >= 250
+
+
 def test_nf_mass_of_a_spine_that_grows_each_head_step():
     # each head step makes the spine one application deeper
     t = parse_term(r"(\v0. (nu a. v0) (nu b. v0)) (nu c. \v0. v0 v0 v0)")

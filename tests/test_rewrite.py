@@ -21,7 +21,10 @@ from lampe.rewrite import (
     step,
 )
 from lampe.terms import (
+    App,
+    CbvApp,
     Choice,
+    Lam,
     Name,
     Nu,
     Var,
@@ -29,6 +32,7 @@ from lampe.terms import (
     parse_term,
     print_term,
     replace_at,
+    subterm_at,
 )
 
 a = Name("a")
@@ -457,3 +461,27 @@ def test_scans_survive_900_nested_lambdas():
     s = first_step(t)
     assert s.rule == "plus-lam" and len(s.path) == 900
     assert [s.rule for s in step(t)] == ["plus-lam"]
+
+
+def test_head_walk_survives_a_3000_deep_application_spine():
+    """The head walk keeps explicit stacks: it finds the head redex at the
+    bottom of a 3000-deep application spine in every branch, and applying
+    them as the fair round of hnv_lower_bound does replaces just those."""
+    from lampe.rewrite import _head_redexes
+
+    spine = App(Lam("x", Var("x")), Var("u"))
+    for _ in range(2999):
+        spine = App(spine, Var("y"))
+    bottom = (0,) * 2999
+    # a CbV application's argument is searched only when its function has
+    # no head redex
+    cbv = Choice(CbvApp(Var("f"), spine), CbvApp(Lam("z", spine), spine), a, 2)
+    t = Nu(a, Choice(Choice(spine, Lam("z", spine), a, 0), cbv, a, 1))
+    found = list(_head_redexes(t, PE_BRACES))
+    paths = [(0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0, 0)]
+    paths = [p + bottom for p in paths]
+    assert [(rule, path) for rule, path, _ in found] == [("beta", p) for p in paths]
+    for _, path, result in found:
+        t = replace_at(t, path, result)
+    assert all(subterm_at(t, path) == Var("u") for path in paths)
+    assert subterm_at(t, (0, 0, 1)).var == "z"
