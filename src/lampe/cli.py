@@ -219,75 +219,63 @@ def cmd_estimate(args):
     print(f"{format_rational(estimate)} {format_rational(stderr)}")
 
 
+# argparse options of each flag a subcommand may take
+_FLAGS = {
+    "mode": {"choices": ["pe", "pe-braces"], "default": "pe"},
+    "fuel": {"type": int, "default": 1000},
+    "json": {"action": "store_true"},
+    "trace": {"action": "store_true"},
+    "strategy": {"choices": ["head", "full"], "default": "full"},
+    "system": {"choices": ["cn", "cbv", "int"], "required": True},
+    "step-index": {"type": int, "default": 0},
+    "seed": {"type": int, "default": 0},
+    "samples": {"type": int, "default": 1000},
+}
+
+# name: (handler, help, positional arguments, flags the handler reads)
+_SUBCOMMANDS = {
+    "parse": (cmd_parse, "echo a term", "term", ""),
+    "pnf": (cmd_pnf, "permutative normal form", "term", "mode json trace"),
+    "reduce": (
+        cmd_reduce, "fuel-bounded reduction", "term", "mode fuel json strategy trace"
+    ),
+    "dist": (cmd_dist, "distribution of a PNF", "term", "mode json"),
+    "hnv": (cmd_hnv, "head-normalization mass", "term", "mode fuel"),
+    "nf": (cmd_nf, "normalization mass", "term", "mode fuel"),
+    "mu": (cmd_mu, "measure of a formula", "formula", ""),
+    "entails": (cmd_entails, "Boolean entailment", "left right", ""),
+    "check": (cmd_check, "check a typing derivation", "file", "system"),
+    "mu-star": (cmd_mu_star, "discharge all names at once", "file", "json"),
+    "transport": (
+        cmd_transport, "subject reduction transport", "file", "mode json step-index"
+    ),
+    "check-proof": (cmd_check_proof, "check a proof", "file", ""),
+    "normalize-proof": (cmd_normalize_proof, "normalize a proof", "file", "fuel json"),
+    "translate": (cmd_translate, "proof term and typing", "file", "json"),
+    "simulate": (cmd_simulate, "normalization vs reduction", "file", "fuel"),
+    "sample": (cmd_sample, "one randomized run", "term", "mode fuel seed"),
+    "estimate": (
+        cmd_estimate, "Monte Carlo estimate", "term", "mode fuel seed samples"
+    ),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lampe",
         description="probabilistic event lambda calculus toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, term=False, file=False):
-        p.add_argument("--mode", choices=["pe", "pe-braces"], default="pe")
-        p.add_argument("--fuel", type=int, default=1000)
-        p.add_argument("--json", action="store_true")
-        if term:
-            p.add_argument("term")
-        if file:
-            p.add_argument("file")
-        return p
-
-    common(sub.add_parser("parse", help="echo a term"), term=True)
-    p = common(sub.add_parser("pnf", help="permutative normal form"), term=True)
-    p.add_argument("--trace", action="store_true")
-    p = common(sub.add_parser("reduce", help="fuel-bounded reduction"), term=True)
-    p.add_argument("--strategy", choices=["head", "full"], default="full")
-    p.add_argument("--trace", action="store_true")
-    common(sub.add_parser("dist", help="distribution of a PNF"), term=True)
-    common(sub.add_parser("hnv", help="head-normalization mass"), term=True)
-    common(sub.add_parser("nf", help="normalization mass"), term=True)
-    p = sub.add_parser("mu", help="measure of a formula")
-    p.add_argument("formula")
-    p = sub.add_parser("entails", help="Boolean entailment")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = common(sub.add_parser("check", help="check a typing derivation"), file=True)
-    p.add_argument("--system", choices=["cn", "cbv", "int"], required=True)
-    common(sub.add_parser("mu-star", help="discharge all names at once"), file=True)
-    p = common(
-        sub.add_parser("transport", help="subject reduction transport"), file=True
-    )
-    p.add_argument("--step-index", type=int, default=0)
-    common(sub.add_parser("check-proof", help="check a proof"), file=True)
-    common(sub.add_parser("normalize-proof", help="normalize a proof"), file=True)
-    common(sub.add_parser("translate", help="proof term and typing"), file=True)
-    common(sub.add_parser("simulate", help="normalization vs reduction"), file=True)
-    p = common(sub.add_parser("sample", help="one randomized run"), term=True)
-    p.add_argument("--seed", type=int, default=0)
-    p = common(sub.add_parser("estimate", help="Monte Carlo estimate"), term=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    for name, (_, help_text, positionals, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        for positional in positionals.split():
+            p.add_argument(positional)
     return parser
 
 
-_COMMANDS = {
-    "parse": cmd_parse,
-    "pnf": cmd_pnf,
-    "reduce": cmd_reduce,
-    "dist": cmd_dist,
-    "hnv": cmd_hnv,
-    "nf": cmd_nf,
-    "mu": cmd_mu,
-    "entails": cmd_entails,
-    "check": cmd_check,
-    "mu-star": cmd_mu_star,
-    "transport": cmd_transport,
-    "check-proof": cmd_check_proof,
-    "normalize-proof": cmd_normalize_proof,
-    "translate": cmd_translate,
-    "simulate": cmd_simulate,
-    "sample": cmd_sample,
-    "estimate": cmd_estimate,
-}
+_COMMANDS = {name: spec[0] for name, spec in _SUBCOMMANDS.items()}
 
 
 def run(argv):

@@ -11,12 +11,11 @@ hard cap on the number of distinct atoms.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, TooManyAtomsError, UndefinedBitError
-from .terms import Name
+from .terms import Name, token_pattern, tokenize
 
 ATOM_CAP = 24
 
@@ -261,68 +260,59 @@ def satisfiable(b):
 # Concrete syntax: T, F, name.index, !b, b & c, b | c, parentheses.
 
 
+_FORMULA_TOKENS = token_pattern(
+    ("sym", r"[()!&|]"),
+    ("const", r"[TF](?!\w)"),
+    ("atom", r"[a-z][a-zA-Z0-9_'~]*\.[0-9]+"),
+)
+
+
 def parse_formula(text):
-    pos = 0
+    """Parse an event formula; `!` binds tighter than `&`, and `&` tighter
+    than `|`.  Each parenthesis level costs one interpreter frame."""
+    toks = tokenize(_FORMULA_TOKENS, text)
+    i = 0
 
-    def skip_ws(p):
-        while p < len(text) and text[p].isspace():
-            p += 1
-        return p
-
-    def parse_or(p):
-        left, p = parse_and(p)
+    def disjunction():
+        # negated operands joined by & and |
+        nonlocal i
+        out = conj = None
         while True:
-            p = skip_ws(p)
-            if p < len(text) and text[p] == "|":
-                right, p = parse_and(p + 1)
-                left = Or(left, right)
+            start = i
+            while toks[i][1] == "!":
+                i += 1
+            nots = i - start
+            kind, val, pos = toks[i]
+            i += 1
+            if kind == "atom":
+                name, _, index = val.partition(".")
+                operand = Atom(Name(name), int(index))
+            elif kind == "const":
+                operand = TOP if val == "T" else BOT
+            elif val == "(":
+                operand = disjunction()
+                if toks[i][1] != ")":
+                    raise ParseError("expected ')'", toks[i][2])
+                i += 1
+            elif kind == "eof":
+                raise ParseError("unexpected end of formula", pos)
             else:
-                return left, p
+                raise ParseError(f"unexpected character {text[pos]!r} in formula", pos)
+            for _ in range(nots):
+                operand = Not(operand)
+            conj = operand if conj is None else And(conj, operand)
+            op = toks[i][1]
+            if op == "|":
+                out = conj if out is None else Or(out, conj)
+                conj = None
+            elif op != "&":
+                return conj if out is None else Or(out, conj)
+            i += 1
 
-    def parse_and(p):
-        left, p = parse_not(p)
-        while True:
-            p = skip_ws(p)
-            if p < len(text) and text[p] == "&":
-                right, p = parse_not(p + 1)
-                left = And(left, right)
-            else:
-                return left, p
-
-    def parse_not(p):
-        p = skip_ws(p)
-        if p < len(text) and text[p] == "!":
-            arg, p = parse_not(p + 1)
-            return Not(arg), p
-        return parse_atom(p)
-
-    def parse_atom(p):
-        p = skip_ws(p)
-        if p >= len(text):
-            raise ParseError("unexpected end of formula", p)
-        ch = text[p]
-        if ch == "(":
-            inner, p = parse_or(p + 1)
-            p = skip_ws(p)
-            if p >= len(text) or text[p] != ")":
-                raise ParseError("expected ')'", p)
-            return inner, p + 1
-        if ch == "T" and not _ident_continues(p + 1):
-            return TOP, p + 1
-        if ch == "F" and not _ident_continues(p + 1):
-            return BOT, p + 1
-        m = re.match(r"([a-z][a-zA-Z0-9_'~]*)\.([0-9]+)", text[p:])
-        if m:
-            return Atom(Name(m.group(1)), int(m.group(2))), p + m.end()
-        raise ParseError(f"unexpected character {ch!r} in formula", p)
-
-    def _ident_continues(p):
-        return p < len(text) and (text[p].isalnum() or text[p] == "_")
-
-    out, p = parse_or(0)
-    p = skip_ws(p)
-    if p != len(text):
-        raise ParseError("trailing input in formula", p)
+    out = disjunction()
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise ParseError("trailing input in formula", pos)
     return out
 
 

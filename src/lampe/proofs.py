@@ -11,7 +11,6 @@ inlining substitution, and the mixing rule permutes past every other rule.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -29,7 +28,6 @@ from .formulas import (
     formula_names,
     measure,
     parse_formula,
-    parse_rational,
     print_formula,
 )
 from .rewrite import PE_BRACES, apply_rule_at
@@ -43,10 +41,13 @@ from .terms import (
     Var,
     alpha_eq,
     print_term,
+    token_pattern,
+    tokenize,
 )
 from .typesys import (
     Arrow,
     CBV,
+    COUNT_TOKEN,
     Counted,
     Judgement,
     O,
@@ -58,6 +59,7 @@ from .typesys import (
     _shape,
     _side,
     check_derivation,
+    count_exponent,
     strip_prefix,
     wrap_prefix,
 )
@@ -89,52 +91,53 @@ class Count(Formula):
     body: Formula
 
 
+_PROOF_FORMULA_TOKENS = token_pattern(
+    COUNT_TOKEN, ("var", "[a-zA-Z][a-zA-Z0-9_]*"), ("sym", "->|[()]")
+)
+
+
 def parse_proof_formula(text):
-    pos = [0]
-    n = len(text)
+    """Parse a counting propositional formula; `->` associates to the right.
+    Arrows and quantifier prefixes are read in loops, and each parenthesis
+    level costs one interpreter frame."""
+    toks = tokenize(_PROOF_FORMULA_TOKENS, text)
+    i = 0
 
-    def skip():
-        while pos[0] < n and text[pos[0]].isspace():
-            pos[0] += 1
+    def implication():
+        nonlocal i
+        parts = []
+        while True:
+            counts = []
+            kind, val, pos = toks[i]
+            while kind == "count":
+                counts.append(count_exponent(val, pos))
+                i += 1
+                kind, val, pos = toks[i]
+            i += 1
+            if kind == "var":
+                out = PropVar(val)
+            elif val == "(":
+                out = implication()
+                if toks[i][1] != ")":
+                    raise ParseError("expected ')'", toks[i][2])
+                i += 1
+            else:
+                raise ParseError("expected a propositional variable", pos)
+            for q in reversed(counts):
+                out = Count(q, out)
+            parts.append(out)
+            if toks[i][1] != "->":
+                break
+            i += 1
+        out = parts.pop()
+        while parts:
+            out = Implies(parts.pop(), out)
+        return out
 
-    def parse_impl():
-        left = parse_prefix()
-        skip()
-        if text.startswith("->", pos[0]):
-            pos[0] += 2
-            return Implies(left, parse_impl())
-        return left
-
-    def parse_prefix():
-        skip()
-        if text.startswith("C[", pos[0]):
-            pos[0] += 2
-            close = text.index("]", pos[0])
-            q = parse_rational(text[pos[0] : close])
-            pos[0] = close + 1
-            return Count(q, parse_prefix())
-        return parse_atom()
-
-    def parse_atom():
-        skip()
-        if pos[0] < n and text[pos[0]] == "(":
-            pos[0] += 1
-            out = parse_impl()
-            skip()
-            if pos[0] >= n or text[pos[0]] != ")":
-                raise ParseError("expected ')'", pos[0])
-            pos[0] += 1
-            return out
-        m = re.match(r"[a-zA-Z][a-zA-Z0-9_]*", text[pos[0] :])
-        if not m:
-            raise ParseError("expected a propositional variable", pos[0])
-        pos[0] += m.end()
-        return PropVar(m.group(0))
-
-    out = parse_impl()
-    skip()
-    if pos[0] != n:
-        raise ParseError("trailing input in formula", pos[0])
+    out = implication()
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise ParseError("trailing input in formula", pos)
     return out
 
 

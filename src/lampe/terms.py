@@ -468,138 +468,38 @@ _ABBREVIATIONS = {
 }
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._lex()
-        self.i = 0
-
-    def _lex(self):
-        text = self.text
-        pos = 0
-        n = len(text)
-        while pos < n:
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos >= n:
-                break
-            ch = text[pos]
-            if text.startswith("(+", pos):
-                m = re.match(r"\(\+([a-z][a-zA-Z0-9_'~]*)\.([0-9]+)\)", text[pos:])
-                if not m:
-                    raise ParseError("malformed choice operator", pos)
-                self.tokens.append(("choice", (m.group(1), int(m.group(2))), pos))
-                pos += m.end()
-                continue
-            if ch == "\\":
-                self.tokens.append(("lam", None, pos))
-                pos += 1
-                continue
-            if ch == ".":
-                self.tokens.append(("dot", None, pos))
-                pos += 1
-                continue
-            if ch == "(":
-                self.tokens.append(("lpar", None, pos))
-                pos += 1
-                continue
-            if ch == ")":
-                self.tokens.append(("rpar", None, pos))
-                pos += 1
-                continue
-            if ch == "{":
-                self.tokens.append(("lbrace", None, pos))
-                pos += 1
-                continue
-            if ch == "}":
-                self.tokens.append(("rbrace", None, pos))
-                pos += 1
-                continue
-            if text.startswith("#c", pos):
-                self.tokens.append(("const", None, pos))
-                pos += 2
-                continue
-            m = re.match(r"[a-z][a-zA-Z0-9_'~]*", text[pos:])
-            if m:
-                word = m.group(0)
-                kind = "nu" if word == "nu" else "ident"
-                self.tokens.append((kind, word, pos))
-                pos += m.end()
-                continue
-            m = re.match(r"[A-Z][A-Z0-9_]*|2", text[pos:])
-            if m:
-                self.tokens.append(("abbrev", m.group(0), pos))
-                pos += m.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", pos)
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[0]}", tok[2])
-        return tok
+def token_pattern(*groups):
+    """One grammar's tokens as one compiled alternation: `groups` are
+    `(kind, regex)` pairs, tried in order, none of which matches whitespace.
+    A non-space character that no group matches is a token of kind "?"."""
+    alternatives = "".join(f"(?P<{kind}>{regex})|" for kind, regex in groups)
+    return re.compile(rf"{alternatives}(\S)")
 
 
-def parse_term(text):
-    """Parse the ASCII term grammar.  Abbreviations: I, OMEGA, 2."""
-    lx = _Lexer(text)
-    t = _parse_term(lx)
-    tok = lx.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input at {tok[0]}", tok[2])
-    return t
+def tokenize(pattern, text):
+    """The `(kind, text, position)` tokens of `text` under `pattern`, in one
+    pass, closed by an `eof` token at len(text).  Whitespace separates
+    tokens: no match starts on it, so the search skips it."""
+    end = len(text)  # first, so a non-text input fails alike in every grammar
+    out = [(m.lastgroup or "?", m.group(), m.start()) for m in pattern.finditer(text)]
+    out.append(("eof", "", end))
+    return out
 
 
-def _parse_term(lx):
-    kind, val, pos = lx.peek()
-    if kind == "lam":
-        lx.next()
-        name = lx.expect("ident")[1]
-        lx.expect("dot")
-        return Lam(name, _parse_term(lx))
-    if kind == "nu":
-        lx.next()
-        name = lx.expect("ident")[1]
-        lx.expect("dot")
-        return Nu(Name(name), _parse_term(lx))
-    return _parse_choice(lx)
-
-
-def _parse_choice(lx):
-    t = _parse_app(lx)
-    while lx.peek()[0] == "choice":
-        _, (name, idx), _ = lx.next()
-        u = _parse_app(lx)
-        t = Choice(t, u, Name(name), idx)
-    return t
-
-
-def _parse_app(lx):
-    t = _parse_atom(lx)
-    while True:
-        kind = lx.peek()[0]
-        if kind in ("ident", "const", "lpar", "lbrace", "abbrev", "lam", "nu"):
-            if isinstance(t, _BraceFun):
-                t = CbvApp(t.fun, _parse_atom(lx))
-            else:
-                t = App(t, _parse_atom(lx))
-        else:
-            break
-    if isinstance(t, _BraceFun):
-        raise ParseError("CbV function {t} must be applied", lx.peek()[2])
-    return t
+_TERM_TOKENS = token_pattern(
+    ("choice", r"\(\+[a-z][a-zA-Z0-9_'~]*\.[0-9]+\)"),
+    ("badchoice", r"\(\+"),
+    ("lam", r"\\"),
+    ("dot", r"\."),
+    ("lpar", r"\("),
+    ("rpar", r"\)"),
+    ("lbrace", r"\{"),
+    ("rbrace", r"\}"),
+    ("const", "#c"),
+    ("nu", r"nu(?![a-zA-Z0-9_'~])"),
+    ("ident", r"[a-z][a-zA-Z0-9_'~]*"),
+    ("abbrev", r"[A-Z][A-Z0-9_]*|2"),
+)
 
 
 @dataclass(frozen=True)
@@ -607,33 +507,93 @@ class _BraceFun(Term):
     fun: Term
 
 
-def _parse_atom(lx):
-    kind, val, pos = lx.next()
-    if kind == "ident":
-        return Var(val)
-    if kind == "const":
-        return CONST
-    if kind == "abbrev":
-        if val not in _ABBREVIATIONS:
-            raise ParseError(f"unknown abbreviation {val}", pos)
-        return _ABBREVIATIONS[val]
-    if kind == "lpar":
-        t = _parse_term(lx)
-        lx.expect("rpar")
+def parse_term(text):
+    """Parse the ASCII term grammar.  Abbreviations: I, OMEGA, 2.
+
+    Binders are read in a loop, and each parenthesis or brace level costs
+    one interpreter frame.  A character outside the grammar is reported
+    before any error of structure, wherever it occurs."""
+    toks = tokenize(_TERM_TOKENS, text)
+    i = 0
+
+    def term():
+        # binders* (application (choice application)*)
+        nonlocal i
+        binders = []
+        kind = toks[i][0]
+        while kind == "lam" or kind == "nu":
+            var = toks[i + 1]
+            if var[0] != "ident":
+                raise ParseError(f"expected ident, found {var[0]}", var[2])
+            dot = toks[i + 2]
+            if dot[0] != "dot":
+                raise ParseError(f"expected dot, found {dot[0]}", dot[2])
+            binders.append((kind, var[1]))
+            i += 3
+            kind = toks[i][0]
+        t = label = None
+        while True:
+            app = None
+            while True:
+                kind, val, pos = toks[i]
+                if kind == "ident":
+                    i += 1
+                    atom = Var(val)
+                elif kind == "lpar" or kind == "lbrace":
+                    i += 1
+                    atom = term()
+                    close = "rpar" if kind == "lpar" else "rbrace"
+                    if toks[i][0] != close:
+                        raise ParseError(
+                            f"expected {close}, found {toks[i][0]}", toks[i][2]
+                        )
+                    i += 1
+                    if kind == "lbrace":
+                        atom = _BraceFun(atom)
+                elif kind == "lam" or kind == "nu":
+                    atom = term()
+                elif kind == "const":
+                    i += 1
+                    atom = CONST
+                elif kind == "abbrev":
+                    if val not in _ABBREVIATIONS:
+                        raise ParseError(f"unknown abbreviation {val}", pos)
+                    i += 1
+                    atom = _ABBREVIATIONS[val]
+                elif app is None:
+                    raise ParseError(f"unexpected token {kind}", pos)
+                else:
+                    break
+                if app is None:
+                    app = atom
+                elif isinstance(app, _BraceFun):
+                    app = CbvApp(app.fun, atom)
+                else:
+                    app = App(app, atom)
+            if isinstance(app, _BraceFun):
+                raise ParseError("CbV function {t} must be applied", pos)
+            t = app if t is None else Choice(t, app, Name(label), int(index))
+            if kind != "choice":
+                break
+            label, _, index = val[2:-1].partition(".")
+            i += 1
+        for kind, var in reversed(binders):
+            t = Lam(var, t) if kind == "lam" else Nu(Name(var), t)
         return t
-    if kind == "lbrace":
-        t = _parse_term(lx)
-        lx.expect("rbrace")
-        return _BraceFun(t)
-    if kind == "lam":
-        name = lx.expect("ident")[1]
-        lx.expect("dot")
-        return Lam(name, _parse_term(lx))
-    if kind == "nu":
-        name = lx.expect("ident")[1]
-        lx.expect("dot")
-        return Nu(Name(name), _parse_term(lx))
-    raise ParseError(f"unexpected token {kind}", pos)
+
+    try:
+        t = term()
+        kind, _, pos = toks[i]
+        if kind != "eof":
+            raise ParseError(f"trailing input at {kind}", pos)
+    except (ParseError, RecursionError):
+        for kind, val, pos in toks:
+            if kind == "badchoice":
+                raise ParseError("malformed choice operator", pos) from None
+            if kind == "?":
+                raise ParseError(f"unexpected character {val!r}", pos) from None
+        raise
+    return t
 
 
 def print_term(t):

@@ -11,7 +11,6 @@ may quote an equivalent formula.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -55,6 +54,8 @@ from .terms import (
     parse_term,
     print_term,
     substitute,
+    token_pattern,
+    tokenize,
 )
 
 CN = "cn"
@@ -122,78 +123,73 @@ def print_type(t):
     raise TypeError(t)
 
 
+# `C[q]` up to the first `]`; without one, the token runs to the end of the
+# text and is reported as unterminated
+COUNT_TOKEN = ("count", r"C\[[^\]]*\]?")
+
+_TYPE_TOKENS = token_pattern(
+    COUNT_TOKEN, ("ground", r"(?:hn|n|o)\b"), ("sym", r"=>|[()\[\],]")
+)
+
+
+def count_exponent(token, pos):
+    """The rational `q` of a `C[q]` token found at `pos`."""
+    if not token.endswith("]"):
+        raise ParseError("unterminated 'C['", pos)
+    return parse_rational(token[2:-1])
+
+
 def parse_type(text):
-    pos = [0]
-    n = len(text)
+    """Parse a counting type.  Each arrow or multiset level costs one
+    interpreter frame; a quantifier prefix costs none."""
+    toks = tokenize(_TYPE_TOKENS, text)
+    i = 0
 
-    def skip():
-        while pos[0] < n and text[pos[0]].isspace():
-            pos[0] += 1
+    def typ():
+        nonlocal i
+        counts = []
+        kind, val, pos = toks[i]
+        while kind == "count":
+            counts.append(count_exponent(val, pos))
+            i += 1
+            kind, val, pos = toks[i]
+        i += 1
+        if kind == "ground":
+            out = Ground(val)
+        elif val == "(":
+            dom = typ()
+            if toks[i][1] != "=>":
+                raise ParseError("expected '=>'", toks[i][2])
+            i += 1
+            cod = typ()
+            if toks[i][1] != ")":
+                raise ParseError("expected ')'", toks[i][2])
+            i += 1
+            out = Arrow(dom, cod)
+        elif val == "[":
+            items = []
+            sep = toks[i][1]
+            if sep == "]":
+                i += 1
+            while sep != "]":
+                items.append(typ())
+                _, sep, pos = toks[i]
+                i += 1
+                if sep != "," and sep != "]":
+                    raise ParseError("expected ',' or ']' in multiset", pos)
+            out = mk_mset(items)
+        elif kind == "eof":
+            raise ParseError("unexpected end of type", pos)
+        else:
+            raise ParseError(f"unexpected character {text[pos]!r} in type", pos)
+        for q in reversed(counts):
+            out = Counted(q, out)
+        return out
 
-    def parse():
-        skip()
-        if text.startswith("C[", pos[0]):
-            pos[0] += 2
-            close = text.index("]", pos[0])
-            q = parse_rational(text[pos[0] : close])
-            pos[0] = close + 1
-            return Counted(q, parse())
-        return parse_atom()
-
-    def parse_atom():
-        skip()
-        if pos[0] >= n:
-            raise ParseError("unexpected end of type", pos[0])
-        ch = text[pos[0]]
-        if ch == "(":
-            pos[0] += 1
-            dom = parse_arg()
-            skip()
-            if not text.startswith("=>", pos[0]):
-                raise ParseError("expected '=>'", pos[0])
-            pos[0] += 2
-            cod = parse()
-            skip()
-            if pos[0] >= n or text[pos[0]] != ")":
-                raise ParseError("expected ')'", pos[0])
-            pos[0] += 1
-            return Arrow(dom, cod)
-        if ch == "[":
-            return parse_mset()
-        m = re.match(r"(hn|n|o)\b", text[pos[0] :])
-        if m:
-            pos[0] += m.end()
-            return Ground(m.group(1))
-        raise ParseError(f"unexpected character {ch!r} in type", pos[0])
-
-    def parse_mset():
-        pos[0] += 1  # consume '['
-        items = []
-        skip()
-        if pos[0] < n and text[pos[0]] == "]":
-            pos[0] += 1
-            return mk_mset(items)
-        while True:
-            items.append(parse())
-            skip()
-            if pos[0] < n and text[pos[0]] == ",":
-                pos[0] += 1
-                continue
-            if pos[0] < n and text[pos[0]] == "]":
-                pos[0] += 1
-                return mk_mset(items)
-            raise ParseError("expected ',' or ']' in multiset", pos[0])
-
-    def parse_arg():
-        skip()
-        if pos[0] < n and text[pos[0]] == "[":
-            return parse_mset()
-        return parse()
-
-    out = parse()
-    skip()
-    if pos[0] != n:
-        raise ParseError("trailing input in type", pos[0])
+    out = typ()
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise ParseError("trailing input in type", pos)
     return out
 
 
@@ -486,10 +482,7 @@ def _check_node(d, system):
     _check_judgement_wf(j, system)
     for p in d.premises:
         _check_node(p, system)
-    checker = _RULE_CHECKERS.get(d.rule)
-    if checker is None:
-        raise RuleShapeError(f"unknown rule {d.rule}")
-    checker(d, system)
+    _RULE_CHECKERS[d.rule](d, system)
 
 
 def _same_env(j, p):

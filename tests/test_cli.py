@@ -260,6 +260,61 @@ def test_numeric_derivation_side_value_is_a_schema_error(capsys, tmp_path):
     assert code == 1 and err.startswith("E_SCHEMA") and "Traceback" not in err
 
 
+def _first_node_with_context(blob):
+    stack = [blob]
+    while stack:
+        node = stack.pop()
+        if node["judgement"]["ctx"]:
+            return node
+        stack.extend(node["premises"])
+    raise AssertionError("no node has a context")
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        ("C[1/2 o", "E_SYNTAX: unterminated 'C[' (at position 0)\n"),
+        ("(o => o", "E_SYNTAX: expected ')' (at position 7)\n"),
+    ],
+    ids=["unterminated-count", "unclosed-arrow"],
+)
+def test_malformed_context_type_is_a_syntax_error(capsys, tmp_path, bad, expected):
+    blob = derivation_to_json(church_two_cbv_derivation())
+    ctx = _first_node_with_context(blob)["judgement"]["ctx"]
+    ctx[0] = [ctx[0][0], bad]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "check", "--system", "cbv", str(path))
+    assert (code, out, err) == (1, "", expected)
+
+
+def test_unterminated_count_in_a_proof_is_a_syntax_error(capsys, tmp_path):
+    blob = proof_to_json(half_id_proof())
+    blob["sequent"]["formula"] = "C[1/2 A"
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert (code, out, err) == (1, "", "E_SYNTAX: unterminated 'C[' (at position 0)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "--fuel", "5", "I"),
+        ("hnv", "--json", "--fuel", "10", "I"),
+        ("check-proof", "--json", "PROOF"),
+    ],
+    ids=["parse-fuel", "hnv-json", "check-proof-json"],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, tmp_path, argv):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(proof_to_json(half_id_proof())))
+    argv = [str(path) if arg == "PROOF" else arg for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = invoke(capsys, "check-proof", "/nonexistent/p.json")
     assert code == 1 and "E_INPUT" in err
@@ -326,8 +381,8 @@ def _write_with_side(tmp_path, blob, rule, key, value):
 )
 def test_other_side_forms_are_schema_errors(capsys, tmp_path, rule, key, value):
     path = _write_with_side(tmp_path, proof_to_json(half_id_proof()), rule, key, value)
-    for command in ("check-proof", "normalize-proof"):
-        code, out, err = invoke(capsys, command, "--json", path)
+    for argv in (("check-proof", path), ("normalize-proof", "--json", path)):
+        code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("E_SCHEMA: malformed input (") and "Traceback" not in err
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lampe.errors import TooManyAtomsError, UndefinedBitError
+from lampe.errors import ParseError, TooManyAtomsError, UndefinedBitError
 from lampe.formulas import (
     And,
     Atom,
@@ -79,6 +79,26 @@ def test_entails_examples():
     assert entails(
         parse_formula("a.0"), parse_formula("(a.0 & a.0) | (!a.0 & F)")
     )
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("a.0 &", "unexpected end of formula", 5),
+        ("", "unexpected end of formula", 0),
+        ("(a.0 | b.1", "expected ')'", 10),
+        ("a.0 b.0", "trailing input in formula", 4),
+        ("T.0", "trailing input in formula", 1),
+        ("Tx", "unexpected character 'T' in formula", 0),
+        ("a.x", "unexpected character 'a' in formula", 0),
+        ("!)", "unexpected character ')' in formula", 1),
+        ("a.0 & | b.0", "unexpected character '|' in formula", 6),
+    ],
+)
+def test_formula_parse_error_table(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert (info.value.message, info.value.position) == (message, position)
 
 
 def test_formula_roundtrip():

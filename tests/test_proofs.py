@@ -12,7 +12,12 @@ from helpers import (
     proof_fixture_corpus,
     random_proof,
 )
-from lampe.errors import IllFormedError, RuleShapeError, SideConditionError
+from lampe.errors import (
+    IllFormedError,
+    ParseError,
+    RuleShapeError,
+    SideConditionError,
+)
 from lampe.formulas import And, Atom, BOT, Not, TOP, parse_formula
 from lampe.proofs import (
     Count,
@@ -41,6 +46,24 @@ def test_formula_parse_print():
     for text in ["A", "A -> B", "C[1/2] (A -> A)", "C[1/2] C[1/2] A", "(A -> B) -> C"]:
         f = parse_proof_formula(text)
         assert parse_proof_formula(print_proof_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("A ->", "expected a propositional variable", 4),
+        ("-> A", "expected a propositional variable", 0),
+        ("", "expected a propositional variable", 0),
+        ("(A -> B", "expected ')'", 7),
+        ("A B", "trailing input in formula", 2),
+        ("C[1/2 A", "unterminated 'C['", 0),
+        ("C[1/2] (A -> C[1", "unterminated 'C['", 13),
+    ],
+)
+def test_proof_formula_parse_error_table(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_proof_formula(text)
+    assert (info.value.message, info.value.position) == (message, position)
 
 
 def test_half_id_checks():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lampe.errors import ParseError, UndefinedBitError
+from lampe.formulas import parse_formula
+from lampe.proofs import parse_proof_formula
 from lampe.rewrite import contains_cbv
 from lampe.terms import (
     App,
@@ -28,6 +30,7 @@ from lampe.terms import (
     shape_hash,
     substitute,
 )
+from lampe.typesys import parse_type
 
 a = Name("a")
 b = Name("b")
@@ -55,6 +58,69 @@ def test_parse_errors_have_positions():
         parse_term("(\\x. x")
     with pytest.raises(ParseError):
         parse_term("{\\x.x}")  # unapplied CbV function
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(\\x. x", "expected rpar, found eof", 6),
+        ("{\\x.x}", "CbV function {t} must be applied", 6),
+        ("{f} (+a.0) g", "CbV function {t} must be applied", 4),
+        ("\\x x", "expected dot, found ident", 3),
+        ("\\. x", "expected ident, found dot", 1),
+        ("nu nu. x", "expected ident, found nu", 3),
+        ("x )", "trailing input at rpar", 2),
+        ("x (+a.0)", "unexpected token eof", 8),
+        ("", "unexpected token eof", 0),
+        ("FOO", "unknown abbreviation FOO", 0),
+        ("x (+a.b) y", "malformed choice operator", 2),
+        ("x 3", "unexpected character '3'", 2),
+        # a character outside the grammar is reported before the bad ')'
+        (") $", "unexpected character '$'", 2),
+    ],
+)
+def test_term_parse_error_table(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_term(text)
+    assert (info.value.message, info.value.position) == (message, position)
+
+
+def _nesting_depth(node):
+    """Length of the longest chain of dataclass fields below `node`,
+    measured without recursion."""
+    depth, frontier = 0, [node]
+    while frontier:
+        depth += 1
+        frontier = [
+            child
+            for parent in frontier
+            for child in vars(parent).values()
+            if hasattr(child, "__dataclass_fields__")
+        ]
+    return depth
+
+
+@pytest.mark.parametrize(
+    "parse, text, depth",
+    [
+        (parse_term, "\\x. " * 900 + "x", 901),
+        (parse_term, "nu a. " * 900 + "x", 901),
+        (parse_term, "(" * 240 + "x y" + ")" * 240, 2),
+        (parse_formula, "(" * 240 + "a.0 & b.0" + ")" * 240, 2),
+        (parse_type, "(o => " * 480 + "o" + ")" * 480, 481),
+        (parse_proof_formula, "A -> " * 900 + "A", 901),
+    ],
+    ids=[
+        "lambdas",
+        "nu-binders",
+        "term-parentheses",
+        "formula-parentheses",
+        "type-arrows",
+        "proof-arrows",
+    ],
+)
+def test_parsers_survive_deep_nesting(parse, text, depth):
+    assert _nesting_depth(parse(text)) == depth
 
 
 def test_abbreviations():

@@ -25,6 +25,7 @@ from helpers import (
     reference_mu_star,
 )
 from lampe.errors import (
+    ParseError,
     PreconditionError,
     RuleShapeError,
     SideConditionError,
@@ -34,6 +35,8 @@ from lampe.formulas import And, Atom, Not, Or, TOP, parse_formula, satisfiable
 from lampe.proofs import proof_from_json, proof_to_json
 from lampe.terms import Name, Nu, Var, parse_term
 from lampe.typesys import (
+    RULES_BY_SYSTEM,
+    _RULE_CHECKERS,
     Arrow,
     CBV,
     CN,
@@ -76,6 +79,36 @@ def test_type_parse_print_roundtrip():
     ]:
         t = parse_type(text)
         assert parse_type(print_type(t)) == t
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(o => o", "expected ')'", 7),
+        ("(o o)", "expected '=>'", 3),
+        ("C[1/2] (o", "expected '=>'", 9),
+        ("[o o]", "expected ',' or ']' in multiset", 3),
+        ("[o,", "unexpected end of type", 3),
+        ("", "unexpected end of type", 0),
+        ("x", "unexpected character 'x' in type", 0),
+        ("on", "unexpected character 'o' in type", 0),
+        ("=> o", "unexpected character '=' in type", 0),
+        ("o o", "trailing input in type", 2),
+        ("C[1/2 o", "unterminated 'C['", 0),
+        ("(o => C[1", "unterminated 'C['", 6),
+    ],
+)
+def test_type_parse_error_table(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_type(text)
+    assert (info.value.message, info.value.position) == (message, position)
+
+
+def test_bad_rational_in_closed_count_keeps_its_error():
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_type("C[x] o")
+    with pytest.raises(ZeroDivisionError):
+        parse_type("C[1/0] o")
 
 
 def test_subtype_written_clause_direction():
@@ -186,6 +219,11 @@ def test_corpus_checks():
     for d in cn_fixture_corpus():
         check_derivation(d, CN)
     check_derivation(two_name_exact_bound_derivation(), INT)
+
+
+def test_every_rule_of_a_system_has_a_checker():
+    rules = set().union(*RULES_BY_SYSTEM.values())
+    assert rules <= set(_RULE_CHECKERS)
 
 
 def test_system_mismatch():
