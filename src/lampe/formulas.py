@@ -1,16 +1,25 @@
 """Named Boolean formulas and their exact measure on the product Cantor space.
 
 Atoms are (name, index) pairs; each atom is an independent fair bit, so the
-measure of a formula is the probability that it holds.  Every query compiles
-its operands into a fresh reduced ordered binary decision diagram (Bryant
-1986) over the atoms that actually occur, ordered by (name text, index), and
+measure of a formula is the probability that it holds.  A query compiles its
+operands into a reduced ordered binary decision diagram (Bryant 1986) and
 reads the answer off the diagram: the measure is a weighted model count,
-entailment and equivalence are node identities.  Queries are guarded by a
-hard cap on the number of distinct atoms.
+entailment and equivalence are node identities.  Each query is guarded by a
+hard cap on the number of distinct atoms in its operands.
+
+A standalone query builds a fresh diagram over its own atoms, ordered by
+(name text, index).  A function wrapped in `_one_manager` (the derivation and
+proof checkers, mu-star and transport) instead answers every query made
+during its call from one shared manager (Brace, Rudell & Bryant 1990): its
+unique table, its `and`/`not` memos and a compiled-formula memo serve all of
+that call's queries, and the manager is dropped when the outermost such call
+returns or raises.
 """
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,21 +133,23 @@ def _check_cap(atom_set):
 
 
 class _BDD:
-    """A reduced ordered BDD private to one query.
+    """A reduced ordered BDD manager.
 
     Nodes are ints: 0 and 1 are the terminals, every other node is an index
     into the parallel `_level`/`_low`/`_high` lists.  The unique table keeps
-    the diagram reduced, so two formulas over this instance denote the same
-    function iff they compile to the same node.  The variable order is
-    (name text, index), which does not depend on interning history.
+    the diagram reduced, so two formulas compiled by one manager denote the
+    same function iff they compile to the same node.  A manager made for one
+    query orders its atoms by (name text, index), which does not depend on
+    interning history; `_SharedBDD` lets atoms join as they are met.  Each
+    diagram is canonical for its manager's order, so no answer depends on
+    which order that is.
     """
 
     def __init__(self, atom_set):
-        _check_cap(atom_set)
         order = sorted(atom_set, key=lambda ni: (ni[0].text, ni[1]))
         self._var_level = {atom: i for i, atom in enumerate(order)}
-        terminal = len(order)  # below every variable
-        self._level = [terminal, terminal]
+        # the operations return before they would read a terminal's level
+        self._level = [None, None]
         self._low = [0, 1]
         self._high = [0, 1]
         self._unique = {}
@@ -235,25 +246,83 @@ class _BDD:
         return Fraction(count(u), 1 << n)
 
 
+class _Levels(dict):
+    """Variable levels of a shared manager: an atom met for the first time
+    takes the next level, below every atom met before it."""
+
+    def __missing__(self, atom):
+        level = self[atom] = len(self)
+        return level
+
+
+class _SharedBDD(_BDD):
+    """The manager of one `_one_manager` call, shared by all its queries.
+
+    Its unique table and its `and`/`not` memos serve every query, and
+    `build` remembers each compiled formula by identity.  The memo holds the
+    formula itself next to its node, so while the manager lives no other
+    formula can take over a remembered `id`."""
+
+    def __init__(self):
+        super().__init__(())
+        self._var_level = _Levels()
+        self._built = {}
+
+    def build(self, b):
+        hit = self._built.get(id(b))
+        if hit is None:
+            hit = self._built[id(b)] = (b, _BDD.build(self, b))
+        return hit[1]
+
+
+_OPEN = ContextVar("lampe_open_bdd_manager", default=None)
+
+
+def _one_manager(fn):
+    """Answer every oracle query made during a call of `fn` from one shared
+    manager.  A call made while a manager is open joins it; the outermost
+    call drops it when it returns or raises."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _OPEN.get() is not None:
+            return fn(*args, **kwargs)
+        token = _OPEN.set(_SharedBDD())
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _OPEN.reset(token)
+
+    return call
+
+
+def _manager(atom_set):
+    """The manager for one query whose operands use `atom_set`: the open
+    shared one, else a fresh one.  The cap applies to the query alone."""
+    _check_cap(atom_set)
+    bdd = _OPEN.get()
+    return _BDD(atom_set) if bdd is None else bdd
+
+
 def measure(b):
     """Exact measure of the event denoted by b, as a Fraction."""
-    bdd = _BDD(atoms(b))
+    bdd = _manager(atoms(b))
     return bdd.weight(bdd.build(b))
 
 
 def entails(b, c):
     """True iff every assignment satisfying b satisfies c."""
-    bdd = _BDD(atoms(b) | atoms(c))
+    bdd = _manager(atoms(b) | atoms(c))
     return bdd.conj(bdd.build(b), bdd.neg(bdd.build(c))) == 0
 
 
 def equivalent(b, c):
-    bdd = _BDD(atoms(b) | atoms(c))
+    bdd = _manager(atoms(b) | atoms(c))
     return bdd.build(b) == bdd.build(c)
 
 
 def satisfiable(b):
-    return _BDD(atoms(b)).build(b) != 0
+    return _manager(atoms(b)).build(b) != 0
 
 
 # ---------------------------------------------------------------------------

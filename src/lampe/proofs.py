@@ -23,6 +23,7 @@ from .formulas import (
     BoolFormula,
     Not,
     Or,
+    _one_manager,
     entails,
     equivalent,
     formula_names,
@@ -185,6 +186,7 @@ class ProofDerivation:
     __post_init__ = _freeze_side
 
 
+@_one_manager
 def check_proof(p):
     """Validate every rule application; returns the root sequent."""
     _check_proof_node(p)
@@ -192,6 +194,10 @@ def check_proof(p):
 
 
 def _check_proof_node(p):
+    # a node that passed is marked and not checked again (see
+    # typesys._check_node); a failed check leaves no mark
+    if "_checked" in p.__dict__:
+        return
     for q in p.premises:
         _check_proof_node(q)
     s = p.sequent
@@ -273,6 +279,7 @@ def _check_proof_node(p):
         )
     else:
         raise RuleShapeError(f"unknown proof rule {p.rule}")
+    p.__dict__["_checked"] = True
 
 
 def _pivot_atom(p):

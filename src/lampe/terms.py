@@ -540,6 +540,8 @@ def parse_term(text):
                     i += 1
                     atom = Var(val)
                 elif kind == "lpar" or kind == "lbrace":
+                    if kind == "lbrace" and app is not None:
+                        raise ParseError("CbV function {t} cannot be an argument", pos)
                     i += 1
                     atom = term()
                     close = "rpar" if kind == "lpar" else "rbrace"

@@ -14,7 +14,7 @@ reassembled around the transformed pieces.
 from __future__ import annotations
 
 from .errors import NotPnfError, UnsupportedStepError
-from .formulas import And, Atom, Not
+from .formulas import And, Atom, Not, _one_manager
 from .proofs import rename_formula_names
 from .rewrite import apply_rule_at
 from .terms import (
@@ -652,6 +652,7 @@ def _reapply(term, rule, path, mode):
         _unsupported(str(exc))
 
 
+@_one_manager
 def transport_subject_reduction(d, step, mode="pe-braces"):
     """Rebuild a checked CbV derivation for the reduct of a one-step
     reduction of d's subject, with an identical judgement."""

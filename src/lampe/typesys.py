@@ -11,6 +11,7 @@ may quote an equivalent formula.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -29,6 +30,7 @@ from .formulas import (
     BoolFormula,
     Not,
     TOP,
+    _one_manager,
     conj,
     disj,
     entails,
@@ -132,11 +134,18 @@ _TYPE_TOKENS = token_pattern(
 )
 
 
+# `q` in `C[q]`: ASCII `n` or `n/d`
+_EXPONENT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def count_exponent(token, pos):
     """The rational `q` of a `C[q]` token found at `pos`."""
     if not token.endswith("]"):
         raise ParseError("unterminated 'C['", pos)
-    return parse_rational(token[2:-1])
+    m = _EXPONENT.fullmatch(token, 2, len(token) - 1)
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise ParseError(f"expected n or n/d with d > 0 in {token!r}", pos)
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def parse_type(text):
@@ -467,6 +476,7 @@ def _check_judgement_wf(j, system):
     validate_type(j.type, system)
 
 
+@_one_manager
 def check_derivation(d, system):
     """Validate every node of the derivation; returns the root judgement."""
     if system not in RULES_BY_SYSTEM:
@@ -476,6 +486,13 @@ def check_derivation(d, system):
 
 
 def _check_node(d, system):
+    # A node that passed under `system` is not checked again: nodes are
+    # frozen and their side data is read-only, so the verdict cannot change.
+    # The mark lives outside the dataclass fields, where `==`, `repr` and
+    # the JSON encoder do not see it, and a failed check leaves none.
+    checked = d.__dict__.get("_checked_under", ())
+    if system in checked:
+        return
     if d.rule not in RULES_BY_SYSTEM[system]:
         raise SystemMismatchError(f"rule {d.rule} does not belong to {system}")
     j = d.judgement
@@ -483,6 +500,7 @@ def _check_node(d, system):
     for p in d.premises:
         _check_node(p, system)
     _RULE_CHECKERS[d.rule](d, system)
+    d.__dict__["_checked_under"] = checked + (system,)
 
 
 def _same_env(j, p):
@@ -789,6 +807,7 @@ _RULE_CHECKERS = {
 # The admissible generalized counting rule
 
 
+@_one_manager
 def apply_mu_star(d, order=None):
     """Discharge every name of the root judgement at once, scaling the
     counting exponent by the exact measure of the root constraint.

@@ -20,6 +20,7 @@ from lampe.terms import (
     Var,
 )
 from lampe.typesys import (
+    _RULE_CHECKERS,
     Arrow,
     Counted,
     Judgement,
@@ -53,6 +54,32 @@ def S(ctx, constraint, formula):
 
 def P(rule, sequent, premises=(), side=None):
     return ProofDerivation(rule, sequent, tuple(premises), side or {})
+
+
+def record_rule_checks(monkeypatch):
+    """Wrap every typing-rule checker so that each call appends the node it
+    checks to the returned list."""
+    checked = []
+    for rule, checker in list(_RULE_CHECKERS.items()):
+
+        def counted(d, system, checker=checker):
+            checked.append(d)
+            return checker(d, system)
+
+        monkeypatch.setitem(_RULE_CHECKERS, rule, counted)
+    return checked
+
+
+def tree_nodes(d):
+    """The distinct node objects of a derivation or proof tree."""
+    seen = {}
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.premises)
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,16 @@ def test_entails(capsys):
     assert out.strip() == "false"
 
 
+@pytest.mark.parametrize("text", ["{a} {b} c", "f {b}"])
+def test_braced_argument_is_a_syntax_error(capsys, text):
+    code, out, err = invoke(capsys, "parse", text)
+    position = text.index("{", 1)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"E_SYNTAX: CbV function {{t}} cannot be an argument (at position {position})\n"
+    )
+
+
 def test_parse_roundtrip(capsys):
     code, out, _ = invoke(capsys, "parse", r"\x.\y. x (+a.0) y")
     assert code == 0 and out.strip() == r"\x. \y. x (+a.0) y"
@@ -275,8 +285,16 @@ def _first_node_with_context(blob):
     [
         ("C[1/2 o", "E_SYNTAX: unterminated 'C[' (at position 0)\n"),
         ("(o => o", "E_SYNTAX: expected ')' (at position 7)\n"),
+        (
+            "C[1/0] o",
+            "E_SYNTAX: expected n or n/d with d > 0 in 'C[1/0]' (at position 0)\n",
+        ),
+        (
+            "C[-1/2] o",
+            "E_SYNTAX: expected n or n/d with d > 0 in 'C[-1/2]' (at position 0)\n",
+        ),
     ],
-    ids=["unterminated-count", "unclosed-arrow"],
+    ids=["unterminated-count", "unclosed-arrow", "zero-denominator", "signed-count"],
 )
 def test_malformed_context_type_is_a_syntax_error(capsys, tmp_path, bad, expected):
     blob = derivation_to_json(church_two_cbv_derivation())

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lampe.errors import ParseError, TooManyAtomsError, UndefinedBitError
+import lampe.formulas as fm
+from lampe.errors import (
+    ParseError,
+    SideConditionError,
+    TooManyAtomsError,
+    UndefinedBitError,
+)
 from lampe.formulas import (
     And,
     Atom,
@@ -12,6 +18,7 @@ from lampe.formulas import (
     Not,
     Or,
     TOP,
+    _one_manager,
     atoms,
     conj,
     disj,
@@ -178,3 +185,95 @@ def test_measure_superset_independence(f):
     # adding an unused atom does not change the measure
     padded = Or(And(f, Atom(Name("zpad"), 0)), And(f, Not(Atom(Name("zpad"), 0))))
     assert measure(padded) == measure(f)
+
+
+def _answers(f, g):
+    return measure(f), satisfiable(f), entails(f, g), equivalent(f, g)
+
+
+def _table_answers(f, g):
+    rows = [(eval_formula(f, v), eval_formula(g, v)) for v in truth_table(f, g)]
+    agree = all(x == y for x, y in rows)
+    return (
+        Fraction(sum(x for x, _ in rows), len(rows)),
+        any(x for x, _ in rows),
+        all(y for x, y in rows if x),
+        agree,
+    )
+
+
+_TEMPORARIES = (
+    lambda f, g: And(f, g),
+    lambda f, g: Or(f, g),
+    lambda f, g: And(f, Not(g)),
+    lambda f, g: Not(And(g, f)),
+)
+
+
+def _pair_queries(pairs, answers):
+    # each temporary is dropped right after its queries, so that its id is
+    # free for the next one
+    out = []
+    for f, g in pairs:
+        out.append(answers(f, g))
+        for make in _TEMPORARIES:
+            out.append(answers(make(f, g), g))
+    return out
+
+
+@given(st.lists(wide_formulas, min_size=2, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_shared_manager_matches_standalone_queries(fs):
+    pairs = list(zip(fs, fs[1:]))
+    expected = _pair_queries(pairs, _table_answers)
+    assert _pair_queries(pairs, _answers) == expected
+
+    @_one_manager
+    def shared():
+        assert isinstance(fm._OPEN.get(), fm._SharedBDD)
+        # the second round reads formulas and nodes the first one left
+        return _pair_queries(pairs, _answers), _pair_queries(pairs, _answers)
+
+    assert shared() == (expected, expected)
+    assert fm._OPEN.get() is None
+
+
+def test_shared_manager_caps_each_query_not_the_total():
+    @_one_manager
+    def queries():
+        left = conj(Atom(a, i) for i in range(20))
+        right = conj(Atom(b, i) for i in range(20))
+        assert measure(left) == Fraction(1, 2**20)
+        assert entails(right, Atom(b, 19))
+        assert len(fm._OPEN.get()._var_level) == 40
+        with pytest.raises(TooManyAtomsError):
+            measure(conj(Atom(Name("c"), i) for i in range(25)))
+        with pytest.raises(TooManyAtomsError):
+            entails(left, right)
+        return measure(right)
+
+    assert queries() == Fraction(1, 2**20)
+    assert fm._OPEN.get() is None
+
+
+def test_no_manager_stays_open_after_a_raise():
+    from helpers import D, J
+    from lampe.terms import parse_term
+    from lampe.typesys import CBV, Arrow, O, check_derivation
+
+    bad = D("or", J((), {a}, parse_term("OMEGA"), parse_formula("a.0"), Arrow(O, O)))
+    with pytest.raises(SideConditionError):
+        check_derivation(bad, CBV)
+    assert fm._OPEN.get() is None
+
+    @_one_manager
+    def fails():
+        opened = fm._OPEN.get()
+        assert opened is not None
+        inner = _one_manager(fm._OPEN.get)()  # a nested call joins
+        assert inner is opened
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        fails()
+    assert fm._OPEN.get() is None

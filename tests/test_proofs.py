@@ -11,6 +11,7 @@ from helpers import (
     half_id_proof,
     proof_fixture_corpus,
     random_proof,
+    tree_nodes,
 )
 from lampe.errors import (
     IllFormedError,
@@ -58,6 +59,10 @@ def test_formula_parse_print():
         ("A B", "trailing input in formula", 2),
         ("C[1/2 A", "unterminated 'C['", 0),
         ("C[1/2] (A -> C[1", "unterminated 'C['", 13),
+        ("C[1/0] A", "expected n or n/d with d > 0 in 'C[1/0]'", 0),
+        ("A -> C[-1/2] A", "expected n or n/d with d > 0 in 'C[-1/2]'", 5),
+        ("C[ +1_0 / 2_0 ] A", "expected n or n/d with d > 0 in 'C[ +1_0 / 2_0 ]'", 0),
+        ("C[\u0661/\u0662] A", "expected n or n/d with d > 0 in 'C[\u0661/\u0662]'", 0),
     ],
 )
 def test_proof_formula_parse_error_table(text, message, position):
@@ -103,6 +108,35 @@ def test_bad_mixing_condition_rejected():
     )
     with pytest.raises(SideConditionError):
         check_proof(worse)
+
+
+def test_a_proof_is_checked_once(monkeypatch):
+    import lampe.proofs as proofs
+
+    shape_checks = []
+    shape = proofs._shape
+
+    def counted(cond, message):
+        shape_checks.append(message)
+        shape(cond, message)
+
+    # every proof rule makes at least one shape check
+    monkeypatch.setattr(proofs, "_shape", counted)
+    p = cut_proof()
+    check_proof(p)
+    assert shape_checks and len(tree_nodes(p)) > 1
+    shape_checks.clear()
+    assert check_proof(p) == p.sequent
+    assert shape_checks == []
+    # a node that failed is not marked: it fails alike on the next call
+    worse = P("m", S((A,), TOP, A), (p.premises[0], P("bot", S((A,), BOT, A))),
+              {"pivot": Atom(a, 0)})
+    errors = []
+    for _ in range(2):
+        with pytest.raises((SideConditionError, RuleShapeError)) as info:
+            check_proof(worse)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 def test_ci_freshness_condition():

@@ -66,6 +66,9 @@ def test_parse_errors_have_positions():
         ("(\\x. x", "expected rpar, found eof", 6),
         ("{\\x.x}", "CbV function {t} must be applied", 6),
         ("{f} (+a.0) g", "CbV function {t} must be applied", 4),
+        ("{a} {b} c", "CbV function {t} cannot be an argument", 4),
+        ("f {b}", "CbV function {t} cannot be an argument", 2),
+        ("{f} x {g} y", "CbV function {t} cannot be an argument", 6),
         ("\\x x", "expected dot, found ident", 3),
         ("\\. x", "expected ident, found dot", 1),
         ("nu nu. x", "expected ident, found nu", 3),

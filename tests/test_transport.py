@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from helpers import D, J, cbv_fixture_corpus, random_proof
+from helpers import (
+    D,
+    J,
+    cbv_fixture_corpus,
+    random_proof,
+    record_rule_checks,
+    tree_nodes,
+)
 from lampe.errors import UnsupportedStepError
 from lampe.formulas import And, Atom, Not, TOP
 from lampe.proofs import translate
@@ -41,6 +48,20 @@ def test_transport_chains():
                 if i == k % len(steps):
                     nxt = out
             d = nxt
+
+
+def test_a_transport_chase_checks_each_node_once(monkeypatch):
+    """Each transport checks its input and its output; in a chase the input
+    is the previous checked output, so no node is checked twice."""
+    checked = record_rule_checks(monkeypatch)
+    d, _ = cbv_fixture_corpus()[1]
+    chain = [d]
+    for _ in range(2):
+        s = step(chain[-1].judgement.term, PE_BRACES)[0]
+        chain.append(transport_subject_reduction(chain[-1], s, PE_BRACES))
+    assert len(chain) == 3
+    nodes = {id(n): n for deriv in chain for n in tree_nodes(deriv)}
+    assert sorted(map(id, checked)) == sorted(nodes)
 
 
 def test_transport_identity_redex():

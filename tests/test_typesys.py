@@ -22,7 +22,9 @@ from helpers import (
     correlated_pick_term,
     half_id_proof,
     int_identity,
+    record_rule_checks,
     reference_mu_star,
+    tree_nodes,
 )
 from lampe.errors import (
     ParseError,
@@ -96,19 +98,19 @@ def test_type_parse_print_roundtrip():
         ("o o", "trailing input in type", 2),
         ("C[1/2 o", "unterminated 'C['", 0),
         ("(o => C[1", "unterminated 'C['", 6),
+        # q is ASCII `n` or `n/d` with d > 0
+        ("C[x] o", "expected n or n/d with d > 0 in 'C[x]'", 0),
+        ("C[1/0] o", "expected n or n/d with d > 0 in 'C[1/0]'", 0),
+        ("C[-1/2] o", "expected n or n/d with d > 0 in 'C[-1/2]'", 0),
+        ("C[ +1_0 / 2_0 ] o", "expected n or n/d with d > 0 in 'C[ +1_0 / 2_0 ]'", 0),
+        ("C[\u0661/\u0662] o", "expected n or n/d with d > 0 in 'C[\u0661/\u0662]'", 0),
+        ("(o => C[1/] o)", "expected n or n/d with d > 0 in 'C[1/]'", 6),
     ],
 )
 def test_type_parse_error_table(text, message, position):
     with pytest.raises(ParseError) as info:
         parse_type(text)
     assert (info.value.message, info.value.position) == (message, position)
-
-
-def test_bad_rational_in_closed_count_keeps_its_error():
-    with pytest.raises(ValueError, match="invalid literal"):
-        parse_type("C[x] o")
-    with pytest.raises(ZeroDivisionError):
-        parse_type("C[1/0] o")
 
 
 def test_subtype_written_clause_direction():
@@ -232,6 +234,42 @@ def test_system_mismatch():
         check_derivation(d, CN)  # the mu rule is not a CN rule
 
 
+def test_an_accepted_derivation_is_checked_once(monkeypatch):
+    checked = record_rule_checks(monkeypatch)
+    d = church_two_cbv_derivation()
+    check_derivation(d, CBV)
+    assert len(checked) == len(tree_nodes(d))
+    assert check_derivation(d, CBV) == d.judgement
+    assert len(checked) == len(tree_nodes(d))
+    # the mark is outside the fields: equality, repr and JSON ignore it
+    fresh = church_two_cbv_derivation()
+    assert d == fresh and repr(d) == repr(fresh)
+    assert derivation_to_json(d) == derivation_to_json(fresh)
+
+
+def test_a_rejected_derivation_fails_alike_every_time(monkeypatch):
+    checked = record_rule_checks(monkeypatch)
+    j = J((), {A_}, parse_term("OMEGA"), parse_formula("a.0"), OO)
+    bad = D("lam", j, (coin_derivation(),))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RuleShapeError) as info:
+            check_derivation(bad, CBV)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    # the passing premise is checked once, the failing root every time
+    assert checked.count(bad) == 2
+    assert len(checked) == len(tree_nodes(bad)) + 1
+
+
+def test_a_cbv_check_does_not_count_under_int():
+    d = coin_derivation()
+    check_derivation(d, CBV)
+    with pytest.raises(SystemMismatchError):
+        check_derivation(d, INT)
+    check_derivation(d, CBV)
+
+
 def test_bad_measure_bound_rejected():
     d = coin_derivation()
     bad = TypingDerivation(
@@ -332,6 +370,16 @@ def _single_atom_premise():
         J((), names, ident.judgement.term, half_con, ident.judgement.type),
         (ident,),
     )
+
+
+def test_mu_star_checks_its_premise_once(monkeypatch):
+    checked = record_rule_checks(monkeypatch)
+    premise = _two_name_premise()
+    star = apply_mu_star(premise, order=[A_, B_])
+    for node in tree_nodes(premise):
+        assert sum(1 for n in checked if n is node) == 1
+    # every node of the result is checked once, the premise's included
+    assert sorted(map(id, checked)) == sorted(map(id, tree_nodes(star)))
 
 
 def test_mu_star_single_atom():
