@@ -23,6 +23,7 @@ from .errors import ModeViolationError, OpenNamesError, PreconditionError
 from .rewrite import (
     PE,
     PseudoValue,
+    _check_fuel,
     _head_redexes,
     classify_pnf,
     contains_cbv,
@@ -127,11 +128,6 @@ def hnv_mass(t, mode=PE):
         if is_hnv(term, mode):
             total += w
     return total
-
-
-def _check_fuel(fuel):
-    if fuel < 0:
-        raise PreconditionError("fuel must be >= 0")
 
 
 def hnv_lower_bound(t, fuel, mode=PE):

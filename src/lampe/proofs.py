@@ -31,7 +31,7 @@ from .formulas import (
     parse_formula,
     print_formula,
 )
-from .rewrite import PE_BRACES, apply_rule_at
+from .rewrite import PE_BRACES, _check_fuel, apply_rule_at
 from .terms import (
     App,
     CbvApp,
@@ -614,7 +614,9 @@ def normalize_step(p):
 def normalize_proof(p, max_steps=10000):
     """Leftmost-outermost normalization: (normal proof, steps taken).  The
     input and each new proof are checked once; a proof that still has a
-    redex after max_steps steps raises."""
+    redex after max_steps steps raises; a negative max_steps is a
+    precondition error."""
+    _check_fuel(max_steps)
     check_proof(p)
     steps = 0
     while True:
@@ -851,7 +853,9 @@ def _witness_steps(term, kind, pos):
 
 def verify_simulation(p, fuel=1000):
     """Check that every normalization step of p is matched by reduction on
-    the proof terms; failures become report entries."""
+    the proof terms; failures become report entries.  A negative fuel is a
+    precondition error."""
+    _check_fuel(fuel)
     check_proof(p)
     entries = []
     used = 0

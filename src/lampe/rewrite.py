@@ -9,6 +9,12 @@ before (b,j) when a's binder encloses b's binder at that position (free names
 count as outermost), with name text order breaking ties between free names,
 and index order within one name.
 
+Each rule is written once, in the rule table `_RULES_AT`: one function per
+node type lists the (rule, result) pairs that fire at a node of that type,
+in rule order, after deciding from the types of the node's children.  The
+redex scan dispatches once per node on its type, and `apply_rule_at` (and
+through it `transport`) takes its reducts from the same table.
+
 Leftmost-outermost reduction runs one pre-order scan.  A step at path p
 changes only the subtree at p and its ancestors, and no other node before p in
 pre-order held a redex, so the next scan re-checks those ancestors top-down
@@ -25,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import FuelError, ModeViolationError, NotPnfError, OpenNamesError
+from .errors import (
+    FuelError,
+    ModeViolationError,
+    NotPnfError,
+    OpenNamesError,
+    PreconditionError,
+)
 from .terms import (
     App,
     CbvApp,
@@ -106,6 +118,11 @@ def contains_cbv(t):
     return out
 
 
+def _check_fuel(fuel):
+    if fuel < 0:
+        raise PreconditionError("fuel must be >= 0")
+
+
 def _require_mode(t, mode):
     if mode not in (PE, PE_BRACES):
         raise ValueError(f"unknown mode {mode!r}")
@@ -124,94 +141,106 @@ def _pair_before(a, i, b, j, env):
     return a.text < b.text
 
 
-def _local_results(t, env, mode, include_beta, ordered):
-    """Rule applications available at the root of t.  Yields (rule, result).
-    With `ordered` false the plus-plus rules skip their ordering guard."""
-    braces = mode == PE_BRACES
-    if isinstance(t, Choice):
-        left, right, a, i = t.left, t.right, t.name, t.index
-        if alpha_eq(left, right):
-            yield "i", left
-        if isinstance(left, Choice) and left.name is a and left.index == i:
-            yield "c1", Choice(left.left, right, a, i)
-        if isinstance(right, Choice) and right.name is a and right.index == i:
-            yield "c2", Choice(left, right.right, a, i)
-        if (
-            isinstance(left, Choice)
-            and (left.name, left.index) != (a, i)
-            and (not ordered or _pair_before(left.name, left.index, a, i, env))
-        ):
-            b2, j2 = left.name, left.index
-            yield "plus-plus-1", Choice(
-                Choice(left.left, right, a, i),
-                Choice(left.right, right, a, i),
-                b2,
-                j2,
-            )
-        if (
-            isinstance(right, Choice)
-            and (right.name, right.index) != (a, i)
-            and (not ordered or _pair_before(right.name, right.index, a, i, env))
-        ):
-            b2, j2 = right.name, right.index
-            yield "plus-plus-2", Choice(
-                Choice(left, right.left, a, i),
-                Choice(left, right.right, a, i),
-                b2,
-                j2,
-            )
-    elif isinstance(t, Lam):
-        body = t.body
-        if isinstance(body, Choice):
-            yield "plus-lam", Choice(
-                Lam(t.var, body.left), Lam(t.var, body.right),
-                body.name, body.index,
-            )
-        if isinstance(body, Nu):
-            yield "nu-lam", Nu(body.name, Lam(t.var, body.body))
-    elif isinstance(t, App):
-        fun, arg = t.fun, t.arg
-        if isinstance(fun, Choice):
-            yield "plus-fun", Choice(
-                App(fun.left, arg), App(fun.right, arg), fun.name, fun.index
-            )
-        if isinstance(arg, Choice):
-            yield "plus-arg", Choice(
-                App(fun, arg.left), App(fun, arg.right), arg.name, arg.index
-            )
-        if isinstance(fun, Nu):
-            nu = fun
-            if nu.name in free_names(arg):
-                nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
-            yield "nu-fun", Nu(nu.name, App(nu.body, arg))
-        if include_beta and isinstance(fun, Lam):
-            yield "beta", substitute(fun.body, fun.var, arg)
-    elif isinstance(t, Nu):
-        body = t.body
-        if isinstance(body, Choice) and body.name is not t.name:
-            yield "plus-nu", Choice(
-                Nu(t.name, body.left), Nu(t.name, body.right),
-                body.name, body.index,
-            )
-        if mode == PE and t.name not in free_names(body):
-            yield "not-nu", body
-    elif braces and isinstance(t, CbvApp):
-        fun, arg = t.fun, t.arg
-        if isinstance(arg, Nu):
-            nu = arg
-            if nu.name in free_names(fun):
-                nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
-            yield "cbv-nu", Nu(nu.name, App(fun, nu.body))
-        if isinstance(fun, Choice):
-            yield "cbv-plus-1", Choice(
-                CbvApp(fun.left, arg), CbvApp(fun.right, arg),
-                fun.name, fun.index,
-            )
-        if isinstance(arg, Choice):
-            yield "cbv-plus-2", Choice(
-                CbvApp(fun, arg.left), CbvApp(fun, arg.right),
-                arg.name, arg.index,
-            )
+def _lift(c, around):
+    """The choice c with `around` put around each branch: the reduct of a
+    plus rule, which moves a context under a choice."""
+    return Choice(around(c.left), around(c.right), c.name, c.index)
+
+
+def _at_choice(t, env, mode, include_beta, ordered):
+    left, right, a, i = t.left, t.right, t.name, t.index
+    out = [("i", left)] if alpha_eq(left, right) else []
+    split_left = type(left) is Choice
+    split_right = type(right) is Choice
+    if split_left and left.name is a and left.index == i:
+        split_left = False
+        out.append(("c1", Choice(left.left, right, a, i)))
+    if split_right and right.name is a and right.index == i:
+        split_right = False
+        out.append(("c2", Choice(left, right.right, a, i)))
+    if split_left and (
+        not ordered or _pair_before(left.name, left.index, a, i, env)
+    ):
+        out.append(("plus-plus-1", _lift(left, lambda u: Choice(u, right, a, i))))
+    if split_right and (
+        not ordered or _pair_before(right.name, right.index, a, i, env)
+    ):
+        out.append(("plus-plus-2", _lift(right, lambda u: Choice(left, u, a, i))))
+    return out
+
+
+def _at_lam(t, env, mode, include_beta, ordered):
+    body = t.body
+    if type(body) is Choice:
+        return (("plus-lam", _lift(body, lambda u: Lam(t.var, u))),)
+    if type(body) is Nu:
+        return (("nu-lam", Nu(body.name, Lam(t.var, body.body))),)
+    return ()
+
+
+def _at_app(t, env, mode, include_beta, ordered):
+    fun, arg = t.fun, t.arg
+    out = []
+    if type(fun) is Choice:
+        out.append(("plus-fun", _lift(fun, lambda u: App(u, arg))))
+    if type(arg) is Choice:
+        out.append(("plus-arg", _lift(arg, lambda u: App(fun, u))))
+    if type(fun) is Nu:
+        nu = fun
+        if nu.name in free_names(arg):
+            nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
+        out.append(("nu-fun", Nu(nu.name, App(nu.body, arg))))
+    elif include_beta and type(fun) is Lam:
+        out.append(("beta", substitute(fun.body, fun.var, arg)))
+    return out
+
+
+def _at_nu(t, env, mode, include_beta, ordered):
+    body = t.body
+    out = []
+    if type(body) is Choice and body.name is not t.name:
+        out.append(("plus-nu", _lift(body, lambda u: Nu(t.name, u))))
+    if mode == PE and t.name not in free_names(body):
+        out.append(("not-nu", body))
+    return out
+
+
+def _at_cbv_app(t, env, mode, include_beta, ordered):
+    if mode != PE_BRACES:
+        return ()
+    fun, arg = t.fun, t.arg
+    out = []
+    if type(arg) is Nu:
+        nu = arg
+        if nu.name in free_names(fun):
+            nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
+        out.append(("cbv-nu", Nu(nu.name, App(fun, nu.body))))
+    if type(fun) is Choice:
+        out.append(("cbv-plus-1", _lift(fun, lambda u: CbvApp(u, arg))))
+    if type(arg) is Choice:
+        out.append(("cbv-plus-2", _lift(arg, lambda u: CbvApp(fun, u))))
+    return out
+
+
+def _at_leaf(t, env, mode, include_beta, ordered):
+    return ()
+
+
+# `_RULES_AT[type(t)](t, env, mode, include_beta, ordered)` lists the
+# (rule, result) pairs that fire at the root of t, in rule order; it is empty
+# when none does.  `env` maps the enclosing nu-names to their depths, and
+# with `ordered` false the plus-plus rules skip their ordering guard.
+_RULES_AT = {
+    Choice: _at_choice,
+    Lam: _at_lam,
+    App: _at_app,
+    Nu: _at_nu,
+    CbvApp: _at_cbv_app,
+    Var: _at_leaf,
+    Const: _at_leaf,
+}
+
+_LEAVES = frozenset((Var, Const))
 
 
 def _redexes(root, mode, include_beta, start=(), top=0):
@@ -221,25 +250,32 @@ def _redexes(root, mode, include_beta, start=(), top=0):
     stack = []
     t, env = root, {}
     for depth, i in enumerate(start):
-        for rule, result in _local_results(t, env, mode, include_beta, True):
+        for rule, result in _RULES_AT[type(t)](t, env, mode, include_beta, True):
             yield rule, start[:depth], result
         kids = children(t)
-        if isinstance(t, Nu):
+        if type(t) is Nu:
             env = {**env, t.name: depth}
         elif i == 0 and depth >= top and len(kids) == 2:
             stack.append((kids[1], start[:depth] + (1,), env, depth + 1))
         t = kids[i]
     stack.append((t, start, env, len(start)))
+    push = stack.append
     while stack:
         t, path, env, depth = stack.pop()
-        for rule, result in _local_results(t, env, mode, include_beta, True):
+        kind = type(t)
+        for rule, result in _RULES_AT[kind](t, env, mode, include_beta, True):
             yield rule, path, result
-        if isinstance(t, Nu):
-            env = {**env, t.name: depth}
-        kids = children(t)
-        for i in range(len(kids) - 1, -1, -1):
-            if not isinstance(kids[i], (Var, Const)):
-                stack.append((kids[i], path + (i,), env, depth + 1))
+        if kind is Lam or kind is Nu:
+            if kind is Nu:
+                env = {**env, t.name: depth}
+            if type(t.body) not in _LEAVES:
+                push((t.body, path + (0,), env, depth + 1))
+        elif kind not in _LEAVES:
+            first, second = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
+            if type(second) not in _LEAVES:
+                push((second, path + (1,), env, depth + 1))
+            if type(first) not in _LEAVES:
+                push((first, path + (0,), env, depth + 1))
 
 
 def _lo_steps(t, mode, include_beta, start=()):
@@ -391,7 +427,7 @@ def apply_rule_at(t, rule, path, mode=PE):
     The ordering guard of the plus-plus rules is skipped (callers replay
     steps that already fired in context)."""
     sub = subterm_at(t, path)
-    for r, result in _local_results(sub, {}, mode, include_beta=True, ordered=False):
+    for r, result in _RULES_AT[type(sub)](sub, {}, mode, True, False):
         if r == rule:
             return replace_at(t, path, result)
     raise NotPnfError(f"rule {rule} does not apply at path {path}")
@@ -399,12 +435,14 @@ def apply_rule_at(t, rule, path, mode=PE):
 
 def reduce_term(t, mode=PE, strategy="full", fuel=1000):
     """Fuel-bounded driver.  `full` takes the leftmost-outermost redex of the
-    full reduction; `head` follows head_step."""
+    full reduction; `head` follows head_step.  A negative fuel is a
+    precondition error."""
+    _check_fuel(fuel)
     _require_mode(t, mode)
     if strategy not in ("full", "head"):
         raise ValueError(f"unknown strategy {strategy!r}")
     steps = _lo_steps(t, mode, True) if strategy == "full" else _head_steps(t, mode)
-    trace = list(islice(steps, max(fuel, 0)))
+    trace = list(islice(steps, fuel))
     t = trace[-1].after if trace else t
     more = len(trace) >= fuel and next(steps, None) is not None
     return ReduceOutcome(t, trace, exhausted=more)

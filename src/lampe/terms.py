@@ -6,9 +6,10 @@ are rigid: alpha_eq never renames them, and substitution only freshens a
 nu-binder when it would otherwise capture a free name of the substituted
 term.
 
-Structural facts (`free_names`, `shape_hash`, `canonical_str`) are memoized
-on the node itself, outside its dataclass fields, so they live and die with
-it.
+Structural facts (`free_names`, `free_vars`, `shape_hash`, `canonical_str`)
+are memoized on the node itself, outside its dataclass fields, so they live
+and die with it.  `free_vars` keeps no entry on a variable leaf, and a node
+whose free variables are those of a child shares the child's frozenset.
 """
 
 from __future__ import annotations
@@ -149,13 +150,32 @@ def replace_at(t, path, new):
 
 
 def free_vars(t):
-    if isinstance(t, Var):
-        return {t.var}
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    out = set()
-    for c in children(t):
-        out |= free_vars(c)
+    """The free lambda variables of t, as a frozenset.  A leaf builds its
+    own; any other node keeps its set, and a node whose set equals a child's
+    shares that child's set."""
+    kind = type(t)
+    if kind is Var:
+        return frozenset((t.var,))
+    if kind is Const:
+        return frozenset()
+    out = t.__dict__.get("_free_vars")
+    if out is not None:
+        return out
+    if kind is Lam:
+        out = free_vars(t.body)
+        if t.var in out:
+            out = out - {t.var}
+    elif kind is Nu:
+        out = free_vars(t.body)
+    else:
+        first, second = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
+        out = free_vars(first)
+        rest = free_vars(second)
+        if out <= rest:
+            out = rest
+        elif not rest <= out:
+            out = out | rest
+    t.__dict__["_free_vars"] = out
     return out
 
 
@@ -340,6 +360,8 @@ def substitute(t, x, u):
     When x occurs several times and u carries generators, the second and
     later copies get variant-renamed binders, so the duplicated scopes stay
     distinct."""
+    if x not in free_vars(t):
+        return t
     duplicating = bool(count_free_occurrences(t, x) > 1 and bound_names(u))
     return substitute_indexed(t, x, u, 0, duplicating)
 

@@ -10,6 +10,7 @@ from lampe.proofs import (
     PropVar,
     Sequent,
 )
+from lampe.rewrite import PE, PE_BRACES
 from lampe.terms import (
     App,
     CbvApp,
@@ -18,6 +19,12 @@ from lampe.terms import (
     Name,
     Nu,
     Var,
+    alpha_eq,
+    free_names,
+    fresh_name,
+    parse_term,
+    rename_bound_name,
+    substitute,
 )
 from lampe.typesys import (
     _RULE_CHECKERS,
@@ -353,8 +360,6 @@ def worked_example_derivation():
 
 def cbv_fixture_corpus():
     """Closed CBV fixtures: (derivation, reduction mode) pairs."""
-    from lampe.rewrite import PE, PE_BRACES
-
     return [
         (identity_derivation(), PE),
         (coin_derivation(), PE),
@@ -976,7 +981,6 @@ def reference_mu_star(d, order=None):
 def _reference_nf_rec(t, budget):
     from lampe.distribution import _spine_args, _tree_leaf_weights
     from lampe.rewrite import classify_pnf, head_step, is_hnv, pnf
-    from lampe.terms import alpha_eq
 
     def spend(n):
         budget[0] += n
@@ -1026,7 +1030,7 @@ _REFERENCE_ADVANCE_CAP = 2000
 
 def _reference_advance(t, cache):
     from lampe.rewrite import head_step, pnf
-    from lampe.terms import alpha_eq, canonical_str
+    from lampe.terms import canonical_str
 
     key = canonical_str(t)
     if key in cache:
@@ -1116,15 +1120,145 @@ def reference_estimate_hnv(t, samples, fuel, seed):
 
 
 # ---------------------------------------------------------------------------
+# Closed terms with closed-form masses
+
+
+def _church(n):
+    return "\\s.\\z. " + "s (" * n + "z" + ")" * n
+
+
+def termination_terms(n):
+    """The termination families at size n: coin iteration (mass 1/2^n) with
+    its coin in both branch orders, a fair pick between I and it, and n
+    rounds of "x or I" from OMEGA (mass 1 - 1/2^n) in both orders."""
+    coin_iter = [
+        f"({_church(n)}) (\\y. nu a. {keep} (+a.0) {drop}) I"
+        for keep, drop in (("y", "OMEGA"), ("OMEGA", "y"))
+    ]
+    half_plus = f"nu b. I (+b.0) ({coin_iter[0]})"
+    pick_arg = [
+        f"({_church(n)}) (\\y. (\\x. nu a. {keep} (+a.0) {drop}) y) OMEGA"
+        for keep, drop in (("x", "I"), ("I", "x"))
+    ]
+    return [parse_term(text) for text in coin_iter + [half_plus] + pick_arg]
+
+
+# ---------------------------------------------------------------------------
+# Reference rules: the generator that listed the rule applications at a node
+# before the rule table, kept as it was so the table is compared against an
+# independent copy
+
+
+def _pair_before(a, i, b, j, env):
+    """The ordering side condition of the plus-plus rules."""
+    if a is b:
+        return i < j
+    da = env.get(a, -1)
+    db = env.get(b, -1)
+    if da != db:
+        return da < db
+    return a.text < b.text
+
+
+def reference_local_results(t, env, mode, include_beta, ordered):
+    """Rule applications available at the root of t.  Yields (rule, result).
+    With `ordered` false the plus-plus rules skip their ordering guard."""
+    braces = mode == PE_BRACES
+    if isinstance(t, Choice):
+        left, right, a, i = t.left, t.right, t.name, t.index
+        if alpha_eq(left, right):
+            yield "i", left
+        if isinstance(left, Choice) and left.name is a and left.index == i:
+            yield "c1", Choice(left.left, right, a, i)
+        if isinstance(right, Choice) and right.name is a and right.index == i:
+            yield "c2", Choice(left, right.right, a, i)
+        if (
+            isinstance(left, Choice)
+            and (left.name, left.index) != (a, i)
+            and (not ordered or _pair_before(left.name, left.index, a, i, env))
+        ):
+            b2, j2 = left.name, left.index
+            yield "plus-plus-1", Choice(
+                Choice(left.left, right, a, i),
+                Choice(left.right, right, a, i),
+                b2,
+                j2,
+            )
+        if (
+            isinstance(right, Choice)
+            and (right.name, right.index) != (a, i)
+            and (not ordered or _pair_before(right.name, right.index, a, i, env))
+        ):
+            b2, j2 = right.name, right.index
+            yield "plus-plus-2", Choice(
+                Choice(left, right.left, a, i),
+                Choice(left, right.right, a, i),
+                b2,
+                j2,
+            )
+    elif isinstance(t, Lam):
+        body = t.body
+        if isinstance(body, Choice):
+            yield "plus-lam", Choice(
+                Lam(t.var, body.left), Lam(t.var, body.right),
+                body.name, body.index,
+            )
+        if isinstance(body, Nu):
+            yield "nu-lam", Nu(body.name, Lam(t.var, body.body))
+    elif isinstance(t, App):
+        fun, arg = t.fun, t.arg
+        if isinstance(fun, Choice):
+            yield "plus-fun", Choice(
+                App(fun.left, arg), App(fun.right, arg), fun.name, fun.index
+            )
+        if isinstance(arg, Choice):
+            yield "plus-arg", Choice(
+                App(fun, arg.left), App(fun, arg.right), arg.name, arg.index
+            )
+        if isinstance(fun, Nu):
+            nu = fun
+            if nu.name in free_names(arg):
+                nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
+            yield "nu-fun", Nu(nu.name, App(nu.body, arg))
+        if include_beta and isinstance(fun, Lam):
+            yield "beta", substitute(fun.body, fun.var, arg)
+    elif isinstance(t, Nu):
+        body = t.body
+        if isinstance(body, Choice) and body.name is not t.name:
+            yield "plus-nu", Choice(
+                Nu(t.name, body.left), Nu(t.name, body.right),
+                body.name, body.index,
+            )
+        if mode == PE and t.name not in free_names(body):
+            yield "not-nu", body
+    elif braces and isinstance(t, CbvApp):
+        fun, arg = t.fun, t.arg
+        if isinstance(arg, Nu):
+            nu = arg
+            if nu.name in free_names(fun):
+                nu = rename_bound_name(nu, fresh_name(nu.name, fun, arg))
+            yield "cbv-nu", Nu(nu.name, App(fun, nu.body))
+        if isinstance(fun, Choice):
+            yield "cbv-plus-1", Choice(
+                CbvApp(fun.left, arg), CbvApp(fun.right, arg),
+                fun.name, fun.index,
+            )
+        if isinstance(arg, Choice):
+            yield "cbv-plus-2", Choice(
+                CbvApp(fun, arg.left), CbvApp(fun, arg.right),
+                arg.name, arg.index,
+            )
+
+
+# ---------------------------------------------------------------------------
 # Reference leftmost-outermost loop for the resumed scan
 
 
 def _reference_first_redex(t, mode, include_beta):
-    from lampe.rewrite import _local_results
     from lampe.terms import children
 
     def go(t, path, env, depth):
-        for rule, result in _local_results(t, env, mode, include_beta, True):
+        for rule, result in reference_local_results(t, env, mode, include_beta, True):
             return rule, path, result
         if isinstance(t, Nu):
             env = {**env, t.name: depth}
@@ -1162,9 +1296,6 @@ def reference_pnf(t, mode, include_beta=False, fuel=None):
 
 
 def _reference_head_redex_in_value(t, path, mode):
-    from lampe.rewrite import PE_BRACES
-    from lampe.terms import substitute
-
     if isinstance(t, Lam):
         return _reference_head_redex_in_value(t.body, path + (0,), mode)
     if isinstance(t, App):
@@ -1218,7 +1349,7 @@ def reference_hnv_lower_bound(t, fuel, mode):
     whole terms.  Returns (value, fuel_used, exact)."""
     from lampe.distribution import hnv_mass
     from lampe.rewrite import pnf
-    from lampe.terms import alpha_eq, replace_at
+    from lampe.terms import replace_at
 
     def head_round(t, limit):
         applied = [0]

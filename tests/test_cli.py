@@ -363,10 +363,25 @@ def test_deep_input_reports_depth(capsys):
         ("nf", "--fuel", "-5", "I"),
         ("sample", "--fuel", "-1", "I"),
         ("estimate", "--fuel", "-1", "I"),
+        ("reduce", "--fuel", "-1", r"(\x.x) y"),
+        ("normalize-proof", "--fuel", "-1", "CUT"),
+        ("simulate", "--fuel", "-1", "CUT"),
     ],
-    ids=["estimate-samples", "hnv-fuel", "nf-fuel", "sample-fuel", "estimate-fuel"],
+    ids=[
+        "estimate-samples",
+        "hnv-fuel",
+        "nf-fuel",
+        "sample-fuel",
+        "estimate-fuel",
+        "reduce-fuel",
+        "normalize-proof-fuel",
+        "simulate-fuel",
+    ],
 )
-def test_bad_budget_is_a_precondition_error(capsys, argv):
+def test_bad_budget_is_a_precondition_error(capsys, tmp_path, argv):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(proof_to_json(cut_proof())))
+    argv = [str(path) if arg == "CUT" else arg for arg in argv]
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("E_PRECONDITION: ")

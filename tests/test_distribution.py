@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import termination_terms
 from lampe.distribution import (
     distribution,
     estimate_hnv,
@@ -194,26 +195,6 @@ def test_delta_case_on_random_pseudo_values():
     assert seen >= 20
 
 
-def _church(n):
-    return "\\s.\\z. " + "s (" * n + "z" + ")" * n
-
-
-def _termination_terms(n):
-    """The termination families at size n: coin iteration (mass 1/2^n) with
-    its coin in both branch orders, a fair pick between I and it, and n
-    rounds of "x or I" from OMEGA (mass 1 - 1/2^n) in both orders."""
-    coin_iter = [
-        f"({_church(n)}) (\\y. nu a. {keep} (+a.0) {drop}) I"
-        for keep, drop in (("y", "OMEGA"), ("OMEGA", "y"))
-    ]
-    half_plus = f"nu b. I (+b.0) ({coin_iter[0]})"
-    pick_arg = [
-        f"({_church(n)}) (\\y. (\\x. nu a. {keep} (+a.0) {drop}) y) OMEGA"
-        for keep, drop in (("x", "I"), ("I", "x"))
-    ]
-    return [parse_term(text) for text in coin_iter + [half_plus] + pick_arg]
-
-
 _FIXED_TERMS = [
     "nu a. I (+a.0) OMEGA",
     "OMEGA",
@@ -232,7 +213,7 @@ def _driver_inputs():
     from helpers import random_term
     from lampe.terms import free_names
 
-    terms = [t for n in range(1, 5) for t in _termination_terms(n)]
+    terms = [t for n in range(1, 5) for t in termination_terms(n)]
     terms += [parse_term(text) for text in _FIXED_TERMS]
     rng = random.Random(29)
     for _ in range(200):
@@ -324,7 +305,7 @@ def test_segment_hint_matches_the_restarting_loop(monkeypatch):
         return result, trace
 
     monkeypatch.setattr(dist, "pnf", checked_pnf)
-    terms = [t for n in range(1, 6) for t in _termination_terms(n)]
+    terms = [t for n in range(1, 6) for t in termination_terms(n)]
     terms += [parse_term(text) for text in _FIXED_TERMS + [_STEPS_ABOVE_THE_HINT]]
     for t in terms:
         for fuel in (60, 400, 1000):
@@ -346,7 +327,7 @@ def test_head_walk_matches_the_recursive_finder():
         random_term(rng, rng.randrange(3, 16), [], [], allow_cbv=i % 3 == 0)
         for i in range(150)
     ]
-    terms += [t for n in range(1, 5) for t in _termination_terms(n)]
+    terms += [t for n in range(1, 5) for t in termination_terms(n)]
     compared = 0
     for t in terms:
         for mode in (PE_BRACES,) if contains_cbv(t) else (PE, PE_BRACES):

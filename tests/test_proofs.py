@@ -16,6 +16,7 @@ from helpers import (
 from lampe.errors import (
     IllFormedError,
     ParseError,
+    PreconditionError,
     RuleShapeError,
     SideConditionError,
 )
@@ -171,6 +172,19 @@ def test_normalize_proof_step_cap_is_inclusive():
     assert steps == 6 and normalize_step(normal) is None
     with pytest.raises(IllFormedError, match="did not finish in 5 steps"):
         normalize_proof(cut_proof(), max_steps=5)
+
+
+def test_negative_proof_budgets_are_precondition_errors():
+    # a negative cap used to disable the bound, and a negative simulation
+    # fuel reported zero steps as a pass
+    with pytest.raises(PreconditionError, match="fuel must be >= 0"):
+        normalize_proof(cut_proof(), max_steps=-1)
+    with pytest.raises(PreconditionError, match="fuel must be >= 0"):
+        verify_simulation(cut_proof(), fuel=-1)
+    # zero stays a valid budget
+    with pytest.raises(IllFormedError, match="did not finish in 0 steps"):
+        normalize_proof(cut_proof(), max_steps=0)
+    assert verify_simulation(cut_proof(), fuel=0).entries == []
 
 
 def test_normal_proof_has_no_step():

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from lampe.errors import FuelError, ModeViolationError, NotPnfError, OpenNamesError
+from lampe.errors import (
+    FuelError,
+    ModeViolationError,
+    NotPnfError,
+    OpenNamesError,
+    PreconditionError,
+)
 from lampe.rewrite import (
     PE,
     first_step,
@@ -29,6 +35,7 @@ from lampe.terms import (
     Nu,
     Var,
     alpha_eq,
+    children,
     parse_term,
     print_term,
     replace_at,
@@ -144,6 +151,12 @@ def test_reduce_zero_fuel():
     t = parse_term("OMEGA")
     out = reduce_term(t, PE, "full", 0)
     assert out.term == t and out.trace == [] and out.exhausted
+
+
+@pytest.mark.parametrize("strategy", ["full", "head"])
+def test_reduce_negative_fuel_is_a_precondition_error(strategy):
+    with pytest.raises(PreconditionError, match="fuel must be >= 0"):
+        reduce_term(parse_term(r"(\x. x) y"), PE, strategy, -1)
 
 
 def test_reduce_cbn_reaches_four_branch_pnf():
@@ -449,6 +462,72 @@ def test_resumed_scan_matches_the_restarting_loop():
             assert (out.term, trace, out.exhausted) == reference_pnf(t, mode, True, 500)
             compared += 1
     assert compared >= 2 * (1000 + len(joins))
+
+
+def _nodes_in_scope(t):
+    """Every node of t with the map from its enclosing nu-names to their
+    depths, as the scan passes it to the rules."""
+    out = []
+    stack = [(t, {}, 0)]
+    while stack:
+        t, env, depth = stack.pop()
+        out.append((t, env))
+        if isinstance(t, Nu):
+            env = {**env, t.name: depth}
+        stack.extend((c, env, depth + 1) for c in children(t))
+    return out
+
+
+_ALL_RULES = {
+    "i", "c1", "c2", "plus-plus-1", "plus-plus-2", "plus-lam", "nu-lam",
+    "plus-fun", "plus-arg", "nu-fun", "beta", "plus-nu", "not-nu",
+    "cbv-nu", "cbv-plus-1", "cbv-plus-2",
+}
+
+
+def test_rule_table_matches_the_reference_rules():
+    """At every node of seeded random terms (open and closed, with CbV and
+    without), of the termination families, and of the terms along their
+    leftmost-outermost reductions, the rule table lists the (rule, result)
+    pairs of the frozen reference generator, in its order, in both modes,
+    with and without beta, with and without the ordering guard."""
+    from helpers import (
+        random_affine_term,
+        random_term,
+        reference_local_results,
+        termination_terms,
+    )
+    from lampe.rewrite import _RULES_AT, contains_cbv
+
+    rng = random.Random(4242)
+    b = Name("b")
+    seeds = [
+        random_term(rng, rng.randrange(3, 25), [a, b][: i % 3], [], allow_cbv=i % 2 == 0)
+        for i in range(240)
+    ]
+    seeds += [random_affine_term(random.Random(7000 + i), 20, [], []) for i in range(60)]
+    seeds += [t for n in range(1, 4) for t in termination_terms(n)]
+    terms = []
+    for t in seeds:
+        mode = PE_BRACES if contains_cbv(t) else PE
+        terms.append(t)
+        terms += [s.after for s in reduce_term(t, mode, "full", 8).trace]
+    fired = set()
+    compared = 0
+    for t in terms:
+        modes = (PE_BRACES,) if contains_cbv(t) else (PE, PE_BRACES)
+        for node, env in _nodes_in_scope(t):
+            rules = _RULES_AT[type(node)]
+            for mode in modes:
+                for include_beta in (False, True):
+                    for ordered in (False, True):
+                        args = (node, env, mode, include_beta, ordered)
+                        got = list(rules(*args))
+                        assert got == list(reference_local_results(*args))
+                        fired.update(rule for rule, _ in got)
+                        compared += 1
+    assert fired == _ALL_RULES
+    assert compared >= 100_000
 
 
 def test_scans_survive_900_nested_lambdas():

@@ -23,7 +23,9 @@ from lampe.terms import (
     Var,
     alpha_eq,
     canonical_str,
+    children,
     free_names,
+    free_vars,
     parse_term,
     print_term,
     project,
@@ -165,8 +167,6 @@ def test_substitute_duplicated_scopes_get_variants():
 
 
 def _subterms(t):
-    from lampe.terms import children
-
     out = [t]
     for c in children(t):
         out.extend(_subterms(c))
@@ -267,6 +267,52 @@ def test_substitute_respects_alpha(t):
     u = Lam("q", Var("q"))
     renamed = parse_term(print_term(t))  # alpha-equal copy
     assert alpha_eq(substitute(t, "x", u), substitute(renamed, "x", u))
+
+
+def _reference_free_vars(t):
+    if isinstance(t, Var):
+        return {t.var}
+    if isinstance(t, Lam):
+        return _reference_free_vars(t.body) - {t.var}
+    return set().union(*map(_reference_free_vars, children(t)))
+
+
+@given(terms())
+@settings(max_examples=200, deadline=None)
+def test_free_vars_is_a_stored_fact(t):
+    # the first call stores the fact on t and its inner nodes; the second
+    # reads it back, at the root and at every subterm
+    assert free_vars(t) == _reference_free_vars(t)
+    for u in _subterms(t):
+        assert free_vars(u) == _reference_free_vars(u)
+        assert isinstance(free_vars(u), frozenset)
+    if not isinstance(t, (Var, type(CONST))):
+        assert t.__dict__["_free_vars"] is free_vars(t)
+
+
+def test_free_vars_cannot_be_mutated():
+    t = parse_term(r"\y. x y z")
+    with pytest.raises(AttributeError):
+        free_vars(t).add("w")
+    assert free_vars(t) == {"x", "z"}
+
+
+def test_free_vars_shares_a_child_set():
+    t = parse_term(r"\y. (x z) x")
+    # the lambda binds nothing free below it, and the right child adds nothing
+    assert free_vars(t) is free_vars(t.body) is free_vars(t.body.fun)
+    # a variable leaf keeps no entry
+    leaf = t.body.arg
+    free_vars(leaf)
+    assert "_free_vars" not in leaf.__dict__
+
+
+@given(terms())
+@settings(max_examples=100, deadline=None)
+def test_substitute_without_a_free_hit_returns_the_term(t):
+    for x in ("x", "y", "z", "w"):
+        if x not in _reference_free_vars(t):
+            assert substitute(t, x, Lam("q", Var("q"))) is t
 
 
 def test_variant_names_reparse():
