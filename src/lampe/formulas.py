@@ -275,25 +275,31 @@ class _SharedBDD(_BDD):
         return hit[1]
 
 
+def _one_per_call(var, factory):
+    """A decorator that keeps one `factory()` object in the context variable
+    `var` for the whole of a call.  A call made while one is open joins it;
+    the outermost call drops it when it returns or raises."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            if var.get() is not None:
+                return fn(*args, **kwargs)
+            token = var.set(factory())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                var.reset(token)
+
+        return call
+
+    return wrap
+
+
 _OPEN = ContextVar("lampe_open_bdd_manager", default=None)
 
-
-def _one_manager(fn):
-    """Answer every oracle query made during a call of `fn` from one shared
-    manager.  A call made while a manager is open joins it; the outermost
-    call drops it when it returns or raises."""
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        if _OPEN.get() is not None:
-            return fn(*args, **kwargs)
-        token = _OPEN.set(_SharedBDD())
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _OPEN.reset(token)
-
-    return call
+# Answer every oracle query made during a call from one shared manager.
+_one_manager = _one_per_call(_OPEN, _SharedBDD)
 
 
 def _manager(atom_set):

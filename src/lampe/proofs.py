@@ -54,9 +54,12 @@ from .typesys import (
     O,
     TypingDerivation,
     _decode_side,
+    _decoded,
     _encode_side,
+    _expect,
     _freeze_side,
     _get_scale,
+    _one_decode,
     _shape,
     _side,
     check_derivation,
@@ -904,15 +907,19 @@ def proof_to_json(p):
     }
 
 
+@_one_decode
 def proof_from_json(obj):
+    rule = _expect(obj["rule"], str, "the rule as a string")
+    premises = _expect(obj.get("premises", []), list, "the premises as a list")
     seq = obj["sequent"]
+    ctx = _expect(seq["ctx"], list, "the hypotheses as a list")
     return ProofDerivation(
-        obj["rule"],
+        rule,
         Sequent(
-            tuple(parse_proof_formula(a) for a in seq["ctx"]),
-            parse_formula(seq["constraint"]),
-            parse_proof_formula(seq["formula"]),
+            tuple(_decoded(parse_proof_formula, a) for a in ctx),
+            _decoded(parse_formula, seq["constraint"]),
+            _decoded(parse_proof_formula, seq["formula"]),
         ),
-        tuple(proof_from_json(q) for q in obj.get("premises", [])),
+        tuple(map(proof_from_json, premises)),
         _decode_side(obj.get("side", {})),
     )

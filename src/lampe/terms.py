@@ -304,9 +304,11 @@ def variant_copy(u, k):
 
 
 def count_free_occurrences(t, x):
-    if isinstance(t, Var):
+    """How often x occurs free in t; a subterm whose stored free variables
+    lack x is not entered."""
+    if type(t) is Var:
         return 1 if t.var == x else 0
-    if isinstance(t, Lam) and t.var == x:
+    if x not in free_vars(t):
         return 0
     return sum(count_free_occurrences(c, x) for c in children(t))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -31,6 +32,7 @@ from .formulas import (
     Not,
     TOP,
     _one_manager,
+    _one_per_call,
     conj,
     disj,
     entails,
@@ -217,9 +219,22 @@ _SIMPLE_TYPE_ERRORS = {
 def validate_type(t, system):
     """Structural validity of a type for the given system: the quantifier
     prefix (one in CN and INT, a list in CBV), then the arrows down to a
-    ground type."""
+    ground type.
+
+    A type that passed under `system` records it in its `__dict__`, outside
+    its dataclass fields, as a derivation node does (see `_check_node`); it
+    is not checked under that system again, and a failed check records
+    nothing."""
     if system not in _SIMPLE_TYPE_ERRORS:
         raise ValueError(system)
+    valid = t.__dict__.get("_valid_under", ())
+    if system in valid:
+        return
+    _check_type(t, system)
+    t.__dict__["_valid_under"] = valid + (system,)
+
+
+def _check_type(t, system):
     if system == CBV:
         while isinstance(t, Counted):
             _check_q(t.q)
@@ -897,6 +912,36 @@ def apply_mu_star(d, order=None):
 # JSON interchange
 
 
+# One decode of a derivation, judgement or proof parses each distinct text
+# once, so equal texts in one input decode to one shared object; parsed values
+# are immutable (a node only gains facts derived from itself), so sharing
+# them is sound.
+_DECODE_MEMO = ContextVar("lampe_open_decode_memo", default=None)
+_one_decode = _one_per_call(_DECODE_MEMO, dict)
+
+
+def _decoded(parse, text):
+    """`parse(text)`, parsed once per distinct `(parse, text)` in the open
+    decode.  Only `str` texts are remembered: anything else goes straight to
+    `parse`, which reports it as it always has, and a failed parse leaves no
+    entry."""
+    if type(text) is not str:
+        return parse(text)
+    memo = _DECODE_MEMO.get()
+    out = memo.get((parse, text))
+    if out is None:
+        out = memo[parse, text] = parse(text)
+    return out
+
+
+def _expect(value, kind, what):
+    """`value`, if its type is `kind`; else the TypeError that the CLI
+    reports as E_SCHEMA, raised before anything is built from it."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
 def _decode_pivot(text):
     name, index = text.split(".")
     return Atom(Name(name), int(index))
@@ -909,7 +954,9 @@ def _decode_index(value):
 
 
 def _decode_cases(cases):
-    return tuple((parse_formula(f), parse_rational(s)) for f, s in cases)
+    return tuple(
+        (_decoded(parse_formula, f), _decoded(parse_rational, s)) for f, s in cases
+    )
 
 
 def _encode_cases(cases):
@@ -937,7 +984,9 @@ _PASS_THROUGH = (_identity, _identity)
 
 
 def _decode_side(obj):
-    return {k: _SIDE_CODECS.get(k, _PASS_THROUGH)[0](v) for k, v in obj.items()}
+    return {
+        k: _decoded(_SIDE_CODECS.get(k, _PASS_THROUGH)[0], v) for k, v in obj.items()
+    }
 
 
 def _encode_side(side):
@@ -960,22 +1009,33 @@ def derivation_to_json(d):
     }
 
 
+@_one_decode
 def judgement_from_json(obj):
-    ctx = tuple((x, parse_type(a)) for x, a in obj["ctx"])
-    names = frozenset(Name(n) for n in obj["names"])
+    ctx = []
+    for entry in _expect(obj["ctx"], list, "the context as a list"):
+        x, a = _expect(entry, list, "each declaration as a [variable, type] list")
+        x = _expect(x, str, "a context variable as a string")
+        ctx.append((x, _decoded(parse_type, a)))
+    names = frozenset(
+        Name(_expect(n, str, "each name as a string"))
+        for n in _expect(obj["names"], list, "the names as a list")
+    )
     return Judgement(
-        ctx,
+        tuple(ctx),
         names,
-        parse_term(obj["term"]),
-        parse_formula(obj["constraint"]),
-        parse_type(obj["type"]),
+        _decoded(parse_term, obj["term"]),
+        _decoded(parse_formula, obj["constraint"]),
+        _decoded(parse_type, obj["type"]),
     )
 
 
+@_one_decode
 def derivation_from_json(obj):
+    rule = _expect(obj["rule"], str, "the rule as a string")
+    premises = _expect(obj.get("premises", []), list, "the premises as a list")
     return TypingDerivation(
-        obj["rule"],
+        rule,
         judgement_from_json(obj["judgement"]),
-        tuple(derivation_from_json(p) for p in obj.get("premises", [])),
+        tuple(map(derivation_from_json, premises)),
         _decode_side(obj.get("side", {})),
     )

@@ -6,6 +6,7 @@ from helpers import (
     braces_coin_derivation,
     cbv_fixture_corpus,
     church_two_cbv_derivation,
+    coin_derivation,
     cut_proof,
     half_id_proof,
 )
@@ -304,6 +305,114 @@ def test_malformed_context_type_is_a_syntax_error(capsys, tmp_path, bad, expecte
     path.write_text(json.dumps(blob))
     code, out, err = invoke(capsys, "check", "--system", "cbv", str(path))
     assert (code, out, err) == (1, "", expected)
+
+
+def _set_rule(blob, value):
+    blob["rule"] = value
+
+
+def _set_premises(blob, value):
+    blob["premises"] = value
+
+
+def _set_names(blob, value):
+    blob["premises"][0]["judgement"]["names"] = value
+
+
+def _set_context_variable(blob, value):
+    ctx = _first_node_with_context(blob)["judgement"]["ctx"]
+    ctx[0] = [value, ctx[0][1]]
+
+
+def _set_declaration(blob, value):
+    _first_node_with_context(blob)["judgement"]["ctx"][0] = value
+
+
+def _set_hypotheses(blob, value):
+    blob["premises"][0]["premises"][0]["premises"][0]["sequent"]["ctx"] = value
+
+
+# Without the decoders' field checks each of these decoded: the rule `[]`
+# reached the checker and failed with `E_INTERNAL: TypeError: unhashable type:
+# 'list'`, the names "a" and the hypotheses "A" read a string as a list of
+# one-letter texts and passed the check, the declaration "fo" read as `f: o`,
+# and the other values failed as some rule's shape error.
+@pytest.mark.parametrize(
+    "command, fixture, edit, value, message",
+    [
+        ("check", coin_derivation, _set_rule, [], "the rule as a string, got list"),
+        ("check", coin_derivation, _set_names, "a", "the names as a list, got str"),
+        ("check", coin_derivation, _set_names, [1], "each name as a string, got int"),
+        (
+            "check",
+            church_two_cbv_derivation,
+            _set_context_variable,
+            1,
+            "a context variable as a string, got int",
+        ),
+        (
+            "check",
+            church_two_cbv_derivation,
+            _set_declaration,
+            "fo",
+            "each declaration as a [variable, type] list, got str",
+        ),
+        ("check", coin_derivation, _set_premises, {}, "the premises as a list, got dict"),
+        ("check-proof", half_id_proof, _set_rule, [], "the rule as a string, got list"),
+        (
+            "check-proof",
+            half_id_proof,
+            _set_premises,
+            {},
+            "the premises as a list, got dict",
+        ),
+        (
+            "check-proof",
+            half_id_proof,
+            _set_hypotheses,
+            "A",
+            "the hypotheses as a list, got str",
+        ),
+    ],
+    ids=[
+        "rule-list",
+        "names-string",
+        "name-int",
+        "context-variable-int",
+        "declaration-string",
+        "premises-object",
+        "proof-rule-list",
+        "proof-premises-object",
+        "proof-hypotheses-string",
+    ],
+)
+def test_field_of_the_wrong_type_is_a_schema_error(
+    capsys, tmp_path, command, fixture, edit, value, message
+):
+    to_json = proof_to_json if command == "check-proof" else derivation_to_json
+    blob = to_json(fixture())
+    edit(blob, value)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    argv = (command, str(path)) if command == "check-proof" else (
+        command, "--system", "cbv", str(path)
+    )
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", f"E_SCHEMA: malformed input (expected {message})\n")
+
+
+def test_non_text_formula_keeps_its_schema_message(capsys, tmp_path):
+    # a value that is not text goes straight to its parser, past the decode
+    # memo, and reads as it always has
+    blob = proof_to_json(half_id_proof())
+    blob["sequent"]["formula"] = []
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "E_SCHEMA: malformed input (expected string or bytes-like object, got 'list')\n"
+    )
 
 
 def test_unterminated_count_in_a_proof_is_a_syntax_error(capsys, tmp_path):

@@ -24,6 +24,7 @@ from lampe.terms import (
     alpha_eq,
     canonical_str,
     children,
+    count_free_occurrences,
     free_names,
     free_vars,
     parse_term,
@@ -313,6 +314,23 @@ def test_substitute_without_a_free_hit_returns_the_term(t):
     for x in ("x", "y", "z", "w"):
         if x not in _reference_free_vars(t):
             assert substitute(t, x, Lam("q", Var("q"))) is t
+
+
+def _reference_count(t, x):
+    if isinstance(t, Var):
+        return int(t.var == x)
+    if isinstance(t, Lam) and t.var == x:
+        return 0
+    return sum(_reference_count(c, x) for c in children(t))
+
+
+@given(terms())
+@settings(max_examples=200, deadline=None)
+def test_count_free_occurrences_matches_a_full_walk(t):
+    # the count skips subterms whose stored free variables lack x, and stays
+    # exact: transport reads it to number the copies of a duplicated payload
+    for x in ("x", "y", "z", "w"):
+        assert count_free_occurrences(t, x) == _reference_count(t, x)
 
 
 def test_variant_names_reparse():

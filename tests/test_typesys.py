@@ -20,8 +20,10 @@ from helpers import (
     two_name_quarter_bound_derivation,
     two_name_exact_bound_derivation,
     correlated_pick_term,
+    duplicator_proof,
     half_id_proof,
     int_identity,
+    proof_fixture_corpus,
     record_rule_checks,
     reference_mu_star,
     tree_nodes,
@@ -33,9 +35,24 @@ from lampe.errors import (
     SideConditionError,
     SystemMismatchError,
 )
-from lampe.formulas import And, Atom, Not, Or, TOP, parse_formula, satisfiable
-from lampe.proofs import proof_from_json, proof_to_json
-from lampe.terms import Name, Nu, Var, parse_term
+from lampe import typesys
+from lampe.formulas import (
+    And,
+    Atom,
+    Not,
+    Or,
+    TOP,
+    parse_formula,
+    print_formula,
+    satisfiable,
+)
+from lampe.proofs import (
+    check_proof,
+    print_proof_formula,
+    proof_from_json,
+    proof_to_json,
+)
+from lampe.terms import Name, Nu, Var, parse_term, print_term
 from lampe.typesys import (
     RULES_BY_SYSTEM,
     _RULE_CHECKERS,
@@ -55,11 +72,13 @@ from lampe.typesys import (
     derivation_to_json,
     is_balanced,
     is_safe,
+    judgement_from_json,
     mk_mset,
     parse_type,
     print_type,
     srank,
     subtype,
+    validate_type,
 )
 
 OO = Arrow(O, O)
@@ -687,3 +706,153 @@ def test_side_is_copied_from_the_caller():
         caller.pop("d")
         assert built == node and dict(built.side) == dict(node.side)
         assert dataclasses.replace(built, premises=()).side == node.side
+
+
+# ---------------------------------------------------------------------------
+# Decode once: one parse per distinct text of an input, shared results
+
+_PRINTERS = {
+    "type": print_type,
+    "term": print_term,
+    "formula": print_formula,
+    "proof": print_proof_formula,
+}
+
+
+def _text_fields(node):
+    """(printer kind, decoded object) for every parsed text of a derivation
+    or proof node."""
+    if isinstance(node, TypingDerivation):
+        j = node.judgement
+        return [
+            *(("type", a) for _, a in j.ctx),
+            ("term", j.term),
+            ("formula", j.constraint),
+            ("type", j.type),
+        ]
+    s = node.sequent
+    return [
+        *(("proof", a) for a in s.ctx),
+        ("formula", s.constraint),
+        ("proof", s.formula),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fixture, to_json, from_json",
+    [
+        (church_two_cbv_derivation, derivation_to_json, derivation_from_json),
+        (two_name_exact_bound_derivation, derivation_to_json, derivation_from_json),
+        (duplicator_proof, proof_to_json, proof_from_json),
+    ],
+    ids=["cbv-derivation", "int-derivation", "proof"],
+)
+def test_equal_texts_in_one_input_decode_to_one_object(fixture, to_json, from_json):
+    fields = [
+        (kind, obj)
+        for node in tree_nodes(from_json(to_json(fixture())))
+        for kind, obj in _text_fields(node)
+    ]
+    first = {}
+    for kind, obj in fields:
+        text = _PRINTERS[kind](obj)
+        assert first.setdefault((kind, text), obj) is obj, text
+    assert len(first) < len(fields)  # the input does repeat its texts
+
+
+def test_each_decode_parses_each_distinct_text_once_under_its_own_memo(monkeypatch):
+    blob = derivation_to_json(church_two_cbv_derivation())
+    parse_type_calls = []
+
+    def spy(text):
+        parse_type_calls.append((text, typesys._DECODE_MEMO.get()))
+        return parse_type(text)
+
+    monkeypatch.setattr(typesys, "parse_type", spy)
+    memos = []
+    for _ in range(2):
+        parse_type_calls.clear()
+        derivation_from_json(blob)
+        texts = [text for text, _ in parse_type_calls]
+        assert texts and len(texts) == len(set(texts))
+        assert len({id(memo) for _, memo in parse_type_calls}) == 1
+        memos.append(parse_type_calls[0][1])
+        assert typesys._DECODE_MEMO.get() is None
+    assert isinstance(memos[0], dict) and memos[0] is not memos[1]
+
+
+def _deepest_node(blob):
+    node = blob
+    while node["premises"]:
+        node = node["premises"][-1]
+    return node
+
+
+def test_a_decode_that_raises_leaves_no_memo_open():
+    good = derivation_to_json(church_two_cbv_derivation())
+    bad = json.loads(json.dumps(good))
+    _deepest_node(bad)["judgement"]["type"] = "(o =>"
+    proof = proof_to_json(duplicator_proof())
+    bad_proof = json.loads(json.dumps(proof))
+    _deepest_node(bad_proof)["sequent"]["constraint"] = "a.0 &"
+    for blob, broken, decode, encode in (
+        (good, bad, derivation_from_json, derivation_to_json),
+        (proof, bad_proof, proof_from_json, proof_to_json),
+    ):
+        with pytest.raises(ParseError):
+            decode(broken)
+        assert typesys._DECODE_MEMO.get() is None
+        assert encode(decode(blob)) == blob
+
+
+def test_a_nested_judgement_decode_joins_the_open_memo():
+    blob = derivation_to_json(coin_derivation())["judgement"]
+
+    @typesys._one_decode
+    def twice():
+        return judgement_from_json(blob), judgement_from_json(blob)
+
+    first, second = twice()
+    assert first.term is second.term and first.type is second.type
+    assert first.constraint is second.constraint
+    # alone, each call opens and drops its own memo
+    assert judgement_from_json(blob).term is not judgement_from_json(blob).term
+
+
+# ---------------------------------------------------------------------------
+# A type records the systems it is valid under
+
+
+def test_a_type_valid_under_cn_is_still_checked_under_int():
+    t = parse_type("C[1/2] (C[1/2] o => o)")
+    validate_type(t, CN)
+    with pytest.raises(RuleShapeError, match="multiset arguments"):
+        validate_type(t, INT)
+    validate_type(t, CBV)
+    assert t.__dict__["_valid_under"] == (CN, CBV)
+
+
+def test_a_type_that_failed_validation_fails_again():
+    t = parse_type("C[1/2] (C[1/2] o => hn)")
+    for _ in range(2):
+        with pytest.raises(RuleShapeError, match="ground type hn"):
+            validate_type(t, CN)
+    assert "_valid_under" not in t.__dict__
+    # the valid domain keeps its own mark
+    assert t.body.dom.__dict__["_valid_under"] == (CN,)
+
+
+def test_json_round_trip_is_byte_identical_after_a_check():
+    derivations = [(d, CBV) for d, _ in cbv_fixture_corpus()]
+    derivations += [(d, CN) for d in cn_fixture_corpus()]
+    derivations.append((two_name_exact_bound_derivation(), INT))
+    for d, system in derivations:
+        text = json.dumps(derivation_to_json(d))
+        back = derivation_from_json(json.loads(text))
+        check_derivation(back, system)
+        assert json.dumps(derivation_to_json(back)) == text
+    for p in proof_fixture_corpus():
+        text = json.dumps(proof_to_json(p))
+        back = proof_from_json(json.loads(text))
+        check_proof(back)
+        assert json.dumps(proof_to_json(back)) == text
