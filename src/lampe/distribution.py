@@ -26,7 +26,6 @@ from .rewrite import (
     _check_fuel,
     _head_redexes,
     classify_pnf,
-    contains_cbv,
     is_hnv,
     pnf,
 )
@@ -38,6 +37,7 @@ from .terms import (
     Term,
     alpha_eq,
     canonical_str,
+    contains_cbv,
     free_names,
     replace_at,
     subterm_at,

@@ -50,6 +50,7 @@ from .terms import (
     Var,
     alpha_eq,
     children,
+    contains_cbv,
     free_names,
     fresh_name,
     print_term,
@@ -105,17 +106,6 @@ class ReduceOutcome:
     term: Term
     trace: list
     exhausted: bool = False
-
-
-def contains_cbv(t):
-    out = t.__dict__.get("_contains_cbv")
-    if out is not None:
-        return out
-    out = isinstance(t, CbvApp)
-    for c in children(t):
-        out = out or contains_cbv(c)
-    t.__dict__["_contains_cbv"] = out
-    return out
 
 
 def _check_fuel(fuel):

@@ -6,10 +6,11 @@ are rigid: alpha_eq never renames them, and substitution only freshens a
 nu-binder when it would otherwise capture a free name of the substituted
 term.
 
-Structural facts (`free_names`, `free_vars`, `shape_hash`, `canonical_str`)
-are memoized on the node itself, outside its dataclass fields, so they live
-and die with it.  `free_vars` keeps no entry on a variable leaf, and a node
-whose free variables are those of a child shares the child's frozenset.
+Facts live in the node's `__dict__`, outside its dataclass fields, so they
+die with it.  One iterative pass builds a non-leaf node's fact record (free
+variables, free names, contains CbV, shape hash) from its children's; a leaf
+keeps none, and a node whose set equals a child's shares that frozenset.
+`canonical_str` is kept there too.
 """
 
 from __future__ import annotations
@@ -133,6 +134,16 @@ def replace_child(t, i, new):
     raise TypeError(t)
 
 
+def map_children(t, f):
+    """t with each child c replaced by f(c); t itself when none changes."""
+    out = t
+    for i, c in enumerate(children(t)):
+        new = f(c)
+        if new is not c:
+            out = replace_child(out, i, new)
+    return out
+
+
 def subterm_at(t, path):
     for i in path:
         t = children(t)[i]
@@ -149,77 +160,85 @@ def replace_at(t, path, new):
     return new
 
 
+# The key of the fact record; the shape hash erases variable names, so terms
+# equal up to alpha share it.
+_FACTS = "_facts"
+_EMPTY = frozenset()
+_VAR_HASH = hash(("v",))
+_CONST_FACTS = (_EMPTY, _EMPTY, False, hash(("c",)))
+
+
+def _fill(root):
+    """Store the fact record of root and of each node below it that lacks
+    one, children first, on an explicit stack; return root's record.  A
+    shared node stacked twice keeps the record it got first."""
+    stack = [root]
+    while stack:
+        t = stack[-1]
+        kind = type(t)
+        if kind is Lam or kind is Nu:
+            a, b = t.body, None
+        else:
+            a, b = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
+        # a child's record, None for a variable and for a child stacked here
+        fa = _CONST_FACTS if type(a) is Const else a.__dict__.get(_FACTS)
+        if fa is None and type(a) is not Var:
+            stack.append(a)
+        if b is not None:
+            fb = _CONST_FACTS if type(b) is Const else b.__dict__.get(_FACTS)
+            if fb is None and type(b) is not Var:
+                stack.append(b)
+        if stack[-1] is not t:
+            continue
+        stack.pop()
+        fv, fn, cbv, h = fa or (frozenset((a.var,)), _EMPTY, False, _VAR_HASH)
+        if kind is Lam:
+            if t.var in fv:
+                fv = fv - {t.var}
+            h = hash(("l", h))
+        elif kind is Nu:
+            if t.name in fn:
+                fn = fn - {t.name}
+            h = hash(("n", t.name.text, h))
+        else:
+            fv2, fn2, cbv2, h2 = fb or (frozenset((b.var,)), _EMPTY, False, _VAR_HASH)
+            fv = fv2 if fv <= fv2 else fv if fv2 <= fv else fv | fv2
+            fn = fn2 if fn <= fn2 else fn if fn2 <= fn else fn | fn2
+            cbv = cbv or cbv2 or kind is CbvApp
+            if kind is Choice:
+                fn = fn if t.name in fn else fn | {t.name}
+                h = hash(("p", t.name.text, t.index, h, h2))
+            else:
+                h = hash(("a" if kind is App else "b", h, h2))
+        t.__dict__.setdefault(_FACTS, (fv, fn, cbv, h))
+    return root.__dict__[_FACTS]
+
+
 def free_vars(t):
-    """The free lambda variables of t, as a frozenset.  A leaf builds its
-    own; any other node keeps its set, and a node whose set equals a child's
-    shares that child's set."""
-    kind = type(t)
-    if kind is Var:
+    """The free lambda variables of t, as a frozenset."""
+    if type(t) is Var:
         return frozenset((t.var,))
-    if kind is Const:
-        return frozenset()
-    out = t.__dict__.get("_free_vars")
-    if out is not None:
-        return out
-    if kind is Lam:
-        out = free_vars(t.body)
-        if t.var in out:
-            out = out - {t.var}
-    elif kind is Nu:
-        out = free_vars(t.body)
-    else:
-        first, second = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
-        out = free_vars(first)
-        rest = free_vars(second)
-        if out <= rest:
-            out = rest
-        elif not rest <= out:
-            out = out | rest
-    t.__dict__["_free_vars"] = out
-    return out
+    return _EMPTY if type(t) is Const else (t.__dict__.get(_FACTS) or _fill(t))[0]
 
 
 def free_names(t):
-    out = t.__dict__.get("_free_names")
-    if out is not None:
-        return out
-    if isinstance(t, Choice):
-        out = free_names(t.left) | free_names(t.right) | {t.name}
-    elif isinstance(t, Nu):
-        out = free_names(t.body) - {t.name}
-    else:
-        out = set()
-        for c in children(t):
-            out |= free_names(c)
-    out = frozenset(out)
-    t.__dict__["_free_names"] = out
-    return out
+    if type(t) is Var or type(t) is Const:
+        return _EMPTY
+    return (t.__dict__.get(_FACTS) or _fill(t))[1]
+
+
+def contains_cbv(t):
+    if type(t) is Var or type(t) is Const:
+        return False
+    return (t.__dict__.get(_FACTS) or _fill(t))[2]
 
 
 def shape_hash(t):
-    """Alpha-invariant structural hash (variable names erased); equal terms
-    up to alpha always share it, so it serves as a fast reject."""
-    out = t.__dict__.get("_shape_hash")
-    if out is not None:
-        return out
-    if isinstance(t, Var):
-        out = hash(("v",))
-    elif isinstance(t, Const):
-        out = hash(("c",))
-    elif isinstance(t, Lam):
-        out = hash(("l", shape_hash(t.body)))
-    elif isinstance(t, Nu):
-        out = hash(("n", t.name.text, shape_hash(t.body)))
-    elif isinstance(t, Choice):
-        out = hash(
-            ("p", t.name.text, t.index, shape_hash(t.left), shape_hash(t.right))
-        )
-    elif isinstance(t, App):
-        out = hash(("a", shape_hash(t.fun), shape_hash(t.arg)))
-    else:
-        out = hash(("b", shape_hash(t.fun), shape_hash(t.arg)))
-    t.__dict__["_shape_hash"] = out
-    return out
+    """Alpha-invariant structural hash: equal terms up to alpha share it, so
+    it serves as a fast reject."""
+    if type(t) is Var or type(t) is Const:
+        return _VAR_HASH if type(t) is Var else _CONST_FACTS[3]
+    return (t.__dict__.get(_FACTS) or _fill(t))[3]
 
 
 def bound_names(t):
@@ -256,12 +275,7 @@ def rename_bound_name(t, new_name):
             return u  # inner shadowing binder keeps its occurrences
         if isinstance(u, Choice) and u.name is old:
             return Choice(go(u.left), go(u.right), new_name, u.index)
-        out = u
-        for i, c in enumerate(children(u)):
-            c2 = go(c)
-            if c2 is not c:
-                out = replace_child(out, i, c2)
-        return out
+        return map_children(u, go)
 
     return Nu(new_name, go(t.body))
 
@@ -293,12 +307,7 @@ def variant_copy(u, k):
         if isinstance(t, Choice):
             name = copy_variant_name(t.name, k) if t.name in bound else t.name
             return Choice(go(t.left, bound), go(t.right, bound), name, t.index)
-        out = t
-        for i, c in enumerate(children(t)):
-            c2 = go(c, bound)
-            if c2 is not c:
-                out = replace_child(out, i, c2)
-        return out
+        return map_children(t, lambda c: go(c, bound))
 
     return go(u, frozenset())
 
@@ -346,12 +355,7 @@ def substitute_indexed(t, x, u, start, duplicating):
             if t.name in u_fnames:
                 t = rename_bound_name(t, fresh_name(t.name, t, u))
             return Nu(t.name, go(t.body))
-        out = t
-        for i, c in enumerate(children(t)):
-            c2 = go(c)
-            if c2 is not c:
-                out = replace_child(out, i, c2)
-        return out
+        return map_children(t, go)
 
     return go(t)
 
@@ -369,43 +373,49 @@ def substitute(t, x, u):
 
 
 def alpha_eq(t, u):
-    """Equality up to renaming of lambda-bound variables.  Names are rigid."""
+    """Equality up to renaming of lambda-bound variables.  Names are rigid.
+
+    One walk over both terms on an explicit stack.  Each lambda pair binds
+    its two variables to one fresh number, and the `None` entry stacked
+    under its bodies puts the outer bindings back once they are done."""
     if t is u:
         return True
     if shape_hash(t) != shape_hash(u):
         return False
-
-    def go(t, u, env_t, env_u, depth):
-        if type(t) is not type(u):
+    env_t, env_u = {}, {}
+    pairs = 0
+    stack = [(t, u)]
+    while stack:
+        t, u = stack.pop()
+        if t is None:
+            x, bx, y, by = u
+            env_t[x], env_u[y] = bx, by
+            continue
+        kind = type(t)
+        if kind is not type(u):
             return False
-        if isinstance(t, Var):
+        if kind is Var:
             bt = env_t.get(t.var)
-            bu = env_u.get(u.var)
-            if bt is None and bu is None:
-                return t.var == u.var
-            return bt == bu
-        if isinstance(t, Const):
-            return True
-        if isinstance(t, Lam):
-            et = dict(env_t)
-            eu = dict(env_u)
-            et[t.var] = depth
-            eu[u.var] = depth
-            return go(t.body, u.body, et, eu, depth + 1)
-        if isinstance(t, Nu):
-            return t.name is u.name and go(t.body, u.body, env_t, env_u, depth)
-        if isinstance(t, Choice):
+            if bt != env_u.get(u.var) or (bt is None and t.var != u.var):
+                return False
+        elif kind is Lam:
+            stack.append((None, (t.var, env_t.get(t.var), u.var, env_u.get(u.var))))
+            pairs += 1
+            env_t[t.var] = env_u[u.var] = pairs
+            stack.append((t.body, u.body))
+        elif kind is Nu:
+            if t.name is not u.name:
+                return False
+            stack.append((t.body, u.body))
+        elif kind is Choice:
             if t.name is not u.name or t.index != u.index:
                 return False
-            return go(t.left, u.left, env_t, env_u, depth) and go(
-                t.right, u.right, env_t, env_u, depth
-            )
-        return all(
-            go(a, b, env_t, env_u, depth)
-            for a, b in zip(children(t), children(u))
-        )
-
-    return go(t, u, {}, {}, 0)
+            stack.append((t.right, u.right))
+            stack.append((t.left, u.left))
+        elif kind is not Const:
+            stack.append((t.arg, u.arg))
+            stack.append((t.fun, u.fun))
+    return True
 
 
 def canonical_str(t):
@@ -471,12 +481,7 @@ def project(t, names, valuation):
         if isinstance(t, Nu):
             inner = active - {t.name} if t.name in active else active
             return Nu(t.name, go(t.body, inner))
-        out = t
-        for i, c in enumerate(children(t)):
-            c2 = go(c, active)
-            if c2 is not c:
-                out = replace_child(out, i, c2)
-        return out
+        return map_children(t, lambda c: go(c, active))
 
     return go(t, frozenset(names))
 

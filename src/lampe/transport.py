@@ -24,12 +24,11 @@ from .terms import (
     Var,
     alpha_eq,
     bound_names,
-    children,
     copy_variant_name,
     count_free_occurrences,
     free_names,
     free_vars,
-    replace_child,
+    map_children,
     substitute,
     substitute_indexed,
 )
@@ -176,12 +175,7 @@ def rename_derivation_names(d, mapping):
                 rn_term(t.left), rn_term(t.right),
                 mapping.get(t.name, t.name), t.index,
             )
-        out = t
-        for i, c in enumerate(children(t)):
-            c2 = rn_term(c)
-            if c2 is not c:
-                out = replace_child(out, i, c2)
-        return out
+        return map_children(t, rn_term)
 
     def go(d):
         j = d.judgement

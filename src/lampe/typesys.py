@@ -943,8 +943,10 @@ def _expect(value, kind, what):
 
 
 def _decode_pivot(text):
-    name, index = text.split(".")
-    return Atom(Name(name), int(index))
+    pivot = _decoded(parse_formula, text)
+    if type(pivot) is not Atom:
+        raise TypeError(f"expected one atom as the pivot, got {text!r}")
+    return pivot
 
 
 def _decode_index(value):

@@ -15,11 +15,13 @@ from lampe.terms import (
     App,
     CbvApp,
     Choice,
+    Const,
     Lam,
     Name,
     Nu,
     Var,
     alpha_eq,
+    children,
     free_names,
     fresh_name,
     parse_term,
@@ -1147,6 +1149,64 @@ def termination_terms(n):
 # Reference rules: the generator that listed the rule applications at a node
 # before the rule table, kept as it was so the table is compared against an
 # independent copy
+
+
+def reference_free_vars(t):
+    if isinstance(t, Var):
+        return {t.var}
+    if isinstance(t, Lam):
+        return reference_free_vars(t.body) - {t.var}
+    return set().union(*map(reference_free_vars, children(t)))
+
+
+def reference_free_names(t):
+    if isinstance(t, Nu):
+        return reference_free_names(t.body) - {t.name}
+    out = set().union(*map(reference_free_names, children(t)))
+    return out | {t.name} if isinstance(t, Choice) else out
+
+
+def reference_contains_cbv(t):
+    return isinstance(t, CbvApp) or any(map(reference_contains_cbv, children(t)))
+
+
+def reference_shape_hash(t):
+    """The alpha-invariant shape hash: variable names erased, names and
+    indices kept."""
+    if isinstance(t, Var):
+        return hash(("v",))
+    if isinstance(t, Const):
+        return hash(("c",))
+    if isinstance(t, Lam):
+        return hash(("l", reference_shape_hash(t.body)))
+    if isinstance(t, Nu):
+        return hash(("n", t.name.text, reference_shape_hash(t.body)))
+    first, second = map(reference_shape_hash, children(t))
+    if isinstance(t, Choice):
+        return hash(("p", t.name.text, t.index, first, second))
+    return hash(("a" if isinstance(t, App) else "b", first, second))
+
+
+def reference_alpha_eq(t, u, env_t=None, env_u=None, depth=0):
+    """Alpha-equivalence by plain recursion: a bound variable is its
+    binder's depth, a free one its name."""
+    env_t, env_u = env_t or {}, env_u or {}
+    if type(t) is not type(u):
+        return False
+    if isinstance(t, Var):
+        return env_t.get(t.var, t.var) == env_u.get(u.var, u.var)
+    if isinstance(t, Lam):
+        return reference_alpha_eq(
+            t.body, u.body, {**env_t, t.var: depth}, {**env_u, u.var: depth}, depth + 1
+        )
+    if isinstance(t, (Nu, Choice)) and t.name is not u.name:
+        return False
+    if isinstance(t, Choice) and t.index != u.index:
+        return False
+    return all(
+        reference_alpha_eq(a, b, env_t, env_u, depth)
+        for a, b in zip(children(t), children(u))
+    )
 
 
 def _pair_before(a, i, b, j, env):

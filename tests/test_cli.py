@@ -529,6 +529,25 @@ def test_other_side_forms_are_schema_errors(capsys, tmp_path, rule, key, value):
         assert err.startswith("E_SCHEMA: malformed input (") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "pivot, error",
+    [
+        ("A.0", "E_SYNTAX: unexpected character 'A' in formula (at position 0)"),
+        ("a .0", "E_SYNTAX: unexpected character 'a' in formula (at position 0)"),
+        ("a.-1", "E_SYNTAX: unexpected character 'a' in formula (at position 0)"),
+        ("a.0.1", "E_SYNTAX: trailing input in formula (at position 3)"),
+        ("!a.0", "E_SCHEMA: malformed input (expected one atom as the pivot, got '!a.0')"),
+        ("T", "E_SCHEMA: malformed input (expected one atom as the pivot, got 'T')"),
+    ],
+    ids=["upper-name", "inner-space", "negative-index", "two-dots", "negation", "top"],
+)
+def test_pivot_is_read_as_one_atom(capsys, tmp_path, pivot, error):
+    # the pivot is read by the formula parser, as the `d` side formula is
+    path = _write_with_side(tmp_path, proof_to_json(half_id_proof()), "m", "pivot", pivot)
+    for argv in (("check-proof", path), ("normalize-proof", "--json", path)):
+        assert invoke(capsys, *argv) == (1, "", error + "\n")
+
+
 def test_library_fault_is_internal_not_schema(capsys, monkeypatch):
     import lampe.cli
 

@@ -8,10 +8,17 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    reference_alpha_eq,
+    reference_contains_cbv,
+    reference_free_names,
+    reference_free_vars,
+    reference_shape_hash,
+)
 from lampe.errors import ParseError, UndefinedBitError
 from lampe.formulas import parse_formula
 from lampe.proofs import parse_proof_formula
-from lampe.rewrite import contains_cbv
+from lampe.rewrite import pnf
 from lampe.terms import (
     App,
     CbvApp,
@@ -24,6 +31,7 @@ from lampe.terms import (
     alpha_eq,
     canonical_str,
     children,
+    contains_cbv,
     count_free_occurrences,
     free_names,
     free_vars,
@@ -221,10 +229,10 @@ def test_project_idempotent_and_name_shrinking():
 
 
 @st.composite
-def terms(draw, depth=4, scope=()):
+def terms(draw, depth=4, scope=(), cbv=False):
     kind = draw(
         st.sampled_from(
-            ["var", "lam", "app", "choice", "nu", "const"]
+            ["var", "lam", "app", "choice", "nu", "const"] + ["cbv"] * cbv
             if depth > 0
             else ["var", "const"]
         )
@@ -237,22 +245,22 @@ def terms(draw, depth=4, scope=()):
         return CONST
     if kind == "lam":
         v = draw(st.sampled_from(["x", "y", "z"]))
-        return Lam(v, draw(terms(depth=depth - 1, scope=scope + (v,))))
-    if kind == "app":
-        return App(
-            draw(terms(depth=depth - 1, scope=scope)),
-            draw(terms(depth=depth - 1, scope=scope)),
+        return Lam(v, draw(terms(depth=depth - 1, scope=scope + (v,), cbv=cbv)))
+    if kind in ("app", "cbv"):
+        return (App if kind == "app" else CbvApp)(
+            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
+            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
         )
     if kind == "choice":
         return Choice(
-            draw(terms(depth=depth - 1, scope=scope)),
-            draw(terms(depth=depth - 1, scope=scope)),
+            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
+            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
             Name(draw(st.sampled_from(["a", "b", "c"]))),
             draw(st.integers(min_value=0, max_value=2)),
         )
     return Nu(
         Name(draw(st.sampled_from(["a", "b", "c"]))),
-        draw(terms(depth=depth - 1, scope=scope)),
+        draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
     )
 
 
@@ -270,25 +278,17 @@ def test_substitute_respects_alpha(t):
     assert alpha_eq(substitute(t, "x", u), substitute(renamed, "x", u))
 
 
-def _reference_free_vars(t):
-    if isinstance(t, Var):
-        return {t.var}
-    if isinstance(t, Lam):
-        return _reference_free_vars(t.body) - {t.var}
-    return set().union(*map(_reference_free_vars, children(t)))
-
-
 @given(terms())
 @settings(max_examples=200, deadline=None)
 def test_free_vars_is_a_stored_fact(t):
-    # the first call stores the fact on t and its inner nodes; the second
-    # reads it back, at the root and at every subterm
-    assert free_vars(t) == _reference_free_vars(t)
+    # the first call stores the fact record on t and its inner nodes; the
+    # second reads it back, at the root and at every subterm
+    assert free_vars(t) == reference_free_vars(t)
     for u in _subterms(t):
-        assert free_vars(u) == _reference_free_vars(u)
+        assert free_vars(u) == reference_free_vars(u)
         assert isinstance(free_vars(u), frozenset)
     if not isinstance(t, (Var, type(CONST))):
-        assert t.__dict__["_free_vars"] is free_vars(t)
+        assert t.__dict__["_facts"][0] is free_vars(t)
 
 
 def test_free_vars_cannot_be_mutated():
@@ -305,14 +305,77 @@ def test_free_vars_shares_a_child_set():
     # a variable leaf keeps no entry
     leaf = t.body.arg
     free_vars(leaf)
-    assert "_free_vars" not in leaf.__dict__
+    assert "_facts" not in leaf.__dict__
+
+
+@given(terms(cbv=True))
+@settings(max_examples=200, deadline=None)
+def test_fact_record_matches_recursive_references(t):
+    # `shared` reaches t through both children, so the pass meets t twice
+    shared = App(t, t)
+    for u in [shared] + _subterms(t):
+        assert free_vars(u) == reference_free_vars(u)
+        assert free_names(u) == reference_free_names(u)
+        assert contains_cbv(u) == reference_contains_cbv(u)
+        assert shape_hash(u) == reference_shape_hash(u)
+    if not isinstance(t, (Var, type(CONST))):
+        assert free_vars(shared) is free_vars(t)
+        assert free_names(shared) is free_names(t)
+
+
+@given(terms(), terms())
+@settings(max_examples=300, deadline=None)
+def test_alpha_eq_matches_a_recursive_reference(t, u):
+    renamed = parse_term(print_term(t))
+    pairs = [
+        (t, u), (t, renamed), (Lam("x", t), Lam("y", renamed)),
+        (Lam("x", Lam("y", t)), Lam("y", Lam("x", renamed))),
+        (App(t, Lam("z", u)), App(renamed, Lam("x", u))),
+    ]
+    for left, right in pairs:
+        assert alpha_eq(left, right) == reference_alpha_eq(left, right)
+
+
+def _chain(var, depth, body):
+    """`\\var_1. ... \\var_depth. body`, built from the inside out."""
+    for i in reversed(range(1, depth + 1)):
+        body = Lam(f"{var}_{i}", body)
+    return body
+
+
+def test_term_core_survives_10000_nested_lambdas():
+    """The fact record pass, the redex scan and `alpha_eq` keep explicit
+    stacks, so 10,000 nested lambdas fit in the default recursion limit.
+    `print_term`, `canonical_str` and `substitute` still recurse, and none
+    of them runs here."""
+    depth = 10_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        spine = _chain("x", depth, Var("x_1"))
+        t = Nu(a, spine)
+        assert free_vars(t) == set() and free_names(t) == set()
+        assert not contains_cbv(t)
+        h = hash(("v",))
+        for _ in range(depth):
+            h = hash(("l", h))
+        assert shape_hash(t) == hash(("n", "a", h))
+        result, trace = pnf(Nu(a, _chain("x", depth, Var("x_1"))))
+        assert [s.rule for s in trace] == ["not-nu"] and alpha_eq(result, spine)
+        left, right = _chain("x", depth, Var("x_1")), _chain("y", depth, Var("y_1"))
+        assert alpha_eq(left, right)
+        assert not alpha_eq(left, _chain("y", depth, Var("y_2")))
+        result, trace = pnf(Nu(a, Choice(left, right, a, 0)))
+        assert [s.rule for s in trace] == ["i", "not-nu"] and result is left
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @given(terms())
 @settings(max_examples=100, deadline=None)
 def test_substitute_without_a_free_hit_returns_the_term(t):
     for x in ("x", "y", "z", "w"):
-        if x not in _reference_free_vars(t):
+        if x not in reference_free_vars(t):
             assert substitute(t, x, Lam("q", Var("q"))) is t
 
 
