@@ -663,6 +663,54 @@ def proof_fixture_corpus():
     return [half_id_proof(), duplicator_proof(), cut_proof()]
 
 
+def mixed_premise_proof(rule, k):
+    """An imp-e or ce node whose premise k is a mix on a.0 of two hypothesis
+    proofs, and whose other premise is a hypothesis."""
+    A = PropVar("A")
+    a0 = Atom(A_, 0)
+    if rule == "imp-e":
+        ctx, formula, side = (Implies(A, A), A), A, {}
+        shapes = ((ctx, Implies(A, A), 0), (ctx, A, 1))
+    else:
+        ctx, formula, side = (Count(HALF, A),), Count(HALF * HALF, A), {"scale": HALF}
+        shapes = ((ctx, Count(HALF, A), 0), (ctx + (A,), A, 1))
+    premises = []
+    for j, (c, f, idx) in enumerate(shapes):
+        if j == k:
+            branches = tuple(
+                P("id", S(c, b, f), (), {"index": idx}) for b in (a0, Not(a0))
+            )
+            premises.append(P("m", S(c, TOP, f), branches, {"pivot": a0}))
+        else:
+            premises.append(P("id", S(c, TOP, f), (), {"index": idx}))
+    return P(rule, S(ctx, TOP, formula), tuple(premises), side)
+
+
+def mix_redex_proofs():
+    """Mixes that head m-idem, m-m-left and m-m-right, and an m-idem redex
+    under a mix on another pivot."""
+    A = PropVar("A")
+    a0, b0 = Atom(A_, 0), Atom(B_, 0)
+
+    def hyp(c):
+        return P("id", S((A,), c, A), (), {"index": 0})
+
+    def mix(left, right, pivot=a0):
+        return P("m", S((A,), TOP, A), (left, right), {"pivot": pivot})
+
+    inner = mix(hyp(a0), hyp(Not(a0)))
+    idem = mix(hyp(TOP), hyp(TOP))
+    return [idem, mix(inner, hyp(Not(a0))), mix(hyp(a0), inner), mix(idem, hyp(TOP), b0)]
+
+
+def proof_kind_corpus():
+    """Small proofs that head the mix permutations random proofs miss."""
+    return [
+        *(mixed_premise_proof(rule, k) for rule in ("imp-e", "ce") for k in (0, 1)),
+        *mix_redex_proofs(),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Random generators (plain seeded random; sizes stay tiny)
 
@@ -1440,3 +1488,209 @@ def reference_hnv_lower_bound(t, fuel, mode):
         if n == 0 or alpha_eq(t2, t):
             return best, min(used, fuel), True
         t = t2
+
+
+# ---------------------------------------------------------------------------
+# Reference proof normalization: the redex-kind chain, the contraction chain,
+# the restart-from-root scan and the term-path chain that `proofs._REDEX_AT`,
+# `proofs._proof_step` and `proofs._PREMISE_AT` replaced
+
+
+def _reference_redex_kind(p):
+    from lampe.proofs import _local_constraint, _pivot_atom, formula_names
+
+    if p.rule == "imp-e" and p.premises[0].rule == "imp-i":
+        return "beta-cut"
+    if p.rule == "ce" and p.premises[0].rule == "ci":
+        return "cbv-cut"
+    if p.rule == "m":
+        left, right = p.premises
+        if left == right:
+            return "m-idem"
+        pivot = _pivot_atom(p)
+        if left.rule == "m" and _pivot_atom(left) == pivot:
+            return "m-m-left"
+        if right.rule == "m" and _pivot_atom(right) == pivot:
+            return "m-m-right"
+    if p.rule == "imp-i" and p.premises[0].rule == "m":
+        return "m-imp-i"
+    if p.rule == "imp-e":
+        if p.premises[0].rule == "m":
+            return "m-imp-e-fun"
+        if p.premises[1].rule == "m":
+            return "m-imp-e-arg"
+    if p.rule == "ci" and p.premises[0].rule == "m":
+        inner = p.premises[0]
+        if not (
+            formula_names(_local_constraint(p))
+            & {_pivot_atom(inner).name}
+        ):
+            return "m-ci"
+    if p.rule == "ce":
+        if p.premises[0].rule == "m":
+            return "m-ce-major"
+        if p.premises[1].rule == "m":
+            return "m-ce-minor"
+    return None
+
+
+def reference_find_proof_redex(p, path=()):
+    kind = _reference_redex_kind(p)
+    if kind is not None:
+        return path, kind
+    for i, q in enumerate(p.premises):
+        found = reference_find_proof_redex(q, path + (i,))
+        if found is not None:
+            return found
+    return None
+
+
+def _reference_rewrite_at(p, path, kind):
+    if not path:
+        return _reference_transform_redex(p, kind)
+    i = path[0]
+    premises = list(p.premises)
+    premises[i] = _reference_rewrite_at(premises[i], path[1:], kind)
+    return ProofDerivation(p.rule, p.sequent, tuple(premises), p.side)
+
+
+def _reference_mix(left, right, pivot, sequent):
+    return ProofDerivation("m", sequent, (left, right), {"pivot": pivot})
+
+
+def _reference_transform_redex(p, kind):
+    from lampe.proofs import _local_constraint, _pivot_atom, subst_proof, weaken_proof
+    from lampe.typesys import _get_scale
+
+    s = p.sequent
+    b = s.constraint
+    if kind == "beta-cut":
+        fun, arg = p.premises
+        body = fun.premises[0]
+        inlined = subst_proof(body, len(s.ctx), arg)
+        return weaken_proof(inlined, b)
+    if kind == "cbv-cut":
+        major, minor = p.premises
+        intro = major
+        d = _local_constraint(intro)
+        q = intro.sequent.formula.q
+        scale = _get_scale(p)
+        strengthened = weaken_proof(minor, And(b, d))
+        inlined = subst_proof(strengthened, len(s.ctx), intro.premises[0])
+        inlined = weaken_proof(inlined, And(b, d))
+        return ProofDerivation("ci", s, (inlined,), {"d": d, "q": q * scale})
+    if kind == "m-idem":
+        return weaken_proof(p.premises[0], b)
+    if kind == "m-m-left":
+        inner = p.premises[0]
+        return _reference_mix(inner.premises[0], p.premises[1], p.side["pivot"], s)
+    if kind == "m-m-right":
+        inner = p.premises[1]
+        return _reference_mix(p.premises[0], inner.premises[1], p.side["pivot"], s)
+    if kind == "m-imp-i":
+        inner = p.premises[0]
+        left, right = inner.premises
+        new_left = ProofDerivation(
+            "imp-i", Sequent(s.ctx, left.sequent.constraint, s.formula), (left,), {}
+        )
+        new_right = ProofDerivation(
+            "imp-i", Sequent(s.ctx, right.sequent.constraint, s.formula), (right,), {}
+        )
+        return _reference_mix(new_left, new_right, inner.side["pivot"], s)
+    if kind in ("m-imp-e-fun", "m-imp-e-arg", "m-ce-major", "m-ce-minor"):
+        k = 0 if kind in ("m-imp-e-fun", "m-ce-major") else 1
+        inner = p.premises[k]
+        pieces = []
+        for branch in inner.premises:
+            bc = And(b, branch.sequent.constraint)
+            premises = list(p.premises)
+            premises[k] = branch
+            pieces.append(
+                ProofDerivation(
+                    p.rule, Sequent(s.ctx, bc, s.formula),
+                    tuple(weaken_proof(q, bc) for q in premises),
+                    p.side if p.rule == "ce" else {},
+                )
+            )
+        return _reference_mix(pieces[0], pieces[1], inner.side["pivot"], s)
+    if kind == "m-ci":
+        inner = p.premises[0]
+        d = _local_constraint(p)
+        q = p.side["q"] if "q" in p.side else s.formula.q
+        pivot = _pivot_atom(inner)
+        pieces = []
+        for sign, branch in ((pivot, inner.premises[0]), (Not(pivot), inner.premises[1])):
+            bc = And(b, sign)
+            strengthened = weaken_proof(branch, And(bc, d))
+            pieces.append(
+                ProofDerivation(
+                    "ci", Sequent(s.ctx, bc, s.formula), (strengthened,), {"d": d, "q": q}
+                )
+            )
+        return _reference_mix(pieces[0], pieces[1], inner.side["pivot"], s)
+    raise ValueError(f"no redex of kind {kind} at this node")
+
+
+def _reference_term_path(p, proof_path):
+    out = []
+    for i in proof_path:
+        if p.rule in ("m", "imp-e"):
+            out.append(i)
+        elif p.rule in ("imp-i", "ci"):
+            out.append(0)
+        elif p.rule == "ce":
+            out.extend((1,) if i == 0 else (0, 0))
+        else:
+            raise ValueError("path descends through a leaf")
+        p = p.premises[i]
+    return tuple(out)
+
+
+def reference_normalization(p, max_steps=10000):
+    """Every leftmost-outermost step of p as (path, kind, next proof), found
+    by rescanning from the root and rebuilt through the two chains."""
+    from lampe.proofs import check_proof
+
+    check_proof(p)
+    out = []
+    while len(out) < max_steps:
+        found = reference_find_proof_redex(p)
+        if found is None:
+            break
+        p = _reference_rewrite_at(p, *found)
+        check_proof(p)
+        out.append((*found, p))
+    return out
+
+
+def reference_simulation(p, fuel=1000):
+    """`verify_simulation`'s entries through the reference loop, each step
+    translating both proofs."""
+    from lampe.proofs import SimulationEntry, _witness_steps, check_proof, proof_term
+    from lampe.terms import print_term
+
+    check_proof(p)
+    entries = []
+    used = 0
+    while used < fuel:
+        found = reference_find_proof_redex(p)
+        if found is None:
+            break
+        path, kind = found
+        nxt = _reference_rewrite_at(p, path, kind)
+        check_proof(nxt)
+        before, after = proof_term(p), proof_term(nxt)
+        try:
+            witnessed, steps = _witness_steps(before, kind, _reference_term_path(p, path))
+            ok = alpha_eq(witnessed, after)
+            detail = "" if ok else (
+                f"reached {print_term(witnessed)}, expected {print_term(after)}"
+            )
+        except (RecursionError, MemoryError):
+            raise
+        except Exception as exc:  # noqa: BLE001 - recorded, not raised
+            steps, ok, detail = [], False, str(exc)
+        entries.append(SimulationEntry(kind, ok, steps, detail))
+        used += max(len(steps), 1)
+        p = nxt
+    return entries

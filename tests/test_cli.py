@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +242,21 @@ def test_readme_examples_byte_compared(capsys):
         code = run(argv)
         out = capsys.readouterr().out
         assert code == 0 and out == expected, (argv, out)
+
+
+def test_proof_cli_golden(capsys, tmp_path, monkeypatch):
+    # the proof subcommands' exit codes, stdout and stderr, recorded by
+    # tests/make_proof_golden.py before the redex table replaced the two
+    # if-chains of proof normalization
+    golden = json.loads((Path(__file__).parent / "golden" / "proof_cli.json").read_text())
+    for name, blob in golden["inputs"].items():
+        (tmp_path / name).write_text(json.dumps(blob))
+    monkeypatch.chdir(tmp_path)
+    for record in golden["records"]:
+        code, out, err = invoke(capsys, *record["argv"])
+        assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"]), (
+            record["argv"]
+        )
 
 
 def test_malformed_json_exits_one(capsys, tmp_path):
