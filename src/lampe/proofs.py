@@ -5,8 +5,22 @@ type system.
 Sequents are (hypothesis list, Boolean constraint, formula).  The identity
 rule carries the index of the hypothesis it uses; the mixing rule carries its
 pivot atom; the counting introduction carries its local one-name constraint
-and bound.  Normalization rewrites the proof tree: the two cuts go through an
-inlining substitution, and the mixing rule permutes past every other rule.
+and bound.
+
+Normalization rewrites the proof tree: the two cuts go through an inlining
+substitution, and the mixing rule permutes past every other rule.  Each
+normalization rule is written once, in the redex table `_REDEX_AT`: one
+function per proof rule returns the (kind, contractum) of the first kind that
+fires at a node of that rule, in the canonical order, or None.  The one step
+function `_proof_step` scans leftmost-outermost from the root, dispatching
+once per node on its rule, and rebuilds the redex's ancestors on the way
+back; `normalize_step`, `normalize_proof` and `verify_simulation` take their
+steps from it.
+
+The position table `_PREMISE_AT` says where each premise's proof term sits in
+its parent's proof term, as `proof_term` lays it out.  `verify_simulation`
+maps a redex's proof path to its term position through it, and `translate`
+builds the proof term once and hands each premise its part of it.
 """
 
 from __future__ import annotations
@@ -41,7 +55,10 @@ from .terms import (
     Nu,
     Var,
     alpha_eq,
+    copy_variant_name,
+    free_names,
     print_term,
+    subterm_at,
     token_pattern,
     tokenize,
 )
@@ -397,8 +414,6 @@ def subst_proof(p, k, replacement):
     removing that hypothesis; conjoins the replacement constraint along the
     way.  Duplicated copies get variant-renamed counting names, numbered in
     proof-term order to stay in lockstep with term substitution."""
-    from .terms import copy_variant_name
-
     du = replacement.sequent.constraint
     base_len = len(replacement.sequent.ctx)
     total = _count_uses(p, k)
@@ -451,167 +466,155 @@ def _count_uses(p, k):
 # Normalization
 
 
-def _redex_kind(p):
-    """The redex pattern this node heads, if any (first match in the
-    canonical order)."""
-    if p.rule == "imp-e" and p.premises[0].rule == "imp-i":
-        return "beta-cut"
-    if p.rule == "ce" and p.premises[0].rule == "ci":
-        return "cbv-cut"
-    if p.rule == "m":
-        left, right = p.premises
-        if left == right:
-            return "m-idem"
-        pivot = _pivot_atom(p)
-        if left.rule == "m" and _pivot_atom(left) == pivot:
-            return "m-m-left"
-        if right.rule == "m" and _pivot_atom(right) == pivot:
-            return "m-m-right"
-    if p.rule == "imp-i" and p.premises[0].rule == "m":
-        return "m-imp-i"
-    if p.rule == "imp-e":
-        if p.premises[0].rule == "m":
-            return "m-imp-e-fun"
-        if p.premises[1].rule == "m":
-            return "m-imp-e-arg"
-    if p.rule == "ci" and p.premises[0].rule == "m":
-        inner = p.premises[0]
-        if not (
-            formula_names(_local_constraint(p))
-            & {_pivot_atom(inner).name}
-        ):
-            return "m-ci"
-    if p.rule == "ce":
-        if p.premises[0].rule == "m":
-            return "m-ce-major"
-        if p.premises[1].rule == "m":
-            return "m-ce-minor"
-    return None
+def _with_premise(p, k, q):
+    return p.premises[:k] + (q,) + p.premises[k + 1 :]
 
 
-def find_proof_redex(p, path=()):
-    kind = _redex_kind(p)
-    if kind is not None:
-        return path, kind
-    for i, q in enumerate(p.premises):
-        found = find_proof_redex(q, path + (i,))
-        if found is not None:
-            return found
-    return None
+def _mix(pieces, pivot, sequent):
+    return ProofDerivation("m", sequent, tuple(pieces), {"pivot": pivot})
 
 
-def _rewrite_at(p, path, kind):
-    if not path:
-        return _transform_redex(p, kind)
-    i = path[0]
-    premises = list(p.premises)
-    premises[i] = _rewrite_at(premises[i], path[1:], kind)
-    return ProofDerivation(p.rule, p.sequent, tuple(premises), p.side)
-
-
-def _mix(left, right, pivot, sequent):
-    return ProofDerivation(
-        "m", sequent, (left, right), {"pivot": pivot}
-    )
-
-
-def _transform_redex(p, kind):
-    """Contract the redex of the given kind that p heads."""
-    s = p.sequent
-    b = s.constraint
-    if kind == "beta-cut":
-        fun, arg = p.premises
-        body = fun.premises[0]
-        inlined = subst_proof(body, len(s.ctx), arg)
-        return weaken_proof(inlined, b)
-    if kind == "cbv-cut":
-        major, minor = p.premises
-        intro = major
-        d = _local_constraint(intro)
-        q = intro.sequent.formula.q
-        scale = _get_scale(p)
-        strengthened = weaken_proof(minor, And(b, d))
-        inlined = subst_proof(strengthened, len(s.ctx), intro.premises[0])
-        inlined = weaken_proof(inlined, And(b, d))
-        return ProofDerivation(
-            "ci", s, (inlined,), {"d": d, "q": q * scale}
-        )
-    if kind == "m-idem":
-        return weaken_proof(p.premises[0], b)
-    if kind == "m-m-left":
-        inner = p.premises[0]
-        return _mix(
-            inner.premises[0], p.premises[1], p.side["pivot"], s
-        )
-    if kind == "m-m-right":
-        inner = p.premises[1]
-        return _mix(
-            p.premises[0], inner.premises[1], p.side["pivot"], s
-        )
-    if kind == "m-imp-i":
-        inner = p.premises[0]
-        left, right = inner.premises
-        new_left = ProofDerivation(
-            "imp-i",
-            Sequent(s.ctx, left.sequent.constraint, s.formula),
-            (left,),
-            {},
-        )
-        new_right = ProofDerivation(
-            "imp-i",
-            Sequent(s.ctx, right.sequent.constraint, s.formula),
-            (right,),
-            {},
-        )
-        return _mix(new_left, new_right, inner.side["pivot"], s)
-    if kind in ("m-imp-e-fun", "m-imp-e-arg", "m-ce-major", "m-ce-minor"):
-        # the mix heads the function/major premise or the argument/minor one
-        k = 0 if kind in ("m-imp-e-fun", "m-ce-major") else 1
+def _split_mixed_premise(p, kinds, side):
+    """m-imp-e-fun/arg and m-ce-major/minor: the first premise k that is a
+    mix splits p into one copy per branch, each weakened to the branch's
+    constraint, mixed on the same pivot."""
+    for k, kind in enumerate(kinds):
         inner = p.premises[k]
-        pieces = []
-        for branch in inner.premises:
-            bc = And(b, branch.sequent.constraint)
-            premises = list(p.premises)
-            premises[k] = branch
-            pieces.append(
-                ProofDerivation(
-                    p.rule, Sequent(s.ctx, bc, s.formula),
-                    tuple(weaken_proof(q, bc) for q in premises),
-                    p.side if p.rule == "ce" else {},
-                )
+        if inner.rule == "m":
+            break
+    else:
+        return None
+    s = p.sequent
+    pieces = []
+    for branch in inner.premises:
+        bc = And(s.constraint, branch.sequent.constraint)
+        premises = _with_premise(p, k, branch)
+        pieces.append(
+            ProofDerivation(
+                p.rule, Sequent(s.ctx, bc, s.formula),
+                tuple(weaken_proof(q, bc) for q in premises), side,
             )
-        return _mix(pieces[0], pieces[1], inner.side["pivot"], s)
-    if kind == "m-ci":
-        inner = p.premises[0]
-        d = _local_constraint(p)
-        q = p.side["q"] if "q" in p.side else s.formula.q
-        pivot = _pivot_atom(inner)
-        pieces = []
-        for sign, branch in (
-            (pivot, inner.premises[0]),
-            (Not(pivot), inner.premises[1]),
-        ):
-            bc = And(b, sign)
-            strengthened = weaken_proof(branch, And(bc, d))
-            pieces.append(
-                ProofDerivation(
-                    "ci", Sequent(s.ctx, bc, s.formula),
-                    (strengthened,), {"d": d, "q": q},
-                )
+        )
+    return kind, _mix(pieces, inner.side["pivot"], s)
+
+
+def _at_imp_e(p):
+    fun, arg = p.premises
+    if fun.rule == "imp-i":
+        s = p.sequent
+        inlined = subst_proof(fun.premises[0], len(s.ctx), arg)
+        return "beta-cut", weaken_proof(inlined, s.constraint)
+    return _split_mixed_premise(p, ("m-imp-e-fun", "m-imp-e-arg"), {})
+
+
+def _at_ce(p):
+    major, minor = p.premises
+    if major.rule == "ci":
+        s = p.sequent
+        d = _local_constraint(major)
+        bd = And(s.constraint, d)
+        inlined = subst_proof(weaken_proof(minor, bd), len(s.ctx), major.premises[0])
+        q = major.sequent.formula.q * _get_scale(p)
+        return "cbv-cut", ProofDerivation(
+            "ci", s, (weaken_proof(inlined, bd),), {"d": d, "q": q}
+        )
+    return _split_mixed_premise(p, ("m-ce-major", "m-ce-minor"), p.side)
+
+
+def _at_m(p):
+    left, right = p.premises
+    s = p.sequent
+    if left == right:
+        return "m-idem", weaken_proof(left, s.constraint)
+    # m-m-left/right: premise k mixes on the same pivot, so its branch k is
+    # the only one reachable there
+    pivot = _pivot_atom(p)
+    for k, kind in enumerate(("m-m-left", "m-m-right")):
+        inner = p.premises[k]
+        if inner.rule == "m" and _pivot_atom(inner) == pivot:
+            return kind, _mix(_with_premise(p, k, inner.premises[k]), pivot, s)
+    return None
+
+
+def _at_imp_i(p):
+    inner = p.premises[0]
+    if inner.rule != "m":
+        return None
+    s = p.sequent
+    pieces = (
+        ProofDerivation(
+            "imp-i", Sequent(s.ctx, branch.sequent.constraint, s.formula), (branch,), {}
+        )
+        for branch in inner.premises
+    )
+    return "m-imp-i", _mix(pieces, inner.side["pivot"], s)
+
+
+def _at_ci(p):
+    inner = p.premises[0]
+    if inner.rule != "m":
+        return None
+    d = _local_constraint(p)
+    pivot = _pivot_atom(inner)
+    if pivot.name in formula_names(d):
+        return None
+    s = p.sequent
+    q = p.side.get("q", s.formula.q)
+    pieces = []
+    for sign, branch in zip((pivot, Not(pivot)), inner.premises):
+        bc = And(s.constraint, sign)
+        pieces.append(
+            ProofDerivation(
+                "ci", Sequent(s.ctx, bc, s.formula),
+                (weaken_proof(branch, And(bc, d)),), {"d": d, "q": q},
             )
-        return _mix(pieces[0], pieces[1], inner.side["pivot"], s)
-    raise IllFormedError(f"no redex at this node")
+        )
+    return "m-ci", _mix(pieces, pivot, s)
+
+
+# `_REDEX_AT[p.rule](p)` is (kind, contractum) for the first normalization
+# kind that fires at p, in the canonical order, or None; id and bot head no
+# redex
+_REDEX_AT = {
+    "imp-e": _at_imp_e,
+    "ce": _at_ce,
+    "m": _at_m,
+    "imp-i": _at_imp_i,
+    "ci": _at_ci,
+}
+
+
+def _proof_step(p):
+    """(path, kind, next proof) for the leftmost-outermost redex of p, or
+    None when p is normal; the redex's ancestors are rebuilt on the way
+    back."""
+    at = _REDEX_AT.get(p.rule)
+    found = None if at is None else at(p)
+    if found is not None:
+        return ((), *found)
+    for i, q in enumerate(p.premises):
+        found = _proof_step(q)
+        if found is not None:
+            path, kind, new = found
+            premises = _with_premise(p, i, new)
+            return (i, *path), kind, ProofDerivation(p.rule, p.sequent, premises, p.side)
+    return None
+
+
+def find_proof_redex(p):
+    """(path, kind) of the leftmost-outermost redex of p, or None."""
+    found = _proof_step(p)
+    return None if found is None else found[:2]
 
 
 def normalize_step(p):
     """One leftmost-outermost normalization step; None when normal."""
     check_proof(p)
-    found = find_proof_redex(p)
+    found = _proof_step(p)
     if found is None:
         return None
-    out = _rewrite_at(p, *found)
-    check_proof(out)
-    return out
+    check_proof(found[2])
+    return found[2]
 
 
 def normalize_proof(p, max_steps=10000):
@@ -623,12 +626,12 @@ def normalize_proof(p, max_steps=10000):
     check_proof(p)
     steps = 0
     while True:
-        found = find_proof_redex(p)
+        found = _proof_step(p)
         if found is None:
             return p, steps
         if steps == max_steps:
             raise IllFormedError(f"normalization did not finish in {max_steps} steps")
-        p = _rewrite_at(p, *found)
+        p = found[2]
         check_proof(p)
         steps += 1
 
@@ -688,16 +691,25 @@ def proof_term(p):
     raise RuleShapeError(p.rule)
 
 
+# where each premise's proof term sits in its parent's proof term, as
+# `proof_term` lays it out: the ce minor is the body of the CbV function
+_PREMISE_AT = {
+    "id": (),
+    "bot": (),
+    "m": ((0,), (1,)),
+    "imp-i": ((0,),),
+    "imp-e": ((0,), (1,)),
+    "ci": ((0,),),
+    "ce": ((1,), (0, 0)),
+}
+
+
 def translate(p):
     """(proof term, checked CbV typing derivation) for a checked proof."""
     check_proof(p)
     term = proof_term(p)
-    from .terms import free_names as term_free_names
-
-    root_names = frozenset(
-        formula_names(p.sequent.constraint) | term_free_names(term)
-    )
-    deriv = _translate_node(p, root_names)
+    root_names = frozenset(formula_names(p.sequent.constraint) | free_names(term))
+    deriv = _translate_node(p, root_names, term)
     check_derivation(deriv, CBV)
     return term, deriv
 
@@ -708,79 +720,55 @@ def _ctx_types(ctx):
     )
 
 
-def _translate_node(p, names):
+def _translate_node(p, names, term):
+    """The typing derivation of `term`, the proof term of p, with the
+    generator names `names` in scope."""
     s = p.sequent
     ctx = _ctx_types(s.ctx)
     ty = formula_type(s.formula)
-    term = proof_term(p)
     j = Judgement(ctx, names, term, s.constraint, ty)
+    inner = names
+    if p.rule == "ci":
+        if term.name in names:
+            raise IllFormedError(f"generator name {term.name} is already in scope")
+        inner = names | {term.name}
+    subs = tuple(
+        _translate_node(q, inner, subterm_at(term, at))
+        for q, at in zip(p.premises, _PREMISE_AT[p.rule])
+    )
     if p.rule == "id":
         return TypingDerivation("id", j, (), {})
     if p.rule == "bot":
         return TypingDerivation("or", j, (), {})
     if p.rule == "m":
         pivot = _pivot_atom(p)
-        if pivot.name not in names:
-            raise IllFormedError(
-                f"mixing pivot {pivot.name} is not in scope"
+        sides = (
+            TypingDerivation(
+                rule, Judgement(ctx, names, term, And(q.judgement.constraint, sign), ty),
+                (q,), {},
             )
-        left = _translate_node(p.premises[0], names)
-        right = _translate_node(p.premises[1], names)
-        lj = left.judgement
-        rj = right.judgement
-        lnode = TypingDerivation(
-            "plus-l",
-            Judgement(ctx, names, term, And(lj.constraint, pivot), ty),
-            (left,),
-            {},
+            for rule, q, sign in zip(("plus-l", "plus-r"), subs, (pivot, Not(pivot)))
         )
-        rnode = TypingDerivation(
-            "plus-r",
-            Judgement(ctx, names, term, And(rj.constraint, Not(pivot)), ty),
-            (right,),
-            {},
-        )
-        return TypingDerivation("or", j, (lnode, rnode), {})
+        return TypingDerivation("or", j, tuple(sides), {})
     if p.rule == "imp-i":
-        body = _translate_node(p.premises[0], names)
-        return TypingDerivation("lam", j, (body,), {})
+        return TypingDerivation("lam", j, subs, {})
     if p.rule == "imp-e":
-        fun = _translate_node(p.premises[0], names)
-        arg = _translate_node(p.premises[1], names)
-        return TypingDerivation("app", j, (fun, arg), {})
+        return TypingDerivation("app", j, subs, {})
     if p.rule == "ci":
-        d = _local_constraint(p)
-        (a,) = formula_names(d) or {None}
-        if a is None:
-            raise IllFormedError("translation needs a named local constraint")
-        if a in names:
-            raise IllFormedError(f"generator name {a} is already in scope")
-        body = _translate_node(p.premises[0], names | {a})
         return TypingDerivation(
-            "mu", j, (body,), {"d": d, "q": s.formula.q}
+            "mu", j, subs, {"d": _local_constraint(p), "q": s.formula.q}
         )
-    if p.rule == "ce":
-        major = _translate_node(p.premises[0], names)
-        minor = _translate_node(p.premises[1], names)
-        mj = minor.judgement
-        qs, body = strip_prefix(mj.type)
-        arg_type = formula_type(p.premises[0].sequent.formula.body)
-        lam_node = TypingDerivation(
-            "lam",
-            Judgement(
-                ctx,
-                names,
-                Lam(_hyp_var(len(s.ctx)), mj.term),
-                s.constraint,
-                wrap_prefix(qs, Arrow(arg_type, body)),
-            ),
-            (minor,),
-            {},
-        )
-        return TypingDerivation(
-            "cbv", j, (lam_node, major), {"scale": _get_scale(p)}
-        )
-    raise RuleShapeError(p.rule)
+    # ce: the minor premise types the body of the CbV function
+    major, minor = subs
+    qs, body = strip_prefix(minor.judgement.type)
+    arg_type = formula_type(p.premises[0].sequent.formula.body)
+    lam_node = TypingDerivation(
+        "lam",
+        Judgement(ctx, names, term.fun, s.constraint, wrap_prefix(qs, Arrow(arg_type, body))),
+        (minor,),
+        {},
+    )
+    return TypingDerivation("cbv", j, (lam_node, major), {"scale": _get_scale(p)})
 
 
 # ---------------------------------------------------------------------------
@@ -804,28 +792,13 @@ class SimulationReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _term_path(p, proof_path):
-    """Map a proof-node path to the corresponding position in the proof
-    term."""
-    out = []
-    for i in proof_path:
-        if p.rule == "m":
-            out.append(i)
-        elif p.rule == "imp-i":
-            out.append(0)
-        elif p.rule == "imp-e":
-            out.append(i)
-        elif p.rule == "ci":
-            out.append(0)
-        elif p.rule == "ce":
-            if i == 0:
-                out.append(1)
-            else:
-                out.extend((0, 0))
-        else:
-            raise IllFormedError("path descends through a leaf")
+def _term_path(p, path):
+    """The position in p's proof term of the proof node at `path`."""
+    out = ()
+    for i in path:
+        out += _PREMISE_AT[p.rule][i]
         p = p.premises[i]
-    return tuple(out)
+    return out
 
 
 # each normalization kind's reduction steps: (rule, offset below the redex)
@@ -862,18 +835,18 @@ def verify_simulation(p, fuel=1000):
     check_proof(p)
     entries = []
     used = 0
+    before = None
     while used < fuel:
-        found = find_proof_redex(p)
+        found = _proof_step(p)
         if found is None:
             break
-        path, kind = found
-        nxt = _rewrite_at(p, path, kind)
+        path, kind, nxt = found
         check_proof(nxt)
-        before = proof_term(p)
+        if before is None:
+            before = proof_term(p)
         after = proof_term(nxt)
-        pos = _term_path(p, path)
         try:
-            witnessed, steps = _witness_steps(before, kind, pos)
+            witnessed, steps = _witness_steps(before, kind, _term_path(p, path))
             ok = alpha_eq(witnessed, after)
             detail = "" if ok else (
                 f"reached {print_term(witnessed)}, expected {print_term(after)}"
@@ -881,11 +854,10 @@ def verify_simulation(p, fuel=1000):
         except (RecursionError, MemoryError):
             raise
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
-            witnessed, steps, ok = None, [], False
-            detail = str(exc)
+            steps, ok, detail = [], False, str(exc)
         entries.append(SimulationEntry(kind, ok, steps, detail))
         used += max(len(steps), 1)
-        p = nxt
+        p, before = nxt, after
     return SimulationReport(entries)
 
 

@@ -245,9 +245,8 @@ def test_readme_examples_byte_compared(capsys):
 
 
 def test_proof_cli_golden(capsys, tmp_path, monkeypatch):
-    # the proof subcommands' exit codes, stdout and stderr, recorded by
-    # tests/make_proof_golden.py before the redex table replaced the two
-    # if-chains of proof normalization
+    # the proof subcommands' exit codes, stdout and stderr as recorded by
+    # tests/make_proof_golden.py; a refactor of the proof kernel keeps them
     golden = json.loads((Path(__file__).parent / "golden" / "proof_cli.json").read_text())
     for name, blob in golden["inputs"].items():
         (tmp_path / name).write_text(json.dumps(blob))

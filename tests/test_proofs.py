@@ -3,14 +3,20 @@ import random
 import pytest
 
 from helpers import (
+    A_,
+    B_,
     HALF,
     P,
     S,
     cut_proof,
     duplicator_proof,
     half_id_proof,
+    mixed_premise_proof,
     proof_fixture_corpus,
+    proof_kind_corpus,
     random_proof,
+    reference_normalization,
+    reference_simulation,
     tree_nodes,
 )
 from lampe.errors import (
@@ -22,9 +28,12 @@ from lampe.errors import (
 )
 from lampe.formulas import And, Atom, BOT, Not, TOP, parse_formula
 from lampe.proofs import (
+    _WITNESS_STEPS,
     Count,
     Implies,
     PropVar,
+    _proof_step,
+    _term_path,
     check_proof,
     formula_type,
     normalize_proof,
@@ -37,7 +46,7 @@ from lampe.proofs import (
     translate,
     verify_simulation,
 )
-from lampe.terms import Name, alpha_eq, parse_term, print_term
+from lampe.terms import Name, alpha_eq, parse_term, print_term, subterm_at
 from lampe.typesys import CBV, check_derivation, print_type
 
 A = PropVar("A")
@@ -317,29 +326,11 @@ def test_normalization_terminates_on_random_proofs():
         assert normal.sequent == p.sequent
 
 
-def _mix_in_second_premise(rule):
-    """An imp-e or ce node whose second premise is a mix on a.0 of two
-    hypothesis proofs, and whose first premise is a hypothesis."""
-    a0 = Atom(a, 0)
-    if rule == "imp-e":
-        ctx, first, formula, side = (Implies(A, A), A), Implies(A, A), A, {}
-        mix_ctx = ctx
-    else:
-        ctx, first, side = (Count(HALF, A),), Count(HALF, A), {"scale": HALF}
-        formula, mix_ctx = Count(HALF * HALF, A), ctx + (A,)
-    hyp = P("id", S(ctx, TOP, first), (), {"index": 0})
-    branches = tuple(
-        P("id", S(mix_ctx, c, A), (), {"index": len(mix_ctx) - 1}) for c in (a0, Not(a0))
-    )
-    mix = P("m", S(mix_ctx, TOP, A), branches, {"pivot": a0})
-    return P(rule, S(ctx, TOP, formula), (hyp, mix), side)
-
-
 @pytest.mark.parametrize("rule, kind", [("imp-e", "m-imp-e-arg"), ("ce", "m-ce-minor")])
 def test_mix_in_argument_or_minor_premise_is_split(rule, kind):
     from lampe.proofs import find_proof_redex, weaken_proof
 
-    p = _mix_in_second_premise(rule)
+    p = mixed_premise_proof(rule, 1)
     assert find_proof_redex(p) == ((), kind)
     hyp, mix = p.premises
     pieces = []
@@ -355,3 +346,104 @@ def test_mix_in_argument_or_minor_premise_is_split(rule, kind):
         )
     expected = P("m", p.sequent, tuple(pieces), {"pivot": Atom(a, 0)})
     assert normalize_step(p) == expected
+
+
+@pytest.fixture(scope="module")
+def random_proofs():
+    """40 seeded random checked proofs of depth 2 to 6."""
+    rng = random.Random(2718)
+    made = []
+    while len(made) < 40:
+        p = random_proof(rng, depth=rng.randrange(2, 7))
+        if p is not None:
+            made.append(p)
+    return made
+
+
+def test_normalization_matches_the_reference_loop(random_proofs):
+    # the redex table and the one step function against the two if-chains
+    # and the restart-from-root loop they replaced: the same steps, in the
+    # same order, with the same contracta, and the same simulation entries
+    kinds = set()
+    for p in proof_fixture_corpus() + proof_kind_corpus() + random_proofs:
+        expected = reference_normalization(p)
+        got, q = [], p
+        while (found := _proof_step(q)) is not None:
+            got.append(found)
+            q = found[2]
+        assert got == expected
+        assert normalize_proof(p) == (q, len(got))
+        assert verify_simulation(p).entries == reference_simulation(p)
+        kinds.update(kind for _, kind, _ in got)
+    assert kinds == set(_WITNESS_STEPS)
+
+
+def _proof_nodes(p):
+    """(path, node) for every node of a proof, in pre-order."""
+    stack = [((), p)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((path + (i,), q) for i, q in reversed(list(enumerate(node.premises))))
+
+
+def _translated_pairs(p, d):
+    """(proof node, derivation node) pairs of a proof and its translation;
+    a mix's branches sit under plus-l/plus-r, and the ce minor under lam."""
+    stack = [(p, d)]
+    while stack:
+        p, d = stack.pop()
+        yield p, d
+        subs = d.premises
+        if p.rule == "m":
+            subs = [side.premises[0] for side in subs]
+        elif p.rule == "ce":
+            subs = [subs[1], subs[0].premises[0]]
+        stack.extend(zip(p.premises, subs))
+
+
+def test_premise_positions_match_proof_terms(random_proofs):
+    for root in proof_fixture_corpus() + proof_kind_corpus() + random_proofs:
+        term = proof_term(root)
+        for path, node in _proof_nodes(root):
+            assert alpha_eq(subterm_at(term, _term_path(root, path)), proof_term(node))
+        _, deriv = translate(root)
+        for node, d in _translated_pairs(root, deriv):
+            assert alpha_eq(d.judgement.term, proof_term(node))
+
+
+def test_translate_rejects_a_two_name_local_constraint():
+    d = And(Atom(A_, 0), Atom(B_, 0))
+    body = P(
+        "imp-i",
+        S((), And(TOP, d), Implies(A, A)),
+        (P("id", S((A,), And(TOP, d), A), (), {"index": 0}),),
+    )
+    p = P("ci", S((), TOP, Count(HALF * HALF, Implies(A, A))), (body,), {"d": d})
+    check_proof(p)
+    with pytest.raises(IllFormedError, match="translation needs a single-name local constraint"):
+        translate(p)
+
+
+def test_translate_rejects_a_generator_name_already_in_scope():
+    # the root constraint names a, and a mix on b leaves its left branch a
+    # constraint free of a, so a counting introduction there may bind a
+    a0, b0 = Atom(A_, 0), Atom(B_, 0)
+    arrow = Implies(A, A)
+    local = Atom(A_, 1)
+
+    def identity(c):
+        return P("imp-i", S((), c, arrow), (P("id", S((A,), c, A), (), {"index": 0}),))
+
+    def counted(d):
+        return P("ci", S((), TOP, Count(HALF, arrow)), (identity(And(TOP, d)),), {"d": d})
+
+    p = P(
+        "m",
+        S((), a0, Count(HALF, arrow)),
+        (counted(local), counted(Atom(Name("c"), 0))),
+        {"pivot": b0},
+    )
+    check_proof(p)
+    with pytest.raises(IllFormedError, match="generator name a is already in scope"):
+        translate(p)
