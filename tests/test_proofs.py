@@ -3,7 +3,6 @@ import random
 import pytest
 
 from helpers import (
-    A_,
     B_,
     HALF,
     P,
@@ -361,9 +360,9 @@ def random_proofs():
 
 
 def test_normalization_matches_the_reference_loop(random_proofs):
-    # the redex table and the one step function against the two if-chains
-    # and the restart-from-root loop they replaced: the same steps, in the
-    # same order, with the same contracta, and the same simulation entries
+    # the step function against the frozen restart-from-root loop: the same
+    # steps, in the same order, with the same contracta, and the same
+    # simulation entries
     kinds = set()
     for p in proof_fixture_corpus() + proof_kind_corpus() + random_proofs:
         expected = reference_normalization(p)
@@ -379,12 +378,12 @@ def test_normalization_matches_the_reference_loop(random_proofs):
 
 
 def _proof_nodes(p):
-    """(path, node) for every node of a proof, in pre-order."""
+    """(path, node) for every node of a proof."""
     stack = [((), p)]
     while stack:
         path, node = stack.pop()
         yield path, node
-        stack.extend((path + (i,), q) for i, q in reversed(list(enumerate(node.premises))))
+        stack.extend((path + (i,), q) for i, q in enumerate(node.premises))
 
 
 def _translated_pairs(p, d):
@@ -413,7 +412,7 @@ def test_premise_positions_match_proof_terms(random_proofs):
 
 
 def test_translate_rejects_a_two_name_local_constraint():
-    d = And(Atom(A_, 0), Atom(B_, 0))
+    d = And(Atom(a, 0), Atom(B_, 0))
     body = P(
         "imp-i",
         S((), And(TOP, d), Implies(A, A)),
@@ -428,9 +427,9 @@ def test_translate_rejects_a_two_name_local_constraint():
 def test_translate_rejects_a_generator_name_already_in_scope():
     # the root constraint names a, and a mix on b leaves its left branch a
     # constraint free of a, so a counting introduction there may bind a
-    a0, b0 = Atom(A_, 0), Atom(B_, 0)
+    a0, b0 = Atom(a, 0), Atom(B_, 0)
     arrow = Implies(A, A)
-    local = Atom(A_, 1)
+    local = Atom(a, 1)
 
     def identity(c):
         return P("imp-i", S((), c, arrow), (P("id", S((A,), c, A), (), {"index": 0}),))
