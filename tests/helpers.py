@@ -264,6 +264,26 @@ def braces_coin_derivation():
     )
 
 
+def clash_derivation():
+    """(\\x. \\y. x) (\\y. y) at (o => (o => o)), with \\y. y : (o => o).  The
+    argument's binder is the variable that the beta step's context adds, so
+    transporting the step renames it apart."""
+    x, y = Var("x"), Var("y")
+    arg = D(
+        "lam",
+        J((), (), Lam("y", y), TOP, OO),
+        (D("id", J((("y", O),), (), y, TOP, O)),),
+    )
+    body = D("id", J((("x", OO), ("y", O)), (), x, TOP, OO))
+    inner = D("lam", J((("x", OO),), (), Lam("y", x), TOP, Arrow(O, OO)), (body,))
+    fun = D(
+        "lam",
+        J((), (), Lam("x", Lam("y", x)), TOP, Arrow(OO, Arrow(O, OO))),
+        (inner,),
+    )
+    return D("app", J((), (), App(fun.judgement.term, arg.judgement.term), TOP, Arrow(O, OO)), (fun, arg))
+
+
 def worked_example_derivation():
     """nu a. (lam x. lam y. (y (+a.0) I) x) (nu b. I (+b.0) OMEGA)."""
     atom = Atom(A_, 0)

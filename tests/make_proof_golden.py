@@ -55,30 +55,27 @@ def run_captured(argv):
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def records(inputs):
-    """One record per (input, command), run in the current directory, which
-    must hold the input files."""
-    return [
-        run_captured([command, *flags, name])
-        for name in inputs
-        for command, flags in COMMANDS
-    ]
-
-
-def main():
-    inputs = golden_inputs()
+def write_golden(path, inputs, argvs):
+    """Run each argument list in a temporary directory that holds the input
+    files, and write the inputs and one record per run to `path`."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, blob in inputs.items():
             Path(tmp, name).write_text(json.dumps(blob))
         here = os.getcwd()
         os.chdir(tmp)
         try:
-            out = records(inputs)
+            out = [run_captured(argv) for argv in argvs]
         finally:
             os.chdir(here)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"inputs": inputs, "records": out}, indent=1) + "\n")
-    print(f"{len(out)} records, {GOLDEN.stat().st_size} bytes -> {GOLDEN}")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({"inputs": inputs, "records": out}, indent=1) + "\n")
+    print(f"{len(out)} records, {path.stat().st_size} bytes -> {path}")
+
+
+def main():
+    inputs = golden_inputs()
+    argvs = [[command, *flags, name] for name in inputs for command, flags in COMMANDS]
+    write_golden(GOLDEN, inputs, argvs)
 
 
 if __name__ == "__main__":

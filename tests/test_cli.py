@@ -244,10 +244,10 @@ def test_readme_examples_byte_compared(capsys):
         assert code == 0 and out == expected, (argv, out)
 
 
-def test_proof_cli_golden(capsys, tmp_path, monkeypatch):
-    # the proof subcommands' exit codes, stdout and stderr as recorded by
-    # tests/make_proof_golden.py; a refactor of the proof kernel keeps them
-    golden = json.loads((Path(__file__).parent / "golden" / "proof_cli.json").read_text())
+def replay_golden(capsys, tmp_path, monkeypatch, file_name):
+    """Replay every record of a golden file written by one of the
+    tests/make_*_golden.py scripts."""
+    golden = json.loads((Path(__file__).parent / "golden" / file_name).read_text())
     for name, blob in golden["inputs"].items():
         (tmp_path / name).write_text(json.dumps(blob))
     monkeypatch.chdir(tmp_path)
@@ -256,6 +256,19 @@ def test_proof_cli_golden(capsys, tmp_path, monkeypatch):
         assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"]), (
             record["argv"]
         )
+
+
+def test_proof_cli_golden(capsys, tmp_path, monkeypatch):
+    # the proof subcommands' records from tests/make_proof_golden.py; a
+    # refactor of the proof kernel keeps them
+    replay_golden(capsys, tmp_path, monkeypatch, "proof_cli.json")
+
+
+def test_derivation_cli_golden(capsys, tmp_path, monkeypatch):
+    # the derivation and term subcommands' records from
+    # tests/make_derivation_golden.py; a refactor of the checkers, transport
+    # or the term core keeps them
+    replay_golden(capsys, tmp_path, monkeypatch, "derivation_cli.json")
 
 
 def test_malformed_json_exits_one(capsys, tmp_path):

@@ -38,6 +38,7 @@ from lampe.terms import (
     parse_term,
     print_term,
     project,
+    rename_bound_name,
     shape_hash,
     substitute,
 )
@@ -173,6 +174,18 @@ def test_substitute_duplicated_scopes_get_variants():
     out = substitute(body, "x", payload)
     assert out.fun.name is a
     assert out.arg.name is Name("a~2")
+
+
+def test_rename_bound_name_keeps_untouched_subtrees():
+    # a subtree without the old name and an inner binder that shadows it
+    # come back as the same objects; the choices on the old name are renamed
+    plain = parse_term(r"\x. x x")
+    shadow = Nu(a, Choice(Var("u"), Var("v"), a, 1))
+    t = Nu(a, App(Choice(plain, Var("w"), a, 0), shadow))
+    out = rename_bound_name(t, b)
+    assert out == Nu(b, App(Choice(plain, Var("w"), b, 0), shadow))
+    assert out.body.fun.left is plain and out.body.arg is shadow
+    assert rename_bound_name(Nu(a, plain), b).body is plain
 
 
 def _subterms(t):

@@ -4,9 +4,13 @@ import random
 import pytest
 
 from helpers import (
+    A_,
     D,
     J,
     cbv_fixture_corpus,
+    clash_derivation,
+    coin_derivation,
+    identity_derivation,
     random_proof,
     record_rule_checks,
     tree_nodes,
@@ -14,9 +18,9 @@ from helpers import (
 from lampe.errors import UnsupportedStepError
 from lampe.formulas import And, Atom, Not, TOP
 from lampe.proofs import translate
-from lampe.rewrite import PE_BRACES, step
-from lampe.terms import Var, alpha_eq, free_names, parse_term
-from lampe.transport import transport_subject_reduction
+from lampe.rewrite import PE, PE_BRACES, step
+from lampe.terms import Var, alpha_eq, free_names, parse_term, print_term
+from lampe.transport import ctx_weaken, names_weaken, transport_subject_reduction
 from lampe.typesys import CBV, O, check_derivation, same_judgement
 
 
@@ -163,3 +167,24 @@ def test_transport_cbv_nu_on_a_json_decoded_derivation():
     out = transport_subject_reduction(d, s, PE_BRACES)
     check_derivation(out, CBV)
     assert same_judgement(out.judgement, expected_judgement(d, s))
+
+
+@pytest.mark.parametrize("mode", [PE, PE_BRACES])
+def test_transport_renames_a_binder_that_the_plugged_context_adds(mode):
+    """Beta on (\\x. \\y. x) (\\y. y): the argument is plugged under a
+    context that declares y, so its own binder y is renamed apart."""
+    d = clash_derivation()
+    (s,) = step(d.judgement.term, mode)
+    assert s.rule == "beta"
+    out = transport_subject_reduction(d, s, mode)
+    assert print_term(out.judgement.term) == r"\y. \y. y"
+    assert same_judgement(out.judgement, expected_judgement(d, s))
+    binders = {x for n in tree_nodes(out) for x, _ in n.judgement.ctx}
+    assert binders == {"y", "y'"}
+
+
+def test_weakenings_reject_a_colliding_name():
+    with pytest.raises(UnsupportedStepError, match="collides with bound name a"):
+        names_weaken(coin_derivation(), {A_})
+    with pytest.raises(UnsupportedStepError, match="context weakening collides with y"):
+        ctx_weaken(identity_derivation(ctx=(("y", O),)), [("y", O)])
