@@ -105,6 +105,19 @@ def formula_names(b):
     return {name for name, _ in atoms(b)}
 
 
+def rename_formula_names(b, mapping):
+    """b with the name of each atom renamed through `mapping`."""
+    if isinstance(b, Atom):
+        new = mapping.get(b.name)
+        return Atom(new, b.index) if new is not None else b
+    if isinstance(b, Not):
+        return Not(rename_formula_names(b.arg, mapping))
+    if isinstance(b, (And, Or)):
+        left = rename_formula_names(b.left, mapping)
+        return type(b)(left, rename_formula_names(b.right, mapping))
+    return b
+
+
 def eval_formula(b, valuation):
     """Evaluate under a finite map (Name, index) -> bit; missing bits error."""
     if isinstance(b, Top):

@@ -33,7 +33,6 @@ from .errors import IllFormedError, ParseError, RuleShapeError
 from . import formulas as fm
 from .formulas import (
     And,
-    Atom,
     BoolFormula,
     Not,
     Or,
@@ -44,6 +43,7 @@ from .formulas import (
     measure,
     parse_formula,
     print_formula,
+    rename_formula_names,
 )
 from .rewrite import PE_BRACES, _check_fuel, apply_rule_at
 from .terms import (
@@ -81,6 +81,7 @@ from .typesys import (
     _side,
     check_derivation,
     count_exponent,
+    relabel,
     strip_prefix,
     wrap_prefix,
 )
@@ -354,35 +355,14 @@ def ctx_insert_proof(p, pos, extra):
     extra = tuple(extra)
     if not extra:
         return p
-    s = p.sequent
-    side = p.side
-    if p.rule == "id" and side["index"] >= pos:
-        side = {**side, "index": side["index"] + len(extra)}
-    return ProofDerivation(
-        p.rule,
-        Sequent(s.ctx[:pos] + extra + s.ctx[pos:], s.constraint, s.formula),
-        tuple(ctx_insert_proof(q, pos, extra) for q in p.premises),
-        side,
-    )
 
+    def label(p):
+        s, side = p.sequent, p.side
+        if p.rule == "id" and side["index"] >= pos:
+            side = {**side, "index": side["index"] + len(extra)}
+        return Sequent(s.ctx[:pos] + extra + s.ctx[pos:], s.constraint, s.formula), side
 
-def rename_formula_names(f, mapping):
-    if isinstance(f, Atom):
-        new = mapping.get(f.name)
-        return Atom(new, f.index) if new is not None else f
-    if isinstance(f, Not):
-        return Not(rename_formula_names(f.arg, mapping))
-    if isinstance(f, And):
-        return And(
-            rename_formula_names(f.left, mapping),
-            rename_formula_names(f.right, mapping),
-        )
-    if isinstance(f, Or):
-        return Or(
-            rename_formula_names(f.left, mapping),
-            rename_formula_names(f.right, mapping),
-        )
-    return f
+    return relabel(p, label)
 
 
 def counting_names(p):
@@ -396,17 +376,16 @@ def counting_names(p):
 
 
 def rename_proof_names(p, mapping):
-    s = p.sequent
-    side = dict(p.side)
-    for key in ("d", "pivot"):
-        if key in side:
-            side[key] = rename_formula_names(side[key], mapping)
-    return ProofDerivation(
-        p.rule,
-        Sequent(s.ctx, rename_formula_names(s.constraint, mapping), s.formula),
-        tuple(rename_proof_names(q, mapping) for q in p.premises),
-        side,
-    )
+    def label(p):
+        s = p.sequent
+        side = {
+            key: rename_formula_names(v, mapping) if key in ("d", "pivot") else v
+            for key, v in p.side.items()
+        }
+        constraint = rename_formula_names(s.constraint, mapping)
+        return Sequent(s.ctx, constraint, s.formula), side
+
+    return relabel(p, label)
 
 
 def subst_proof(p, k, replacement):

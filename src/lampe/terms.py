@@ -11,6 +11,12 @@ die with it.  One iterative pass builds a non-leaf node's fact record (free
 variables, free names, contains CbV, shape hash) from its children's; a leaf
 keeps none, and a node whose set equals a child's shares that frozenset.
 `canonical_str` is kept there too.
+
+Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
+name through one function and its bound choices follow it, and a choice on a
+free name is renamed through a map.  `rename_bound_name` (freshening a binder
+against capture) and `variant_copy` (the k-th copy of a duplicated scope) are
+calls of it.
 """
 
 from __future__ import annotations
@@ -265,19 +271,25 @@ def fresh_name(base, *terms):
     return Name(f"{base.text}_{k}")
 
 
+def rename_names(t, env, rebind):
+    """t with each nu binder n renamed to rebind(n), which the choices it
+    binds follow, and each choice on a name n that no binder of t binds
+    renamed to env.get(n, n).  A subtree that nothing renames comes back as
+    the same object, as map_children keeps it."""
+    if isinstance(t, Nu):
+        name = rebind(t.name)
+        body = rename_names(t.body, {**env, t.name: name}, rebind)
+        return t if name is t.name and body is t.body else Nu(name, body)
+    out = map_children(t, lambda c: rename_names(c, env, rebind))
+    if isinstance(t, Choice) and env.get(t.name, t.name) is not t.name:
+        return Choice(out.left, out.right, env[t.name], t.index)
+    return out
+
+
 def rename_bound_name(t, new_name):
-    """Rename the binder of Nu-term `t` to `new_name` (which must be fresh in t)."""
-    assert isinstance(t, Nu)
-    old = t.name
-
-    def go(u):
-        if isinstance(u, Nu) and u.name is old:
-            return u  # inner shadowing binder keeps its occurrences
-        if isinstance(u, Choice) and u.name is old:
-            return Choice(go(u.left), go(u.right), new_name, u.index)
-        return map_children(u, go)
-
-    return Nu(new_name, go(t.body))
+    """Rename the binder of Nu-term `t` to `new_name` (which must be fresh in
+    t); an inner binder of the same name keeps its occurrences."""
+    return Nu(new_name, rename_names(t.body, {t.name: new_name}, lambda n: n))
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +312,7 @@ def variant_copy(u, k):
     """Rename every nu binder of u (and its bound occurrences) to the k-th
     copy variant.  Keeps duplicated generator scopes independent under a
     naming scheme the proof layer can reproduce."""
-
-    def go(t, bound):
-        if isinstance(t, Nu):
-            return Nu(copy_variant_name(t.name, k), go(t.body, bound | {t.name}))
-        if isinstance(t, Choice):
-            name = copy_variant_name(t.name, k) if t.name in bound else t.name
-            return Choice(go(t.left, bound), go(t.right, bound), name, t.index)
-        return map_children(t, lambda c: go(c, bound))
-
-    return go(u, frozenset())
+    return rename_names(u, {}, lambda n: copy_variant_name(n, k))
 
 
 def count_free_occurrences(t, x):

@@ -9,13 +9,18 @@ split on the pivot bits (resolving the rearranged choices the same way on
 both sides), and the generator permutations by re-associating the counting
 rule with its neighbour.  Disjunction nodes are peeled into their leaves and
 reassembled around the transformed pieces.
+
+The structural rewrites that keep every node's rule (adding names, renaming a
+context variable, renaming generator names) are labelling functions handed
+to `typesys.relabel`, the one rebuild walk over derivations and proofs; term
+names are renamed by `terms.rename_names`.  `ctx_weaken` and
+`weaken_constraint` rewrite premises, not labels, and stay separate.
 """
 
 from __future__ import annotations
 
 from .errors import NotPnfError, UnsupportedStepError
-from .formulas import And, Atom, Not, _one_manager
-from .proofs import rename_formula_names
+from .formulas import And, Atom, Not, _one_manager, rename_formula_names
 from .rewrite import apply_rule_at
 from .terms import (
     CbvApp,
@@ -28,7 +33,7 @@ from .terms import (
     count_free_occurrences,
     free_names,
     free_vars,
-    map_children,
+    rename_names,
     substitute,
     substitute_indexed,
 )
@@ -40,6 +45,7 @@ from .typesys import (
     TypingDerivation,
     _get_scale,
     check_derivation,
+    relabel,
     same_judgement,
     strip_prefix,
     wrap_prefix,
@@ -93,38 +99,25 @@ def names_weaken(d, extra):
     if not extra:
         return d
 
-    def go(d):
+    def label(d):
         j = d.judgement
         if isinstance(j.term, Nu) and d.rule in ("mu", "mu-prime", "mu-sigma"):
             if j.term.name in extra:
-                _unsupported(
-                    f"name weakening collides with bound name {j.term.name}"
-                )
-        return TypingDerivation(
-            d.rule,
-            _with(j, names=j.names | extra),
-            tuple(go(p) for p in d.premises),
-            d.side,
-        )
+                _unsupported(f"name weakening collides with bound name {j.term.name}")
+        return _with(j, names=j.names | extra), d.side
 
-    return go(d)
+    return relabel(d, label)
 
 
 def rename_derivation_var(d, old, new):
     """Rename a context variable throughout a derivation."""
 
-    def go(d):
+    def label(d):
         j = d.judgement
         ctx = tuple((new if x == old else x, a) for x, a in j.ctx)
-        term = substitute(j.term, old, Var(new))
-        return TypingDerivation(
-            d.rule,
-            _with(j, term=term, ctx=ctx),
-            tuple(go(p) for p in d.premises),
-            d.side,
-        )
+        return _with(j, term=substitute(j.term, old, Var(new)), ctx=ctx), d.side
 
-    return go(d)
+    return relabel(d, label)
 
 
 def ctx_weaken(d, pairs):
@@ -167,33 +160,20 @@ def rename_derivation_names(d, mapping):
     """Wholesale renaming of generator names in subjects, name sets, side
     formulas and constraints of a derivation."""
 
-    def rn_term(t):
-        if isinstance(t, Nu):
-            return Nu(mapping.get(t.name, t.name), rn_term(t.body))
-        if isinstance(t, Choice):
-            return Choice(
-                rn_term(t.left), rn_term(t.right),
-                mapping.get(t.name, t.name), t.index,
-            )
-        return map_children(t, rn_term)
-
-    def go(d):
+    def label(d):
         j = d.judgement
-        side = dict(d.side)
+        side = d.side
         if "d" in side:
-            side["d"] = rename_formula_names(side["d"], mapping)
-        new_j = Judgement(
+            side = {**side, "d": rename_formula_names(side["d"], mapping)}
+        return Judgement(
             j.ctx,
             frozenset(mapping.get(n, n) for n in j.names),
-            rn_term(j.term),
+            rename_names(j.term, mapping, lambda n: mapping.get(n, n)),
             rename_formula_names(j.constraint, mapping),
             j.type,
-        )
-        return TypingDerivation(
-            d.rule, new_j, tuple(go(p) for p in d.premises), side
-        )
+        ), side
 
-    return go(d)
+    return relabel(d, label)
 
 
 def subst_typing(d, x, arg_derivation):

@@ -441,6 +441,16 @@ class TypingDerivation:
     __post_init__ = _freeze_side
 
 
+def relabel(node, label):
+    """Rebuild a derivation or proof node by node with the same rules: a node
+    becomes `type(node)(node.rule, conclusion, premises, side)`, where
+    `label(node)` gives the new (conclusion, side) and is called on a node
+    before its premises."""
+    conclusion, side = label(node)
+    premises = tuple(relabel(p, label) for p in node.premises)
+    return type(node)(node.rule, conclusion, premises, side)
+
+
 RULES_BY_SYSTEM = {
     CN: {"id", "or", "plus-l", "plus-r", "lam", "app", "mu-prime"},
     CBV: {"id", "or", "plus-l", "plus-r", "lam", "app", "cbv", "mu"},
@@ -572,14 +582,6 @@ def _check_plus(d, system, left):
         entails(j.constraint, And(literal, p.constraint)),
         "constraint does not entail literal and premise constraint",
     )
-
-
-def _check_plus_l(d, system):
-    _check_plus(d, system, left=True)
-
-
-def _check_plus_r(d, system):
-    _check_plus(d, system, left=False)
 
 
 def _arrow_parts(t, system):
@@ -804,8 +806,8 @@ _RULE_CHECKERS = {
     "id": _check_id,
     "id-sub": _check_id_sub,
     "or": _check_or,
-    "plus-l": _check_plus_l,
-    "plus-r": _check_plus_r,
+    "plus-l": lambda d, system: _check_plus(d, system, True),
+    "plus-r": lambda d, system: _check_plus(d, system, False),
     "lam": _check_lam,
     "app": _check_app,
     "app-int": _check_app_int,

@@ -281,7 +281,8 @@ def clash_derivation():
         J((), (), Lam("x", Lam("y", x)), TOP, Arrow(OO, Arrow(O, OO))),
         (inner,),
     )
-    return D("app", J((), (), App(fun.judgement.term, arg.judgement.term), TOP, Arrow(O, OO)), (fun, arg))
+    term = App(fun.judgement.term, arg.judgement.term)
+    return D("app", J((), (), term, TOP, Arrow(O, OO)), (fun, arg))
 
 
 def worked_example_derivation():
