@@ -46,6 +46,7 @@ from .rewrite import (
     is_hnv,
     is_pnf,
     pnf,
+    pnf_count,
     reduce_term,
     step,
 )

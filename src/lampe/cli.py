@@ -32,7 +32,7 @@ from .proofs import (
     translate,
     verify_simulation,
 )
-from .rewrite import PE, PE_BRACES, head_step, pnf, reduce_term, step
+from .rewrite import PE, PE_BRACES, head_step, pnf, pnf_count, reduce_term, step
 from .terms import canonical_str, parse_term, print_term
 from .transport import transport_subject_reduction
 from .typesys import (
@@ -67,12 +67,16 @@ def cmd_parse(args):
 
 
 def cmd_pnf(args):
-    term, trace = pnf(parse_term(args.term), _mode(args))
+    term = parse_term(args.term)
     if args.trace:
+        term, trace = pnf(term, _mode(args))
         for s in trace:
             print(s.format())
+        steps = len(trace)
+    else:
+        term, steps = pnf_count(term, _mode(args))
     if args.json:
-        _emit_json({"result": print_term(term), "steps": len(trace)})
+        _emit_json({"result": print_term(term), "steps": steps})
     else:
         print(print_term(term))
 

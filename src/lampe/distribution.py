@@ -4,7 +4,11 @@ Monte Carlo cross-validator.
 The distribution of a name-closed PNF assigns each pseudo-value the exact
 measure of the event set leading to it, computed by walking generator trees
 with a partial bit assignment (so the same index met twice along a path is
-not double-counted).
+not double-counted).  Each closed leaf of a generator tree is recorded as
+normal before it is classified: every name in it is bound inside it, so
+the plus-plus order is the same inside the whole term and alone, and the
+leaf of a PNF is a PNF.  `classify_pnf` and `is_hnv` then skip its scan.  An
+open leaf is not recorded, and still raises OpenNamesError.
 
 `nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
 normalization plus head beta steps, until a generator or a head normal value
@@ -25,6 +29,7 @@ from .rewrite import (
     PseudoValue,
     _check_fuel,
     _head_redexes,
+    _normal_fact,
     classify_pnf,
     is_hnv,
     pnf,
@@ -113,7 +118,10 @@ def distribution(t, mode=PE):
     if isinstance(view, PseudoValue):
         _add(entries, view.term, Fraction(1))
         return Distribution(entries)
+    normal = _normal_fact(mode, False)
     for leaf, weight in _tree_leaf_weights(view.tree, view.name):
+        if not free_names(leaf):
+            leaf.__dict__[normal] = True
         sub = distribution(leaf, mode)
         for term, w in sub.entries.values():
             _add(entries, term, weight * w)

@@ -15,12 +15,24 @@ in rule order, after deciding from the types of the node's children.  The
 redex scan dispatches once per node on its type, and `apply_rule_at` (and
 through it `transport`) takes its reducts from the same table.
 
-Leftmost-outermost reduction runs one pre-order scan.  A step at path p
-changes only the subtree at p and its ancestors, and no other node before p in
-pre-order held a redex, so the next scan re-checks those ancestors top-down
-(the i, nu-fun, not-nu and plus rules read their children) and resumes at p.
+Leftmost-outermost reduction runs one pre-order scan on an explicit stack
+of cells, each holding a node and its parent's cell, so a redex comes with
+its ancestors.  A step at path p rebuilds those ancestors bottom-up through
+`terms._REBUILD`, storing each new ancestor in its cell, and the scan goes
+on from the same stack: no node before p in pre-order held a redex, and the
+stacked right siblings now hang from the new ancestors.  Only p's ancestors
+can have changed, so the scan re-checks them before resuming at p: the
+parent in full, since its child at p may have changed type, and above it
+only two rules.  Every higher ancestor keeps the types of its children, and
+the other rules decide from those types alone: nu-fun and cbv-nu read the
+other operand's free names only to rename, so they cannot start to fire
+there.  Rule i compares the branches of a choice, so every choice ancestor
+is re-checked; not-nu reads the free names of a nu's body, so a nu ancestor
+is re-checked (in PE) when the step may have dropped a name (i, c1, c2,
+beta).  The first scan of a run checks every ancestor of its start in full,
+as nothing is known of them.
 `pnf`'s private `_from` path says the term is normal outside one subtree and
-its ancestors; the scan then stays inside the subtree at the highest step.
+its ancestors; the scan then starts at that subtree.
 A scan that finds no redex records "normal under this mode" (with or without
 beta) in the node's `__dict__`, read first by the next; names are ordered by
 their text, so the fact depends on the node and the mode only.
@@ -39,6 +51,7 @@ from .errors import (
     PreconditionError,
 )
 from .terms import (
+    _REBUILD,
     App,
     CbvApp,
     Choice,
@@ -233,55 +246,135 @@ _RULES_AT = {
 _LEAVES = frozenset((Var, Const))
 
 
-def _redexes(root, mode, include_beta, start=(), top=0):
-    """Pre-order (rule, path, local_result) triples from `start`: its
-    ancestors top-down, then on from `start`, but right of its path only
-    below depth `top`.  `env` maps enclosing nu-names to their depths."""
-    stack = []
-    t, env = root, {}
-    for depth, i in enumerate(start):
-        for rule, result in _RULES_AT[type(t)](t, env, mode, include_beta, True):
-            yield rule, start[:depth], result
-        kids = children(t)
-        if type(t) is Nu:
-            env = {**env, t.name: depth}
-        elif i == 0 and depth >= top and len(kids) == 2:
-            stack.append((kids[1], start[:depth] + (1,), env, depth + 1))
-        t = kids[i]
-    stack.append((t, start, env, len(start)))
+# A scan cell is the list [node, index, parent, env, depth]: a node, its
+# index among its parent's children, the parent's cell (None at the root),
+# the map from its enclosing nu-names to their depths, and its depth.  The
+# chain of parent cells is the node's path and holds its ancestors.
+
+
+def _scan(stack, mode, include_beta):
+    """Pre-order (rule, cell, local_result) triples: pop a cell, list the
+    rules at its node, stack the cells of its children.  No leaf below the
+    root is stacked."""
     push = stack.append
     while stack:
-        t, path, env, depth = stack.pop()
+        cell = stack.pop()
+        t, _, _, env, depth = cell
         kind = type(t)
         for rule, result in _RULES_AT[kind](t, env, mode, include_beta, True):
-            yield rule, path, result
+            yield rule, cell, result
         if kind is Lam or kind is Nu:
             if kind is Nu:
                 env = {**env, t.name: depth}
             if type(t.body) not in _LEAVES:
-                push((t.body, path + (0,), env, depth + 1))
+                push([t.body, 0, cell, env, depth + 1])
         elif kind not in _LEAVES:
             first, second = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
             if type(second) not in _LEAVES:
-                push((second, path + (1,), env, depth + 1))
+                push([second, 1, cell, env, depth + 1])
             if type(first) not in _LEAVES:
-                push((first, path + (0,), env, depth + 1))
+                push([first, 0, cell, env, depth + 1])
+
+
+def _path(cell):
+    out = []
+    while cell[2] is not None:
+        out.append(cell[1])
+        cell = cell[2]
+    out.reverse()
+    return tuple(out)
+
+
+def _redexes(root, mode, include_beta):
+    """Every (rule, path, local_result) triple of root, in pre-order."""
+    for rule, cell, result in _scan([[root, None, None, {}, 0]], mode, include_beta):
+        yield rule, _path(cell), result
+
+
+def _first_at(cell, mode, include_beta):
+    """The first (rule, cell, local_result) at the node of cell, or None."""
+    t = cell[0]
+    for rule, result in _RULES_AT[type(t)](t, cell[3], mode, include_beta, True):
+        return rule, cell, result
+    return None
+
+
+# The rules whose reduct can lack a free name of the redex: they drop a
+# branch or the argument of a substitution.
+_DROPS_NAMES = frozenset(("i", "c1", "c2", "beta"))
+
+
+def _recheck(cell, mode, include_beta, drops_names):
+    """The outermost redex, as (rule, cell, local_result), among the
+    ancestors of a node just stepped at, or None: the parent in full, and
+    above it rule i and, when the step may have dropped a name, not-nu."""
+    parent = cell[2]
+    if parent is None:
+        return None
+    found = _first_at(parent, mode, include_beta)
+    not_nu = drops_names and mode == PE
+    cell = parent[2]
+    while cell is not None:
+        t = cell[0]
+        kind = type(t)
+        if kind is Choice:
+            if alpha_eq(t.left, t.right):
+                found = "i", cell, t.left
+        elif kind is Nu and not_nu and t.name not in free_names(t.body):
+            found = "not-nu", cell, t.body
+        cell = cell[2]
+    return found
+
+
+def _normal_fact(mode, include_beta):
+    """The key under which a node records that it is normal in `mode`."""
+    return ("_nf_" if include_beta else "_pnf_") + mode
 
 
 def _lo_steps(t, mode, include_beta, start=()):
     """Leftmost-outermost steps from t, resumed as the module docstring says."""
-    fact = ("_nf_" if include_beta else "_pnf_") + mode
-    top = len(start)
-    while fact not in t.__dict__:
-        found = next(_redexes(t, mode, include_beta, start, top), None)
+    fact = _normal_fact(mode, include_beta)
+    if fact in t.__dict__:
+        return
+    # the first scan checks every ancestor of `start` in full
+    cell, found = [t, None, None, {}, 0], None
+    for i in start:
+        found = _first_at(cell, mode, include_beta)
+        if found is not None:
+            break
+        node, _, _, env, depth = cell
+        if type(node) is Nu:
+            env = {**env, node.name: depth}
+        cell = [children(node)[i], i, cell, env, depth + 1]
+    stack = []
+    while True:
         if found is None:
-            t.__dict__[fact] = True
-            return
-        rule, start, result = found
-        top = min(top, len(start))
-        after = replace_at(t, start, result)
-        yield ReductionStep(rule, start, t, after)
+            stack.append(cell)
+            found = next(_scan(stack, mode, include_beta), None)
+            if found is None:
+                t.__dict__[fact] = True
+                return
+        rule, cell, after = found
+        # rebuild the ancestors bottom-up and store each in its cell, so the
+        # stacked cells hang from the new term and the scan resumes at p
+        cell[0] = after
+        path, up = [], cell
+        while up[2] is not None:
+            path.append(up[1])
+            parent = up[2]
+            after = parent[0] = _REBUILD[type(parent[0])](parent[0], up[1], after)
+            up = parent
+        path.reverse()
+        yield ReductionStep(rule, tuple(path), t, after)
         t = after
+        if fact in t.__dict__:
+            return
+        found = _recheck(cell, mode, include_beta, rule in _DROPS_NAMES)
+        if found is not None:
+            # the stacked cells below that ancestor belong to its old subtree
+            depth = found[1][4]
+            while stack and stack[-1][4] > depth:
+                stack.pop()
 
 
 def step(t, mode=PE):
@@ -305,17 +398,30 @@ def first_step(t, mode=PE, include_beta=True):
     return next(_lo_steps(t, mode, include_beta), None)
 
 
+def _perm_steps(t, mode, cap, start):
+    """The permutative steps to t's PNF; FuelError past `cap` of them."""
+    _require_mode(t, mode)
+    for n, s in enumerate(_lo_steps(t, mode, False, start)):
+        if n == cap:
+            raise FuelError(f"permutative normalization exceeded {cap} steps")
+        yield s
+
+
 def pnf(t, mode=PE, cap=PERM_STEP_CAP, _from=()):
     """The unique permutative normal form, with the reduction trace.  With the
     private `_from` path, t must be normal outside its subtree and ancestors."""
-    _require_mode(t, mode)
-    trace = []
-    for s in _lo_steps(t, mode, False, _from):
-        if len(trace) == cap:
-            raise FuelError(f"permutative normalization exceeded {cap} steps")
-        trace.append(s)
+    trace = list(_perm_steps(t, mode, cap, _from))
+    return (trace[-1].after if trace else t), trace
+
+
+def pnf_count(t, mode=PE):
+    """pnf without the trace: the normal form and the number of steps.  It
+    keeps no intermediate term, so memory does not grow with the steps."""
+    n = 0
+    for s in _perm_steps(t, mode, PERM_STEP_CAP, ()):
         t = s.after
-    return t, trace
+        n += 1
+    return t, n
 
 
 def is_pnf(t, mode=PE):

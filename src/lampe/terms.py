@@ -124,20 +124,25 @@ def children(t):
     raise TypeError(t)
 
 
+# `_REBUILD[type(t)](t, i, new)` is t with its i-th child replaced by new.
+_REBUILD = {
+    Lam: lambda t, i, new: Lam(t.var, new),
+    Nu: lambda t, i, new: Nu(t.name, new),
+    App: lambda t, i, new: App(new, t.arg) if i == 0 else App(t.fun, new),
+    CbvApp: lambda t, i, new: CbvApp(new, t.arg) if i == 0 else CbvApp(t.fun, new),
+    Choice: lambda t, i, new: (
+        Choice(new, t.right, t.name, t.index)
+        if i == 0
+        else Choice(t.left, new, t.name, t.index)
+    ),
+}
+
+
 def replace_child(t, i, new):
-    if isinstance(t, Lam):
-        return Lam(t.var, new)
-    if isinstance(t, Nu):
-        return Nu(t.name, new)
-    if isinstance(t, App):
-        return App(new, t.arg) if i == 0 else App(t.fun, new)
-    if isinstance(t, CbvApp):
-        return CbvApp(new, t.arg) if i == 0 else CbvApp(t.fun, new)
-    if isinstance(t, Choice):
-        if i == 0:
-            return Choice(new, t.right, t.name, t.index)
-        return Choice(t.left, new, t.name, t.index)
-    raise TypeError(t)
+    rebuild = _REBUILD.get(type(t))
+    if rebuild is None:
+        raise TypeError(t)
+    return rebuild(t, i, new)
 
 
 def map_children(t, f):

@@ -464,6 +464,95 @@ def test_resumed_scan_matches_the_restarting_loop():
     assert compared >= 2 * (1000 + len(joins))
 
 
+@pytest.mark.parametrize(
+    "text, run, expected",
+    [
+        # beta drops the argument's name c, so not-nu fires at the root
+        (
+            r"nu c. \z. (\y. z) (((v z) (+c.0) u) v)",
+            lambda t: reduce_term(t, PE, "full", 30).trace,
+            [("beta", (0, 0)), ("not-nu", ())],
+        ),
+        # c1 drops the last choice on a, so not-nu fires at the root
+        (
+            r"nu c. nu a. \z. nu c. ((((u (+c.0) (z (+a.1) z)) (+c.0) u) z) z)",
+            lambda t: pnf(t, PE)[1],
+            [("c1", (0, 0)), ("not-nu", ())],
+        ),
+    ],
+    ids=["beta", "c1"],
+)
+def test_a_step_that_drops_a_name_rechecks_not_nu_above(text, run, expected):
+    """After a step, the ancestors above its parent are re-checked only for
+    the rules that can start to fire there; not-nu is one of them after a
+    step that may drop a free name."""
+    from helpers import reference_pnf
+
+    t = parse_term(text)
+    trace = [(s.rule, s.path) for s in run(t)]
+    include_beta = expected[0][0] == "beta"
+    assert trace == reference_pnf(t, PE, include_beta, 30)[1]
+    i = trace.index(expected[0])
+    assert trace[i : i + 2] == expected
+
+
+def test_closed_generator_leaves_of_a_pnf_are_pnfs():
+    """`distribution` records each closed leaf of a PNF's generator tree as
+    normal.  Every name in such a leaf is bound inside it, so the loop that
+    reads no node fact takes no step on it either, nested generators
+    included."""
+    from helpers import random_term, reference_pnf
+    from lampe.terms import free_names
+
+    rng = random.Random(2024)
+    corpus = [random_term(rng, rng.randrange(5, 41), [], []) for _ in range(1000)]
+    checked = 0
+    for mode in (PE, PE_BRACES):
+        for t in corpus:
+            if free_names(t):
+                continue
+            todo = [pnf(t, mode)[0]]
+            while todo:
+                view = classify_pnf(todo.pop(), mode)
+                if not isinstance(view, Generator):
+                    continue
+                for leaf in view.support:
+                    if not free_names(leaf):
+                        assert reference_pnf(leaf, mode)[1] == []
+                        checked += 1
+                        todo.append(leaf)
+    assert checked >= 10_000
+
+
+def test_counting_pnf_keeps_no_trace():
+    """pnf_count keeps no intermediate term, so its peak traced memory grows
+    linearly with the number of steps, where a trace of spines grows it
+    quadratically (a ratio near 3.9 here).  The collector stays off in the
+    window: garbage of earlier work that it would free there refills the
+    interpreter's free lists, whose reuse tracemalloc does not see."""
+    import gc
+    import tracemalloc
+
+    from lampe.rewrite import pnf_count
+
+    def peak(depth):
+        binders = "".join(f"\\x{i}. " for i in range(depth))
+        t = parse_term(f"nu a. {binders}u (+a.0) v")
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            result, steps = pnf_count(t)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert steps == depth and isinstance(result.body, Choice)
+        return top
+
+    assert peak(800) / peak(400) < 2.5
+
+
 def _nodes_in_scope(t):
     """Every node of t with the map from its enclosing nu-names to their
     depths, as the scan passes it to the rules."""
