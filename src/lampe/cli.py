@@ -101,7 +101,7 @@ def cmd_reduce(args):
 
 
 def cmd_dist(args):
-    term, _ = pnf(parse_term(args.term), _mode(args))
+    term, _ = pnf_count(parse_term(args.term), _mode(args))
     dist = distribution(term, _mode(args))
     if args.json:
         _emit_json(

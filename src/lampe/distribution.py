@@ -29,6 +29,7 @@ from .rewrite import (
     PseudoValue,
     _check_fuel,
     _head_redexes,
+    _mark_normal,
     _normal_fact,
     classify_pnf,
     is_hnv,
@@ -121,7 +122,7 @@ def distribution(t, mode=PE):
     normal = _normal_fact(mode, False)
     for leaf, weight in _tree_leaf_weights(view.tree, view.name):
         if not free_names(leaf):
-            leaf.__dict__[normal] = True
+            _mark_normal(leaf, normal)
         sub = distribution(leaf, mode)
         for term, w in sub.entries.values():
             _add(entries, term, weight * w)

@@ -13,7 +13,11 @@ proof checkers, mu-star and transport) instead answers every query made
 during its call from one shared manager (Brace, Rudell & Bryant 1990): its
 unique table, its `and`/`not` memos and a compiled-formula memo serve all of
 that call's queries, and the manager is dropped when the outermost such call
-returns or raises.
+returns or raises.  While it is open, `atoms` answers from its identity memo
+of atom sets, which keeps the set of every formula node it meets, so the
+per-query cap check and the checkers' name tests walk each formula node once
+per call; the cap is still checked for each query, before any node is
+built.  A standalone query walks its operands afresh.
 """
 
 from __future__ import annotations
@@ -92,12 +96,19 @@ def disj(parts):
 
 
 def atoms(b):
+    """The (name, index) atoms of b: a fresh set, or while a shared manager
+    is open a frozenset from its identity memo."""
+    bdd = _OPEN.get()
+    return _walk_atoms(b) if bdd is None else bdd.atoms(b)
+
+
+def _walk_atoms(b):
     if isinstance(b, Atom):
         return {(b.name, b.index)}
     if isinstance(b, Not):
-        return atoms(b.arg)
+        return _walk_atoms(b.arg)
     if isinstance(b, (And, Or)):
-        return atoms(b.left) | atoms(b.right)
+        return _walk_atoms(b.left) | _walk_atoms(b.right)
     return set()
 
 
@@ -271,20 +282,36 @@ class _Levels(dict):
 class _SharedBDD(_BDD):
     """The manager of one `_one_manager` call, shared by all its queries.
 
-    Its unique table and its `and`/`not` memos serve every query, and
-    `build` remembers each compiled formula by identity.  The memo holds the
-    formula itself next to its node, so while the manager lives no other
-    formula can take over a remembered `id`."""
+    Its unique table and its `and`/`not` memos serve every query; `build`
+    remembers each compiled formula by identity, and `atoms` the atom set of
+    each formula node, subformulas included.  Each memo holds the formula itself next to its value, so
+    while the manager lives no other formula can take over a remembered
+    `id`."""
 
     def __init__(self):
         super().__init__(())
         self._var_level = _Levels()
         self._built = {}
+        self._atoms = {}
 
     def build(self, b):
         hit = self._built.get(id(b))
         if hit is None:
             hit = self._built[id(b)] = (b, _BDD.build(self, b))
+        return hit[1]
+
+    def atoms(self, b):
+        hit = self._atoms.get(id(b))
+        if hit is None:
+            if isinstance(b, Atom):
+                out = frozenset(((b.name, b.index),))
+            elif isinstance(b, Not):
+                out = self.atoms(b.arg)
+            elif isinstance(b, (And, Or)):
+                out = self.atoms(b.left) | self.atoms(b.right)
+            else:
+                out = frozenset()
+            hit = self._atoms[id(b)] = (b, out)
         return hit[1]
 
 

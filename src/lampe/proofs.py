@@ -206,6 +206,9 @@ class ProofDerivation:
 
     __post_init__ = _freeze_side
 
+    # a node fact: the node passed check_proof (see _check_proof_node)
+    _checked = False
+
 
 @_one_manager
 def check_proof(p):
@@ -217,7 +220,7 @@ def check_proof(p):
 def _check_proof_node(p):
     # a node that passed is marked and not checked again (see
     # typesys._check_node); a failed check leaves no mark
-    if "_checked" in p.__dict__:
+    if p._checked:
         return
     for q in p.premises:
         _check_proof_node(q)
@@ -300,7 +303,7 @@ def _check_proof_node(p):
         )
     else:
         raise RuleShapeError(f"unknown proof rule {p.rule}")
-    p.__dict__["_checked"] = True
+    object.__setattr__(p, "_checked", True)
 
 
 def _pivot_atom(p):

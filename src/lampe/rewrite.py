@@ -33,9 +33,10 @@ beta).  The first scan of a run checks every ancestor of its start in full,
 as nothing is known of them.
 `pnf`'s private `_from` path says the term is normal outside one subtree and
 its ancestors; the scan then starts at that subtree.
-A scan that finds no redex records "normal under this mode" (with or without
-beta) in the node's `__dict__`, read first by the next; names are ordered by
-their text, so the fact depends on the node and the mode only.
+A scan that finds no redex marks the node "normal under this mode" (with or
+without beta): one bit of the node's `_normal` attribute, a node fact kept
+as `terms` keeps the others and read first by the next scan; names are
+ordered by their text, so the fact depends on the node and the mode only.
 """
 
 from __future__ import annotations
@@ -326,15 +327,27 @@ def _recheck(cell, mode, include_beta, drops_names):
     return found
 
 
+_NORMAL_BITS = {
+    (PE, False): 1,
+    (PE, True): 2,
+    (PE_BRACES, False): 4,
+    (PE_BRACES, True): 8,
+}
+
+
 def _normal_fact(mode, include_beta):
-    """The key under which a node records that it is normal in `mode`."""
-    return ("_nf_" if include_beta else "_pnf_") + mode
+    """The bit of `_normal` that marks a node normal in `mode`."""
+    return _NORMAL_BITS[mode, include_beta]
+
+
+def _mark_normal(t, fact):
+    object.__setattr__(t, "_normal", t._normal | fact)
 
 
 def _lo_steps(t, mode, include_beta, start=()):
     """Leftmost-outermost steps from t, resumed as the module docstring says."""
     fact = _normal_fact(mode, include_beta)
-    if fact in t.__dict__:
+    if t._normal & fact:
         return
     # the first scan checks every ancestor of `start` in full
     cell, found = [t, None, None, {}, 0], None
@@ -352,7 +365,7 @@ def _lo_steps(t, mode, include_beta, start=()):
             stack.append(cell)
             found = next(_scan(stack, mode, include_beta), None)
             if found is None:
-                t.__dict__[fact] = True
+                _mark_normal(t, fact)
                 return
         rule, cell, after = found
         # rebuild the ancestors bottom-up and store each in its cell, so the
@@ -367,7 +380,7 @@ def _lo_steps(t, mode, include_beta, start=()):
         path.reverse()
         yield ReductionStep(rule, tuple(path), t, after)
         t = after
-        if fact in t.__dict__:
+        if t._normal & fact:
             return
         found = _recheck(cell, mode, include_beta, rule in _DROPS_NAMES)
         if found is not None:

@@ -6,11 +6,16 @@ are rigid: alpha_eq never renames them, and substitution only freshens a
 nu-binder when it would otherwise capture a free name of the substituted
 term.
 
-Facts live in the node's `__dict__`, outside its dataclass fields, so they
-die with it.  One iterative pass builds a non-leaf node's fact record (free
-variables, free names, contains CbV, shape hash) from its children's; a leaf
-keeps none, and a node whose set equals a child's shares that frozenset.
-`canonical_str` is kept there too.
+Facts live on the node as plain attributes outside its dataclass fields, so
+`==`, `hash` and `repr` do not see them and they die with the node.  `Term`
+declares each with a class-level default (no annotation, so it is not a
+field); a node's own value is written once with `object.__setattr__` and
+stays in the instance's inline attribute values, with no per-node dict.
+One iterative pass builds a non-leaf node's fact record (free variables,
+free names, contains CbV, shape hash) from its children's; a variable keeps
+none, the constant's class holds its record, and a node whose set equals a
+child's shares that frozenset.  `canonical_str` and the normal-form marks of
+`rewrite` are kept the same way.
 
 Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
 name through one function and its bound choices follow it, and a choice on a
@@ -60,7 +65,10 @@ class Name:
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    # node facts, not fields: see the module docstring
+    _facts = None
+    _canonical_str = None
+    _normal = 0
 
 
 @dataclass(frozen=True)
@@ -171,12 +179,11 @@ def replace_at(t, path, new):
     return new
 
 
-# The key of the fact record; the shape hash erases variable names, so terms
-# equal up to alpha share it.
-_FACTS = "_facts"
+# The shape hash erases variable names, so terms equal up to alpha share it.
 _EMPTY = frozenset()
 _VAR_HASH = hash(("v",))
-_CONST_FACTS = (_EMPTY, _EMPTY, False, hash(("c",)))
+Const._facts = (_EMPTY, _EMPTY, False, hash(("c",)))
+_set_fact = object.__setattr__
 
 
 def _fill(root):
@@ -192,16 +199,18 @@ def _fill(root):
         else:
             a, b = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
         # a child's record, None for a variable and for a child stacked here
-        fa = _CONST_FACTS if type(a) is Const else a.__dict__.get(_FACTS)
+        fa = a._facts
         if fa is None and type(a) is not Var:
             stack.append(a)
         if b is not None:
-            fb = _CONST_FACTS if type(b) is Const else b.__dict__.get(_FACTS)
+            fb = b._facts
             if fb is None and type(b) is not Var:
                 stack.append(b)
         if stack[-1] is not t:
             continue
         stack.pop()
+        if t._facts is not None:
+            continue
         fv, fn, cbv, h = fa or (frozenset((a.var,)), _EMPTY, False, _VAR_HASH)
         if kind is Lam:
             if t.var in fv:
@@ -221,35 +230,35 @@ def _fill(root):
                 h = hash(("p", t.name.text, t.index, h, h2))
             else:
                 h = hash(("a" if kind is App else "b", h, h2))
-        t.__dict__.setdefault(_FACTS, (fv, fn, cbv, h))
-    return root.__dict__[_FACTS]
+        _set_fact(t, "_facts", (fv, fn, cbv, h))
+    return root._facts
 
 
 def free_vars(t):
     """The free lambda variables of t, as a frozenset."""
     if type(t) is Var:
         return frozenset((t.var,))
-    return _EMPTY if type(t) is Const else (t.__dict__.get(_FACTS) or _fill(t))[0]
+    return (t._facts or _fill(t))[0]
 
 
 def free_names(t):
-    if type(t) is Var or type(t) is Const:
+    if type(t) is Var:
         return _EMPTY
-    return (t.__dict__.get(_FACTS) or _fill(t))[1]
+    return (t._facts or _fill(t))[1]
 
 
 def contains_cbv(t):
-    if type(t) is Var or type(t) is Const:
+    if type(t) is Var:
         return False
-    return (t.__dict__.get(_FACTS) or _fill(t))[2]
+    return (t._facts or _fill(t))[2]
 
 
 def shape_hash(t):
     """Alpha-invariant structural hash: equal terms up to alpha share it, so
     it serves as a fast reject."""
-    if type(t) is Var or type(t) is Const:
-        return _VAR_HASH if type(t) is Var else _CONST_FACTS[3]
-    return (t.__dict__.get(_FACTS) or _fill(t))[3]
+    if type(t) is Var:
+        return _VAR_HASH
+    return (t._facts or _fill(t))[3]
 
 
 def bound_names(t):
@@ -383,12 +392,15 @@ def substitute(t, x, u):
 def alpha_eq(t, u):
     """Equality up to renaming of lambda-bound variables.  Names are rigid.
 
-    One walk over both terms on an explicit stack.  Each lambda pair binds
+    The stored shape hashes reject at once when both terms already have a
+    fact record; no record is filled only to compare.  Otherwise one walk
+    over both terms on an explicit stack decides.  Each lambda pair binds
     its two variables to one fresh number, and the `None` entry stacked
     under its bodies puts the outer bindings back once they are done."""
     if t is u:
         return True
-    if shape_hash(t) != shape_hash(u):
+    ft, fu = t._facts, u._facts
+    if ft is not None and fu is not None and ft[3] != fu[3]:
         return False
     env_t, env_u = {}, {}
     pairs = 0
@@ -428,35 +440,43 @@ def alpha_eq(t, u):
 
 def canonical_str(t):
     """Printed form with lambda binders renamed positionally; alpha-invariant,
-    suitable as a dictionary key."""
-    out = t.__dict__.get("_canonical_str")
+    suitable as a dictionary key.  One environment serves the whole walk: a
+    lambda binds its variable for its body and then puts the outer binding
+    back, so memory stays linear in the depth."""
+    out = t._canonical_str
     if out is not None:
         return out
+    env = {}
 
-    def go(t, env, depth):
+    def go(t, depth):
         if isinstance(t, Var):
             return env.get(t.var, t.var)
         if isinstance(t, Const):
             return "#c"
         if isinstance(t, Lam):
-            env2 = dict(env)
-            env2[t.var] = f"${depth}"
-            return f"(\\${depth}. {go(t.body, env2, depth + 1)})"
+            outer = env.get(t.var)
+            env[t.var] = f"${depth}"
+            out = f"(\\${depth}. {go(t.body, depth + 1)})"
+            if outer is None:
+                del env[t.var]
+            else:
+                env[t.var] = outer
+            return out
         if isinstance(t, Nu):
-            return f"(nu {t.name}. {go(t.body, env, depth)})"
+            return f"(nu {t.name}. {go(t.body, depth)})"
         if isinstance(t, App):
-            return f"({go(t.fun, env, depth)} {go(t.arg, env, depth)})"
+            return f"({go(t.fun, depth)} {go(t.arg, depth)})"
         if isinstance(t, CbvApp):
-            return f"{{{go(t.fun, env, depth)}}} {go(t.arg, env, depth)}"
+            return f"{{{go(t.fun, depth)}}} {go(t.arg, depth)}"
         if isinstance(t, Choice):
             return (
-                f"({go(t.left, env, depth)} (+{t.name}.{t.index}) "
-                f"{go(t.right, env, depth)})"
+                f"({go(t.left, depth)} (+{t.name}.{t.index}) "
+                f"{go(t.right, depth)})"
             )
         raise TypeError(t)
 
-    out = go(t, {}, 0)
-    t.__dict__["_canonical_str"] = out
+    out = go(t, 0)
+    _set_fact(t, "_canonical_str", out)
     return out
 
 

@@ -77,7 +77,8 @@ GROUND_N = "n"
 
 @dataclass(frozen=True)
 class Type:
-    pass
+    # the systems the type passed under, a node fact (see validate_type)
+    _valid_under = ()
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,9 @@ class Counted(Type):
 @dataclass(frozen=True)
 class Mset:
     items: tuple
+
+    # read by validate_type when a multiset stands where a type should
+    _valid_under = ()
 
     def __len__(self):
         return len(self.items)
@@ -221,17 +225,17 @@ def validate_type(t, system):
     prefix (one in CN and INT, a list in CBV), then the arrows down to a
     ground type.
 
-    A type that passed under `system` records it in its `__dict__`, outside
-    its dataclass fields, as a derivation node does (see `_check_node`); it
-    is not checked under that system again, and a failed check records
-    nothing."""
+    A type that passed under `system` records it in its `_valid_under`
+    attribute, outside its dataclass fields, as a derivation node does (see
+    `_check_node`); it is not checked under that system again, and a failed
+    check records nothing."""
     if system not in _SIMPLE_TYPE_ERRORS:
         raise ValueError(system)
-    valid = t.__dict__.get("_valid_under", ())
+    valid = t._valid_under
     if system in valid:
         return
     _check_type(t, system)
-    t.__dict__["_valid_under"] = valid + (system,)
+    object.__setattr__(t, "_valid_under", valid + (system,))
 
 
 def _check_type(t, system):
@@ -440,6 +444,9 @@ class TypingDerivation:
 
     __post_init__ = _freeze_side
 
+    # the systems the node passed under, a node fact (see _check_node)
+    _checked_under = ()
+
 
 def relabel(node, label):
     """Rebuild a derivation or proof node by node with the same rules: a node
@@ -513,9 +520,11 @@ def check_derivation(d, system):
 def _check_node(d, system):
     # A node that passed under `system` is not checked again: nodes are
     # frozen and their side data is read-only, so the verdict cannot change.
-    # The mark lives outside the dataclass fields, where `==`, `repr` and
-    # the JSON encoder do not see it, and a failed check leaves none.
-    checked = d.__dict__.get("_checked_under", ())
+    # The mark is the `_checked_under` attribute, declared on the class
+    # outside the dataclass fields, where `==`, `repr` and the JSON encoder
+    # do not see it; it is written once per system, and a failed check
+    # leaves none.
+    checked = d._checked_under
     if system in checked:
         return
     if d.rule not in RULES_BY_SYSTEM[system]:
@@ -525,7 +534,7 @@ def _check_node(d, system):
     for p in d.premises:
         _check_node(p, system)
     _RULE_CHECKERS[d.rule](d, system)
-    d.__dict__["_checked_under"] = checked + (system,)
+    object.__setattr__(d, "_checked_under", checked + (system,))
 
 
 def _same_env(j, p):

@@ -492,6 +492,33 @@ def test_deep_input_reports_depth(capsys):
     assert "Traceback" not in out + err
 
 
+def test_dist_keeps_no_trace(capsys):
+    """`dist` normalizes without a trace, so its peak traced memory grows
+    linearly with the binders, as `pnf_count`'s does (see
+    test_counting_pnf_keeps_no_trace); the collector stays off in the
+    window."""
+    import gc
+    import tracemalloc
+
+    def peak(depth):
+        binders = "".join(f"\\x{i}. " for i in range(depth))
+        term = f"nu a. {binders}u (+a.0) v"
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            code = run(["dist", term])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0 and [line.split()[0] for line in out] == ["1/2", "1/2"]
+        return top
+
+    assert peak(800) / peak(400) < 2.5
+
+
 @pytest.mark.parametrize(
     "argv",
     [
