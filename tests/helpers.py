@@ -285,6 +285,54 @@ def clash_derivation():
     return D("app", J((), (), term, TOP, Arrow(O, OO)), (fun, arg))
 
 
+def choice_tree_derivation(t, ctx, names, b):
+    """Type a tree of choices over variables of one type by splitting the
+    constraint b on every pivot."""
+    if isinstance(t, Var):
+        return D("id", J(ctx, names, t, b, dict(ctx)[t.var]))
+    x = Atom(t.name, t.index)
+    sides = []
+    for rule, literal, branch in (("plus-l", x, t.left), ("plus-r", Not(x), t.right)):
+        bv = And(b, literal)
+        below = choice_tree_derivation(branch, ctx, names, bv)
+        sides.append(D(rule, J(ctx, names, t, bv, below.judgement.type), (below,)))
+    return D("or", J(ctx, names, t, b, sides[0].judgement.type), sides)
+
+
+def generator_permutation_derivations():
+    """Derivations headed by a nu-fun redex, (nu b. f (+b.0) g) z, and by a
+    plus-nu redex, nu b. x (+a.0) y, each a generator over a choice tree."""
+    b0 = Atom(B_, 0)
+
+    def coin(body, ctx, names):
+        below = choice_tree_derivation(body, ctx, set(names) | {B_}, b0)
+        term = Nu(B_, body)
+        ty = Counted(HALF, below.judgement.type)
+        return D("mu", J(ctx, names, term, TOP, ty), (below,), {"d": b0, "q": HALF})
+
+    fun_ctx = (("f", OO), ("g", OO), ("z", O))
+    fun = coin(Choice(Var("f"), Var("g"), B_, 0), fun_ctx, ())
+    arg = D("id", J(fun_ctx, (), Var("z"), TOP, O))
+    term = App(fun.judgement.term, Var("z"))
+    nu_fun = D("app", J(fun_ctx, (), term, TOP, Counted(HALF, O)), (fun, arg))
+    plus_nu = coin(Choice(Var("x"), Var("y"), A_, 0), (("x", O), ("y", O)), {A_})
+    return [nu_fun, plus_nu]
+
+
+def renamed_lambda_derivation():
+    """\\x. (\\z. z) x at o => o, whose lam premise types the alpha-variant
+    (\\z. z) y under y: o."""
+    ctx = (("y", O),)
+    ident = D(
+        "lam",
+        J(ctx, (), I_TERM, TOP, OO),
+        (D("id", J(ctx + (("z", O),), (), Var("z"), TOP, O)),),
+    )
+    arg = D("id", J(ctx, (), Var("y"), TOP, O))
+    body = D("app", J(ctx, (), App(I_TERM, Var("y")), TOP, O), (ident, arg))
+    return D("lam", J((), (), Lam("x", App(I_TERM, Var("x"))), TOP, OO), (body,))
+
+
 def worked_example_derivation():
     """nu a. (lam x. lam y. (y (+a.0) I) x) (nu b. I (+b.0) OMEGA)."""
     atom = Atom(A_, 0)

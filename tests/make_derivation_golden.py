@@ -5,6 +5,16 @@ over the derivation fixtures, and of the term subcommands (`pnf`, `reduce`,
 `dist`, `nf`, `hnv`) in both modes over hand-picked and seeded random terms.
 The test `tests/test_cli.py::test_derivation_cli_golden` replays the records.
 
+The derivations are the CBV and CN fixtures, the clash derivation, three INT
+derivations, translated seeded random proofs, and, so that every transport
+case has a record: the translations of `helpers.proof_kind_corpus()` (`c1`,
+`c2`, `plus-plus-1`, `cbv-plus-2`), the `m-ce-minor` proof's translation
+transported by its `plus-lam` step (`cbv-plus-1`), the choice tree of
+`x (+a.1) (y (+a.0) z)` (`plus-plus-2`) and
+`helpers.generator_permutation_derivations()` (`nu-fun`, `plus-nu`).  The
+script counts the cases of `transport._ROOT_HANDLERS` whose handler returns
+in some record's run; if one is missed, it writes nothing and exits 1.
+
 Run from the repository root, only when the CLI's output is meant to change:
 
     PYTHONPATH=src python tests/make_derivation_golden.py
@@ -12,6 +22,7 @@ Run from the repository root, only when the CLI's output is meant to change:
 
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -20,20 +31,25 @@ from helpers import (  # noqa: E402
     A_,
     B_,
     cbv_fixture_corpus,
+    choice_tree_derivation,
     clash_derivation,
     cn_fixture_corpus,
+    generator_permutation_derivations,
     int_identity,
+    mixed_premise_proof,
+    proof_kind_corpus,
     random_proof,
     random_term,
     two_name_exact_bound_derivation,
 )
-from make_proof_golden import write_golden  # noqa: E402
+from make_proof_golden import run_records, write_golden  # noqa: E402
+from lampe import transport  # noqa: E402
 from lampe.errors import LampeError  # noqa: E402
-from lampe.formulas import And, Atom, Not, Or  # noqa: E402
+from lampe.formulas import TOP, And, Atom, Not, Or  # noqa: E402
 from lampe.proofs import translate  # noqa: E402
 from lampe.rewrite import PE, PE_BRACES, step  # noqa: E402
-from lampe.terms import Name, print_term  # noqa: E402
-from lampe.typesys import derivation_to_json  # noqa: E402
+from lampe.terms import Name, free_names, parse_term, print_term  # noqa: E402
+from lampe.typesys import O, derivation_to_json  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "derivation_cli.json"
 SEED = 2026
@@ -61,7 +77,8 @@ TERMS = (
 
 def golden_derivations():
     """The CBV and CN fixtures, the clash derivation, INT derivations that
-    mu-star accepts, and translated seeded random proofs."""
+    mu-star accepts, translated seeded random proofs, and the derivations
+    that reach the transport cases the others miss."""
     a0, b0 = Atom(A_, 0), Atom(B_, 0)
     derivations = [d for d, _ in cbv_fixture_corpus()] + cn_fixture_corpus() + [
         clash_derivation(),
@@ -76,7 +93,14 @@ def golden_derivations():
         p = random_proof(rng, depth=rng.randrange(2, 5))
         if p is not None:
             derivations.append(translate(p)[1])
-    return derivations
+    derivations += [translate(p)[1] for p in proof_kind_corpus()]
+    minor = translate(mixed_premise_proof("ce", 1))[1]
+    (s,) = [s for s in step(minor.judgement.term, PE_BRACES) if s.rule == "plus-lam"]
+    derivations.append(transport.transport_subject_reduction(minor, s, PE_BRACES))
+    tree = parse_term("x (+a.1) (y (+a.0) z)")
+    ctx = (("x", O), ("y", O), ("z", O))
+    derivations.append(choice_tree_derivation(tree, ctx, free_names(tree), TOP))
+    return derivations + generator_permutation_derivations()
 
 
 def step_count(term, mode):
@@ -122,11 +146,39 @@ def term_argvs(terms):
             yield ["hnv", "--mode", mode, "--fuel", FUEL, text]
 
 
+@contextmanager
+def reached_root_cases():
+    """The set of transport root cases whose handler returns while the
+    block runs."""
+    reached = set()
+    handlers = dict(transport._ROOT_HANDLERS)
+
+    def counted(rule, handler):
+        def call(*args):
+            out = handler(*args)
+            reached.add(rule)
+            return out
+
+        return call
+
+    transport._ROOT_HANDLERS.update({r: counted(r, h) for r, h in handlers.items()})
+    try:
+        yield reached
+    finally:
+        transport._ROOT_HANDLERS.update(handlers)
+
+
 def main():
     derivations = golden_derivations()
     inputs = {f"deriv-{i:02d}.json": derivation_to_json(d) for i, d in enumerate(derivations)}
     argvs = [*derivation_argvs(zip(inputs, derivations)), *term_argvs(golden_terms())]
-    write_golden(GOLDEN, inputs, argvs)
+    with reached_root_cases() as reached:
+        records = run_records(inputs, argvs)
+    missed = sorted(set(transport._ROOT_HANDLERS) - reached)
+    if missed:
+        sys.exit(f"no record reaches the transport cases {', '.join(missed)}; nothing written")
+    print(f"{len(reached)} of {len(transport._ROOT_HANDLERS)} transport cases reached")
+    write_golden(GOLDEN, inputs, records)
 
 
 if __name__ == "__main__":

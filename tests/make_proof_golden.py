@@ -55,27 +55,31 @@ def run_captured(argv):
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def write_golden(path, inputs, argvs):
+def run_records(inputs, argvs):
     """Run each argument list in a temporary directory that holds the input
-    files, and write the inputs and one record per run to `path`."""
+    files, and return one record per run."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, blob in inputs.items():
             Path(tmp, name).write_text(json.dumps(blob))
         here = os.getcwd()
         os.chdir(tmp)
         try:
-            out = [run_captured(argv) for argv in argvs]
+            return [run_captured(argv) for argv in argvs]
         finally:
             os.chdir(here)
+
+
+def write_golden(path, inputs, records):
+    """Write the inputs and the records to `path`."""
     path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps({"inputs": inputs, "records": out}, indent=1) + "\n")
-    print(f"{len(out)} records, {path.stat().st_size} bytes -> {path}")
+    path.write_text(json.dumps({"inputs": inputs, "records": records}, indent=1) + "\n")
+    print(f"{len(records)} records, {path.stat().st_size} bytes -> {path}")
 
 
 def main():
     inputs = golden_inputs()
     argvs = [[command, *flags, name] for name in inputs for command, flags in COMMANDS]
-    write_golden(GOLDEN, inputs, argvs)
+    write_golden(GOLDEN, inputs, run_records(inputs, argvs))
 
 
 if __name__ == "__main__":

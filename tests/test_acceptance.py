@@ -18,6 +18,7 @@ from helpers import (
     two_name_exact_bound_derivation,
     correlated_pick_term,
     proof_fixture_corpus,
+    proof_kind_corpus,
     random_affine_term,
     random_proof,
     random_term,
@@ -30,7 +31,7 @@ from lampe.distribution import (
     nf_mass,
 )
 from lampe.formulas import measure, parse_formula
-from lampe.proofs import check_proof, translate, verify_simulation
+from lampe.proofs import _WITNESS_STEPS, check_proof, translate, verify_simulation
 from lampe.rewrite import (
     PE,
     PE_BRACES,
@@ -308,10 +309,13 @@ def test_criterion_8_subject_reduction_transport():
 def test_criterion_9_curry_howard_simulation():
     entries = 0
     failures = 0
-    for p in proof_fixture_corpus():
+    kinds = set()
+    # the kind corpus heads the seven mix permutations random proofs miss
+    for p in proof_fixture_corpus() + proof_kind_corpus():
         rep = verify_simulation(p, fuel=1000)
         entries += len(rep.entries)
         failures += len(rep.failures)
+        kinds.update(e.kind for e in rep.entries)
     rng = random.Random(42)
     made = 0
     while made < 200:
@@ -323,12 +327,13 @@ def test_criterion_9_curry_howard_simulation():
         rep = verify_simulation(p, fuel=1000)
         entries += len(rep.entries)
         failures += len(rep.failures)
-    ok = failures == 0 and made == 200
+        kinds.update(e.kind for e in rep.entries)
+    ok = failures == 0 and made == 200 and kinds == set(_WITNESS_STEPS)
     verdict(
         9,
         ok,
         f"{made} random proofs + fixtures, {entries} simulated steps, "
-        f"{failures} failures",
+        f"{len(kinds)} of {len(_WITNESS_STEPS)} kinds, {failures} failures",
     )
 
 

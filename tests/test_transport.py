@@ -5,21 +5,23 @@ import pytest
 
 from helpers import (
     A_,
-    D,
-    J,
     cbv_fixture_corpus,
+    choice_tree_derivation,
     clash_derivation,
     coin_derivation,
     identity_derivation,
+    mixed_premise_proof,
+    proof_kind_corpus,
     random_proof,
+    renamed_lambda_derivation,
     record_rule_checks,
     tree_nodes,
 )
 from lampe.errors import UnsupportedStepError
-from lampe.formulas import And, Atom, Not, TOP
+from lampe.formulas import TOP
 from lampe.proofs import translate
 from lampe.rewrite import PE, PE_BRACES, step
-from lampe.terms import Var, alpha_eq, free_names, parse_term, print_term
+from lampe.terms import alpha_eq, free_names, parse_term, print_term
 from lampe.transport import ctx_weaken, names_weaken, transport_subject_reduction
 from lampe.typesys import CBV, O, check_derivation, same_judgement
 
@@ -111,6 +113,22 @@ def test_transport_translated_random_proofs():
             assert same_judgement(out.judgement, expected_judgement(deriv, s))
 
 
+def test_transport_translated_kind_proofs():
+    """The translations of the small proofs that head the mix permutations
+    reach cbv-plus-2, and m-ce-minor's after its plus-lam step reaches
+    cbv-plus-1; no random proof reaches either."""
+    derivations = [translate(p)[1] for p in proof_kind_corpus()]
+    minor = translate(mixed_premise_proof("ce", 1))[1]
+    (s,) = [s for s in step(minor.judgement.term, PE_BRACES) if s.rule == "plus-lam"]
+    derivations.append(transport_subject_reduction(minor, s, PE_BRACES))
+    rules = set()
+    for deriv in derivations:
+        for s in step(deriv.judgement.term, PE_BRACES):
+            out = transport_subject_reduction(deriv, s, PE_BRACES)
+            assert same_judgement(check_derivation(out, CBV), expected_judgement(deriv, s))
+            rules.add(s.rule)
+    assert {"cbv-plus-1", "cbv-plus-2"} <= rules
+
 def test_transport_rejects_foreign_step():
     from lampe.rewrite import ReductionStep
     from lampe.terms import parse_term
@@ -119,20 +137,6 @@ def test_transport_rejects_foreign_step():
     bogus = ReductionStep("beta", (), parse_term("x y"), parse_term("z"))
     with pytest.raises(UnsupportedStepError):
         transport_subject_reduction(d, bogus, PE_BRACES)
-
-
-def choice_tree_derivation(t, ctx, names, b):
-    """Type a tree of choices over variables of type o by splitting the
-    constraint b on every pivot."""
-    if isinstance(t, Var):
-        return D("id", J(ctx, names, t, b, O))
-    x = Atom(t.name, t.index)
-    sides = []
-    for rule, literal, branch in (("plus-l", x, t.left), ("plus-r", Not(x), t.right)):
-        bv = And(b, literal)
-        below = choice_tree_derivation(branch, ctx, names, bv)
-        sides.append(D(rule, J(ctx, names, t, bv, O), (below,)))
-    return D("or", J(ctx, names, t, b, O), sides)
 
 
 @pytest.mark.parametrize(
@@ -188,3 +192,16 @@ def test_weakenings_reject_a_colliding_name():
         names_weaken(coin_derivation(), {A_})
     with pytest.raises(UnsupportedStepError, match="context weakening collides with y"):
         ctx_weaken(identity_derivation(ctx=(("y", O),)), [("y", O)])
+
+
+@pytest.mark.parametrize("mode", [PE, PE_BRACES])
+def test_transport_keeps_a_renamed_lambda_premise(mode):
+    """The lam premise of \\x. (\\z. z) x types (\\z. z) y under y: o, so the
+    premise's reduct is y, not the x of the root reduct's child."""
+    d = renamed_lambda_derivation()
+    (s,) = step(d.judgement.term, mode)
+    assert (s.rule, s.path) == ("beta", (0,))
+    out = transport_subject_reduction(d, s, mode)
+    assert print_term(out.judgement.term) == r"\x. x"
+    assert print_term(out.premises[0].judgement.term) == "y"
+    assert same_judgement(check_derivation(out, CBV), expected_judgement(d, s))
