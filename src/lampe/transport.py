@@ -4,11 +4,14 @@ derivation of the reduct with the identical judgement.
 
 Every reduct is taken from `rewrite.apply_rule_at`, the one table of rewrite
 rules; the handlers here only type it.  Beta steps go through the
-substitution-lemma construction; permutative steps are handled by a case
-split on the pivot bits (resolving the rearranged choices the same way on
-both sides), and the generator permutations by re-associating the counting
-rule with its neighbour.  Disjunction nodes are peeled into their leaves and
-reassembled around the transformed pieces.
+substitution-lemma construction.  A permutation case has one of two shapes:
+a choice permutation is a pivot split (`_split`), which types each branch of
+the reduct under the constraint conjoined with that branch's pivot literal,
+resolving the rearranged choices the same way on both sides; a generator
+permutation is a generator lift (`_lift_nu`), which re-associates each
+counting leaf of the generator's typing with its neighbour and puts one
+counting node over the result.  Disjunction nodes are peeled into their
+leaves and reassembled around the transformed pieces.
 
 The structural rewrites that keep every node's rule (adding names, renaming a
 context variable, renaming generator names) are labelling functions handed
@@ -120,6 +123,13 @@ def rename_derivation_var(d, old, new):
     return relabel(d, label)
 
 
+def _fresh_var(x, taken):
+    """x with primes appended until it is not in `taken`."""
+    while x in taken:
+        x += "'"
+    return x
+
+
 def ctx_weaken(d, pairs):
     """Add unused declarations to every context, renaming inner binders on
     collision."""
@@ -137,10 +147,7 @@ def ctx_weaken(d, pairs):
                      and x not in {y for y, _ in d.judgement.ctx}]
             for x in clash:
                 taken = {y for y, _ in p.judgement.ctx} | new_vars
-                fresh = x
-                while fresh in taken:
-                    fresh += "'"
-                p = rename_derivation_var(p, x, fresh)
+                p = rename_derivation_var(p, x, _fresh_var(x, taken))
             premises.append(go(p))
         return TypingDerivation(
             d.rule,
@@ -196,8 +203,6 @@ def subst_typing(d, x, arg_derivation):
     def premise_offsets(d, offset):
         """Occurrence offset for each premise, following the subject layout."""
         t = d.judgement.term
-        if d.rule == "or":
-            return [offset] * len(d.premises)
         if d.rule == "plus-r":
             return [offset + count(t.left)]
         if d.rule in ("app", "cbv"):
@@ -229,10 +234,7 @@ def subst_typing(d, x, arg_derivation):
             binder = _binder(d)
             premise = d.premises[0]
             if binder in free_vars(u) or binder == x:
-                taken = free_vars(u) | {z for z, _ in j.ctx} | {x}
-                fresh = binder
-                while fresh in taken:
-                    fresh += "'"
+                fresh = _fresh_var(binder, free_vars(u) | {z for z, _ in j.ctx} | {x})
                 premise = rename_derivation_var(premise, binder, fresh)
             return _node("lam", new_j, [go(premise, offset)], d.side)
         offsets = premise_offsets(d, offset)
@@ -268,6 +270,14 @@ def branch_typings(d, want_left):
         for leaf in typed_leaves(d, ("plus-l", "plus-r"), "choice")
         if leaf.rule == keep
     ]
+
+
+def _chosen(d, left, term, constraint):
+    """The typings of the chosen branch of d's choice subject, joined into a
+    typing of `term` under `constraint`."""
+    return _or(
+        branch_typings(d, left), _with(d.judgement, term=term, constraint=constraint)
+    )
 
 
 def _binder(d):
@@ -349,10 +359,7 @@ def _root_plus_lam(d, j, after):
         _unsupported("lambda body premise is not a choice typing")
 
     def piece(bv, left):
-        core = _or(
-            branch_typings(body_deriv, left),
-            _with(pb, term=pb.term.left if left else pb.term.right, constraint=bv),
-        )
+        core = _chosen(body_deriv, left, pb.term.left if left else pb.term.right, bv)
         lam = after.left if left else after.right
         return _node("lam", _with(j, term=lam, constraint=bv), [core])
 
@@ -369,14 +376,7 @@ def _root_plus_app(d, j, after, fun_side):
 
     def piece(bv, left):
         app = after.left if left else after.right
-        core = _or(
-            branch_typings(choice_deriv, left),
-            _with(
-                choice_deriv.judgement,
-                term=app.fun if fun_side else app.arg,
-                constraint=bv,
-            ),
-        )
+        core = _chosen(choice_deriv, left, app.fun if fun_side else app.arg, bv)
         partner = weaken_constraint(other_deriv, bv)
         premises = [core, partner] if fun_side else [partner, core]
         return _node(expected, _with(j, term=app, constraint=bv), premises, d.side)
@@ -423,15 +423,26 @@ def _root_plus_nu(d, j, after):
 
     def piece(bv, left):
         nu = after.left if left else after.right
-        core = _or(
-            branch_typings(inner, left),
-            _with(inner.judgement, term=nu.body, constraint=And(bv, dloc)),
-        )
+        core = _chosen(inner, left, nu.body, And(bv, dloc))
         return _node(
             "mu", _with(j, term=nu, constraint=bv), [core], {"d": dloc, "q": q}
         )
 
     return _split(j, after, piece)
+
+
+def _lift_nu(j, after, gen, body):
+    """Type the generator `after` from the counting leaves of `gen`, the
+    typing of the old generator.  For each leaf, body(leaf) gives the typing
+    of `after`'s body and the constraint, exponent and side data of the
+    counting node over it."""
+    pieces = []
+    for leaf in typed_leaves(gen, ("mu",), "generator"):
+        premise, constraint, q, side = body(leaf)
+        ty = Counted(q, premise.judgement.type)
+        mu_j = _with(j, term=after, constraint=constraint, type_=ty)
+        pieces.append(_node("mu", mu_j, [premise], side))
+    return _or(pieces, _with(j, term=after))
 
 
 def _root_nu_lam(d, j, after):
@@ -440,8 +451,8 @@ def _root_nu_lam(d, j, after):
         _unsupported("nu-lam against a non-lambda typing")
     nu_deriv = d.premises[0]
     arg_type = dict(nu_deriv.judgement.ctx)[_binder(d)]
-    pieces = []
-    for leaf in typed_leaves(nu_deriv, ("mu",), "generator"):
+
+    def body(leaf):
         inner = leaf.premises[0]
         pi = inner.judgement
         qs, body_sigma = strip_prefix(pi.type)
@@ -456,19 +467,9 @@ def _root_nu_lam(d, j, after):
             ),
             [inner],
         )
-        mu_node = _node(
-            "mu",
-            _with(
-                j,
-                term=after,
-                constraint=leaf.judgement.constraint,
-                type_=Counted(leaf.side["q"], lam_node.judgement.type),
-            ),
-            [lam_node],
-            leaf.side,
-        )
-        pieces.append(mu_node)
-    return _or(pieces, _with(j, term=after))
+        return lam_node, leaf.judgement.constraint, leaf.side["q"], leaf.side
+
+    return _lift_nu(j, after, nu_deriv, body)
 
 
 def _root_nu_fun(d, j, after):
@@ -482,8 +483,8 @@ def _root_nu_fun(d, j, after):
         _unsupported("argument captures the generator name")
     bw = darg.judgement.constraint
     arg_named = names_weaken(darg, {name})
-    pieces = []
-    for leaf in typed_leaves(dfun, ("mu",), "generator"):
+
+    def body(leaf):
         inner = leaf.premises[0]
         pi = inner.judgement
         ci = leaf.judgement.constraint
@@ -497,19 +498,9 @@ def _root_nu_fun(d, j, after):
             app_j,
             [weaken_constraint(inner, appc), weaken_constraint(arg_named, appc)],
         )
-        mu_node = _node(
-            "mu",
-            _with(
-                j,
-                term=after,
-                constraint=And(ci, bw),
-                type_=Counted(leaf.side["q"], app_j.type),
-            ),
-            [app_node],
-            leaf.side,
-        )
-        pieces.append(mu_node)
-    return _or(pieces, _with(j, term=after))
+        return app_node, And(ci, bw), leaf.side["q"], leaf.side
+
+    return _lift_nu(j, after, dfun, body)
 
 
 def _root_cbv_nu(d, j, after):
@@ -525,8 +516,8 @@ def _root_cbv_nu(d, j, after):
     bf = dfun.judgement.constraint
     fun_named = names_weaken(dfun, {name})
     arrow_qs, arrow = strip_prefix(dfun.judgement.type)
-    pieces = []
-    for leaf in typed_leaves(darg, ("mu",), "generator"):
+
+    def body(leaf):
         inner = leaf.premises[0]
         ci = leaf.judgement.constraint
         dloc = leaf.side["d"]
@@ -543,19 +534,9 @@ def _root_cbv_nu(d, j, after):
             app_j,
             [weaken_constraint(fun_named, appc), weaken_constraint(inner, appc)],
         )
-        mu_node = _node(
-            "mu",
-            _with(
-                j,
-                term=after,
-                constraint=And(bf, ci),
-                type_=Counted(q, app_j.type),
-            ),
-            [app_node],
-            {"d": dloc, "q": q},
-        )
-        pieces.append(mu_node)
-    return _or(pieces, _with(j, term=after))
+        return app_node, And(bf, ci), q, {"d": dloc, "q": q}
+
+    return _lift_nu(j, after, darg, body)
 
 
 _ROOT_HANDLERS = {
