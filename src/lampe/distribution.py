@@ -2,13 +2,22 @@
 Monte Carlo cross-validator.
 
 The distribution of a name-closed PNF assigns each pseudo-value the exact
-measure of the event set leading to it, computed by walking generator trees
-with a partial bit assignment (so the same index met twice along a path is
-not double-counted).  Each closed leaf of a generator tree is recorded as
-normal before it is classified: every name in it is bound inside it, so
-the plus-plus order is the same inside the whole term and alone, and the
-leaf of a PNF is a PNF.  `classify_pnf` and `is_hnv` then skip its scan.  An
-open leaf is not recorded, and still raises OpenNamesError.
+measure of the event set leading to it, computed by walking generator trees.
+Along a branch of a PNF's nu/choice prefix every choice is on the nearest
+enclosing nu's name, and under one nu the indices strictly increase (rules
+c1, c2 and plus-plus rewrite any other order), so a leaf k choices deep in
+a generator tree has measure 1/2**k.  Each closed leaf of a generator tree
+is recorded as normal before it is classified: every name in it is bound
+inside it, so the plus-plus order is the same inside the whole term and
+alone, and the leaf of a PNF is a PNF.  `classify_pnf` and `is_hnv` then
+skip its scan.  An open leaf is not recorded, and still raises
+OpenNamesError.
+
+Each fair round of `hnv_lower_bound` walks the prefix once, through
+`rewrite._branches`: a leaf with no head redex adds 1/2**splits to the
+head-normal mass, the same sum as `hnv_mass` without building a
+distribution, and the others give the round's head redexes, left to right.
+Only the redexes the fuel lets the round take are contracted.
 
 `nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
 normalization plus head beta steps, until a generator or a head normal value
@@ -21,13 +30,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import ModeViolationError, OpenNamesError, PreconditionError
 from .rewrite import (
     PE,
     PseudoValue,
+    _branches,
     _check_fuel,
+    _contract,
+    _head_redex,
     _head_redexes,
     _mark_normal,
     _normal_fact,
@@ -91,25 +102,17 @@ def _add(entries, term, weight):
 
 
 def _tree_leaf_weights(tree, name):
-    """Leaves of a generator tree with the exact measures of the bit events
-    reaching them."""
-
-    def go(node, assignment):
-        if isinstance(node, Choice) and node.name is name:
-            if node.index in assignment:
-                side = node.left if assignment[node.index] == 1 else node.right
-                yield from go(side, assignment)
-            else:
-                left = dict(assignment)
-                left[node.index] = 1
-                yield from go(node.left, left)
-                right = dict(assignment)
-                right[node.index] = 0
-                yield from go(node.right, right)
+    """Leaves of a generator tree, left to right, with the exact measures of
+    the bit events reaching them: 1/2**depth, as no index repeats along a
+    branch of a PNF."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is Choice and node.name is name:
+            stack.append((node.right, depth + 1))
+            stack.append((node.left, depth + 1))
         else:
-            yield node, Fraction(1, 2 ** len(assignment))
-
-    yield from go(tree, {})
+            yield node, Fraction(1, 2 ** depth)
 
 
 def distribution(t, mode=PE):
@@ -139,6 +142,22 @@ def hnv_mass(t, mode=PE):
     return total
 
 
+def _head_round(t, mode):
+    """One walk over the branches of a name-closed PNF: the head-normal mass
+    (hnv_mass) and the head redexes as (path, redex), left to right."""
+    mass, redexes = Fraction(0), []
+    for leaf, path, splits in _branches(t):
+        names = free_names(leaf)
+        if names:
+            raise OpenNamesError(f"free names {sorted(str(n) for n in names)}")
+        found = _head_redex(leaf, path, mode)
+        if found is None:
+            mass += Fraction(1, 2 ** splits)
+        else:
+            redexes.append(found)
+    return mass, redexes
+
+
 def hnv_lower_bound(t, fuel, mode=PE):
     """Fuel-bounded under-approximation of the head-normalization
     probability: head-reduce fairly across branches, keeping the best mass
@@ -152,19 +171,22 @@ def hnv_lower_bound(t, fuel, mode=PE):
     while True:
         t, trace = pnf(t, mode)
         used += len(trace)
-        best = max(best, hnv_mass(t, mode))
+        mass, redexes = _head_round(t, mode)
+        best = max(best, mass)
         if used >= fuel:
             exact = False
             break
         # one head step in each of the leftmost branches the fuel allows
-        steps = list(islice(_head_redexes(t, mode), fuel - used))
+        steps = [
+            (path, redex, _contract(redex)) for path, redex in redexes[: fuel - used]
+        ]
         if not steps:
             break
         used += len(steps)
-        if all(alpha_eq(result, subterm_at(t, path)) for _, path, result in steps):
+        if all(alpha_eq(result, redex) for _, redex, result in steps):
             # deterministic head rounds hit a fixpoint: nothing will change
             break
-        for _, path, result in steps:
+        for path, _, result in steps:
             t = replace_at(t, path, result)
     return TerminationEstimate(best, min(used, fuel), exact)
 

@@ -467,35 +467,60 @@ def _collect_leaves(tree, name, out):
 # Head reduction
 
 
+def _branches(t):
+    """The leaves of t's randomized context (the nu/choice prefix), left to
+    right, as (leaf, path, splits): splits counts the choices above the
+    leaf.  An explicit stack, so the interpreter stack does not bound the
+    prefix."""
+    stack = [(t, (), 0)]
+    while stack:
+        t, path, splits = stack.pop()
+        kind = type(t)
+        if kind is Nu:
+            stack.append((t.body, path + (0,), splits))
+        elif kind is Choice:
+            stack.append((t.right, path + (1,), splits + 1))
+            stack.append((t.left, path + (0,), splits + 1))
+        else:
+            yield t, path, splits
+
+
+def _head_redex(leaf, path, mode):
+    """The head beta redex of a branch leaf at path, as (path, redex), or
+    None; nothing is substituted.  The walk follows lambda bodies and
+    application heads; in PE_BRACES a CbV application's argument is tried
+    after its function.  An explicit stack, so the interpreter stack does
+    not bound the spine."""
+    braces = mode == PE_BRACES
+    todo = [(leaf, path)]
+    while todo:
+        t, path = todo.pop()
+        kind = type(t)
+        if kind is Lam:
+            todo.append((t.body, path + (0,)))
+        elif kind is App:
+            if type(t.fun) is Lam:
+                return path, t
+            todo.append((t.fun, path + (0,)))
+        elif braces and kind is CbvApp:
+            todo.append((t.arg, path + (1,)))
+            todo.append((t.fun, path + (0,)))
+    return None
+
+
+def _contract(redex):
+    """The reduct of a head beta redex."""
+    return substitute(redex.fun.body, redex.fun.var, redex.arg)
+
+
 def _head_redexes(t, mode):
     """Head beta redexes (rule, path, result), one for each branch of the
-    randomized context (the nu/choice prefix) that has one, left to right.
-    In a branch the walk follows lambda bodies and application heads; in
-    PE_BRACES a CbV application's argument is tried after its function.
-    Explicit stacks, so the interpreter stack does not bound the spine."""
-    braces = mode == PE_BRACES
-    branches = [(t, ())]
-    while branches:
-        t, path = branches.pop()
-        if isinstance(t, Nu):
-            branches.append((t.body, path + (0,)))
-        elif isinstance(t, Choice):
-            branches.append((t.right, path + (1,)))
-            branches.append((t.left, path + (0,)))
-        else:
-            todo = [(t, path)]
-            while todo:
-                t, path = todo.pop()
-                if isinstance(t, Lam):
-                    todo.append((t.body, path + (0,)))
-                elif isinstance(t, App):
-                    if isinstance(t.fun, Lam):
-                        yield "beta", path, substitute(t.fun.body, t.fun.var, t.arg)
-                        break
-                    todo.append((t.fun, path + (0,)))
-                elif braces and isinstance(t, CbvApp):
-                    todo.append((t.arg, path + (1,)))
-                    todo.append((t.fun, path + (0,)))
+    randomized context that has one, left to right."""
+    for leaf, path, _ in _branches(t):
+        found = _head_redex(leaf, path, mode)
+        if found is not None:
+            path, redex = found
+            yield "beta", path, _contract(redex)
 
 
 def _head_steps(t, mode):

@@ -108,6 +108,17 @@ def test_nf_honours_mode(capsys):
     assert err == "E_MODE_VIOLATION: normal-form mass is only defined for plain PE terms\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hnv", "--fuel", "3", r"nu a. (I (+a.0) \u.\v.u) (I (+a.1) OMEGA)"),
+        ("nf", "--fuel", "3", r"(\x. x x x) (\x. x x x)"),
+    ],
+)
+def test_bounds_say_when_the_fuel_ran_out(capsys, argv):
+    assert invoke(capsys, *argv) == (0, "0/1\n", "lower bound (fuel exhausted)\n")
+
+
 def test_check_cbv(capsys, tmp_path):
     path = tmp_path / "church_two_cbv.json"
     path.write_text(json.dumps(derivation_to_json(church_two_cbv_derivation())))

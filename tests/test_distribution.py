@@ -346,6 +346,65 @@ def test_head_walk_matches_the_recursive_finder():
     assert compared >= 250
 
 
+def test_head_round_reads_the_mass_and_the_redexes_from_one_walk():
+    """The fair round of hnv_lower_bound walks a closed PNF's branches once:
+    its mass is hnv_mass, and its redexes, contracted, are the head walk's
+    (path, result) list.  This holds again on the PNF after each of up to
+    three more rounds, where nested generators come to the head."""
+    from helpers import random_term
+    from lampe.rewrite import _contract, _head_redexes
+    from lampe.terms import Choice, Nu, contains_cbv, free_names, replace_at
+
+    def prefix_nus(t):
+        count, todo = 0, [t]
+        while todo:
+            t = todo.pop()
+            if type(t) is Nu:
+                count += 1
+                todo.append(t.body)
+            elif type(t) is Choice:
+                todo += (t.left, t.right)
+        return count
+
+    dist = importlib.import_module("lampe.distribution")
+    rng = random.Random(37)
+    terms = [
+        random_term(rng, rng.randrange(3, 16), [], [], allow_cbv=i % 3 == 0)
+        for i in range(200)
+    ]
+    terms = [t for t in terms if not free_names(t)]
+    terms += [t for n in range(1, 5) for t in termination_terms(n)]
+    terms += [parse_term(text) for text in _FIXED_TERMS]
+    compared = nested = 0
+    for t in terms:
+        for mode in (PE_BRACES,) if contains_cbv(t) else (PE, PE_BRACES):
+            u = t
+            for _ in range(4):
+                u, _ = pnf(u, mode)
+                mass, redexes = dist._head_round(u, mode)
+                assert mass == hnv_mass(u, mode)
+                walk = [(path, result) for _, path, result in _head_redexes(u, mode)]
+                assert [(path, _contract(redex)) for path, redex in redexes] == walk
+                compared += 1
+                nested += prefix_nus(u) >= 2
+                if not redexes:
+                    break
+                for path, redex in redexes:
+                    u = replace_at(u, path, _contract(redex))
+    assert compared >= 800 and nested >= 150
+
+
+def test_head_round_names_an_open_leaf_as_hnv_mass_does():
+    dist = importlib.import_module("lampe.distribution")
+    t = parse_term(r"\x. x (+a.0) I")
+    with pytest.raises(OpenNamesError) as round_error:
+        dist._head_round(t, PE)
+    with pytest.raises(OpenNamesError) as mass_error:
+        hnv_mass(t)
+    assert str(round_error.value) == str(mass_error.value)
+    assert round_error.value.message == "free names ['a']"
+
+
 def test_nf_mass_of_a_spine_that_grows_each_head_step():
     # each head step makes the spine one application deeper
     t = parse_term(r"(\v0. (nu a. v0) (nu b. v0)) (nu c. \v0. v0 v0 v0)")

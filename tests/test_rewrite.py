@@ -141,6 +141,10 @@ def test_head_step_hnv_is_none():
     assert is_hnv(parse_term("\\x.\\y. y u1 u2"))
 
 
+def test_a_generator_is_not_a_head_normal_value():
+    assert not is_hnv(parse_term("nu a. I"))
+
+
 def test_head_step_omega_loops():
     t = parse_term("OMEGA")
     s = head_step(t)
@@ -524,6 +528,41 @@ def test_closed_generator_leaves_of_a_pnf_are_pnfs():
     assert checked >= 10_000
 
 
+def test_prefix_choices_follow_the_nearest_nu_in_rising_index_order():
+    """Along every branch of a closed PNF's nu/choice prefix, each choice is
+    on the nearest enclosing nu's name, and below one nu the indices strictly
+    increase: c1, c2 and plus-plus rewrite any other order.  So a leaf k
+    choices deep in a generator tree has measure 1/2**k, and the head round
+    of hnv_lower_bound may weigh a branch by its number of choices.  Under a
+    nested nu the indices start again."""
+    from helpers import random_term
+    from lampe.terms import contains_cbv, free_names
+
+    rng = random.Random(4711)
+    corpus = [
+        random_term(rng, rng.randrange(5, 31), [], [], allow_cbv=i % 3 == 0)
+        for i in range(600)
+    ]
+    choices = nested = 0
+    for t in corpus:
+        if free_names(t):
+            continue
+        for mode in (PE_BRACES,) if contains_cbv(t) else (PE, PE_BRACES):
+            # (node, nearest nu's name, last index below that nu)
+            todo = [(pnf(t, mode)[0], None, -1)]
+            while todo:
+                u, name, last = todo.pop()
+                if type(u) is Nu:
+                    nested += name is not None
+                    todo.append((u.body, u.name, -1))
+                elif type(u) is Choice:
+                    assert u.name is name and u.index > last
+                    choices += 1
+                    todo.append((u.left, name, u.index))
+                    todo.append((u.right, name, u.index))
+    assert choices >= 1800 and nested >= 1200
+
+
 def test_counting_pnf_keeps_no_trace():
     """pnf_count keeps no intermediate term, so its peak traced memory grows
     linearly with the number of steps, where a trace of spines grows it
@@ -634,8 +673,10 @@ def test_scans_survive_900_nested_lambdas():
 def test_head_walk_survives_a_3000_deep_application_spine():
     """The head walk keeps explicit stacks: it finds the head redex at the
     bottom of a 3000-deep application spine in every branch, and applying
-    them as the fair round of hnv_lower_bound does replaces just those."""
-    from lampe.rewrite import _head_redexes
+    them as the fair round of hnv_lower_bound does replaces just those.  The
+    round itself finds them, and the head-normal mass, on the same stacks."""
+    from lampe.distribution import _head_round
+    from lampe.rewrite import _contract, _head_redexes
 
     spine = App(Lam("x", Var("x")), Var("u"))
     for _ in range(2999):
@@ -644,7 +685,7 @@ def test_head_walk_survives_a_3000_deep_application_spine():
     # a CbV application's argument is searched only when its function has
     # no head redex
     cbv = Choice(CbvApp(Var("f"), spine), CbvApp(Lam("z", spine), spine), a, 2)
-    t = Nu(a, Choice(Choice(spine, Lam("z", spine), a, 0), cbv, a, 1))
+    t = before = Nu(a, Choice(Choice(spine, Lam("z", spine), a, 0), cbv, a, 1))
     found = list(_head_redexes(t, PE_BRACES))
     paths = [(0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0, 0)]
     paths = [p + bottom for p in paths]
@@ -653,3 +694,14 @@ def test_head_walk_survives_a_3000_deep_application_spine():
         t = replace_at(t, path, result)
     assert all(subterm_at(t, path) == Var("u") for path in paths)
     assert subterm_at(t, (0, 0, 1)).var == "z"
+
+    # the fair round walks the same branches once: no branch is head normal,
+    # and it finds the same redex nodes without contracting them
+    mass, redexes = _head_round(before, PE_BRACES)
+    assert mass == 0 and [path for path, _ in redexes] == paths
+    for path, redex in redexes:
+        assert redex is subterm_at(before, path) and _contract(redex) == Var("u")
+    # a head normal branch adds its measure to the mass and gives no redex
+    half = Nu(a, Choice(spine, Lam("z", Var("z")), a, 0))
+    mass, redexes = _head_round(half, PE)
+    assert mass == Fraction(1, 2) and [path for path, _ in redexes] == [(0, 0) + bottom]
