@@ -70,6 +70,7 @@ from .typesys import (
     Judgement,
     O,
     TypingDerivation,
+    _check_tree,
     _decode_side,
     _decoded,
     _encode_side,
@@ -206,24 +207,20 @@ class ProofDerivation:
 
     __post_init__ = _freeze_side
 
-    # a node fact: the node passed check_proof (see _check_proof_node)
-    _checked = False
+    # a node fact: `(None,)` once the node passed check_proof, which checks
+    # it under no type system (see typesys._check_tree)
+    _checked = ()
 
 
 @_one_manager
 def check_proof(p):
     """Validate every rule application; returns the root sequent."""
-    _check_proof_node(p)
+    _check_tree(p, None, "_checked", None, _check_proof_rule)
     return p.sequent
 
 
-def _check_proof_node(p):
-    # a node that passed is marked and not checked again (see
-    # typesys._check_node); a failed check leaves no mark
-    if p._checked:
-        return
-    for q in p.premises:
-        _check_proof_node(q)
+def _check_proof_rule(p, system):
+    """The rule check of one proof node, run by `_check_tree` with no system."""
     s = p.sequent
     if p.rule == "id":
         _shape(not p.premises, "id takes no premises")
@@ -303,7 +300,6 @@ def _check_proof_node(p):
         )
     else:
         raise RuleShapeError(f"unknown proof rule {p.rule}")
-    object.__setattr__(p, "_checked", True)
 
 
 def _pivot_atom(p):

@@ -227,7 +227,7 @@ def validate_type(t, system):
 
     A type that passed under `system` records it in its `_valid_under`
     attribute, outside its dataclass fields, as a derivation node does (see
-    `_check_node`); it is not checked under that system again, and a failed
+    `_check_tree`); it is not checked under that system again, and a failed
     check records nothing."""
     if system not in _SIMPLE_TYPE_ERRORS:
         raise ValueError(system)
@@ -444,7 +444,7 @@ class TypingDerivation:
 
     __post_init__ = _freeze_side
 
-    # the systems the node passed under, a node fact (see _check_node)
+    # the systems the node passed under, a node fact (see _check_tree)
     _checked_under = ()
 
 
@@ -513,28 +513,45 @@ def check_derivation(d, system):
     """Validate every node of the derivation; returns the root judgement."""
     if system not in RULES_BY_SYSTEM:
         raise ValueError(f"unknown system {system!r}")
-    _check_node(d, system)
+    _check_tree(d, system, "_checked_under", _check_in_system, _check_rule)
     return d.judgement
 
 
-def _check_node(d, system):
-    # A node that passed under `system` is not checked again: nodes are
-    # frozen and their side data is read-only, so the verdict cannot change.
-    # The mark is the `_checked_under` attribute, declared on the class
-    # outside the dataclass fields, where `==`, `repr` and the JSON encoder
-    # do not see it; it is written once per system, and a failed check
-    # leaves none.
-    checked = d._checked_under
-    if system in checked:
-        return
+def _check_in_system(d, system):
     if d.rule not in RULES_BY_SYSTEM[system]:
         raise SystemMismatchError(f"rule {d.rule} does not belong to {system}")
-    j = d.judgement
-    _check_judgement_wf(j, system)
-    for p in d.premises:
-        _check_node(p, system)
+    _check_judgement_wf(d.judgement, system)
+
+
+def _check_rule(d, system):
     _RULE_CHECKERS[d.rule](d, system)
-    object.__setattr__(d, "_checked_under", checked + (system,))
+
+
+def _check_tree(root, system, mark, check_down, check_up):
+    """Check a derivation or proof tree on an explicit stack, in one order:
+    `check_down(node, system)`, if given, on the way down, then the premises
+    left to right, then `check_up(node, system)` on the way up.
+
+    A node that passed under `system` is not checked again: nodes are frozen
+    and their side data is read-only, so the verdict cannot change.  The mark
+    is the attribute named `mark`, a tuple of the systems the node passed
+    under, declared on the class outside the dataclass fields, where `==`,
+    `repr` and the JSON encoder do not see it; a failed check leaves none."""
+    stack = [(root, False)]
+    while stack:
+        node, up = stack.pop()
+        done = getattr(node, mark)
+        if system in done:
+            continue
+        if not up:
+            if check_down is not None:
+                check_down(node, system)
+            if node.premises:
+                stack.append((node, True))
+                stack.extend([(p, False) for p in reversed(node.premises)])
+                continue
+        check_up(node, system)
+        object.__setattr__(node, mark, done + (system,))
 
 
 def _same_env(j, p):
@@ -719,35 +736,29 @@ def _local_formula(d, key, a):
     return f
 
 
-def _mu_common(d, q):
-    """Checks shared by mu and mu-prime; returns the premise and the rational."""
+def _check_mu(d, system):
+    """mu and mu-prime: one premise whose constraint adds a local part `d`
+    of measure at least the rational.  mu prefixes the premise type with it;
+    mu-prime, which also reads it from `s`, scales the premise's quantifier."""
     j = d.judgement
     a = _nu_common(d)
     _shape(len(d.premises) == 1, f"{d.rule} takes one premise")
     p = d.premises[0].judgement
     dloc = _local_formula(d, "d", a)
+    prime = d.rule == "mu-prime"
+    q = d.side.get("q", d.side.get("s")) if prime else d.side.get("q")
     _shape(q is not None, "missing side rational 'q'")
     _side(measure(dloc) >= q, "measure bound fails")
     _side(
         equivalent(p.constraint, And(j.constraint, dloc)),
         "premise constraint is not the conclusion constraint plus the local part",
     )
-    return p, q
-
-
-def _check_mu(d, system):
-    p, q = _mu_common(d, d.side.get("q"))
-    _shape(
-        d.judgement.type == Counted(q, p.type),
-        "conclusion must prefix the premise type",
-    )
-
-
-def _check_mu_prime(d, system):
-    p, s = _mu_common(d, d.side.get("q", d.side.get("s")))
+    if not prime:
+        _shape(j.type == Counted(q, p.type), "conclusion must prefix the premise type")
+        return
     _shape(isinstance(p.type, Counted), "premise must carry its quantifier")
     _shape(
-        d.judgement.type == Counted(p.type.q * s, p.type.body),
+        j.type == Counted(p.type.q * q, p.type.body),
         "conclusion exponent must be the product",
     )
 
@@ -782,8 +793,9 @@ def _check_mu_sigma(d, system):
     _shape(j.type == Counted(total, sigma), "conclusion exponent must be the sum")
 
 
-def _ground_common(d):
-    """Checks shared by hn and n; returns the premise judgement."""
+def _check_ground(d, system):
+    """hn and n, each named after the ground type it concludes; n also asks
+    for a safe quantified type."""
     j = d.judgement
     _shape(len(d.premises) == 1, f"{d.rule} takes one premise")
     p = d.premises[0].judgement
@@ -791,23 +803,11 @@ def _ground_common(d):
     _shape(alpha_eq(p.term, j.term), "premise subject differs")
     _shape(p.constraint == j.constraint, f"{d.rule} keeps the constraint")
     _shape(isinstance(p.type, Counted), "premise carries one quantifier")
-    return p
-
-
-def _check_hn(d, system):
-    p = _ground_common(d)
+    if d.rule == GROUND_N:
+        _side(is_safe(p.type.body), "the quantified type must be safe")
     _shape(
-        d.judgement.type == Counted(p.type.q, HN),
-        "conclusion must be the hn ground type",
-    )
-
-
-def _check_n(d, system):
-    p = _ground_common(d)
-    _side(is_safe(p.type.body), "the quantified type must be safe")
-    _shape(
-        d.judgement.type == Counted(p.type.q, N),
-        "conclusion must be the n ground type",
+        j.type == Counted(p.type.q, Ground(d.rule)),
+        f"conclusion must be the {d.rule} ground type",
     )
 
 
@@ -822,10 +822,10 @@ _RULE_CHECKERS = {
     "app-int": _check_app_int,
     "cbv": _check_cbv,
     "mu": _check_mu,
-    "mu-prime": _check_mu_prime,
+    "mu-prime": _check_mu,
     "mu-sigma": _check_mu_sigma,
-    "hn": _check_hn,
-    "n": _check_n,
+    "hn": _check_ground,
+    "n": _check_ground,
 }
 
 

@@ -160,6 +160,15 @@ def test_check_proof_cli(capsys, tmp_path):
     assert code == 0 and "C[1/2] (A -> A)" in out
 
 
+def test_check_proof_reports_an_unknown_rule(capsys, tmp_path):
+    blob = proof_to_json(half_id_proof())
+    blob["rule"] = "foo"
+    path = tmp_path / "foo.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert (code, out, err) == (1, "", "E_RULE_SHAPE: unknown proof rule foo\n")
+
+
 def test_normalize_proof_cli(capsys, tmp_path):
     path = tmp_path / "cut.json"
     path.write_text(json.dumps(proof_to_json(cut_proof())))

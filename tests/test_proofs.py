@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -146,6 +147,33 @@ def test_a_proof_is_checked_once(monkeypatch):
             check_proof(worse)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+def test_an_unknown_rule_is_reported_after_its_premises():
+    good = P("id", S((A,), TOP, A), (), {"index": 0})
+    bad = P("id", S((A,), TOP, A), (), {"index": 1})
+    with pytest.raises(RuleShapeError) as err:
+        check_proof(P("foo", S((A,), TOP, A), (good, bad)))
+    assert err.value.message == "bad hypothesis index"
+    with pytest.raises(RuleShapeError) as err:
+        check_proof(P("foo", S((A,), TOP, A), (good, good)))
+    assert err.value.message == "unknown proof rule foo"
+
+
+def test_checking_survives_a_10000_deep_proof():
+    """The checking driver keeps an explicit stack, so a left-nested chain
+    of 10,000 `m` nodes fits in the default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        ident = P("id", S((A,), TOP, A), (), {"index": 0})
+        p = ident
+        for _ in range(10_000):
+            p = P("m", S((A,), TOP, A), (p, ident), {"pivot": Atom(a, 0)})
+        assert check_proof(p) is p.sequent
+        assert p._checked
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_ci_freshness_condition():

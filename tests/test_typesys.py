@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from helpers import (
     A_,
     B_,
+    CN_OO,
     D,
     HALF,
     INT_OO,
@@ -22,6 +24,7 @@ from helpers import (
     correlated_pick_term,
     duplicator_proof,
     half_id_proof,
+    identity_derivation,
     int_identity,
     proof_fixture_corpus,
     record_rule_checks,
@@ -287,6 +290,67 @@ def test_a_cbv_check_does_not_count_under_int():
     with pytest.raises(SystemMismatchError):
         check_derivation(d, INT)
     check_derivation(d, CBV)
+
+
+def test_a_node_is_checked_on_the_way_down_then_after_its_premises(monkeypatch):
+    checked = record_rule_checks(monkeypatch)
+    j = J((), {A_}, parse_term("OMEGA"), parse_formula("a.0"), OO)
+    # the root fails its membership check before any premise is checked
+    with pytest.raises(SystemMismatchError):
+        check_derivation(D("hn", j, (identity_derivation(),)), CBV)
+    assert checked == []
+    # the left premise fails its rule check before the right premise's
+    # membership check runs
+    bad_lam = D("lam", j, (coin_derivation(),))
+    with pytest.raises(RuleShapeError) as err:
+        check_derivation(D("or", j, (bad_lam, D("hn", j))), CBV)
+    assert err.value.message == "subject must be a lambda"
+    assert checked[-1] is bad_lam
+
+
+def test_a_shared_premise_is_checked_once(monkeypatch):
+    checked = record_rule_checks(monkeypatch)
+    p = identity_derivation()
+    root = D("or", p.judgement, (p, p))
+    check_derivation(root, CBV)
+    assert checked == [p.premises[0], p, root]
+
+
+def test_checking_survives_a_10000_deep_derivation():
+    """The checking driver keeps an explicit stack, so a chain of 10,000
+    `or` nodes fits in the default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        d = identity_derivation()
+        for _ in range(10_000):
+            d = D("or", d.judgement, (d,))
+        assert check_derivation(d, CBV) is d.judgement
+        assert d._checked_under == (CBV,)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_intersection_app_checks_each_argument_premise():
+    # f x with f : [C[1] ([C[1] o] => o)] and x : [C[1] o]
+    fun_ty = Counted(Fraction(1), INT_OO)
+    c1o = Counted(Fraction(1), O)
+    ctx = (("f", mk_mset([fun_ty])), ("x", mk_mset([c1o])), ("y", mk_mset([c1o])))
+    fun = D("id-sub", J(ctx, (), Var("f"), TOP, fun_ty))
+    term = parse_term("f x")
+
+    def app(arg_var, arg_constraint):
+        arg = D("id-sub", J(ctx, (), Var(arg_var), arg_constraint, c1o))
+        return D("app-int", J(ctx, (), term, TOP, c1o), (fun, arg))
+
+    assert check_derivation(app("x", TOP), INT).type == c1o
+    for arg_var, arg_constraint, message in (
+        ("y", TOP, "argument premise subject differs"),
+        ("x", Or(TOP, TOP), "argument premise keeps the constraint"),
+    ):
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(app(arg_var, arg_constraint), INT)
+        assert err.value.message == message
 
 
 def test_bad_measure_bound_rejected():
@@ -625,6 +689,30 @@ def test_mu_rules_share_their_premise_checks():
         with pytest.raises(RuleShapeError) as err:
             check_derivation(no_rational, system)
         assert err.value.message == "missing side rational 'q'"
+    # only mu-prime reads its rational from `s`
+    with pytest.raises(RuleShapeError) as err:
+        check_derivation(
+            dataclasses.replace(coin_derivation(), side={"d": Atom(A_, 0), "s": HALF}), CBV
+        )
+    assert err.value.message == "missing side rational 'q'"
+    # a smaller rational still meets the measure bound, but not the conclusion
+    for d, system, message in (
+        (coin_derivation(), CBV, "conclusion must prefix the premise type"),
+        (coin, CN, "conclusion exponent must be the product"),
+    ):
+        smaller = dataclasses.replace(d, side={"d": Atom(A_, 0), "q": Fraction(1, 4)})
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(smaller, system)
+        assert err.value.message == message
+    # every CN type carries its quantifier, so only a direct call of the
+    # checker meets a premise without one
+    (branch,) = coin.premises
+    bare = dataclasses.replace(
+        branch, judgement=dataclasses.replace(branch.judgement, type=CN_OO)
+    )
+    with pytest.raises(RuleShapeError) as err:
+        _RULE_CHECKERS["mu-prime"](dataclasses.replace(coin, premises=(bare,)), CN)
+    assert err.value.message == "premise must carry its quantifier"
 
 
 def test_ground_rules_share_their_premise_checks():
@@ -639,6 +727,24 @@ def test_ground_rules_share_their_premise_checks():
         with pytest.raises(RuleShapeError) as err:
             check_derivation(D(rule, J(j.ctx, j.names, j.term, other, ty), (base,)), INT)
         assert err.value.message == f"{rule} keeps the constraint"
+        halved = Counted(HALF, ground)
+        with pytest.raises(RuleShapeError) as err:
+            check_derivation(D(rule, J(j.ctx, j.names, j.term, j.constraint, halved), (base,)), INT)
+        assert err.value.message == f"conclusion must be the {rule} ground type"
+    # only n asks for a safe quantified type: ([C[1] hn] => hn) mentions hn
+    unsafe_ty = Counted(Fraction(1), Arrow(mk_mset([Counted(Fraction(1), HN)]), HN))
+    ctx = (("z", mk_mset([Counted(Fraction(1), HN)])),)
+    leaf = D("id-sub", J(ctx, (), parse_term("z"), TOP, Counted(Fraction(1), HN)))
+    lam = D("lam", J((), (), parse_term(r"\z.z"), TOP, unsafe_ty), (leaf,))
+    lj = lam.judgement
+    hn_node, n_node = (
+        D(rule, J((), (), lj.term, TOP, Counted(Fraction(1), ground)), (lam,))
+        for rule, ground in (("hn", HN), ("n", N))
+    )
+    check_derivation(hn_node, INT)
+    with pytest.raises(SideConditionError) as err:
+        check_derivation(n_node, INT)
+    assert err.value.message == "the quantified type must be safe"
 
 
 # ---------------------------------------------------------------------------
