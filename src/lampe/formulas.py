@@ -4,20 +4,25 @@ Atoms are (name, index) pairs; each atom is an independent fair bit, so the
 measure of a formula is the probability that it holds.  A query compiles its
 operands into a reduced ordered binary decision diagram (Bryant 1986) and
 reads the answer off the diagram: the measure is a weighted model count,
-entailment and equivalence are node identities.  Each query is guarded by a
-hard cap on the number of distinct atoms in its operands.
+equivalence is node identity, and entailment is read by a walk down both
+diagrams that builds no node and stops at the first counterexample.  `And`
+and `Or` each compile with one apply.  Each query is guarded by a hard cap on
+the number of distinct atoms in its operands.
 
 A standalone query builds a fresh diagram over its own atoms, ordered by
-(name text, index).  A function wrapped in `_one_manager` (the derivation and
-proof checkers, mu-star and transport) instead answers every query made
-during its call from one shared manager (Brace, Rudell & Bryant 1990): its
-unique table, its `and`/`not` memos and a compiled-formula memo serve all of
-that call's queries, and the manager is dropped when the outermost such call
-returns or raises.  While it is open, `atoms` answers from its identity memo
-of atom sets, which keeps the set of every formula node it meets, so the
-per-query cap check and the checkers' name tests walk each formula node once
-per call; the cap is still checked for each query, before any node is
-built.  A standalone query walks its operands afresh.
+their first appearance in a left-to-right depth-first walk of its operands
+(Fujita, Fujisawa & Kawato 1988); the same walk counts them for the cap, and
+the manager is dropped when the query returns.  A function wrapped in
+`_one_manager` (the derivation and proof checkers, mu-star and transport)
+instead answers every query made during its call from one shared manager
+(Brace, Rudell & Bryant 1990): its unique table, its apply memos and a
+compiled-formula memo serve all of that call's queries, atoms take levels in
+the order the queries meet them, and the manager is dropped when the
+outermost such call returns or raises.  While it is open, `atoms` answers
+from its identity memo of atom sets, which keeps the set of every formula
+node it meets, so the per-query cap check and the checkers' name tests walk
+each formula node once per call; the cap is still checked for each query,
+before any node is built.
 """
 
 from __future__ import annotations
@@ -99,17 +104,25 @@ def atoms(b):
     """The (name, index) atoms of b: a fresh set, or while a shared manager
     is open a frozenset from its identity memo."""
     bdd = _OPEN.get()
-    return _walk_atoms(b) if bdd is None else bdd.atoms(b)
+    return set(_walk_atoms(b)) if bdd is None else bdd.atoms(b)
 
 
-def _walk_atoms(b):
-    if isinstance(b, Atom):
-        return {(b.name, b.index)}
-    if isinstance(b, Not):
-        return _walk_atoms(b.arg)
-    if isinstance(b, (And, Or)):
-        return _walk_atoms(b.left) | _walk_atoms(b.right)
-    return set()
+def _walk_atoms(*fs):
+    """The atoms of `fs` in the order a left-to-right depth-first walk of
+    them first meets each, as a dict from atom to its position in that
+    order."""
+    order = {}
+    stack = list(reversed(fs))
+    while stack:
+        b = stack.pop()
+        if isinstance(b, Atom):
+            order.setdefault((b.name, b.index), len(order))
+        elif isinstance(b, Not):
+            stack.append(b.arg)
+        elif isinstance(b, (And, Or)):
+            stack.append(b.right)
+            stack.append(b.left)
+    return order
 
 
 def formula_names(b):
@@ -149,29 +162,28 @@ def eval_formula(b, valuation):
     raise TypeError(b)
 
 
-def _check_cap(atom_set):
-    if len(atom_set) > ATOM_CAP:
-        raise TooManyAtomsError(
-            f"{len(atom_set)} atoms exceeds the cap of {ATOM_CAP}"
-        )
+def _check_cap(count):
+    if count > ATOM_CAP:
+        raise TooManyAtomsError(f"{count} atoms exceeds the cap of {ATOM_CAP}")
 
 
 class _BDD:
-    """A reduced ordered BDD manager.
+    """A reduced ordered BDD manager over the atom levels `var_level`.
 
     Nodes are ints: 0 and 1 are the terminals, every other node is an index
     into the parallel `_level`/`_low`/`_high` lists.  The unique table keeps
     the diagram reduced, so two formulas compiled by one manager denote the
-    same function iff they compile to the same node.  A manager made for one
-    query orders its atoms by (name text, index), which does not depend on
-    interning history; `_SharedBDD` lets atoms join as they are met.  Each
+    same function iff they compile to the same node.  `conj` and `disj` are Bryant's apply, each
+    with its own memo; `implies` reads `u <= v` from both diagrams and
+    builds no node.  A manager made for one query orders its atoms by their
+    first appearance in its operands (`_walk_atoms`), which depends on the
+    operands alone; `_SharedBDD` lets atoms join as they are met.  Each
     diagram is canonical for its manager's order, so no answer depends on
     which order that is.
     """
 
-    def __init__(self, atom_set):
-        order = sorted(atom_set, key=lambda ni: (ni[0].text, ni[1]))
-        self._var_level = {atom: i for i, atom in enumerate(order)}
+    def __init__(self, var_level):
+        self._var_level = var_level
         # the operations return before they would read a terminal's level
         self._level = [None, None]
         self._low = [0, 1]
@@ -179,6 +191,8 @@ class _BDD:
         self._unique = {}
         self._not_memo = {}
         self._and_memo = {}
+        self._or_memo = {}
+        self._implies_memo = {}
 
     def _node(self, level, low, high):
         if low == high:
@@ -234,6 +248,59 @@ class _BDD:
             self._and_memo[key] = r
         return r
 
+    def disj(self, u, v):
+        if u == 1 or v == 1:
+            return 1
+        if u == 0 or u == v:
+            return v
+        if v == 0:
+            return u
+        if u > v:
+            u, v = v, u
+        key = (u, v)
+        r = self._or_memo.get(key)
+        if r is None:
+            lu, lv = self._level[u], self._level[v]
+            if lu == lv:
+                r = self._node(
+                    lu,
+                    self.disj(self._low[u], self._low[v]),
+                    self.disj(self._high[u], self._high[v]),
+                )
+            elif lu < lv:
+                r = self._node(
+                    lu, self.disj(self._low[u], v), self.disj(self._high[u], v)
+                )
+            else:
+                r = self._node(
+                    lv, self.disj(u, self._low[v]), self.disj(u, self._high[v])
+                )
+            self._or_memo[key] = r
+        return r
+
+    def implies(self, u, v):
+        """True iff every assignment that satisfies u satisfies v.  A reduced
+        inner node is neither constant, so the terminal cases decide; the
+        walk stops at the first pair of cofactors that decides False."""
+        if u == 0 or v == 1 or u == v:
+            return True
+        if u == 1 or v == 0:
+            return False
+        key = (u, v)
+        r = self._implies_memo.get(key)
+        if r is None:
+            lu, lv = self._level[u], self._level[v]
+            if lu == lv:
+                r = self.implies(self._low[u], self._low[v]) and self.implies(
+                    self._high[u], self._high[v]
+                )
+            elif lu < lv:
+                r = self.implies(self._low[u], v) and self.implies(self._high[u], v)
+            else:
+                r = self.implies(u, self._low[v]) and self.implies(u, self._high[v])
+            self._implies_memo[key] = r
+        return r
+
     def build(self, b):
         if isinstance(b, Top):
             return 1
@@ -246,9 +313,7 @@ class _BDD:
         if isinstance(b, And):
             return self.conj(self.build(b.left), self.build(b.right))
         if isinstance(b, Or):
-            return self.neg(
-                self.conj(self.neg(self.build(b.left)), self.neg(self.build(b.right)))
-            )
+            return self.disj(self.build(b.left), self.build(b.right))
         raise TypeError(b)
 
     def weight(self, u):
@@ -257,17 +322,23 @@ class _BDD:
         The weighted model count runs in integers scaled by 2^n: terminal 1
         counts all 2^n assignments and each inner node halves the sum of its
         children's counts.  A child does not depend on its parent's variable,
-        so both counts are even and the halving is exact."""
+        so both counts are even and the halving is exact.  The nodes below u
+        are counted in post-order on an explicit stack, which holds one path
+        down from u; a terminal is its own child, so it counts to itself."""
         n = len(self._var_level)
-        memo = {0: 0, 1: 1 << n}
-
-        def count(v):
-            r = memo.get(v)
-            if r is None:
-                r = memo[v] = (count(self._low[v]) + count(self._high[v])) >> 1
-            return r
-
-        return Fraction(count(u), 1 << n)
+        count = {0: 0, 1: 1 << n}
+        stack = [u]
+        while stack:
+            v = stack[-1]
+            low, high = self._low[v], self._high[v]
+            if low not in count:
+                stack.append(low)
+            elif high not in count:
+                stack.append(high)
+            else:
+                count[v] = (count[low] + count[high]) >> 1
+                stack.pop()
+        return Fraction(count[u], 1 << n)
 
 
 class _Levels(dict):
@@ -282,15 +353,14 @@ class _Levels(dict):
 class _SharedBDD(_BDD):
     """The manager of one `_one_manager` call, shared by all its queries.
 
-    Its unique table and its `and`/`not` memos serve every query; `build`
-    remembers each compiled formula by identity, and `atoms` the atom set of
-    each formula node, subformulas included.  Each memo holds the formula itself next to its value, so
-    while the manager lives no other formula can take over a remembered
-    `id`."""
+    Its unique table and its `not`, `and`, `or` and `implies` memos serve
+    every query; `build` remembers each compiled formula by identity, and
+    `atoms` the atom set of each formula node, subformulas included.  Each
+    memo holds the formula itself next to its value, so while the manager
+    lives no other formula can take over a remembered `id`."""
 
     def __init__(self):
-        super().__init__(())
-        self._var_level = _Levels()
+        super().__init__(_Levels())
         self._built = {}
         self._atoms = {}
 
@@ -342,33 +412,38 @@ _OPEN = ContextVar("lampe_open_bdd_manager", default=None)
 _one_manager = _one_per_call(_OPEN, _SharedBDD)
 
 
-def _manager(atom_set):
-    """The manager for one query whose operands use `atom_set`: the open
-    shared one, else a fresh one.  The cap applies to the query alone."""
-    _check_cap(atom_set)
+def _manager(*operands):
+    """The manager for one query over `operands`: the open shared one, else
+    a fresh one ordered by first appearance in them.  The cap applies to the
+    query alone, and is checked before any node is built."""
     bdd = _OPEN.get()
-    return _BDD(atom_set) if bdd is None else bdd
+    if bdd is None:
+        bdd = _BDD(_walk_atoms(*operands))
+        _check_cap(len(bdd._var_level))
+    else:
+        _check_cap(len(frozenset().union(*map(bdd.atoms, operands))))
+    return bdd
 
 
 def measure(b):
     """Exact measure of the event denoted by b, as a Fraction."""
-    bdd = _manager(atoms(b))
+    bdd = _manager(b)
     return bdd.weight(bdd.build(b))
 
 
 def entails(b, c):
     """True iff every assignment satisfying b satisfies c."""
-    bdd = _manager(atoms(b) | atoms(c))
-    return bdd.conj(bdd.build(b), bdd.neg(bdd.build(c))) == 0
+    bdd = _manager(b, c)
+    return bdd.implies(bdd.build(b), bdd.build(c))
 
 
 def equivalent(b, c):
-    bdd = _manager(atoms(b) | atoms(c))
+    bdd = _manager(b, c)
     return bdd.build(b) == bdd.build(c)
 
 
 def satisfiable(b):
-    return _manager(atoms(b)).build(b) != 0
+    return _manager(b).build(b) != 0
 
 
 # ---------------------------------------------------------------------------

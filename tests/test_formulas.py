@@ -28,6 +28,7 @@ from lampe.formulas import (
     measure,
     parse_formula,
     print_formula,
+    rename_formula_names,
     satisfiable,
 )
 from lampe.terms import Name
@@ -114,12 +115,15 @@ def test_formula_roundtrip():
         assert parse_formula(print_formula(f)) == f
 
 
+_KINDS = ("top", "bot", "atom", "not", "and", "or")
+
+
 @st.composite
-def formulas(draw, depth=3, names=("a", "b", "c")):
+def formulas(draw, depth=3, names=("a", "b", "c"), kinds=_KINDS):
     if depth == 0:
         kind = draw(st.sampled_from(["top", "bot", "atom"]))
     else:
-        kind = draw(st.sampled_from(["top", "bot", "atom", "not", "and", "or"]))
+        kind = draw(st.sampled_from(kinds))
     if kind == "top":
         return TOP
     if kind == "bot":
@@ -130,9 +134,9 @@ def formulas(draw, depth=3, names=("a", "b", "c")):
             draw(st.integers(min_value=0, max_value=2)),
         )
     if kind == "not":
-        return Not(draw(formulas(depth - 1, names)))
-    left = draw(formulas(depth - 1, names))
-    right = draw(formulas(depth - 1, names))
+        return Not(draw(formulas(depth - 1, names, kinds)))
+    left = draw(formulas(depth - 1, names, kinds))
+    right = draw(formulas(depth - 1, names, kinds))
     return And(left, right) if kind == "and" else Or(left, right)
 
 
@@ -177,6 +181,76 @@ def test_oracle_matches_truth_tables(f, g):
     assert measure(f) == Fraction(sum(x for x, _ in rows), len(rows))
     assert satisfiable(f) == any(x for x, _ in rows)
     assert entails(f, g) == all(y for x, y in rows if x)
+
+
+# mostly `Or` and `Not`, which compile through `disj` and `neg`; three names,
+# so that a partner with one name renamed stays within 4 x 3 atoms
+or_not_formulas = formulas(
+    depth=5, names=("a", "b", "c"), kinds=("atom", "not", "or", "or", "and")
+)
+
+
+@given(or_not_formulas, or_not_formulas)
+@settings(max_examples=150, deadline=None)
+def test_oracle_or_not_heavy_formulas_match_truth_tables(f, g):
+    assert _answers(f, g) == _table_answers(f, g)
+    # h has atoms that f lacks
+    h = rename_formula_names(g, {Name("c"): Name("z")})
+    assert _answers(f, h) == _table_answers(f, h)
+    assert _answers(h, f) == _table_answers(h, f)
+
+
+def test_oracle_entails_finds_the_counterexample_down_either_edge():
+    # a.0 comes first by name and by first appearance, so in the first two
+    # queries it is the top atom whichever order a manager uses
+    a0, b0 = Atom(a, 0), Atom(b, 0)
+    assert not entails(Or(a0, b0), a0)  # a.0 = 0, b.0 = 1: low edge of a.0
+    assert not entails(Or(a0, b0), b0)  # a.0 = 1, b.0 = 0: high edge of a.0
+    assert not entails(Or(b0, a0), And(a0, Or(Not(a0), b0)))
+    assert entails(And(a0, b0), Or(a0, Atom(Name("z"), 3)))
+    assert not entails(a0, Atom(Name("z"), 3))
+    assert not entails(a0, And(a0, Atom(Name("z"), 3)))
+    assert entails(And(a0, Atom(Name("z"), 3)), Atom(Name("z"), 3))
+
+
+@given(wide_formulas)
+@settings(max_examples=100, deadline=None)
+def test_oracle_entails_edges(f):
+    sat = satisfiable(f)
+    assert entails(f, BOT) == (not sat)
+    assert entails(TOP, f) == (measure(f) == 1)
+    assert entails(f, f)
+    assert entails(BOT, f)
+    assert entails(f, TOP)
+
+
+def _mirror(f):
+    """f with the operands of every `And` and `Or` swapped, so that a
+    left-to-right walk meets its atoms in reverse order."""
+    if isinstance(f, Not):
+        return Not(_mirror(f.arg))
+    if isinstance(f, (And, Or)):
+        return type(f)(_mirror(f.right), _mirror(f.left))
+    return f
+
+
+@given(wide_formulas, wide_formulas)
+@settings(max_examples=100, deadline=None)
+def test_oracle_answers_do_not_depend_on_atom_order(f, g):
+    expected = _answers(f, g)
+    assert _answers(_mirror(f), _mirror(g)) == expected
+    assert _one_manager(_answers)(f, g) == expected
+    assert _one_manager(_answers)(_mirror(f), _mirror(g)) == expected
+    ent, back = entails(f, g), entails(g, f)
+    assert _answers(g, f)[2:] == (back, ent and back)
+
+
+def test_rename_formula_names_goes_through_every_connective():
+    f = parse_formula("!(a.0 & b.1) | a.2 & !(c.0 | b.0)")
+    out = rename_formula_names(f, {a: Name("x"), Name("c"): Name("y")})
+    assert out == parse_formula("!(x.0 & b.1) | x.2 & !(y.0 | b.0)")
+    assert rename_formula_names(f, {}) == f
+    assert rename_formula_names(TOP, {a: b}) is TOP
 
 
 @given(formulas())

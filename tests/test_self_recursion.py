@@ -12,10 +12,8 @@ import lampe
 SELF_RECURSIVE = {
     "distribution.distribution",
     "distribution._nf_rec",
-    "formulas._walk_atoms",
     "formulas.rename_formula_names",
     "formulas.eval_formula",
-    "formulas._BDD.weight.count",
     "formulas.parse_formula.disjunction",
     "formulas.print_formula.go",
     "proofs.parse_proof_formula.implication",
