@@ -16,8 +16,9 @@ OpenNamesError.
 Each fair round of `hnv_lower_bound` walks the prefix once, through
 `rewrite._branches`: a leaf with no head redex adds 1/2**splits to the
 head-normal mass, the same sum as `hnv_mass` without building a
-distribution, and the others give the round's head redexes, left to right.
-Only the redexes the fuel lets the round take are contracted.
+distribution, and the others give the cells of the round's head redexes,
+left to right.  Only those the fuel lets the round take are contracted,
+through `rewrite._rebuild`, as `_segment`'s head steps are.
 
 `nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
 normalization plus head beta steps, until a generator or a head normal value
@@ -38,10 +39,12 @@ from .rewrite import (
     _branches,
     _check_fuel,
     _contract,
+    _first_head_redex,
     _head_redex,
-    _head_redexes,
     _mark_normal,
     _normal_fact,
+    _rebuild,
+    _tree_leaf_weights,
     classify_pnf,
     is_hnv,
     pnf,
@@ -56,8 +59,6 @@ from .terms import (
     canonical_str,
     contains_cbv,
     free_names,
-    replace_at,
-    subterm_at,
 )
 
 
@@ -101,20 +102,6 @@ def _add(entries, term, weight):
         entries[key] = (term, weight)
 
 
-def _tree_leaf_weights(tree, name):
-    """Leaves of a generator tree, left to right, with the exact measures of
-    the bit events reaching them: 1/2**depth, as no index repeats along a
-    branch of a PNF."""
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if type(node) is Choice and node.name is name:
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
-        else:
-            yield node, Fraction(1, 2 ** depth)
-
-
 def distribution(t, mode=PE):
     """The sub-distribution of pseudo-values of a name-closed PNF."""
     view = classify_pnf(t, mode)
@@ -144,13 +131,13 @@ def hnv_mass(t, mode=PE):
 
 def _head_round(t, mode):
     """One walk over the branches of a name-closed PNF: the head-normal mass
-    (hnv_mass) and the head redexes as (path, redex), left to right."""
+    (hnv_mass) and the cells of the head redexes, left to right."""
     mass, redexes = Fraction(0), []
-    for leaf, path, splits in _branches(t):
-        names = free_names(leaf)
+    for cell, splits in _branches(t):
+        names = free_names(cell[0])
         if names:
             raise OpenNamesError(f"free names {sorted(str(n) for n in names)}")
-        found = _head_redex(leaf, path, mode)
+        found = _head_redex(cell, mode)
         if found is None:
             mass += Fraction(1, 2 ** splits)
         else:
@@ -177,17 +164,15 @@ def hnv_lower_bound(t, fuel, mode=PE):
             exact = False
             break
         # one head step in each of the leftmost branches the fuel allows
-        steps = [
-            (path, redex, _contract(redex)) for path, redex in redexes[: fuel - used]
-        ]
+        steps = [(cell, _contract(cell[0])) for cell in redexes[: fuel - used]]
         if not steps:
             break
         used += len(steps)
-        if all(alpha_eq(result, redex) for _, redex, result in steps):
+        if all(alpha_eq(result, cell[0]) for cell, result in steps):
             # deterministic head rounds hit a fixpoint: nothing will change
             break
-        for path, _, result in steps:
-            t = replace_at(t, path, result)
+        for cell, result in steps:
+            _, t = _rebuild(cell, result)
     return TerminationEstimate(best, min(used, fuel), exact)
 
 
@@ -206,16 +191,16 @@ def _segment(t, mode, limit):
             return "out", t, steps
         if isinstance(t, Nu):
             return "gen", t, steps
-        found = next(_head_redexes(t, mode), None)
-        if found is None:
+        cell = _first_head_redex(t, mode)
+        if cell is None:
             return "hnv", t, steps
         steps += 1
         if steps > limit:
             return "out", t, steps
-        _, path, result = found
-        if alpha_eq(result, subterm_at(t, path)):
+        result = _contract(cell[0])
+        if alpha_eq(result, cell[0]):
             return "diverged", t, steps
-        t = replace_at(t, path, result)
+        path, t = _rebuild(cell, result)
 
 
 def _spine_args(t):

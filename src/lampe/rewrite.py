@@ -15,24 +15,28 @@ in rule order, after deciding from the types of the node's children.  The
 redex scan dispatches once per node on its type, and `apply_rule_at` (and
 through it `transport`) takes its reducts from the same table.
 
-Leftmost-outermost reduction runs one pre-order scan on an explicit stack
-of cells, each holding a node and its parent's cell, so a redex comes with
-its ancestors.  A step at path p rebuilds those ancestors bottom-up through
-`terms._REBUILD`, storing each new ancestor in its cell, and the scan goes
-on from the same stack: no node before p in pre-order held a redex, and the
-stacked right siblings now hang from the new ancestors.  Only p's ancestors
-can have changed, so the scan re-checks them before resuming at p: the
-parent in full, since its child at p may have changed type, and above it
-only two rules.  Every higher ancestor keeps the types of its children, and
-the other rules decide from those types alone: nu-fun and cbv-nu read the
-other operand's free names only to rename, so they cannot start to fire
-there.  Rule i compares the branches of a choice, so every choice ancestor
-is re-checked; not-nu reads the free names of a nu's body, so a nu ancestor
-is re-checked (in PE) when the step may have dropped a name (i, c1, c2,
-beta).  The first scan of a run checks every ancestor of its start in full,
-as nothing is known of them.
+Leftmost-outermost reduction runs one pre-order scan on an explicit stack of
+cells, each holding a node and its parent's cell, so a redex comes with its
+ancestors.  A step at path p rebuilds those ancestors bottom-up (`_rebuild`,
+through `terms._REBUILD`), storing each new ancestor in its cell, and the
+scan goes on from the same stack: no node before p in pre-order held a
+redex, and the stacked right siblings now hang from the new ancestors.  Only
+p's ancestors can have changed, so the scan re-checks them before resuming
+at p: the parent in full, since its child at p may have changed type, and
+above it only two rules.  Every higher ancestor keeps the types of its
+children, and the other rules decide from those types alone: nu-fun and
+cbv-nu read the other operand's free names only to rename, so they cannot
+start to fire there.  Rule i compares the branches of a choice, so every
+choice ancestor is re-checked; not-nu reads the free names of a nu's body,
+so a nu ancestor is re-checked (in PE) when the step may have dropped a name
+(i, c1, c2, beta).  The first scan of a run checks every ancestor of its
+start in full, as nothing is known of them.
 `pnf`'s private `_from` path says the term is normal outside one subtree and
 its ancestors; the scan then starts at that subtree.
+Head steps go through cells too: the walks of the randomized context and of
+the head spine below each leaf build cells [node, index, parent] that share
+their ancestors, and `_rebuild` contracts a head redex in place, so the
+redexes of several branches, rebuilt one after another, compose.
 A scan that finds no redex marks the node "normal under this mode" (with or
 without beta): one bit of the node's `_normal` attribute, a node fact kept
 as `terms` keeps the others and read first by the next scan; names are
@@ -42,6 +46,7 @@ ordered by their text, so the fact depends on the node and the mode only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 
 from .errors import (
@@ -286,6 +291,21 @@ def _path(cell):
     return tuple(out)
 
 
+def _rebuild(cell, after):
+    """Put `after` at cell's node and rebuild its ancestors bottom-up, each
+    stored in its cell, so the cells that share them hang from the new
+    term.  Returns (path, new root)."""
+    cell[0] = after
+    path = []
+    while cell[2] is not None:
+        path.append(cell[1])
+        parent = cell[2]
+        after = parent[0] = _REBUILD[type(parent[0])](parent[0], cell[1], after)
+        cell = parent
+    path.reverse()
+    return tuple(path), after
+
+
 def _redexes(root, mode, include_beta):
     """Every (rule, path, local_result) triple of root, in pre-order."""
     for rule, cell, result in _scan([[root, None, None, {}, 0]], mode, include_beta):
@@ -368,17 +388,9 @@ def _lo_steps(t, mode, include_beta, start=()):
                 _mark_normal(t, fact)
                 return
         rule, cell, after = found
-        # rebuild the ancestors bottom-up and store each in its cell, so the
-        # stacked cells hang from the new term and the scan resumes at p
-        cell[0] = after
-        path, up = [], cell
-        while up[2] is not None:
-            path.append(up[1])
-            parent = up[2]
-            after = parent[0] = _REBUILD[type(parent[0])](parent[0], up[1], after)
-            up = parent
-        path.reverse()
-        yield ReductionStep(rule, tuple(path), t, after)
+        # the stacked cells hang from the rebuilt ancestors: resume at p
+        path, after = _rebuild(cell, after)
+        yield ReductionStep(rule, path, t, after)
         t = after
         if t._normal & fact:
             return
@@ -450,17 +462,22 @@ def classify_pnf(t, mode=PE):
         raise NotPnfError(print_term(t))
     if not isinstance(t, Nu):
         return PseudoValue(t)
-    leaves = []
-    _collect_leaves(t.body, t.name, leaves)
-    return Generator(t.name, t.body, tuple(leaves))
+    leaves = tuple(leaf for leaf, _ in _tree_leaf_weights(t.body, t.name))
+    return Generator(t.name, t.body, leaves)
 
 
-def _collect_leaves(tree, name, out):
-    if isinstance(tree, Choice) and tree.name is name:
-        _collect_leaves(tree.left, name, out)
-        _collect_leaves(tree.right, name, out)
-    else:
-        out.append(tree)
+def _tree_leaf_weights(tree, name):
+    """Leaves of a generator tree, left to right, with the exact measures of
+    the bit events reaching them: 1/2**depth, as no index repeats along a
+    branch of a PNF."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is Choice and node.name is name:
+            stack.append((node.right, depth + 1))
+            stack.append((node.left, depth + 1))
+        else:
+            yield node, Fraction(1, 2 ** depth)
 
 
 # ---------------------------------------------------------------------------
@@ -469,58 +486,56 @@ def _collect_leaves(tree, name, out):
 
 def _branches(t):
     """The leaves of t's randomized context (the nu/choice prefix), left to
-    right, as (leaf, path, splits): splits counts the choices above the
-    leaf.  An explicit stack, so the interpreter stack does not bound the
-    prefix."""
-    stack = [(t, (), 0)]
+    right, as (cell, splits): splits counts the choices above the leaf, and
+    the cells share their ancestors.  An explicit stack, so the interpreter
+    stack does not bound the prefix."""
+    stack = [([t, None, None], 0)]
     while stack:
-        t, path, splits = stack.pop()
+        cell, splits = stack.pop()
+        t = cell[0]
         kind = type(t)
         if kind is Nu:
-            stack.append((t.body, path + (0,), splits))
+            stack.append(([t.body, 0, cell], splits))
         elif kind is Choice:
-            stack.append((t.right, path + (1,), splits + 1))
-            stack.append((t.left, path + (0,), splits + 1))
+            stack.append(([t.right, 1, cell], splits + 1))
+            stack.append(([t.left, 0, cell], splits + 1))
         else:
-            yield t, path, splits
+            yield cell, splits
 
 
-def _head_redex(leaf, path, mode):
-    """The head beta redex of a branch leaf at path, as (path, redex), or
-    None; nothing is substituted.  The walk follows lambda bodies and
-    application heads; in PE_BRACES a CbV application's argument is tried
-    after its function.  An explicit stack, so the interpreter stack does
-    not bound the spine."""
+def _head_redex(cell, mode):
+    """The cell of the head beta redex below a branch leaf's cell, or None;
+    nothing is substituted.  The walk follows lambda bodies and application
+    heads; in PE_BRACES a CbV application's argument is tried after its
+    function.  An explicit stack, so the interpreter stack does not bound
+    the spine."""
     braces = mode == PE_BRACES
-    todo = [(leaf, path)]
+    todo = [cell]
     while todo:
-        t, path = todo.pop()
+        cell = todo.pop()
+        t = cell[0]
         kind = type(t)
         if kind is Lam:
-            todo.append((t.body, path + (0,)))
+            todo.append([t.body, 0, cell])
         elif kind is App:
             if type(t.fun) is Lam:
-                return path, t
-            todo.append((t.fun, path + (0,)))
+                return cell
+            todo.append([t.fun, 0, cell])
         elif braces and kind is CbvApp:
-            todo.append((t.arg, path + (1,)))
-            todo.append((t.fun, path + (0,)))
+            todo.append([t.arg, 1, cell])
+            todo.append([t.fun, 0, cell])
     return None
+
+
+def _first_head_redex(t, mode):
+    """The cell of the leftmost head beta redex in t's branches, or None."""
+    found = (_head_redex(cell, mode) for cell, _ in _branches(t))
+    return next((cell for cell in found if cell is not None), None)
 
 
 def _contract(redex):
     """The reduct of a head beta redex."""
     return substitute(redex.fun.body, redex.fun.var, redex.arg)
-
-
-def _head_redexes(t, mode):
-    """Head beta redexes (rule, path, result), one for each branch of the
-    randomized context that has one, left to right."""
-    for leaf, path, _ in _branches(t):
-        found = _head_redex(leaf, path, mode)
-        if found is not None:
-            path, redex = found
-            yield "beta", path, _contract(redex)
 
 
 def _head_steps(t, mode):
@@ -533,12 +548,11 @@ def _head_steps(t, mode):
         for s in _lo_steps(t, mode, False, path):
             yield s
             t = s.after
-        found = next(_head_redexes(t, mode), None)
-        if found is None:
+        cell = _first_head_redex(t, mode)
+        if cell is None:
             return
-        rule, path, result = found
-        after = replace_at(t, path, result)
-        yield ReductionStep(rule, path, t, after)
+        path, after = _rebuild(cell, _contract(cell[0]))
+        yield ReductionStep("beta", path, t, after)
         t = after
 
 
@@ -553,7 +567,7 @@ def is_hnv(t, mode=PE):
     """Head normal value: a pseudo-value with no head-reduction step."""
     if isinstance(t, Nu):
         return False
-    return head_step(t, mode) is None
+    return is_pnf(t, mode) and _first_head_redex(t, mode) is None
 
 
 def apply_rule_at(t, rule, path, mode=PE):

@@ -348,11 +348,12 @@ def test_head_walk_matches_the_recursive_finder():
 
 def test_head_round_reads_the_mass_and_the_redexes_from_one_walk():
     """The fair round of hnv_lower_bound walks a closed PNF's branches once:
-    its mass is hnv_mass, and its redexes, contracted, are the head walk's
-    (path, result) list.  This holds again on the PNF after each of up to
-    three more rounds, where nested generators come to the head."""
-    from helpers import random_term
-    from lampe.rewrite import _contract, _head_redexes
+    its mass is hnv_mass, and its redex cells, contracted, are the recursive
+    finder's (path, result) on each branch leaf with a head redex.  This
+    holds again on the PNF after each of up to three more rounds, where
+    nested generators come to the head."""
+    from helpers import _reference_head_redex_in_value, random_term
+    from lampe.rewrite import _contract, _path
     from lampe.terms import Choice, Nu, contains_cbv, free_names, replace_at
 
     def prefix_nus(t):
@@ -365,6 +366,16 @@ def test_head_round_reads_the_mass_and_the_redexes_from_one_walk():
             elif type(t) is Choice:
                 todo += (t.left, t.right)
         return count
+
+    def reference_round(t, mode, path=()):
+        if type(t) is Nu:
+            return reference_round(t.body, mode, path + (0,))
+        if type(t) is Choice:
+            return reference_round(t.left, mode, path + (0,)) + reference_round(
+                t.right, mode, path + (1,)
+            )
+        found = _reference_head_redex_in_value(t, path, mode)
+        return [] if found is None else [found[1:]]
 
     dist = importlib.import_module("lampe.distribution")
     rng = random.Random(37)
@@ -383,14 +394,14 @@ def test_head_round_reads_the_mass_and_the_redexes_from_one_walk():
                 u, _ = pnf(u, mode)
                 mass, redexes = dist._head_round(u, mode)
                 assert mass == hnv_mass(u, mode)
-                walk = [(path, result) for _, path, result in _head_redexes(u, mode)]
-                assert [(path, _contract(redex)) for path, redex in redexes] == walk
+                walk = [(_path(cell), _contract(cell[0])) for cell in redexes]
+                assert walk == reference_round(u, mode)
                 compared += 1
                 nested += prefix_nus(u) >= 2
                 if not redexes:
                     break
-                for path, redex in redexes:
-                    u = replace_at(u, path, _contract(redex))
+                for path, result in walk:
+                    u = replace_at(u, path, result)
     assert compared >= 800 and nested >= 150
 
 

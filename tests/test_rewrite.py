@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from lampe.terms import (
     Lam,
     Name,
     Nu,
+    Term,
     Var,
     alpha_eq,
     children,
@@ -422,6 +424,17 @@ def test_apply_rule_at_rejects_plus_plus_on_the_same_pair():
         apply_rule_at(parse_term("x (+a.0) (y (+a.0) z)"), "plus-plus-2", ())
 
 
+
+def test_apply_rule_at_rejects_a_cbv_rule_in_plain_pe():
+    # apply_rule_at does not check the mode, so a CbV application reaches the
+    # rule table under PE, where no CbV rule fires
+    t = parse_term("{f} (nu a. x)")
+    assert apply_rule_at(t, "cbv-nu", (), PE_BRACES) == parse_term("nu a. f x")
+    with pytest.raises(NotPnfError) as error:
+        apply_rule_at(t, "cbv-nu", (), PE)
+    assert str(error.value) == "E_NOT_PNF: rule cbv-nu does not apply at path ()"
+
+
 def _fixture_terms():
     from helpers import cbv_fixture_corpus, cn_fixture_corpus
 
@@ -670,13 +683,32 @@ def test_scans_survive_900_nested_lambdas():
     assert [s.rule for s in step(t)] == ["plus-lam"]
 
 
+def _same_term(t, u):
+    """t == u on an explicit stack: the dataclass == recurses once per level."""
+    todo = [(t, u)]
+    while todo:
+        t, u = todo.pop()
+        if t is u:
+            continue
+        if type(t) is not type(u):
+            return False
+        for f in fields(t):
+            x, y = getattr(t, f.name), getattr(u, f.name)
+            if isinstance(x, Term):
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
 def test_head_walk_survives_a_3000_deep_application_spine():
     """The head walk keeps explicit stacks: it finds the head redex at the
-    bottom of a 3000-deep application spine in every branch, and applying
-    them as the fair round of hnv_lower_bound does replaces just those.  The
-    round itself finds them, and the head-normal mass, on the same stacks."""
+    bottom of a 3000-deep application spine in every branch, and rebuilding
+    their cells one after another, as the fair round of hnv_lower_bound
+    does, gives the term of as many successive replace_at calls.  The round
+    itself finds them, and the head-normal mass, on the same stacks."""
     from lampe.distribution import _head_round
-    from lampe.rewrite import _contract, _head_redexes
+    from lampe.rewrite import _branches, _contract, _head_redex, _path, _rebuild
 
     spine = App(Lam("x", Var("x")), Var("u"))
     for _ in range(2999):
@@ -685,23 +717,29 @@ def test_head_walk_survives_a_3000_deep_application_spine():
     # a CbV application's argument is searched only when its function has
     # no head redex
     cbv = Choice(CbvApp(Var("f"), spine), CbvApp(Lam("z", spine), spine), a, 2)
-    t = before = Nu(a, Choice(Choice(spine, Lam("z", spine), a, 0), cbv, a, 1))
-    found = list(_head_redexes(t, PE_BRACES))
+    before = Nu(a, Choice(Choice(spine, Lam("z", spine), a, 0), cbv, a, 1))
+    cells = [_head_redex(cell, PE_BRACES) for cell, _ in _branches(before)]
+    cells = [cell for cell in cells if cell is not None]
     paths = [(0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0, 0)]
     paths = [p + bottom for p in paths]
-    assert [(rule, path) for rule, path, _ in found] == [("beta", p) for p in paths]
-    for _, path, result in found:
-        t = replace_at(t, path, result)
+    assert [_path(cell) for cell in cells] == paths
+    replaced = before
+    for path in paths:
+        replaced = replace_at(replaced, path, _contract(subterm_at(replaced, path)))
+    for cell, path in zip(cells, paths):
+        rebuilt_path, t = _rebuild(cell, _contract(cell[0]))
+        assert rebuilt_path == path
+    assert _same_term(t, replaced) and not _same_term(t, before)
     assert all(subterm_at(t, path) == Var("u") for path in paths)
     assert subterm_at(t, (0, 0, 1)).var == "z"
 
     # the fair round walks the same branches once: no branch is head normal,
     # and it finds the same redex nodes without contracting them
     mass, redexes = _head_round(before, PE_BRACES)
-    assert mass == 0 and [path for path, _ in redexes] == paths
-    for path, redex in redexes:
-        assert redex is subterm_at(before, path) and _contract(redex) == Var("u")
+    assert mass == 0 and [_path(cell) for cell in redexes] == paths
+    for cell, path in zip(redexes, paths):
+        assert cell[0] is subterm_at(before, path) and _contract(cell[0]) == Var("u")
     # a head normal branch adds its measure to the mass and gives no redex
     half = Nu(a, Choice(spine, Lam("z", Var("z")), a, 0))
     mass, redexes = _head_round(half, PE)
-    assert mass == Fraction(1, 2) and [path for path, _ in redexes] == [(0, 0) + bottom]
+    assert mass == Fraction(1, 2) and [_path(cell) for cell in redexes] == [(0, 0) + bottom]

@@ -27,7 +27,6 @@ SELF_RECURSIVE = {
     "proofs.proof_term",
     "proofs._translate_node",
     "proofs.proof_to_json",
-    "rewrite._collect_leaves",
     "terms.bound_names",
     "terms.rename_names",
     "terms.count_free_occurrences",

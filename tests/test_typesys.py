@@ -948,6 +948,17 @@ def test_a_type_that_failed_validation_fails_again():
     assert t.body.dom.__dict__["_valid_under"] == (CN,)
 
 
+
+@pytest.mark.parametrize("q", ["3/2", "0"])
+def test_a_counting_exponent_outside_the_unit_interval_is_rejected(q):
+    # the type parser reads any exponent; the validity check rejects it
+    t = parse_type(f"C[{q}] n")
+    with pytest.raises(RuleShapeError) as error:
+        validate_type(t, CN)
+    assert str(error.value) == f"E_RULE_SHAPE: counting exponent {q} outside (0,1]"
+    assert "_valid_under" not in t.__dict__
+
+
 def test_json_round_trip_is_byte_identical_after_a_check():
     derivations = [(d, CBV) for d, _ in cbv_fixture_corpus()]
     derivations += [(d, CN) for d in cn_fixture_corpus()]
