@@ -2,16 +2,16 @@
 Monte Carlo cross-validator.
 
 The distribution of a name-closed PNF assigns each pseudo-value the exact
-measure of the event set leading to it, computed by walking generator trees.
-Along a branch of a PNF's nu/choice prefix every choice is on the nearest
-enclosing nu's name, and under one nu the indices strictly increase (rules
-c1, c2 and plus-plus rewrite any other order), so a leaf k choices deep in
-a generator tree has measure 1/2**k.  Each closed leaf of a generator tree
-is recorded as normal before it is classified: every name in it is bound
-inside it, so the plus-plus order is the same inside the whole term and
-alone, and the leaf of a PNF is a PNF.  `classify_pnf` and `is_hnv` then
-skip its scan.  An open leaf is not recorded, and still raises
-OpenNamesError.
+measure of the event set leading to it, computed by walking each generator
+tree once.  Along a branch of a PNF's nu/choice prefix every choice is on
+the nearest enclosing nu's name, and under one nu the indices strictly
+increase (rules c1, c2 and plus-plus rewrite any other order), so a leaf k
+choices deep in a generator tree has measure 1/2**k.  Each closed leaf of a
+generator tree is recorded as normal before it is checked: every name in it
+is bound inside it, so the plus-plus order is the same inside the whole
+term and alone, and the leaf of a PNF is a PNF.  The PNF check of the
+leaf's own `distribution` call and `is_hnv` then skip its scan.  An open
+leaf is not recorded, and still raises OpenNamesError.
 
 Each fair round of `hnv_lower_bound` walks the prefix once, through
 `rewrite._branches`: a leaf with no head redex adds 1/2**splits to the
@@ -35,7 +35,6 @@ from fractions import Fraction
 from .errors import ModeViolationError, OpenNamesError, PreconditionError
 from .rewrite import (
     PE,
-    PseudoValue,
     _branches,
     _check_fuel,
     _contract,
@@ -44,8 +43,8 @@ from .rewrite import (
     _mark_normal,
     _normal_fact,
     _rebuild,
-    _tree_leaf_weights,
-    classify_pnf,
+    _require_closed_pnf,
+    _tree_leaves,
     is_hnv,
     pnf,
 )
@@ -104,18 +103,18 @@ def _add(entries, term, weight):
 
 def distribution(t, mode=PE):
     """The sub-distribution of pseudo-values of a name-closed PNF."""
-    view = classify_pnf(t, mode)
+    _require_closed_pnf(t, mode)
     entries = {}
-    if isinstance(view, PseudoValue):
-        _add(entries, view.term, Fraction(1))
+    if not isinstance(t, Nu):
+        _add(entries, t, Fraction(1))
         return Distribution(entries)
     normal = _normal_fact(mode, False)
-    for leaf, weight in _tree_leaf_weights(view.tree, view.name):
+    for leaf, depth in _tree_leaves(t.body, t.name):
         if not free_names(leaf):
             _mark_normal(leaf, normal)
         sub = distribution(leaf, mode)
         for term, w in sub.entries.values():
-            _add(entries, term, weight * w)
+            _add(entries, term, w / (1 << depth))
     return Distribution(entries)
 
 
@@ -225,11 +224,11 @@ def _nf_rec(t, limit, mode):
     exact = True
     if kind == "gen":
         total = Fraction(0)
-        for leaf, weight in _tree_leaf_weights(t.body, t.name):
+        for leaf, depth in _tree_leaves(t.body, t.name):
             sub, sub_used, sub_exact = _nf_rec(leaf, limit - used, mode)
             used += sub_used
             exact = exact and sub_exact
-            total += weight * sub
+            total += sub / (1 << depth)
         return total, used, exact
     total = Fraction(1)
     for arg in _spine_args(t):

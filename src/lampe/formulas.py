@@ -6,23 +6,35 @@ operands into a reduced ordered binary decision diagram (Bryant 1986) and
 reads the answer off the diagram: the measure is a weighted model count,
 equivalence is node identity, and entailment is read by a walk down both
 diagrams that builds no node and stops at the first counterexample.  `And`
-and `Or` each compile with one apply.  Each query is guarded by a hard cap on
-the number of distinct atoms in its operands.
+and `Or` each compile with one apply.  Each query is guarded by a hard cap,
+`ATOM_CAP`, on the number of distinct atoms in its operands.
 
-A standalone query builds a fresh diagram over its own atoms, ordered by
-their first appearance in a left-to-right depth-first walk of its operands
-(Fujita, Fujisawa & Kawato 1988); the same walk counts them for the cap, and
-the manager is dropped when the query returns.  A function wrapped in
-`_one_manager` (the derivation and proof checkers, mu-star and transport)
-instead answers every query made during its call from one shared manager
-(Brace, Rudell & Bryant 1990): its unique table, its apply memos and a
-compiled-formula memo serve all of that call's queries, atoms take levels in
-the order the queries meet them, and the manager is dropped when the
-outermost such call returns or raises.  While it is open, `atoms` answers
-from its identity memo of atom sets, which keeps the set of every formula
-node it meets, so the per-query cap check and the checkers' name tests walk
-each formula node once per call; the cap is still checked for each query,
-before any node is built.
+Every manager gives an atom the next level when it first meets it (Fujita,
+Fujisawa & Kawato 1988) and serves many queries from one unique table, one
+set of apply memos and one identity memo of compiled formulas (Brace, Rudell
+& Bryant 1990).  A function wrapped in `_one_manager` (the derivation and
+proof checkers, mu-star and transport) answers every query made during its
+call from one manager, dropped when the outermost such call returns or
+raises.  While it is open, `atoms` answers from its identity memo of atom
+sets, which keeps the set of every formula node it meets, so the per-query
+cap check and the checkers' name tests walk each formula node once per call.
+
+Standalone queries, made outside such a call, share one retained manager
+per context (a context variable, so each thread has its own; a copy of a
+context run in another thread opens its own, as a manager only serves the
+thread that made it).  A query keeps it when the manager has met its first
+operand, as an operand of an earlier query, and the manager's levels and the
+query's atoms together stay within the cap; otherwise the query opens a new
+manager, which replaces the old one.  Each operand is walked once per
+manager, for the cap, and compiled once: so `measure(b)`, `entails(b, c)`
+and `equivalent(b, c)` in a row walk and compile b once and c once, with
+b's atoms first, as a fresh manager for `entails(b, c)` would order them.  A
+query that raises, at the cap or inside a build, leaves no manager retained,
+so a half-updated unique table never serves another query.  The formulas
+a retained manager has met stay alive until it is replaced or dropped.
+
+In both cases the cap is checked for each query, on its own atoms, before
+any node is built.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import functools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from threading import get_ident
 
 from .errors import ParseError, TooManyAtomsError, UndefinedBitError
 from .terms import Name, token_pattern, tokenize
@@ -167,23 +180,36 @@ def _check_cap(count):
         raise TooManyAtomsError(f"{count} atoms exceeds the cap of {ATOM_CAP}")
 
 
-class _BDD:
-    """A reduced ordered BDD manager over the atom levels `var_level`.
+class _Levels(dict):
+    """Variable levels of a manager: an atom met for the first time takes
+    the next level, below every atom met before it."""
+
+    def __missing__(self, atom):
+        level = self[atom] = len(self)
+        return level
+
+
+class _SharedBDD:
+    """A reduced ordered BDD manager whose atoms take levels as it meets them.
 
     Nodes are ints: 0 and 1 are the terminals, every other node is an index
     into the parallel `_level`/`_low`/`_high` lists.  The unique table keeps
     the diagram reduced, so two formulas compiled by one manager denote the
-    same function iff they compile to the same node.  `conj` and `disj` are Bryant's apply, each
-    with its own memo; `implies` reads `u <= v` from both diagrams and
-    builds no node.  A manager made for one query orders its atoms by their
-    first appearance in its operands (`_walk_atoms`), which depends on the
-    operands alone; `_SharedBDD` lets atoms join as they are met.  Each
-    diagram is canonical for its manager's order, so no answer depends on
-    which order that is.
-    """
+    same function iff they compile to the same node.  `conj` and `disj` are
+    Bryant's apply, each with its own memo; `implies` reads `u <= v` from
+    both diagrams and builds no node.  Each diagram is canonical for its
+    manager's order, so no answer depends on which order that is.
 
-    def __init__(self, var_level):
-        self._var_level = var_level
+    The unique table and the `not`, `and`, `or` and `implies` memos serve
+    every query the manager answers.  `build` remembers each compiled
+    formula by identity, subformulas included; `atoms` remembers the atom
+    set of each formula node, and `walked` the atom set of each standalone
+    operand, found by one walk.  Each memo holds the formula itself next to
+    its value, so while the manager lives no other formula can take over a
+    remembered `id`."""
+
+    def __init__(self):
+        self._var_level = _Levels()
         # the operations return before they would read a terminal's level
         self._level = [None, None]
         self._low = [0, 1]
@@ -193,6 +219,10 @@ class _BDD:
         self._and_memo = {}
         self._or_memo = {}
         self._implies_memo = {}
+        self._built = {}
+        self._atoms = {}
+        self._walked = {}
+        self._thread = get_ident()
 
     def _node(self, level, low, high):
         if low == high:
@@ -302,19 +332,26 @@ class _BDD:
         return r
 
     def build(self, b):
-        if isinstance(b, Top):
-            return 1
-        if isinstance(b, Bot):
-            return 0
+        """The node of b, compiled once per formula object."""
+        hit = self._built.get(id(b))
+        if hit is not None:
+            return hit[1]
         if isinstance(b, Atom):
-            return self._node(self._var_level[(b.name, b.index)], 0, 1)
-        if isinstance(b, Not):
-            return self.neg(self.build(b.arg))
-        if isinstance(b, And):
-            return self.conj(self.build(b.left), self.build(b.right))
-        if isinstance(b, Or):
-            return self.disj(self.build(b.left), self.build(b.right))
-        raise TypeError(b)
+            u = self._node(self._var_level[(b.name, b.index)], 0, 1)
+        elif isinstance(b, Not):
+            u = self.neg(self.build(b.arg))
+        elif isinstance(b, And):
+            u = self.conj(self.build(b.left), self.build(b.right))
+        elif isinstance(b, Or):
+            u = self.disj(self.build(b.left), self.build(b.right))
+        elif isinstance(b, Top):
+            u = 1
+        elif isinstance(b, Bot):
+            u = 0
+        else:
+            raise TypeError(b)
+        self._built[id(b)] = (b, u)
+        return u
 
     def weight(self, u):
         """Probability that node u holds, as an exact Fraction.
@@ -340,36 +377,6 @@ class _BDD:
                 stack.pop()
         return Fraction(count[u], 1 << n)
 
-
-class _Levels(dict):
-    """Variable levels of a shared manager: an atom met for the first time
-    takes the next level, below every atom met before it."""
-
-    def __missing__(self, atom):
-        level = self[atom] = len(self)
-        return level
-
-
-class _SharedBDD(_BDD):
-    """The manager of one `_one_manager` call, shared by all its queries.
-
-    Its unique table and its `not`, `and`, `or` and `implies` memos serve
-    every query; `build` remembers each compiled formula by identity, and
-    `atoms` the atom set of each formula node, subformulas included.  Each
-    memo holds the formula itself next to its value, so while the manager
-    lives no other formula can take over a remembered `id`."""
-
-    def __init__(self):
-        super().__init__(_Levels())
-        self._built = {}
-        self._atoms = {}
-
-    def build(self, b):
-        hit = self._built.get(id(b))
-        if hit is None:
-            hit = self._built[id(b)] = (b, _BDD.build(self, b))
-        return hit[1]
-
     def atoms(self, b):
         hit = self._atoms.get(id(b))
         if hit is None:
@@ -383,6 +390,16 @@ class _SharedBDD(_BDD):
                 out = frozenset()
             hit = self._atoms[id(b)] = (b, out)
         return hit[1]
+
+    def walked(self, *operands):
+        """The atoms of `operands`, each operand walked once per manager."""
+        out = set()
+        for b in operands:
+            hit = self._walked.get(id(b))
+            if hit is None:
+                hit = self._walked[id(b)] = (b, _walk_atoms(b).keys())
+            out |= hit[1]
+        return out
 
 
 def _one_per_call(var, factory):
@@ -411,39 +428,66 @@ _OPEN = ContextVar("lampe_open_bdd_manager", default=None)
 # Answer every oracle query made during a call from one shared manager.
 _one_manager = _one_per_call(_OPEN, _SharedBDD)
 
+# The manager kept between the standalone queries of one context.
+_RETAINED = ContextVar("lampe_retained_bdd_manager", default=None)
+
 
 def _manager(*operands):
     """The manager for one query over `operands`: the open shared one, else
-    a fresh one ordered by first appearance in them.  The cap applies to the
-    query alone, and is checked before any node is built."""
+    the retained one if this thread made it, it has met the first operand
+    and the query's atoms join its levels within the cap, else a new one,
+    which has walked the operands.  The cap applies to the query alone, and
+    is checked before any node is built.  A standalone query takes its
+    manager out of `_RETAINED` and `_retain` puts it back, so a query that
+    raises leaves none retained."""
     bdd = _OPEN.get()
-    if bdd is None:
-        bdd = _BDD(_walk_atoms(*operands))
-        _check_cap(len(bdd._var_level))
-    else:
+    if bdd is not None:
         _check_cap(len(frozenset().union(*map(bdd.atoms, operands))))
+        return bdd
+    bdd = _RETAINED.get()
+    _RETAINED.set(None)
+    if (
+        bdd is None
+        or bdd._thread != get_ident()
+        or id(operands[0]) not in bdd._walked
+    ):
+        bdd = _SharedBDD()
+    query = bdd.walked(*operands)
+    _check_cap(len(query))
+    if len(bdd._var_level.keys() | query) > ATOM_CAP:
+        bdd = _SharedBDD()
+        bdd.walked(*operands)
     return bdd
+
+
+def _retain(bdd, answer):
+    """`answer`, once a standalone query has read it from `bdd`, which is
+    retained for the next one."""
+    if _OPEN.get() is None:
+        _RETAINED.set(bdd)
+    return answer
 
 
 def measure(b):
     """Exact measure of the event denoted by b, as a Fraction."""
     bdd = _manager(b)
-    return bdd.weight(bdd.build(b))
+    return _retain(bdd, bdd.weight(bdd.build(b)))
 
 
 def entails(b, c):
     """True iff every assignment satisfying b satisfies c."""
     bdd = _manager(b, c)
-    return bdd.implies(bdd.build(b), bdd.build(c))
+    return _retain(bdd, bdd.implies(bdd.build(b), bdd.build(c)))
 
 
 def equivalent(b, c):
     bdd = _manager(b, c)
-    return bdd.build(b) == bdd.build(c)
+    return _retain(bdd, bdd.build(b) == bdd.build(c))
 
 
 def satisfiable(b):
-    return _manager(b).build(b) != 0
+    bdd = _manager(b)
+    return _retain(bdd, bdd.build(b) != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ ordered by their text, so the fact depends on the node and the mode only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .errors import (
@@ -456,20 +455,24 @@ def is_pnf(t, mode=PE):
 def classify_pnf(t, mode=PE):
     """Split a name-closed PNF into a pseudo-value or a generator with its
     choice tree and support."""
+    _require_closed_pnf(t, mode)
+    if not isinstance(t, Nu):
+        return PseudoValue(t)
+    leaves = tuple(leaf for leaf, _ in _tree_leaves(t.body, t.name))
+    return Generator(t.name, t.body, leaves)
+
+
+def _require_closed_pnf(t, mode):
     if free_names(t):
         raise OpenNamesError(f"free names {sorted(str(n) for n in free_names(t))}")
     if not is_pnf(t, mode):
         raise NotPnfError(print_term(t))
-    if not isinstance(t, Nu):
-        return PseudoValue(t)
-    leaves = tuple(leaf for leaf, _ in _tree_leaf_weights(t.body, t.name))
-    return Generator(t.name, t.body, leaves)
 
 
-def _tree_leaf_weights(tree, name):
-    """Leaves of a generator tree, left to right, with the exact measures of
-    the bit events reaching them: 1/2**depth, as no index repeats along a
-    branch of a PNF."""
+def _tree_leaves(tree, name):
+    """Leaves of a generator tree, left to right, each with its depth: the
+    bit event reaching a leaf has measure 1/2**depth, as no index repeats
+    along a branch of a PNF."""
     stack = [(tree, 0)]
     while stack:
         node, depth = stack.pop()
@@ -477,7 +480,7 @@ def _tree_leaf_weights(tree, name):
             stack.append((node.right, depth + 1))
             stack.append((node.left, depth + 1))
         else:
-            yield node, Fraction(1, 2 ** depth)
+            yield node, depth
 
 
 # ---------------------------------------------------------------------------

@@ -844,16 +844,14 @@ def apply_mu_star(d, order=None):
     name by name, keeps a row iff the constraint evaluates true on it, and
     discharges each name with the summing counting rule over the surviving
     rows under its prefix, innermost first.  Without `order` the names go
-    in text order.
+    in text order.  The opening check of `d` already rejects a root type
+    without its quantifier and a constraint that names a name outside the
+    judgement.
     """
     j = check_derivation(d, INT)
     b = j.constraint
-    if not isinstance(j.type, Counted):
-        raise PreconditionError("root type must carry one quantifier")
     if not satisfiable(b):
         raise PreconditionError("the root constraint is unsatisfiable")
-    if formula_names(b) - j.names:
-        raise PreconditionError("constraint names escape the judgement")
     names = list(order) if order is not None else sorted(
         j.names, key=lambda n: n.text
     )
@@ -871,23 +869,27 @@ def apply_mu_star(d, order=None):
         minterms.append(per_name)
 
     def fold(k, prefix, valuation):
-        """The derivation under the row prefix, or None when no row under
-        it satisfies the constraint."""
-        prefix_formula = conj(prefix)
+        """The derivation under the row prefix, whose minterms `prefix`
+        conjoins, or None when no row under it satisfies the constraint.
+        A row's formula is one object, shared by the sub-derivation's root
+        and the case node above it, except at the top, where the case is
+        And(TOP, m) over the minterm m itself."""
         if k == len(names):
             if not fm.eval_formula(b, valuation):
                 return None
-            leaf = Judgement(j.ctx, j.names, j.term, prefix_formula, j.type)
+            leaf = Judgement(j.ctx, j.names, j.term, prefix, j.type)
             return TypingDerivation("or", leaf, (d,), {})
         premises = []
         cases = []
         total = Fraction(0)
         for m, s, bits in minterms[k]:
-            sub = fold(k + 1, prefix + [m], {**valuation, **bits})
+            case_formula = And(prefix, m)
+            row = case_formula if k else m
+            sub = fold(k + 1, row, {**valuation, **bits})
             if sub is None:
                 continue
             pj = sub.judgement
-            case = Judgement(pj.ctx, pj.names, pj.term, And(prefix_formula, m), pj.type)
+            case = Judgement(pj.ctx, pj.names, pj.term, case_formula, pj.type)
             premises.append(TypingDerivation("or", case, (sub,), {}))
             cases.append((m, s))
             total += pj.type.q * s
@@ -897,14 +899,14 @@ def apply_mu_star(d, order=None):
             j.ctx,
             j.names - set(names[k:]),
             Nu(names[k], pj.term),
-            prefix_formula,
+            prefix,
             Counted(total, j.type.body),
         )
         return TypingDerivation(
             "mu-sigma", root, tuple(premises), {"cases": tuple(cases)}
         )
 
-    folded = fold(0, [], {})
+    folded = fold(0, TOP, {})
     fj = folded.judgement
     result = TypingDerivation(
         "or", Judgement(fj.ctx, fj.names, fj.term, TOP, fj.type), (folded,), {}

@@ -1098,7 +1098,7 @@ def reference_mu_star(d, order=None):
 
 
 def _reference_nf_rec(t, budget):
-    from lampe.distribution import _spine_args, _tree_leaf_weights
+    from lampe.distribution import _spine_args, _tree_leaves
     from lampe.rewrite import classify_pnf, head_step, is_hnv, pnf
 
     def spend(n):
@@ -1113,10 +1113,10 @@ def _reference_nf_rec(t, budget):
         if isinstance(t, Nu):
             view = classify_pnf(t)
             total = Fraction(0)
-            for leaf, weight in _tree_leaf_weights(view.tree, view.name):
+            for leaf, depth in _tree_leaves(view.tree, view.name):
                 sub, sub_exact = _reference_nf_rec(leaf, budget)
                 exact = exact and sub_exact
-                total += weight * sub
+                total += Fraction(1, 2**depth) * sub
             return total, exact
         if is_hnv(t):
             total = Fraction(1)

@@ -351,3 +351,140 @@ def test_no_manager_stays_open_after_a_raise():
     with pytest.raises(ValueError, match="boom"):
         fails()
     assert fm._OPEN.get() is None
+
+
+# ---------------------------------------------------------------------------
+# The manager retained between standalone queries
+
+
+def _retained():
+    return fm._RETAINED.get()
+
+
+def test_oracle_pair_queries_compile_each_operand_once(monkeypatch):
+    f = parse_formula("(a.0 | !b.1) & (c.2 | a.1) & !(b.0 & c.0)")
+    g = parse_formula("(a.0 | b.1 | c.2) & (!a.1 | b.0)")
+    mu, _, ent, equiv = _table_answers(f, g)
+    walked, built = [], []
+    walk, build = fm._walk_atoms, fm._SharedBDD.build
+
+    def spy_walk(*fs):
+        walked.extend(fs)
+        return walk(*fs)
+
+    def spy_build(bdd, h):
+        built.append(h)
+        return build(bdd, h)
+
+    monkeypatch.setattr(fm, "_walk_atoms", spy_walk)
+    monkeypatch.setattr(fm._SharedBDD, "build", spy_build)
+    answers = measure(f), entails(f, g), equivalent(f, g)
+    manager = _retained()
+    assert answers == (mu, ent, equiv)
+    assert walked == [f, g]
+    # each query asks for its operands, but only the first ask compiles: a
+    # subformula is asked for once, by the compile of its parent
+    assert sum(h is f for h in built) == 3 and sum(h is g for h in built) == 2
+    inner = [h for h in built if h is not f and h is not g]
+    assert len({id(h) for h in inner}) == len(inner) > 0
+    # one manager answered all three, with levels in first-met order
+    assert list(manager._var_level) == list(walk(f, g))
+    assert manager._built[id(f)][0] is f and manager._built[id(g)][0] is g
+
+
+def test_oracle_new_first_operand_opens_a_new_manager():
+    f, g, h = (parse_formula(t) for t in ("a.0 & b.0", "a.0 | c.1", "a.0 & b.0"))
+    measure(f)
+    first = _retained()
+    assert entails(f, g) and _retained() is first
+    # g was met as an operand, so a query led by it joins too
+    assert not entails(g, f) and _retained() is first
+    # h equals f but is another object: the manager has not met it
+    assert measure(h) == Fraction(1, 4)
+    second = _retained()
+    assert second is not first and list(second._var_level) == [(a, 0), (b, 0)]
+
+
+def test_oracle_run_of_queries_past_the_cap_stays_exact_and_capped():
+    # each formula reads four atoms of its own and one of the one before, so
+    # every query's atoms fit the cap while the run's atoms do not
+    def chain_formula(i):
+        p = [Atom(Name(f"n{i}"), k) for k in range(4)]
+        prev = Atom(Name(f"n{i - 1}"), 3)
+        return Or(And(p[0], Not(p[1])), And(Or(p[2], prev), Not(And(p[3], p[0]))))
+
+    chain = [chain_formula(i) for i in range(12)]
+    managers = []
+    for f, g in zip(chain, chain[1:]):
+        got = []
+        for query, operands in (
+            (measure, (f,)),
+            (satisfiable, (f,)),
+            (entails, (f, g)),
+            (equivalent, (f, g)),
+        ):
+            got.append(query(*operands))
+            assert len(_retained()._var_level) <= fm.ATOM_CAP
+            managers.append(_retained())
+        assert tuple(got) == _table_answers(f, g)
+        # measure(f) and satisfiable(f) share a manager, and so do the two
+        # queries over (f, g), even when the first of them opened a new one
+        assert managers[-4] is managers[-3] and managers[-2] is managers[-1]
+    assert len(set().union(*map(atoms, chain))) > fm.ATOM_CAP
+    # the run reused a manager and also had to replace one
+    assert len(set(map(id, managers))) not in (1, len(managers))
+
+
+def test_oracle_raising_query_drops_the_retained_manager(monkeypatch):
+    f = parse_formula("a.0 | b.1")
+    wide = conj(Atom(Name("w"), i) for i in range(fm.ATOM_CAP + 1))
+    for query in (lambda: measure(wide), lambda: entails(f, wide)):
+        assert measure(f) == Fraction(3, 4) and _retained() is not None
+        with pytest.raises(TooManyAtomsError):
+            query()
+        assert _retained() is None
+
+    # an error inside `build`, after `_node` has grown the node lists but
+    # before it has written the unique table
+    g = parse_formula("(a.0 & c.0) | !b.1")
+    assert measure(f) == Fraction(3, 4)
+    half_updated = _retained()
+
+    def broken(bdd, level, low, high):
+        bdd._level.append(level)
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fm._SharedBDD, "_node", broken)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            entails(f, g)
+    assert _retained() is None
+    assert entails(f, g) == _table_answers(f, g)[2]
+    assert equivalent(f, f) and _retained() is not half_updated
+
+
+def test_oracle_other_thread_gets_its_own_manager():
+    import contextvars
+    import threading
+
+    f = parse_formula("a.0 & !b.0")
+    assert measure(f) == Fraction(1, 4)
+    mine = _retained()
+
+    def other(seen):
+        seen["before"] = _retained()
+        seen["answer"] = measure(f), entails(f, Atom(a, 0))
+        seen["after"] = _retained()
+
+    # a new thread starts with no manager; one that runs a copy of this
+    # context starts with this thread's, and must not build in it
+    copied = contextvars.copy_context()
+    for run, before in ((other, None), (lambda seen: copied.run(other, seen), mine)):
+        seen = {}
+        thread = threading.Thread(target=run, args=(seen,))
+        thread.start()
+        thread.join()
+        assert seen["before"] is before
+        assert seen["answer"] == (Fraction(1, 4), True)
+        assert seen["after"] is not None and seen["after"] is not mine
+        assert _retained() is mine

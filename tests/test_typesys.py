@@ -493,6 +493,27 @@ def test_mu_star_rejects_unsat():
         apply_mu_star(node, order=[A_])
 
 
+@pytest.mark.parametrize(
+    "judgement, message",
+    [
+        # the root type carries no counting quantifier
+        (
+            J((), {A_}, parse_term("OMEGA"), Atom(A_, 0), INT_OO),
+            "E_RULE_SHAPE: INT type must carry one quantifier: ([C[1/1] o] => o)",
+        ),
+        # the constraint reads a name the judgement does not bind
+        (
+            J((), {A_}, parse_term("OMEGA"), Atom(B_, 0), Counted(Fraction(1), INT_OO)),
+            "E_RULE_SHAPE: constraint names escape the judgement name set",
+        ),
+    ],
+)
+def test_mu_star_premise_check_rejects_an_undischargeable_root(judgement, message):
+    with pytest.raises(RuleShapeError) as err:
+        apply_mu_star(D("or", judgement), order=[A_])
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 
