@@ -23,15 +23,18 @@ Standalone queries, made outside such a call, share one retained manager
 per context (a context variable, so each thread has its own; a copy of a
 context run in another thread opens its own, as a manager only serves the
 thread that made it).  A query keeps it when the manager has met its first
-operand, as an operand of an earlier query, and the manager's levels and the
-query's atoms together stay within the cap; otherwise the query opens a new
-manager, which replaces the old one.  Each operand is walked once per
-manager, for the cap, and compiled once: so `measure(b)`, `entails(b, c)`
-and `equivalent(b, c)` in a row walk and compile b once and c once, with
-b's atoms first, as a fresh manager for `entails(b, c)` would order them.  A
-query that raises, at the cap or inside a build, leaves no manager retained,
-so a half-updated unique table never serves another query.  The formulas
-a retained manager has met stay alive until it is replaced or dropped.
+operand, as an operand of an earlier query, and the query's operands with
+the operands the manager has met make at most two formulas: one pair.
+Otherwise the query opens a new manager, which replaces the old one.  Each
+operand is walked once per manager, for the cap, and compiled once: so
+`measure(b)`, `entails(b, c)` and `equivalent(b, c)` in a row walk and
+compile b once and c once, with b's atoms first, as a fresh manager for
+`entails(b, c)` would order them.  The query that first joined the pair
+checked the cap on the atoms of both, so a manager never holds more than
+`ATOM_CAP` levels, and it keeps one pair alive, no more.  A query that
+raises, at the cap or inside a build, leaves no manager retained, in this
+context or in a copy of it (the query marks its manager busy until it
+hands it back), so a half-updated unique table never serves another query.
 
 In both cases the cap is checked for each query, on its own atoms, before
 any node is built.
@@ -223,6 +226,7 @@ class _SharedBDD:
         self._atoms = {}
         self._walked = {}
         self._thread = get_ident()
+        self._busy = False
 
     def _node(self, level, low, high):
         if low == high:
@@ -434,12 +438,12 @@ _RETAINED = ContextVar("lampe_retained_bdd_manager", default=None)
 
 def _manager(*operands):
     """The manager for one query over `operands`: the open shared one, else
-    the retained one if this thread made it, it has met the first operand
-    and the query's atoms join its levels within the cap, else a new one,
-    which has walked the operands.  The cap applies to the query alone, and
-    is checked before any node is built.  A standalone query takes its
-    manager out of `_RETAINED` and `_retain` puts it back, so a query that
-    raises leaves none retained."""
+    the retained one if it is idle, this thread made it, it has met the
+    first operand and it has met no formula outside the query's operands but
+    one, else a new one.  The cap applies to the query alone, and is checked
+    before any node is built.  A standalone query takes its manager out of
+    `_RETAINED` and marks it busy until `_retain` puts it back, so a query
+    that raises leaves none retained, here or in a copy of this context."""
     bdd = _OPEN.get()
     if bdd is not None:
         _check_cap(len(frozenset().union(*map(bdd.atoms, operands))))
@@ -448,15 +452,14 @@ def _manager(*operands):
     _RETAINED.set(None)
     if (
         bdd is None
+        or bdd._busy
         or bdd._thread != get_ident()
         or id(operands[0]) not in bdd._walked
+        or len(bdd._walked.keys() | {id(b) for b in operands}) > 2
     ):
         bdd = _SharedBDD()
-    query = bdd.walked(*operands)
-    _check_cap(len(query))
-    if len(bdd._var_level.keys() | query) > ATOM_CAP:
-        bdd = _SharedBDD()
-        bdd.walked(*operands)
+    bdd._busy = True
+    _check_cap(len(bdd.walked(*operands)))
     return bdd
 
 
@@ -464,6 +467,7 @@ def _retain(bdd, answer):
     """`answer`, once a standalone query has read it from `bdd`, which is
     retained for the next one."""
     if _OPEN.get() is None:
+        bdd._busy = False
         _RETAINED.set(bdd)
     return answer
 

@@ -463,6 +463,50 @@ def test_oracle_raising_query_drops_the_retained_manager(monkeypatch):
     assert equivalent(f, f) and _retained() is not half_updated
 
 
+def test_oracle_raising_query_drops_the_manager_in_a_copied_context(monkeypatch):
+    import contextvars
+
+    f = parse_formula("a.0 | b.1")
+    g = parse_formula("(a.0 & c.0) | !b.1")
+    assert measure(f) == Fraction(3, 4)
+    half_updated = _retained()
+    # a copy of this context, run in this thread, holds the same manager
+    copied = contextvars.copy_context()
+
+    def broken(bdd, level, low, high):
+        bdd._level.append(level)
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fm._SharedBDD, "_node", broken)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            entails(f, g)
+
+    def in_copy():
+        assert _retained() is half_updated
+        answer = entails(f, g)
+        assert _retained() is not half_updated
+        return answer
+
+    assert copied.run(in_copy) == _table_answers(f, g)[2]
+
+
+def test_oracle_run_led_by_one_operand_keeps_one_pair():
+    # fresh second operands behind one first operand: the retained manager
+    # holds at most the current pair, so neither its operands nor its nodes
+    # pile up over the run
+    x = parse_formula("(a.0 | b.0) & (c.0 | !a.1)")
+    sizes = []
+    for i in range(200):
+        y = Or(And(Atom(a, i % 6), Not(Atom(b, i % 5))), Atom(Name("c"), i % 4))
+        assert entails(x, y) == _table_answers(x, y)[2]
+        manager = _retained()
+        assert len(manager._walked) <= 2
+        assert len(manager._var_level) <= len(atoms(x) | atoms(y))
+        sizes.append(len(manager._level))
+    assert max(sizes) <= 2 + 2 ** (len(atoms(x)) + 3)
+
+
 def test_oracle_other_thread_gets_its_own_manager():
     import contextvars
     import threading
