@@ -9,6 +9,19 @@ diagrams that builds no node and stops at the first counterexample.  `And`
 and `Or` each compile with one apply.  Each query is guarded by a hard cap,
 `ATOM_CAP`, on the number of distinct atoms in its operands.
 
+Formulas are hash-consed (Filliâtre & Conchon 2006): `Atom`, `Not`, `And`
+and `Or` are built through a `__new__` that returns the one live node of
+their structure, so equal formulas are one object however they were made
+(parsed, decoded, renamed or joined), and a manager's identity memos serve
+them all.  The table maps a key to a weak reference to its node, and an
+entry goes when its node does.  An atom's key is its (name, index); the key
+of any other node is its class with the `id`s of its children, each in a
+full 64-bit lane, so no two keys of live nodes collide.  An `id` is unique
+only among live objects, but a live node holds its children, so a live
+entry's key names exactly the children it was made from.  Equality and
+hashing stay structural: two threads that race to make one structure may
+each make a node, and that only misses a share, it changes no answer.
+
 Every manager gives an atom the next level when it first meets it (Fujita,
 Fujisawa & Kawato 1988) and serves many queries from one unique table, one
 set of apply memos and one identity memo of compiled formulas (Brace, Rudell
@@ -24,7 +37,8 @@ per context (a context variable, so each thread has its own; a copy of a
 context run in another thread opens its own, as a manager only serves the
 thread that made it).  A query keeps it when the manager has met its first
 operand, as an operand of an earlier query, and the query's operands with
-the operands the manager has met make at most two formulas: one pair.
+the operands the manager has met make at most two formulas: one pair.  An
+equal formula is the same node, so it counts as met however it was made.
 Otherwise the query opens a new manager, which replaces the old one.  Each
 operand is walked once per manager, for the cap, and compiled once: so
 `measure(b)`, `entails(b, c)` and `equivalent(b, c)` in a row walk and
@@ -47,6 +61,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from threading import get_ident
+from weakref import ref
 
 from .errors import ParseError, TooManyAtomsError, UndefinedBitError
 from .terms import Name, token_pattern, tokenize
@@ -54,9 +69,12 @@ from .terms import Name, token_pattern, tokenize
 ATOM_CAP = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoolFormula:
-    pass
+    def __reduce__(self):
+        # copy, deepcopy and every pickle protocol rebuild through the
+        # class, so a copy of an interned node is the node itself
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 @dataclass(frozen=True)
@@ -69,27 +87,95 @@ class Bot(BoolFormula):
     pass
 
 
-@dataclass(frozen=True)
+# The one live node of each structure, by key: see the module docstring.
+_INTERNED = {}
+_set = object.__setattr__
+
+
+class _Entry(ref):
+    """A weak reference to an interned node that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry):
+    # a newer node may have taken over the key of a dead one
+    if _INTERNED.get(entry.key) is entry:
+        _INTERNED.pop(entry.key, None)
+
+
+def _store(key, node):
+    # only a node whose fields are set, so no other thread reads one half made
+    entry = _Entry(node, _forget)
+    entry.key = key
+    _INTERNED[key] = entry
+
+
+# `__new__` returns the interned node and sets the fields of a new one; with
+# no `__init__` of their own, the classes below take `object.__init__`, which
+# ignores the arguments of a class that defines `__new__`.
+
+
+@dataclass(frozen=True, init=False)
 class Atom(BoolFormula):
     name: Name
     index: int
 
+    def __new__(cls, name, index):
+        key = (name, index)
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "name", name)
+            _set(node, "index", index)
+            _store(key, node)
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Not(BoolFormula):
     arg: BoolFormula
 
+    def __new__(cls, arg):
+        key = id(arg) << 2 | 1
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "arg", arg)
+            _store(key, node)
+        return node
 
-@dataclass(frozen=True)
+
+def _binary(cls, left, right):
+    key = (id(left) << 64 | id(right)) << 2 | cls._tag
+    entry = _INTERNED.get(key)
+    node = None if entry is None else entry()
+    if node is None:
+        node = object.__new__(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        _store(key, node)
+    return node
+
+
+@dataclass(frozen=True, init=False)
 class And(BoolFormula):
     left: BoolFormula
     right: BoolFormula
 
+    _tag = 2
+    __new__ = _binary
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Or(BoolFormula):
     left: BoolFormula
     right: BoolFormula
+
+    _tag = 3
+    __new__ = _binary
 
 
 TOP = Top()
@@ -205,11 +291,13 @@ class _SharedBDD:
 
     The unique table and the `not`, `and`, `or` and `implies` memos serve
     every query the manager answers.  `build` remembers each compiled
-    formula by identity, subformulas included; `atoms` remembers the atom
-    set of each formula node, and `walked` the atom set of each standalone
-    operand, found by one walk.  Each memo holds the formula itself next to
-    its value, so while the manager lives no other formula can take over a
-    remembered `id`."""
+    formula by identity, subformulas included: formulas are interned, so
+    each distinct subformula is compiled once, however many parents or
+    queries ask for it.  `atoms` remembers the atom set of each formula
+    node, and `walked` the atom set of each standalone operand, found by
+    one walk.  Each memo holds the formula itself next to its value, so
+    while the manager lives no other formula can take over a remembered
+    `id`."""
 
     def __init__(self):
         self._var_level = _Levels()
@@ -336,25 +424,54 @@ class _SharedBDD:
         return r
 
     def build(self, b):
-        """The node of b, compiled once per formula object."""
+        """The node of b, compiled once per formula node.  A left-nested
+        run of one connective goes to `_run`, so a long flat formula takes
+        no frame per link."""
         hit = self._built.get(id(b))
         if hit is not None:
             return hit[1]
-        if isinstance(b, Atom):
+        kind = type(b)
+        if kind is Atom:
             u = self._node(self._var_level[(b.name, b.index)], 0, 1)
-        elif isinstance(b, Not):
+        elif kind is Not:
+            if type(b.arg) is Not and id(b.arg) not in self._built:
+                return self._run(b)
             u = self.neg(self.build(b.arg))
-        elif isinstance(b, And):
+        elif kind is And:
+            if type(b.left) is And and id(b.left) not in self._built:
+                return self._run(b)
             u = self.conj(self.build(b.left), self.build(b.right))
-        elif isinstance(b, Or):
+        elif kind is Or:
+            if type(b.left) is Or and id(b.left) not in self._built:
+                return self._run(b)
             u = self.disj(self.build(b.left), self.build(b.right))
-        elif isinstance(b, Top):
+        elif kind is Top:
             u = 1
-        elif isinstance(b, Bot):
+        elif kind is Bot:
             u = 0
         else:
             raise TypeError(b)
         self._built[id(b)] = (b, u)
+        return u
+
+    def _run(self, b):
+        """The node of b, whose connective heads a left-nested run (`a & b
+        & ...`, `!!...`): the run is compiled bottom-up in a loop, and only
+        the right operands take a frame each."""
+        kind = type(b)
+        run = []
+        while type(b) is kind and id(b) not in self._built:
+            run.append(b)
+            b = b.arg if kind is Not else b.left
+        u = self.build(b)
+        for b in reversed(run):
+            if kind is Not:
+                u = self.neg(u)
+            elif kind is And:
+                u = self.conj(u, self.build(b.right))
+            else:
+                u = self.disj(u, self.build(b.right))
+            self._built[id(b)] = (b, u)
         return u
 
     def weight(self, u):
@@ -382,18 +499,26 @@ class _SharedBDD:
         return Fraction(count[u], 1 << n)
 
     def atoms(self, b):
+        """The atom set of b, found once per formula node.  The left spine
+        below b (left operands and `!` arguments) is walked in a loop, so
+        only right operands take a frame each."""
+        hit = self._atoms.get(id(b))
+        if hit is not None:
+            return hit[1]
+        spine = []
+        while type(b) in (Not, And, Or) and id(b) not in self._atoms:
+            spine.append(b)
+            b = b.arg if type(b) is Not else b.left
         hit = self._atoms.get(id(b))
         if hit is None:
-            if isinstance(b, Atom):
-                out = frozenset(((b.name, b.index),))
-            elif isinstance(b, Not):
-                out = self.atoms(b.arg)
-            elif isinstance(b, (And, Or)):
-                out = self.atoms(b.left) | self.atoms(b.right)
-            else:
-                out = frozenset()
+            out = frozenset(((b.name, b.index),)) if type(b) is Atom else frozenset()
             hit = self._atoms[id(b)] = (b, out)
-        return hit[1]
+        out = hit[1]
+        for b in reversed(spine):
+            if type(b) is not Not:
+                out = out | self.atoms(b.right)
+            self._atoms[id(b)] = (b, out)
+        return out
 
     def walked(self, *operands):
         """The atoms of `operands`, each operand walked once per manager."""

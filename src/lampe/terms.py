@@ -52,6 +52,10 @@ class Name:
         cls._table[text] = obj
         return obj
 
+    def __reduce__(self):
+        # copies and unpickled names are interned too
+        return Name, (self.text,)
+
     def __repr__(self):
         return f"Name({self.text!r})"
 

@@ -928,7 +928,9 @@ def apply_mu_star(d, order=None):
 # One decode of a derivation, judgement or proof parses each distinct text
 # once, so equal texts in one input decode to one shared object; parsed values
 # are immutable (a node only gains facts derived from itself), so sharing
-# them is sound.
+# them is sound.  Formulas are interned by their own constructors, so equal
+# formula texts give one node in any input; for them the memo saves the
+# parse.
 _DECODE_MEMO = ContextVar("lampe_open_decode_memo", default=None)
 _one_decode = _one_per_call(_DECODE_MEMO, dict)
 

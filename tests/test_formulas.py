@@ -361,32 +361,52 @@ def _retained():
     return fm._RETAINED.get()
 
 
+def _subformulas(*fs):
+    """Every subformula of fs, once per occurrence."""
+    out, stack = [], list(fs)
+    while stack:
+        h = stack.pop()
+        out.append(h)
+        if isinstance(h, Not):
+            stack.append(h.arg)
+        elif isinstance(h, (And, Or)):
+            stack += (h.left, h.right)
+    return out
+
+
 def test_oracle_pair_queries_compile_each_operand_once(monkeypatch):
     f = parse_formula("(a.0 | !b.1) & (c.2 | a.1) & !(b.0 & c.0)")
     g = parse_formula("(a.0 | b.1 | c.2) & (!a.1 | b.0)")
     mu, _, ent, equiv = _table_answers(f, g)
-    walked, built = [], []
-    walk, build = fm._walk_atoms, fm._SharedBDD.build
+    walked, compiled = [], []
+    walk, init = fm._walk_atoms, fm._SharedBDD.__init__
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            compiled.append(value[0])
+            super().__setitem__(key, value)
 
     def spy_walk(*fs):
         walked.extend(fs)
         return walk(*fs)
 
-    def spy_build(bdd, h):
-        built.append(h)
-        return build(bdd, h)
+    def spy_init(bdd):
+        init(bdd)
+        bdd._built = Recording()
 
     monkeypatch.setattr(fm, "_walk_atoms", spy_walk)
-    monkeypatch.setattr(fm._SharedBDD, "build", spy_build)
+    monkeypatch.setattr(fm._SharedBDD, "__init__", spy_init)
     answers = measure(f), entails(f, g), equivalent(f, g)
     manager = _retained()
     assert answers == (mu, ent, equiv)
     assert walked == [f, g]
-    # each query asks for its operands, but only the first ask compiles: a
-    # subformula is asked for once, by the compile of its parent
-    assert sum(h is f for h in built) == 3 and sum(h is g for h in built) == 2
-    inner = [h for h in built if h is not f and h is not g]
-    assert len({id(h) for h in inner}) == len(inner) > 0
+    # each distinct node of f and g is compiled once, also one that several
+    # parents ask for: equal subformulas, such as a repeated atom, are one
+    # node
+    occurrences = _subformulas(f, g)
+    assert len(compiled) == len({id(h) for h in compiled})
+    assert {id(h) for h in compiled} == {id(h) for h in occurrences}
+    assert len(compiled) < len(occurrences)
     # one manager answered all three, with levels in first-met order
     assert list(manager._var_level) == list(walk(f, g))
     assert manager._built[id(f)][0] is f and manager._built[id(g)][0] is g
@@ -394,15 +414,20 @@ def test_oracle_pair_queries_compile_each_operand_once(monkeypatch):
 
 def test_oracle_new_first_operand_opens_a_new_manager():
     f, g, h = (parse_formula(t) for t in ("a.0 & b.0", "a.0 | c.1", "a.0 & b.0"))
+    # equal texts parse to one node
+    assert h is f
     measure(f)
     first = _retained()
     assert entails(f, g) and _retained() is first
     # g was met as an operand, so a query led by it joins too
     assert not entails(g, f) and _retained() is first
-    # h equals f but is another object: the manager has not met it
+    assert measure(h) == Fraction(1, 4) and _retained() is first
+    # an equivalent formula of another structure is another node, which
+    # the manager has not met
+    h = parse_formula("b.0 & a.0")
     assert measure(h) == Fraction(1, 4)
     second = _retained()
-    assert second is not first and list(second._var_level) == [(a, 0), (b, 0)]
+    assert second is not first and list(second._var_level) == [(b, 0), (a, 0)]
 
 
 def test_oracle_run_of_queries_past_the_cap_stays_exact_and_capped():
@@ -466,6 +491,9 @@ def test_oracle_raising_query_drops_the_retained_manager(monkeypatch):
 def test_oracle_raising_query_drops_the_manager_in_a_copied_context(monkeypatch):
     import contextvars
 
+    # a manager retained by an earlier query may have compiled g already,
+    # and then the patched `_node` below would never be reached
+    fm._RETAINED.set(None)
     f = parse_formula("a.0 | b.1")
     g = parse_formula("(a.0 & c.0) | !b.1")
     assert measure(f) == Fraction(3, 4)
@@ -532,3 +560,128 @@ def test_oracle_other_thread_gets_its_own_manager():
         assert seen["answer"] == (Fraction(1, 4), True)
         assert seen["after"] is not None and seen["after"] is not mine
         assert _retained() is mine
+
+
+# ---------------------------------------------------------------------------
+# Interned formula nodes
+
+
+def test_oracle_intern_equal_texts_parse_to_one_node():
+    text = "(a.0 & !b.1) | (a.0 & !b.1) | !!c.2"
+    f = parse_formula(text)
+    assert parse_formula(text) is f
+    assert parse_formula(print_formula(f)) is f
+    # equal subformulas of one formula are one node too
+    assert f.left.left is f.left.right
+    assert Not(Not(Atom(Name("c"), 2))) is f.right
+    assert Atom(a, 0) is f.left.left.left
+
+
+def test_oracle_intern_renaming_that_touches_nothing_returns_the_node():
+    f = parse_formula("(a.0 | !b.1) & !(a.2 & b.0)")
+    assert rename_formula_names(f, {}) is f
+    assert rename_formula_names(f, {Name("zz"): Name("yy")}) is f
+    there = rename_formula_names(f, {a: Name("x")})
+    assert there is not f and rename_formula_names(there, {Name("x"): a}) is f
+
+
+def test_oracle_intern_equal_conj_and_disj_results_are_one_node():
+    texts = ("a.0 | b.1", "!c.2", "a.0 & b.0")
+    for join, op in ((conj, "&"), (disj, "|")):
+        first = join(parse_formula(t) for t in texts)
+        assert join(parse_formula(t) for t in texts) is first
+        assert parse_formula(f" {op} ".join(f"({t})" for t in texts)) is first
+
+
+def test_oracle_intern_table_entry_dies_with_its_node():
+    import gc
+    import weakref
+
+    gc.collect()
+    baseline = len(fm._INTERNED)
+    # names no other formula uses, and no query, so nothing else holds it
+    f = parse_formula("probe.0 & !(probe.1 | probe.0)")
+    assert len(fm._INTERNED) == baseline + 5
+    probe = weakref.ref(f)
+    del f
+    gc.collect()
+    assert probe() is None and len(fm._INTERNED) == baseline
+
+
+def test_oracle_intern_copies_and_replacements_are_the_node():
+    import copy
+    import dataclasses
+    import pickle
+
+    f = parse_formula("(a.0 | !b.1) & (c.2 | a.1)")
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert dataclasses.replace(f) is f
+    assert dataclasses.replace(f, right=f.right) is f
+    g = dataclasses.replace(f, right=Atom(a, 1))
+    assert g is parse_formula("(a.0 | !b.1) & a.1")
+    assert dataclasses.replace(g, right=f.right) is f
+
+
+def test_oracle_intern_threads_parsing_and_querying_get_truth_table_answers():
+    """More threads than cores parse and query the same texts with a short
+    switch interval, so they race to intern the same nodes."""
+    import sys
+    import threading
+
+    texts = [
+        f"(a.{i % 3} | !b.{i % 2}) & (c.{i % 4} | a.{(i + 1) % 3}) | !(b.{i % 3} & c.0)"
+        for i in range(12)
+    ]
+    pairs = [(texts[i], texts[(i + 1) % len(texts)]) for i in range(len(texts))]
+    expected = [
+        _table_answers(parse_formula(s), parse_formula(t)) for s, t in pairs
+    ]
+    rounds, workers = 20, 4
+    start = threading.Barrier(workers)
+    seen = [[] for _ in range(workers)]
+
+    def worker(out):
+        start.wait()
+        for _ in range(rounds):
+            for s, t in pairs:
+                f, g = parse_formula(s), parse_formula(t)
+                out.append((measure(f), satisfiable(f), entails(f, g), equivalent(f, g)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in seen:
+        assert out == expected * rounds
+
+
+def test_oracle_flat_chains_and_not_runs_need_no_frame_per_link(capsys):
+    """A left-nested run of one connective is compiled and its atoms found
+    in a loop, so long flat chains pass at the default recursion limit."""
+    from lampe import cli
+
+    links = 10_000
+    texts = {
+        " & ".join(f"a.{i % 5}" for i in range(links)): Fraction(1, 32),
+        " | ".join(f"a.{i % 5}" for i in range(links)): Fraction(31, 32),
+        "!" * links + "a.0": Fraction(1, 2),
+    }
+    for text, mu in texts.items():
+        x = parse_formula(text)
+        expected = (mu, True, True)
+        assert (measure(x), entails(x, x), satisfiable(x)) == expected
+        # a fresh shared manager, whose cap check finds atoms per node
+        shared = _one_manager(lambda: (measure(x), entails(x, x), satisfiable(x)))
+        assert shared() == expected
+    conjuncts = next(iter(texts))
+    assert cli.run(["mu", conjuncts]) == 0
+    assert capsys.readouterr() == ("1/32\n", "")

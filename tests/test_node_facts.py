@@ -234,3 +234,31 @@ def test_node_facts_leave_fields_equality_hash_repr_and_json_unchanged():
         assert not names & {
             "_facts", "_canonical_str", "_normal", "_checked_under", "_checked",
         }
+
+
+def test_node_facts_interned_formulas_keep_fields_equality_hash_repr_and_json():
+    text = "(a.0 | !b.1) & (a.0 | !b.1) & !c.2"
+    f = fm.parse_formula(text)
+    derivation = coin_derivation()
+    nodes = [(f, fm.print_formula), (derivation, derivation_to_json)]
+    before = [_views(node, encode) for node, encode in nodes]
+    # what a frozen dataclass of the same fields gives: field names, a hash
+    # of the field values, the field-by-field repr
+    assert [field.name for field in dataclasses.fields(f)] == ["left", "right"]
+    assert _hash_or_error(f) == hash((f.left, f.right))
+    clause = "Or(left=Atom(name=Name('a'), index=0), right=Not(arg=Atom(name=Name('b'), index=1)))"
+    assert repr(f) == (
+        f"And(left=And(left={clause}, right={clause}), "
+        "right=Not(arg=Atom(name=Name('c'), index=2)))"
+    )
+
+    # queries, a shared manager's atom memo and a check leave them unchanged
+    measure(f), entails(f, f.left)
+    fm._one_manager(fm.atoms)(f)
+    check_derivation(derivation, CBV)
+    assert [_views(node, encode) for node, encode in nodes] == before
+    # an equal formula is the same node, and compares and hashes as one
+    assert fm.parse_formula(text) is f and f.left.left is f.left.right
+    assert f == And(f.left, f.right) and hash(f) == hash(And(f.left, f.right))
+    names = {field.name for field in dataclasses.fields(Atom)}
+    assert names == {"name", "index"}

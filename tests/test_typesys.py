@@ -805,6 +805,16 @@ def test_side_values_are_decoded_on_load():
     assert side["cases"] == ((Atom(A_, 0), HALF),)
 
 
+def test_side_weight_written_as_a_bare_integer_decodes_and_reencodes_as_a_ratio():
+    blob = derivation_to_json(coin_derivation())
+    node = derivation_from_json(
+        {**blob, "side": {"q": "1", "cases": [["a.0", "1"]]}}
+    )
+    assert node.side["q"] == Fraction(1) and type(node.side["q"]) is Fraction
+    assert node.side["cases"] == ((Atom(A_, 0), Fraction(1)),)
+    assert derivation_to_json(node)["side"] == {"q": "1/1", "cases": [["a.0", "1/1"]]}
+
+
 def test_side_is_read_only():
     for node in (coin_derivation(), half_id_proof()):
         with pytest.raises(TypeError):
