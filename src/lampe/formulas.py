@@ -425,54 +425,36 @@ class _SharedBDD:
 
     def build(self, b):
         """The node of b, compiled once per formula node.  A left-nested
-        run of one connective goes to `_run`, so a long flat formula takes
-        no frame per link."""
+        run of one connective (`a & b & ...`, `!!...`) is compiled bottom-up
+        in a loop, so only the right operands take a frame each."""
         hit = self._built.get(id(b))
         if hit is not None:
             return hit[1]
         kind = type(b)
+        if kind is And or kind is Or or kind is Not:
+            run = []
+            while type(b) is kind and id(b) not in self._built:
+                run.append(b)
+                b = b.arg if kind is Not else b.left
+            u = self.build(b)
+            for b in reversed(run):
+                if kind is And:
+                    u = self.conj(u, self.build(b.right))
+                elif kind is Or:
+                    u = self.disj(u, self.build(b.right))
+                else:
+                    u = self.neg(u)
+                self._built[id(b)] = (b, u)
+            return u
         if kind is Atom:
             u = self._node(self._var_level[(b.name, b.index)], 0, 1)
-        elif kind is Not:
-            if type(b.arg) is Not and id(b.arg) not in self._built:
-                return self._run(b)
-            u = self.neg(self.build(b.arg))
-        elif kind is And:
-            if type(b.left) is And and id(b.left) not in self._built:
-                return self._run(b)
-            u = self.conj(self.build(b.left), self.build(b.right))
-        elif kind is Or:
-            if type(b.left) is Or and id(b.left) not in self._built:
-                return self._run(b)
-            u = self.disj(self.build(b.left), self.build(b.right))
-        elif kind is Top:
-            u = 1
-        elif kind is Bot:
-            u = 0
-        else:
-            raise TypeError(b)
-        self._built[id(b)] = (b, u)
-        return u
-
-    def _run(self, b):
-        """The node of b, whose connective heads a left-nested run (`a & b
-        & ...`, `!!...`): the run is compiled bottom-up in a loop, and only
-        the right operands take a frame each."""
-        kind = type(b)
-        run = []
-        while type(b) is kind and id(b) not in self._built:
-            run.append(b)
-            b = b.arg if kind is Not else b.left
-        u = self.build(b)
-        for b in reversed(run):
-            if kind is Not:
-                u = self.neg(u)
-            elif kind is And:
-                u = self.conj(u, self.build(b.right))
-            else:
-                u = self.disj(u, self.build(b.right))
             self._built[id(b)] = (b, u)
-        return u
+            return u
+        if kind is Top:
+            return 1
+        if kind is Bot:
+            return 0
+        raise TypeError(b)
 
     def weight(self, u):
         """Probability that node u holds, as an exact Fraction.

@@ -25,6 +25,7 @@ from lampe.formulas import (
     entails,
     equivalent,
     eval_formula,
+    format_rational,
     measure,
     parse_formula,
     print_formula,
@@ -682,6 +683,6 @@ def test_oracle_flat_chains_and_not_runs_need_no_frame_per_link(capsys):
         # a fresh shared manager, whose cap check finds atoms per node
         shared = _one_manager(lambda: (measure(x), entails(x, x), satisfiable(x)))
         assert shared() == expected
-    conjuncts = next(iter(texts))
-    assert cli.run(["mu", conjuncts]) == 0
-    assert capsys.readouterr() == ("1/32\n", "")
+        assert cli.run(["mu", text]) == 0
+        assert cli.run(["entails", text, text]) == 0
+        assert capsys.readouterr() == (f"{format_rational(mu)}\ntrue\n", "")
