@@ -22,15 +22,20 @@ entry's key names exactly the children it was made from.  Equality and
 hashing stay structural: two threads that race to make one structure may
 each make a node, and that only misses a share, it changes no answer.
 
+Two facts live on each node, outside the dataclass fields, written with
+`object.__setattr__` once found: `_atoms`, its atom set, filled by the first
+`atoms` call that reaches the node, and `_measure`, by the first `measure`
+of the node that succeeds.  A node is shared by every formula that holds
+it, so each fact is found once in its life, whatever query, check or
+manager asks; two threads that race both write the same answer.
+
 Every manager gives an atom the next level when it first meets it (Fujita,
 Fujisawa & Kawato 1988) and serves many queries from one unique table, one
 set of apply memos and one identity memo of compiled formulas (Brace, Rudell
 & Bryant 1990).  A function wrapped in `_one_manager` (the derivation and
 proof checkers, mu-star and transport) answers every query made during its
 call from one manager, dropped when the outermost such call returns or
-raises.  While it is open, `atoms` answers from its identity memo of atom
-sets, which keeps the set of every formula node it meets, so the per-query
-cap check and the checkers' name tests walk each formula node once per call.
+raises.
 
 Standalone queries, made outside such a call, share one retained manager
 per context (a context variable, so each thread has its own; a copy of a
@@ -40,18 +45,18 @@ operand, as an operand of an earlier query, and the query's operands with
 the operands the manager has met make at most two formulas: one pair.  An
 equal formula is the same node, so it counts as met however it was made.
 Otherwise the query opens a new manager, which replaces the old one.  Each
-operand is walked once per manager, for the cap, and compiled once: so
-`measure(b)`, `entails(b, c)` and `equivalent(b, c)` in a row walk and
-compile b once and c once, with b's atoms first, as a fresh manager for
-`entails(b, c)` would order them.  The query that first joined the pair
-checked the cap on the atoms of both, so a manager never holds more than
-`ATOM_CAP` levels, and it keeps one pair alive, no more.  A query that
-raises, at the cap or inside a build, leaves no manager retained, in this
-context or in a copy of it (the query marks its manager busy until it
-hands it back), so a half-updated unique table never serves another query.
+operand is compiled once per manager: so `measure(b)`, `entails(b, c)` and
+`equivalent(b, c)` in a row compile b once and c once, with b's atoms
+first, as a fresh manager for `entails(b, c)` would order them.  The query
+that first joined the pair checked the cap on the atoms of both, so a
+manager never holds more than `ATOM_CAP` levels, and it keeps one pair
+alive, no more.  A query that raises, at the cap or inside a build, leaves
+no manager retained, in this context or in a copy of it (the query marks
+its manager busy until it hands it back), so a half-updated unique table
+never serves another query.
 
-In both cases the cap is checked for each query, on its own atoms, before
-any node is built.
+In both cases the cap is checked for each query, on the atom facts of its
+operands, before any node is built.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ ATOM_CAP = 24
 
 @dataclass(frozen=True, init=False)
 class BoolFormula:
+    # node facts, not fields: see `atoms` and `measure`
+    _atoms = None
+    _measure = None
+
     def __reduce__(self):
         # copy, deepcopy and every pickle protocol rebuild through the
         # class, so a copy of an interned node is the node itself
@@ -79,12 +88,12 @@ class BoolFormula:
 
 @dataclass(frozen=True)
 class Top(BoolFormula):
-    pass
+    _atoms = frozenset()
 
 
 @dataclass(frozen=True)
 class Bot(BoolFormula):
-    pass
+    _atoms = frozenset()
 
 
 # The one live node of each structure, by key: see the module docstring.
@@ -203,28 +212,42 @@ def disj(parts):
 
 
 def atoms(b):
-    """The (name, index) atoms of b: a fresh set, or while a shared manager
-    is open a frozenset from its identity memo."""
-    bdd = _OPEN.get()
-    return set(_walk_atoms(b)) if bdd is None else bdd.atoms(b)
+    """The (name, index) atoms of b, as a frozenset kept on b."""
+    out = b._atoms
+    return _fill_atoms(b) if out is None else out
 
 
-def _walk_atoms(*fs):
-    """The atoms of `fs` in the order a left-to-right depth-first walk of
-    them first meets each, as a dict from atom to its position in that
-    order."""
-    order = {}
-    stack = list(reversed(fs))
+def _fill_atoms(root):
+    """Store the atom set of root and of each node below it that lacks one,
+    children first, on an explicit stack; return root's set.  A node whose
+    set equals a child's shares that child's frozenset."""
+    stack = [root]
     while stack:
-        b = stack.pop()
-        if isinstance(b, Atom):
-            order.setdefault((b.name, b.index), len(order))
-        elif isinstance(b, Not):
-            stack.append(b.arg)
-        elif isinstance(b, (And, Or)):
-            stack.append(b.right)
-            stack.append(b.left)
-    return order
+        b = stack[-1]
+        if b._atoms is not None:
+            # a shared node stacked twice
+            stack.pop()
+            continue
+        kind = type(b)
+        if kind is Atom:
+            out = frozenset(((b.name, b.index),))
+        elif kind is Not:
+            out = b.arg._atoms
+            if out is None:
+                stack.append(b.arg)
+                continue
+        else:
+            left, right = b.left._atoms, b.right._atoms
+            if left is None:
+                stack.append(b.left)
+            if right is None:
+                stack.append(b.right)
+            if stack[-1] is not b:
+                continue
+            out = right if left <= right else left if right <= left else left | right
+        stack.pop()
+        _set(b, "_atoms", out)
+    return root._atoms
 
 
 def formula_names(b):
@@ -293,11 +316,10 @@ class _SharedBDD:
     every query the manager answers.  `build` remembers each compiled
     formula by identity, subformulas included: formulas are interned, so
     each distinct subformula is compiled once, however many parents or
-    queries ask for it.  `atoms` remembers the atom set of each formula
-    node, and `walked` the atom set of each standalone operand, found by
-    one walk.  Each memo holds the formula itself next to its value, so
-    while the manager lives no other formula can take over a remembered
-    `id`."""
+    queries ask for it.  `_walked` keeps each standalone operand the
+    manager has met, by `id`, for `_manager`'s pair rule.  Each memo holds
+    the formula itself, so while the manager lives no other formula can
+    take over a remembered `id`."""
 
     def __init__(self):
         self._var_level = _Levels()
@@ -311,7 +333,6 @@ class _SharedBDD:
         self._or_memo = {}
         self._implies_memo = {}
         self._built = {}
-        self._atoms = {}
         self._walked = {}
         self._thread = get_ident()
         self._busy = False
@@ -480,38 +501,6 @@ class _SharedBDD:
                 stack.pop()
         return Fraction(count[u], 1 << n)
 
-    def atoms(self, b):
-        """The atom set of b, found once per formula node.  The left spine
-        below b (left operands and `!` arguments) is walked in a loop, so
-        only right operands take a frame each."""
-        hit = self._atoms.get(id(b))
-        if hit is not None:
-            return hit[1]
-        spine = []
-        while type(b) in (Not, And, Or) and id(b) not in self._atoms:
-            spine.append(b)
-            b = b.arg if type(b) is Not else b.left
-        hit = self._atoms.get(id(b))
-        if hit is None:
-            out = frozenset(((b.name, b.index),)) if type(b) is Atom else frozenset()
-            hit = self._atoms[id(b)] = (b, out)
-        out = hit[1]
-        for b in reversed(spine):
-            if type(b) is not Not:
-                out = out | self.atoms(b.right)
-            self._atoms[id(b)] = (b, out)
-        return out
-
-    def walked(self, *operands):
-        """The atoms of `operands`, each operand walked once per manager."""
-        out = set()
-        for b in operands:
-            hit = self._walked.get(id(b))
-            if hit is None:
-                hit = self._walked[id(b)] = (b, _walk_atoms(b).keys())
-            out |= hit[1]
-        return out
-
 
 def _one_per_call(var, factory):
     """A decorator that keeps one `factory()` object in the context variable
@@ -552,21 +541,25 @@ def _manager(*operands):
     `_RETAINED` and marks it busy until `_retain` puts it back, so a query
     that raises leaves none retained, here or in a copy of this context."""
     bdd = _OPEN.get()
-    if bdd is not None:
-        _check_cap(len(frozenset().union(*map(bdd.atoms, operands))))
-        return bdd
-    bdd = _RETAINED.get()
-    _RETAINED.set(None)
-    if (
-        bdd is None
-        or bdd._busy
-        or bdd._thread != get_ident()
-        or id(operands[0]) not in bdd._walked
-        or len(bdd._walked.keys() | {id(b) for b in operands}) > 2
-    ):
-        bdd = _SharedBDD()
-    bdd._busy = True
-    _check_cap(len(bdd.walked(*operands)))
+    if bdd is None:
+        bdd = _RETAINED.get()
+        _RETAINED.set(None)
+        if (
+            bdd is None
+            or bdd._busy
+            or bdd._thread != get_ident()
+            or id(operands[0]) not in bdd._walked
+            or len(bdd._walked.keys() | {id(b) for b in operands}) > 2
+        ):
+            bdd = _SharedBDD()
+        bdd._busy = True
+        for b in operands:
+            bdd._walked[id(b)] = b
+    found = atoms(operands[0])
+    for b in operands[1:]:
+        more = atoms(b)
+        found = more if found <= more else found | more
+    _check_cap(len(found))
     return bdd
 
 
@@ -580,9 +573,13 @@ def _retain(bdd, answer):
 
 
 def measure(b):
-    """Exact measure of the event denoted by b, as a Fraction."""
-    bdd = _manager(b)
-    return _retain(bdd, bdd.weight(bdd.build(b)))
+    """Exact measure of the event denoted by b, as a Fraction kept on b."""
+    out = b._measure
+    if out is None:
+        bdd = _manager(b)
+        out = _retain(bdd, bdd.weight(bdd.build(b)))
+        _set(b, "_measure", out)
+    return out
 
 
 def entails(b, c):

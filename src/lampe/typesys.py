@@ -612,7 +612,8 @@ def _check_plus(d, system, left):
 
 def _arrow_parts(t, system):
     qs, body = strip_prefix(t)
-    _shape(isinstance(body, Arrow), f"expected an arrow under {print_type(t)}")
+    if not isinstance(body, Arrow):
+        raise RuleShapeError(f"expected an arrow under {print_type(t)}")
     if system in (CN, INT):
         _shape(len(qs) == 1, "exactly one quantifier expected")
     return qs, body
@@ -688,7 +689,8 @@ def _check_app_int(d, system):
 
 def _get_scale(d):
     s = d.side.get("scale", Fraction(1))
-    _side(0 < s <= 1, f"scale {s} outside (0,1]")
+    if not 0 < s <= 1:
+        raise SideConditionError(f"scale {s} outside (0,1]")
     return s
 
 
@@ -708,7 +710,8 @@ def _check_cbv(d, system):
     )
     s = _get_scale(d)
     expected = Counted(pa.type.q * s, wrap_prefix(qs, body.cod))
-    _shape(j.type == expected, f"conclusion type must be {print_type(expected)}")
+    if j.type != expected:
+        raise RuleShapeError(f"conclusion type must be {print_type(expected)}")
     _side(
         entails(j.constraint, And(pf.constraint, pa.constraint)),
         "constraint does not entail the premise conjunction",

@@ -880,6 +880,35 @@ def random_affine_term(rng, size, names, vars_in_scope, supply=None):
     )
 
 
+def random_formula(rng, atoms, depth):
+    """A formula of depth at most `depth` over `atoms`, with `T` leaves."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(atoms) if rng.random() < 0.9 else TOP
+    kind = rng.choice("nao")
+    if kind == "n":
+        return Not(random_formula(rng, atoms, depth - 1))
+    op = And if kind == "a" else Or
+    return op(*(random_formula(rng, atoms, depth - 1) for _ in range(2)))
+
+
+def reference_walk_atoms(*fs):
+    """The atoms of `fs` in the order a left-to-right depth-first walk of
+    them first meets each, as a dict from atom to its position in that
+    order; reads no node fact."""
+    order = {}
+    stack = list(reversed(fs))
+    while stack:
+        b = stack.pop()
+        if isinstance(b, Atom):
+            order.setdefault((b.name, b.index), len(order))
+        elif isinstance(b, Not):
+            stack.append(b.arg)
+        elif isinstance(b, (And, Or)):
+            stack.append(b.right)
+            stack.append(b.left)
+    return order
+
+
 _PROPS = [PropVar(p) for p in ("A", "B", "C")]
 
 

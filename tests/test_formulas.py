@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from lampe.formulas import (
     satisfiable,
 )
 from lampe.terms import Name
+from helpers import random_formula, reference_walk_atoms
 
 a = Name("a")
 b = Name("b")
@@ -40,7 +42,7 @@ b = Name("b")
 
 def truth_table(*fs):
     """Reference oracle: every valuation of the atoms occurring in fs."""
-    keys = sorted(set().union(*map(atoms, fs)), key=lambda ni: (ni[0].text, ni[1]))
+    keys = sorted(reference_walk_atoms(*fs), key=lambda ni: (ni[0].text, ni[1]))
     for bits in itertools.product((0, 1), repeat=len(keys)):
         yield dict(zip(keys, bits))
 
@@ -379,28 +381,31 @@ def test_oracle_pair_queries_compile_each_operand_once(monkeypatch):
     f = parse_formula("(a.0 | !b.1) & (c.2 | a.1) & !(b.0 & c.0)")
     g = parse_formula("(a.0 | b.1 | c.2) & (!a.1 | b.0)")
     mu, _, ent, equiv = _table_answers(f, g)
-    walked, compiled = [], []
-    walk, init = fm._walk_atoms, fm._SharedBDD.__init__
+    filled, compiled = [], []
+    fill, init = fm._fill_atoms, fm._SharedBDD.__init__
 
     class Recording(dict):
         def __setitem__(self, key, value):
             compiled.append(value[0])
             super().__setitem__(key, value)
 
-    def spy_walk(*fs):
-        walked.extend(fs)
-        return walk(*fs)
+    def spy_fill(root):
+        filled.append(root)
+        return fill(root)
 
     def spy_init(bdd):
         init(bdd)
         bdd._built = Recording()
 
-    monkeypatch.setattr(fm, "_walk_atoms", spy_walk)
+    monkeypatch.setattr(fm, "_fill_atoms", spy_fill)
     monkeypatch.setattr(fm._SharedBDD, "__init__", spy_init)
     answers = measure(f), entails(f, g), equivalent(f, g)
     manager = _retained()
     assert answers == (mu, ent, equiv)
-    assert walked == [f, g]
+    # each operand's atoms are found once, and then read from its fact
+    assert filled == [f, g]
+    assert f._atoms == set(reference_walk_atoms(f))
+    assert g._atoms == set(reference_walk_atoms(g))
     # each distinct node of f and g is compiled once, also one that several
     # parents ask for: equal subformulas, such as a repeated atom, are one
     # node
@@ -409,7 +414,7 @@ def test_oracle_pair_queries_compile_each_operand_once(monkeypatch):
     assert {id(h) for h in compiled} == {id(h) for h in occurrences}
     assert len(compiled) < len(occurrences)
     # one manager answered all three, with levels in first-met order
-    assert list(manager._var_level) == list(walk(f, g))
+    assert list(manager._var_level) == list(reference_walk_atoms(f, g))
     assert manager._built[id(f)][0] is f and manager._built[id(g)][0] is g
 
 
@@ -465,7 +470,9 @@ def test_oracle_raising_query_drops_the_retained_manager(monkeypatch):
     f = parse_formula("a.0 | b.1")
     wide = conj(Atom(Name("w"), i) for i in range(fm.ATOM_CAP + 1))
     for query in (lambda: measure(wide), lambda: entails(f, wide)):
-        assert measure(f) == Fraction(3, 4) and _retained() is not None
+        # an earlier test may have measured f, whose measure is then read
+        # from its fact without a manager: entails reaches one
+        assert entails(f, f) and _retained() is not None
         with pytest.raises(TooManyAtomsError):
             query()
         assert _retained() is None
@@ -473,8 +480,9 @@ def test_oracle_raising_query_drops_the_retained_manager(monkeypatch):
     # an error inside `build`, after `_node` has grown the node lists but
     # before it has written the unique table
     g = parse_formula("(a.0 & c.0) | !b.1")
-    assert measure(f) == Fraction(3, 4)
+    assert entails(f, f)
     half_updated = _retained()
+    assert half_updated is not None
 
     def broken(bdd, level, low, high):
         bdd._level.append(level)
@@ -497,8 +505,9 @@ def test_oracle_raising_query_drops_the_manager_in_a_copied_context(monkeypatch)
     fm._RETAINED.set(None)
     f = parse_formula("a.0 | b.1")
     g = parse_formula("(a.0 & c.0) | !b.1")
-    assert measure(f) == Fraction(3, 4)
+    assert entails(f, f)
     half_updated = _retained()
+    assert half_updated is not None
     # a copy of this context, run in this thread, holds the same manager
     copied = contextvars.copy_context()
 
@@ -680,9 +689,89 @@ def test_oracle_flat_chains_and_not_runs_need_no_frame_per_link(capsys):
         x = parse_formula(text)
         expected = (mu, True, True)
         assert (measure(x), entails(x, x), satisfiable(x)) == expected
-        # a fresh shared manager, whose cap check finds atoms per node
+        # a fresh shared manager, which compiles the chain again
         shared = _one_manager(lambda: (measure(x), entails(x, x), satisfiable(x)))
         assert shared() == expected
         assert cli.run(["mu", text]) == 0
         assert cli.run(["entails", text, text]) == 0
         assert capsys.readouterr() == (f"{format_rational(mu)}\ntrue\n", "")
+
+
+# ---------------------------------------------------------------------------
+# Node facts: atom sets and measures kept on the formula nodes
+
+
+def _fresh_formulas(tag, seed, count=40):
+    """Seeded random formulas over atoms whose names carry `tag`, so that
+    no live node, and so no fact, is shared with another call."""
+    rng = random.Random(seed)
+    pool = [Atom(Name(f"{n}{tag}"), i) for n in "pq" for i in range(3)]
+    return [random_formula(rng, pool, 5) for _ in range(count)]
+
+
+def _reference_facts(f):
+    found = set(reference_walk_atoms(f))
+    rows = [eval_formula(f, v) for v in truth_table(f)]
+    return found, {name for name, _ in found}, Fraction(sum(rows), len(rows))
+
+
+@pytest.mark.parametrize("shared_first", [False, True])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_oracle_facts_match_truth_tables_standalone_and_shared(seed, shared_first):
+    fs = _fresh_formulas(f"s{seed}{int(shared_first)}", seed)
+    expected = [_reference_facts(f) for f in fs]
+    # a formula of constants alone may be a node made elsewhere
+    fresh = [f for f, (found, _, _) in zip(fs, expected) if found]
+    assert len(fresh) > len(fs) // 2
+    assert all(f._atoms is None and f._measure is None for f in fresh)
+
+    def facts():
+        return [(atoms(f), fm.formula_names(f), measure(f)) for f in fs]
+
+    runs = (_one_manager(facts), facts)
+    got = [run() for run in (runs if shared_first else runs[::-1])]
+    assert got[0] == got[1] == expected
+    for f, (found, _, mu) in zip(fs, expected):
+        assert f._atoms == found and type(f._atoms) is frozenset
+        assert f._measure == mu
+
+
+def test_oracle_facts_a_measure_past_the_cap_raises_every_time():
+    wide = conj(Atom(Name("wide25"), i) for i in range(fm.ATOM_CAP + 1))
+    message = "E_TOO_MANY_ATOMS: 25 atoms exceeds the cap of 24"
+    for run in (measure, _one_manager(measure), measure):
+        with pytest.raises(TooManyAtomsError) as err:
+            run(wide)
+        assert str(err.value) == message
+        assert wide._measure is None
+    # the atom set is a fact all the same
+    assert len(wide._atoms) == fm.ATOM_CAP + 1
+
+
+def test_oracle_facts_threads_measuring_fresh_nodes_agree():
+    import sys
+    import threading
+
+    fs = _fresh_formulas("thr", 29, count=60)
+    expected = [_reference_facts(f)[2] for f in fs]
+    assert all(f._measure is None for f in fs if reference_walk_atoms(f))
+    start = threading.Barrier(4)
+    seen = [[] for _ in range(4)]
+
+    def worker(out):
+        start.wait()
+        out.extend(measure(f) for f in fs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == expected for out in seen)
+    assert [f._measure for f in fs] == expected

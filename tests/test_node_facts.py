@@ -1,5 +1,5 @@
-"""Node facts: the memos kept on term, type, derivation and proof nodes, and
-the shared oracle manager's atom memo.
+"""Node facts: the memos kept on term, type, derivation, proof and formula
+nodes.
 
 A fact is a plain attribute outside the node's dataclass fields, so no fact
 may change what a node compares, hashes, prints or encodes as.  `alpha_eq`
@@ -7,9 +7,11 @@ fills no fact record only to compare.  Name-text shape hashes vary with
 PYTHONHASHSEED; these answers must not.
 """
 
+import copy
 import dataclasses
 import gc
 import json
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -20,11 +22,13 @@ from helpers import (
     coin_derivation,
     cut_proof,
     half_id_proof,
+    random_formula,
     random_term,
+    reference_walk_atoms,
 )
 from lampe import formulas as fm
 from lampe.errors import TooManyAtomsError
-from lampe.formulas import And, Atom, Not, Or, TOP, entails, measure
+from lampe.formulas import And, Atom, TOP, Top, entails, measure
 from lampe.proofs import check_proof, proof_to_json
 from lampe.terms import (
     App,
@@ -118,17 +122,7 @@ def test_node_facts_alpha_eq_matches_canonical_str(seed, filled):
 
 
 # ---------------------------------------------------------------------------
-# The shared manager's atom memo
-
-
-def _random_formula(rng, atoms, depth):
-    if depth == 0 or rng.random() < 0.2:
-        return rng.choice(atoms) if rng.random() < 0.9 else TOP
-    kind = rng.choice("nao")
-    if kind == "n":
-        return Not(_random_formula(rng, atoms, depth - 1))
-    op = And if kind == "a" else Or
-    return op(*(_random_formula(rng, atoms, depth - 1) for _ in range(2)))
+# Formula facts under one check, and standalone
 
 
 def _spread(n):
@@ -157,8 +151,8 @@ def test_node_facts_atom_cap_and_memo_under_one_check(monkeypatch):
             rng = random.Random(7)
             atoms = [Atom(Name(n), i) for n in "ab" for i in range(3)]
             for _ in range(50):
-                b = _random_formula(rng, atoms, 4)
-                assert fm.atoms(b) == set(fm._walk_atoms(b))
+                b = random_formula(rng, atoms, 4)
+                assert fm.atoms(b) == set(reference_walk_atoms(b))
                 assert fm.atoms(b) is fm.atoms(b)
             seen["manager"] = weakref.ref(manager)
             seen["formula"] = weakref.ref(wide)
@@ -175,9 +169,8 @@ def test_node_facts_atom_cap_and_memo_under_one_check(monkeypatch):
 def test_node_facts_atoms_standalone_walk_is_unchanged():
     rng = random.Random(11)
     atoms = [Atom(Name(n), i) for n in "abc" for i in range(4)]
-    formulas = [_random_formula(rng, atoms, 5) for _ in range(60)]
+    formulas = [random_formula(rng, atoms, 5) for _ in range(60)]
     standalone = [fm.atoms(b) for b in formulas]
-    assert all(type(s) is set for s in standalone)
     shared = fm._one_manager(lambda: [fm.atoms(b) for b in formulas])()
     assert shared == standalone
 
@@ -241,7 +234,9 @@ def test_node_facts_interned_formulas_keep_fields_equality_hash_repr_and_json():
     f = fm.parse_formula(text)
     derivation = coin_derivation()
     nodes = [(f, fm.print_formula), (derivation, derivation_to_json)]
+    assert f._atoms is None and f._measure is None
     before = [_views(node, encode) for node, encode in nodes]
+    pickled = pickle.dumps(f)
     # what a frozen dataclass of the same fields gives: field names, a hash
     # of the field values, the field-by-field repr
     assert [field.name for field in dataclasses.fields(f)] == ["left", "right"]
@@ -252,13 +247,24 @@ def test_node_facts_interned_formulas_keep_fields_equality_hash_repr_and_json():
         "right=Not(arg=Atom(name=Name('c'), index=2)))"
     )
 
-    # queries, a shared manager's atom memo and a check leave them unchanged
-    measure(f), entails(f, f.left)
+    # queries, the facts they write and a check leave them unchanged
+    measure(f), entails(f, f.left), measure(TOP)
     fm._one_manager(fm.atoms)(f)
     check_derivation(derivation, CBV)
+    assert f._measure == Fraction(3, 8) and f._atoms == fm.atoms(f)
+    assert f.left._atoms is not None and TOP._measure == 1
     assert [_views(node, encode) for node, encode in nodes] == before
+    # a copy or a pickle carries no fact, and rebuilds as the node itself
+    assert pickle.dumps(f) == pickled
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickled) is f
     # an equal formula is the same node, and compares and hashes as one
     assert fm.parse_formula(text) is f and f.left.left is f.left.right
     assert f == And(f.left, f.right) and hash(f) == hash(And(f.left, f.right))
-    names = {field.name for field in dataclasses.fields(Atom)}
-    assert names == {"name", "index"}
+    # constants are not interned: one with a fact equals one without
+    fresh = Top()
+    assert "_measure" not in vars(fresh)
+    assert TOP == fresh and hash(TOP) == hash(fresh) and repr(TOP) == repr(fresh)
+    for cls in (Atom, And, fm.Not, Top):
+        names = {field.name for field in dataclasses.fields(cls)}
+        assert not names & {"_atoms", "_measure"}

@@ -13,6 +13,7 @@ from helpers import (
     HALF,
     INT_OO,
     J,
+    braces_coin_derivation,
     cbv_fixture_corpus,
     cn_fixture_corpus,
     church_two_cbn_derivation,
@@ -31,6 +32,7 @@ from helpers import (
     reference_mu_star,
     tree_nodes,
 )
+import lampe
 from lampe.errors import (
     ParseError,
     PreconditionError,
@@ -55,7 +57,7 @@ from lampe.proofs import (
     proof_from_json,
     proof_to_json,
 )
-from lampe.terms import Name, Nu, Var, parse_term, print_term
+from lampe.terms import Lam, Name, Nu, Var, parse_term, print_term
 from lampe.typesys import (
     RULES_BY_SYSTEM,
     _RULE_CHECKERS,
@@ -210,6 +212,26 @@ def test_safe_excludes_hn_and_empty_multiset():
     assert is_safe(parse_type("([C[1/1] o] => o)"))
 
 
+def test_srank_of_an_arrow_bounds_a_quantifier_by_one():
+    # srank(sigma => tau) = 1 and srank(hn) = 0, and a quantifier over an
+    # arrow is bounded by the product of its arguments' sranks
+    assert lampe.srank(OO) == 1
+    assert lampe.is_balanced(Counted(HALF, Arrow(OO, O)))
+    assert lampe.is_safe(Counted(HALF, Arrow(OO, O)))
+    assert not lampe.is_balanced(Counted(HALF, Arrow(HN, O)))
+
+
+def test_an_unbalanced_argument_makes_the_type_unbalanced():
+    # the argument's own bound is srank(hn) = 0 < 1/2; were it balanced, the
+    # outer bound would be srank(inner) = 1/2 >= 1/4
+    inner = Counted(HALF, Arrow(HN, O))
+    outer = Counted(Fraction(1, 4), Arrow(inner, O))
+    assert lampe.srank(inner) == HALF
+    assert not lampe.is_balanced(outer)
+    assert not lampe.is_safe(outer)
+    assert not lampe.is_balanced(Arrow(inner, O))
+
+
 def test_srank_positive_on_cn_cbv_types():
     for d, _ in cbv_fixture_corpus():
         ty = d.judgement.type
@@ -282,6 +304,32 @@ def test_a_rejected_derivation_fails_alike_every_time(monkeypatch):
     # the passing premise is checked once, the failing root every time
     assert checked.count(bad) == 2
     assert len(checked) == len(tree_nodes(bad)) + 1
+
+
+def test_a_lambda_typed_without_an_arrow_names_its_type():
+    body = D("id", J((("z", O),), (), Var("z"), TOP, O))
+    bad = D("lam", J((), (), Lam("z", Var("z")), TOP, Counted(HALF, O)), (body,))
+    with pytest.raises(RuleShapeError) as info:
+        check_derivation(bad, CBV)
+    assert str(info.value) == "E_RULE_SHAPE: expected an arrow under C[1/2] o"
+
+
+def test_a_scale_outside_the_unit_interval_names_the_scale():
+    d = braces_coin_derivation()
+    bad = D("cbv", d.judgement, d.premises, {"scale": Fraction(3, 2)})
+    with pytest.raises(SideConditionError) as info:
+        check_derivation(bad, CBV)
+    assert str(info.value) == "E_SIDE_CONDITION: scale 3/2 outside (0,1]"
+
+
+def test_a_wrong_cbv_conclusion_names_the_expected_type():
+    d = braces_coin_derivation()
+    j = d.judgement
+    wrong = Counted(Fraction(1, 4), OO)
+    bad = D("cbv", J(j.ctx, j.names, j.term, j.constraint, wrong), d.premises)
+    with pytest.raises(RuleShapeError) as info:
+        check_derivation(bad, CBV)
+    assert str(info.value) == "E_RULE_SHAPE: conclusion type must be C[1/2] (o => o)"
 
 
 def test_a_cbv_check_does_not_count_under_int():
