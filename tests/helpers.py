@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from lampe.errors import UndefinedBitError
 from lampe.formulas import And, Atom, BOT, Not, Or, TOP, measure
 from lampe.proofs import (
     Count,
@@ -20,10 +21,14 @@ from lampe.terms import (
     Name,
     Nu,
     Var,
+    _REBUILD,
     alpha_eq,
     children,
+    copy_variant_name,
     free_names,
+    free_vars,
     fresh_name,
+    fresh_var,
     parse_term,
     rename_bound_name,
     substitute,
@@ -1353,6 +1358,174 @@ def reference_alpha_eq(t, u, env_t=None, env_u=None, depth=0):
         reference_alpha_eq(a, b, env_t, env_u, depth)
         for a, b in zip(children(t), children(u))
     )
+
+
+# Reference term walks: the recursive substitution, renaming, projection and
+# printers that the explicit-stack walks of `lampe.terms` replaced, kept as
+# they were so each walk is compared against an independent copy
+
+
+def _reference_map_children(t, f):
+    out = t
+    for i, c in enumerate(children(t)):
+        new = f(c)
+        if new is not c:
+            out = _REBUILD[type(out)](out, i, new)
+    return out
+
+
+def reference_bound_names(t):
+    out = {t.name} if isinstance(t, Nu) else set()
+    for c in children(t):
+        out |= reference_bound_names(c)
+    return out
+
+
+def reference_count_free_occurrences(t, x):
+    if isinstance(t, Var):
+        return int(t.var == x)
+    if isinstance(t, Lam) and t.var == x:
+        return 0
+    return sum(reference_count_free_occurrences(c, x) for c in children(t))
+
+
+def reference_rename_names(t, env, rebind):
+    if isinstance(t, Nu):
+        name = rebind(t.name)
+        body = reference_rename_names(t.body, {**env, t.name: name}, rebind)
+        return t if name is t.name and body is t.body else Nu(name, body)
+    out = _reference_map_children(t, lambda c: reference_rename_names(c, env, rebind))
+    if isinstance(t, Choice) and env.get(t.name, t.name) is not t.name:
+        return Choice(out.left, out.right, env[t.name], t.index)
+    return out
+
+
+def reference_variant_copy(u, k):
+    return reference_rename_names(u, {}, lambda n: copy_variant_name(n, k))
+
+
+def reference_substitute_indexed(t, x, u, start, duplicating):
+    """Substitution by plain recursion: a capturing lambda binder is renamed
+    by a nested substitution of its fresh variable, before the walk goes on
+    into the renamed body."""
+    u_fvars = free_vars(u)
+    u_fnames = free_names(u)
+    hits = [start]
+
+    def payload():
+        hits[0] += 1
+        if duplicating and hits[0] > 1:
+            return reference_variant_copy(u, hits[0])
+        return u
+
+    def go(t):
+        if isinstance(t, Var):
+            return payload() if t.var == x else t
+        if isinstance(t, Lam):
+            if t.var == x:
+                return t
+            if x not in free_vars(t.body):
+                return t
+            if t.var in u_fvars:
+                y = fresh_var(t.var, u_fvars | free_vars(t.body))
+                body = reference_substitute(t.body, t.var, Var(y))
+                return Lam(y, go(body))
+            return Lam(t.var, go(t.body))
+        if isinstance(t, Nu):
+            if x not in free_vars(t.body):
+                return t
+            if t.name in u_fnames:
+                new = fresh_name(t.name, t, u)
+                t = Nu(new, reference_rename_names(t.body, {t.name: new}, lambda n: n))
+            return Nu(t.name, go(t.body))
+        return _reference_map_children(t, go)
+
+    return go(t)
+
+
+def reference_substitute(t, x, u):
+    if x not in free_vars(t):
+        return t
+    duplicating = bool(
+        reference_count_free_occurrences(t, x) > 1 and reference_bound_names(u)
+    )
+    return reference_substitute_indexed(t, x, u, 0, duplicating)
+
+
+def reference_project(t, names, valuation):
+    def go(t, active):
+        if isinstance(t, Choice) and t.name in active:
+            key = (t.name, t.index)
+            if key not in valuation:
+                raise UndefinedBitError(f"no bit for ({t.name}, {t.index})")
+            side = t.left if valuation[key] == 1 else t.right
+            return go(side, active)
+        if isinstance(t, Choice):
+            return Choice(go(t.left, active), go(t.right, active), t.name, t.index)
+        if isinstance(t, Nu):
+            inner = active - {t.name} if t.name in active else active
+            return Nu(t.name, go(t.body, inner))
+        return _reference_map_children(t, lambda c: go(c, active))
+
+    return go(t, frozenset(names))
+
+
+def reference_canonical_str(t):
+    env = {}
+
+    def go(t, depth):
+        if isinstance(t, Var):
+            return env.get(t.var, t.var)
+        if isinstance(t, Const):
+            return "#c"
+        if isinstance(t, Lam):
+            outer = env.get(t.var)
+            env[t.var] = f"${depth}"
+            out = f"(\\${depth}. {go(t.body, depth + 1)})"
+            if outer is None:
+                del env[t.var]
+            else:
+                env[t.var] = outer
+            return out
+        if isinstance(t, Nu):
+            return f"(nu {t.name}. {go(t.body, depth)})"
+        if isinstance(t, App):
+            return f"({go(t.fun, depth)} {go(t.arg, depth)})"
+        if isinstance(t, CbvApp):
+            return f"{{{go(t.fun, depth)}}} {go(t.arg, depth)}"
+        return f"({go(t.left, depth)} (+{t.name}.{t.index}) {go(t.right, depth)})"
+
+    return go(t, 0)
+
+
+def reference_print_term(t):
+    def atom(t):
+        if isinstance(t, (Var, Const)):
+            return go(t)
+        return f"({go(t)})"
+
+    def appish(t):
+        if isinstance(t, (App, CbvApp, Var, Const)):
+            return go(t)
+        return atom(t)
+
+    def go(t):
+        if isinstance(t, Var):
+            return t.var
+        if isinstance(t, Const):
+            return "#c"
+        if isinstance(t, Lam):
+            return f"\\{t.var}. {go(t.body)}"
+        if isinstance(t, Nu):
+            return f"nu {t.name}. {go(t.body)}"
+        if isinstance(t, App):
+            return f"{appish(t.fun)} {atom(t.arg)}"
+        if isinstance(t, CbvApp):
+            return f"{{{go(t.fun)}}} {atom(t.arg)}"
+        left = atom(t.left) if isinstance(t.left, Choice) else appish(t.left)
+        return f"{left} (+{t.name}.{t.index}) {appish(t.right)}"
+
+    return go(t)
 
 
 def _pair_before(a, i, b, j, env):

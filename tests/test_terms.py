@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -10,11 +11,21 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     reference_alpha_eq,
+    reference_bound_names,
+    reference_canonical_str,
     reference_contains_cbv,
+    reference_count_free_occurrences,
     reference_free_names,
     reference_free_vars,
+    reference_print_term,
+    reference_project,
+    reference_rename_names,
     reference_shape_hash,
+    reference_substitute,
+    reference_substitute_indexed,
+    reference_variant_copy,
 )
+from lampe.cli import run
 from lampe.errors import ParseError, UndefinedBitError
 from lampe.formulas import parse_formula
 from lampe.proofs import parse_proof_formula
@@ -32,6 +43,8 @@ from lampe.terms import (
     canonical_str,
     children,
     contains_cbv,
+    bound_names,
+    copy_variant_name,
     count_free_occurrences,
     free_names,
     free_vars,
@@ -39,8 +52,11 @@ from lampe.terms import (
     print_term,
     project,
     rename_bound_name,
+    rename_names,
     shape_hash,
     substitute,
+    substitute_indexed,
+    variant_copy,
 )
 from lampe.typesys import parse_type
 
@@ -242,7 +258,9 @@ def test_project_idempotent_and_name_shrinking():
 
 
 @st.composite
-def terms(draw, depth=4, scope=(), cbv=False):
+def terms(
+    draw, depth=4, scope=(), cbv=False, variables=("x", "y", "z"), names=("a", "b", "c")
+):
     kind = draw(
         st.sampled_from(
             ["var", "lam", "app", "choice", "nu", "const"] + ["cbv"] * cbv
@@ -253,27 +271,27 @@ def terms(draw, depth=4, scope=(), cbv=False):
     if kind == "var":
         if scope and draw(st.booleans()):
             return Var(draw(st.sampled_from(list(scope))))
-        return Var(draw(st.sampled_from(["x", "y", "z"])))
+        return Var(draw(st.sampled_from(variables)))
     if kind == "const":
         return CONST
     if kind == "lam":
-        v = draw(st.sampled_from(["x", "y", "z"]))
-        return Lam(v, draw(terms(depth=depth - 1, scope=scope + (v,), cbv=cbv)))
+        v = draw(st.sampled_from(variables))
+        return Lam(v, draw(terms(depth - 1, scope + (v,), cbv, variables, names)))
     if kind in ("app", "cbv"):
         return (App if kind == "app" else CbvApp)(
-            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
-            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
+            draw(terms(depth - 1, scope, cbv, variables, names)),
+            draw(terms(depth - 1, scope, cbv, variables, names)),
         )
     if kind == "choice":
         return Choice(
-            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
-            draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
-            Name(draw(st.sampled_from(["a", "b", "c"]))),
+            draw(terms(depth - 1, scope, cbv, variables, names)),
+            draw(terms(depth - 1, scope, cbv, variables, names)),
+            Name(draw(st.sampled_from(names))),
             draw(st.integers(min_value=0, max_value=2)),
         )
     return Nu(
-        Name(draw(st.sampled_from(["a", "b", "c"]))),
-        draw(terms(depth=depth - 1, scope=scope, cbv=cbv)),
+        Name(draw(st.sampled_from(names))),
+        draw(terms(depth - 1, scope, cbv, variables, names)),
     )
 
 
@@ -392,21 +410,133 @@ def test_substitute_without_a_free_hit_returns_the_term(t):
             assert substitute(t, x, Lam("q", Var("q"))) is t
 
 
-def _reference_count(t, x):
-    if isinstance(t, Var):
-        return int(t.var == x)
-    if isinstance(t, Lam) and t.var == x:
-        return 0
-    return sum(_reference_count(c, x) for c in children(t))
-
-
 @given(terms())
 @settings(max_examples=200, deadline=None)
 def test_count_free_occurrences_matches_a_full_walk(t):
     # the count skips subterms whose stored free variables lack x, and stays
     # exact: transport reads it to number the copies of a duplicated payload
     for x in ("x", "y", "z", "w"):
-        assert count_free_occurrences(t, x) == _reference_count(t, x)
+        assert count_free_occurrences(t, x) == reference_count_free_occurrences(t, x)
+
+
+# Each walk against its recursive reference in `helpers`, compared with `==`:
+# every fresh variable, fresh name and copy-variant name must come out the same
+
+_PRIMED = ("x", "y", "y'", "y''", "z")
+_SUFFIXED = ("a", "a_1", "a_2", "b")
+
+
+@given(terms(cbv=True))
+@settings(max_examples=300, deadline=None)
+def test_printers_match_their_references(t):
+    assert print_term(t) == reference_print_term(t)
+    assert canonical_str(t) == reference_canonical_str(t)
+    assert bound_names(t) == reference_bound_names(t)
+
+
+@given(
+    terms(cbv=True, variables=_PRIMED, names=_SUFFIXED),
+    terms(depth=3, cbv=True, variables=_PRIMED, names=_SUFFIXED),
+)
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_its_reference(t, u):
+    # primed variables and suffixed names make the fresh-variable and
+    # fresh-name loops collide; a payload with binders is copied under
+    # variant names when it lands more than once
+    for x in ("x", "y", "y'"):
+        assert substitute(t, x, u) == reference_substitute(t, x, u)
+        for start, duplicating in ((0, True), (2, True), (1, False)):
+            assert substitute_indexed(t, x, u, start, duplicating) == (
+                reference_substitute_indexed(t, x, u, start, duplicating)
+            )
+
+
+@pytest.mark.parametrize(
+    "body, x, payload",
+    [
+        # an inner binder is named like the fresh variable of an outer one
+        (r"\y. \y'. x y y'", "x", "y"),
+        (r"\y. \y'. \y''. x y y' y''", "x", "y y'"),
+        (r"\y''. \y. \y'. x y y' y''", "x", "y y'''"),
+        (r"\y. nu a. \y'. x y (y' (+a.0) y)", "x", "y (u (+a.0) v)"),
+        # duplicating substitutions whose payload holds generators
+        (r"x (\y. x y) (nu a. x (+a.0) x)", "x", r"nu a. \y. y (+a.0) z"),
+        (r"nu a. x (+a.0) (nu a_1. x (+a_1.0) x)", "x", "nu a. (u (+a.0) v) (+a_1.0) w"),
+    ],
+)
+def test_substitute_capture_chains_match_the_reference(body, x, payload):
+    t, u = parse_term(body), parse_term(payload)
+    out = substitute(t, x, u)
+    assert out == reference_substitute(t, x, u)
+    assert alpha_eq(parse_term(print_term(out)), out)
+
+
+_NAMES = st.sampled_from([a, b, Name("c")])
+_BITS = st.dictionaries(st.tuples(_NAMES, st.integers(0, 2)), st.integers(0, 1))
+
+
+@given(terms(cbv=True), _BITS, st.sets(_NAMES))
+@settings(max_examples=300, deadline=None)
+def test_project_matches_its_reference(t, bits, names):
+    # a nu that rebinds a projected name shields its scope; a missing bit
+    # raises in both, on the same choice
+    try:
+        expected = reference_project(t, names, bits)
+    except UndefinedBitError as error:
+        with pytest.raises(UndefinedBitError, match=re.escape(str(error))):
+            project(t, names, bits)
+    else:
+        assert project(t, names, bits) == expected
+
+
+def test_project_under_a_shadowing_nu():
+    t = parse_term("nu b. (x (+a.0) y) (+b.0) (nu a. z (+a.0) w)")
+    out = project(t, {a}, {(a, 0): 1})
+    assert out == reference_project(t, {a}, {(a, 0): 1})
+    assert print_term(out) == "nu b. x (+b.0) (nu a. z (+a.0) w)"
+
+
+@given(terms(cbv=True, names=_SUFFIXED), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_renaming_walks_match_their_references(t, k):
+    a1 = Name("a_1")
+    assert variant_copy(t, k) == reference_variant_copy(t, k)
+    env = {a: a1, b: a}
+
+    def rebind(n):
+        return copy_variant_name(n, k) if n is a else n
+
+    assert rename_names(t, env, rebind) == reference_rename_names(t, env, rebind)
+    if isinstance(t, Nu) and a1 not in reference_bound_names(t):
+        assert rename_bound_name(t, a1) == Nu(
+            a1, reference_rename_names(t.body, {t.name: a1}, lambda n: n)
+        )
+
+
+# Edges of the term core, with values worked out by hand from the definitions
+
+
+def test_fresh_name_skips_a_taken_candidate(capsys):
+    # nu-fun lifts the generator over an argument that uses a and a_1 freely,
+    # so the binder must avoid both: the first free candidate is a_2
+    code = run(["reduce", "--fuel", "1", r"(nu a. \z. z) (\w. w (+a.0) w (+a_1.0) w)"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out == "nu a_2. (\\z. z) (\\w. (w (+a.0) w) (+a_1.0) w)\n"
+
+
+def test_fresh_var_skips_a_taken_candidate():
+    # y would capture the payload's y, and y' is free in the body and in the
+    # payload, so the binder becomes y''
+    out = substitute(parse_term(r"\y. x y'"), "x", parse_term("y y'"))
+    assert print_term(out) == "\\y''. y y' y'"
+
+
+def test_canonical_str_of_the_constant(capsys):
+    # the fair choice splits the mass between #c and a lambda over #c, whose
+    # binder is renamed positionally to $0
+    assert run(["dist", "--json", r"nu a. #c (+a.0) (\x. #c)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"#c": "1/2", "(\\$0. #c)": "1/2"}
 
 
 def test_variant_names_reparse():
