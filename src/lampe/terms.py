@@ -17,11 +17,9 @@ none, the constant's class holds its record, and a node whose set equals a
 child's shares that frozenset.  `canonical_str` and the normal-form marks of
 `rewrite` are kept the same way.
 
-Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
-name through one function and its bound choices follow it, and a choice on a
-free name is renamed through a map.  `rename_bound_name` (freshening a binder
-against capture) and `variant_copy` (the k-th copy of a duplicated scope) are
-calls of it.
+Every walk that rebuilds a term or writes its text runs on an explicit stack,
+through one of two drivers, `_walk` and `_text`, so none costs an interpreter
+frame per level of the term.
 """
 
 from __future__ import annotations
@@ -123,16 +121,15 @@ CONST = Const()
 
 
 def children(t):
-    if isinstance(t, (Var, Const)):
-        return ()
-    if isinstance(t, Lam):
+    kind = type(t)
+    if kind is Lam or kind is Nu:
         return (t.body,)
-    if isinstance(t, Nu):
-        return (t.body,)
-    if isinstance(t, (App, CbvApp)):
+    if kind is App or kind is CbvApp:
         return (t.fun, t.arg)
-    if isinstance(t, Choice):
+    if kind is Choice:
         return (t.left, t.right)
+    if kind is Var or kind is Const:
+        return ()
     raise TypeError(t)
 
 
@@ -142,29 +139,10 @@ _REBUILD = {
     Nu: lambda t, i, new: Nu(t.name, new),
     App: lambda t, i, new: App(new, t.arg) if i == 0 else App(t.fun, new),
     CbvApp: lambda t, i, new: CbvApp(new, t.arg) if i == 0 else CbvApp(t.fun, new),
-    Choice: lambda t, i, new: (
-        Choice(new, t.right, t.name, t.index)
-        if i == 0
-        else Choice(t.left, new, t.name, t.index)
+    Choice: lambda t, i, new: Choice(
+        *((new, t.right) if i == 0 else (t.left, new)), t.name, t.index
     ),
 }
-
-
-def replace_child(t, i, new):
-    rebuild = _REBUILD.get(type(t))
-    if rebuild is None:
-        raise TypeError(t)
-    return rebuild(t, i, new)
-
-
-def map_children(t, f):
-    """t with each child c replaced by f(c); t itself when none changes."""
-    out = t
-    for i, c in enumerate(children(t)):
-        new = f(c)
-        if new is not c:
-            out = replace_child(out, i, new)
-    return out
 
 
 def subterm_at(t, path):
@@ -179,8 +157,47 @@ def replace_at(t, path, new):
         spine.append(t)
         t = children(t)[i]
     for parent, i in zip(reversed(spine), reversed(path)):
-        new = replace_child(parent, i, new)
+        new = _REBUILD[type(parent)](parent, i, new)
     return new
+
+
+def _walk(t, ctx, enter):
+    """t rebuilt top-down.  `enter(s, ctx)` is the result for a node s met
+    under ctx: a term, or a pair `(r, inner)` that stands for r with each
+    child rebuilt under inner.  A node whose children all come back as the
+    same objects comes back itself."""
+    done, stack = [], [(t, ctx, None)]
+    while stack:
+        t, ctx, kids = stack.pop()
+        if kids is not None:  # t waits for the results of its children
+            first = len(done) - len(kids)
+            for i, new in enumerate(done[first:]):
+                if new is not kids[i]:
+                    t = _REBUILD[type(t)](t, i, new)
+            done[first:] = [t]
+        elif type(out := enter(t, ctx)) is not tuple:
+            done.append(out)
+        else:
+            t, ctx = out
+            kids = children(t)
+            stack.append((t, None, kids))
+            for c in reversed(kids):
+                stack.append((c, ctx, None))
+    return done[0]
+
+
+def _text(t, expand):
+    """The text of t from a stack of items: a string is written out, and any
+    other item x is replaced by `expand[type(x)](x)`, the items it stands
+    for, last first."""
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(expand[type(item)](item))
+    return "".join(out)
 
 
 # The shape hash erases variable names, so terms equal up to alpha share it.
@@ -266,23 +283,20 @@ def shape_hash(t):
 
 
 def bound_names(t):
-    out = set()
-    if isinstance(t, Nu):
-        out.add(t.name)
-    for c in children(t):
-        out |= bound_names(c)
+    out, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Nu:
+            out.add(t.name)
+        stack.extend(children(t))
     return out
-
-
-def all_names(t):
-    return free_names(t) | bound_names(t)
 
 
 def fresh_name(base, *terms):
     """`base` suffixed with the least `_k` that no name of `terms` uses:
     fresh by a local rule, so it does not depend on what else was
     interned."""
-    taken = {n.text for t in terms for n in all_names(t)}
+    taken = {n.text for t in terms for n in free_names(t) | bound_names(t)}
     k = 1
     while f"{base.text}_{k}" in taken:
         k += 1
@@ -293,15 +307,18 @@ def rename_names(t, env, rebind):
     """t with each nu binder n renamed to rebind(n), which the choices it
     binds follow, and each choice on a name n that no binder of t binds
     renamed to env.get(n, n).  A subtree that nothing renames comes back as
-    the same object, as map_children keeps it."""
-    if isinstance(t, Nu):
-        name = rebind(t.name)
-        body = rename_names(t.body, {**env, t.name: name}, rebind)
-        return t if name is t.name and body is t.body else Nu(name, body)
-    out = map_children(t, lambda c: rename_names(c, env, rebind))
-    if isinstance(t, Choice) and env.get(t.name, t.name) is not t.name:
-        return Choice(out.left, out.right, env[t.name], t.index)
-    return out
+    the same object."""
+
+    def enter(t, env):
+        kind = type(t)
+        if kind is Nu:
+            name = rebind(t.name)
+            return (t if name is t.name else Nu(name, t.body)), {**env, t.name: name}
+        if kind is Choice and env.get(t.name, t.name) is not t.name:
+            return Choice(t.left, t.right, env[t.name], t.index), env
+        return t if kind is Var or kind is Const else (t, env)
+
+    return _walk(t, env, enter)
 
 
 def rename_bound_name(t, new_name):
@@ -336,49 +353,64 @@ def variant_copy(u, k):
 def count_free_occurrences(t, x):
     """How often x occurs free in t; a subterm whose stored free variables
     lack x is not entered."""
-    if type(t) is Var:
-        return 1 if t.var == x else 0
-    if x not in free_vars(t):
-        return 0
-    return sum(count_free_occurrences(c, x) for c in children(t))
+    count, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            count += t.var == x
+        elif x in free_vars(t):
+            stack.extend(children(t))
+    return count
 
 
 def substitute_indexed(t, x, u, start, duplicating):
     """Like substitute, but occurrences of x are numbered globally starting
     at `start`, so a larger term can be substituted piecewise while keeping
-    the copy-variant naming aligned."""
-    u_fvars = free_vars(u)
-    u_fnames = free_names(u)
-    hits = [start]
+    the copy-variant naming aligned.  The walk's context at a node lists the
+    substitutions pending there in the order they apply, as (variable, free
+    variables of its payload, new variable, or None for u).  A binder that
+    would capture a payload's free variable is renamed by a substitution of
+    its own just ahead of that one, as if its body were renamed first."""
+    hits = start
 
-    def payload():
-        hits[0] += 1
-        if duplicating and hits[0] > 1:
-            return variant_copy(u, hits[0])
-        return u
+    def enter(t, pending):
+        nonlocal hits
+        kind = type(t)
+        if kind is Var:
+            var = t.var
+            for old, _, new in pending:
+                if var == old:
+                    if new is None:
+                        hits += 1
+                        return variant_copy(u, hits) if duplicating and hits > 1 else u
+                    var = new
+            return t if var == t.var else Var(var)
+        if kind is not Lam and kind is not Nu:
+            return t if kind is Const else (t, pending)
+        var = t.var if kind is Lam else None
+        free = free_vars(t.body)  # as the substitutions so far leave the body
+        inner = []
+        for step in pending:
+            old, fv, new = step
+            if old == var or old not in free:
+                continue
+            if var in fv:
+                fresh = fresh_var(var, fv | free)
+                if var in free:
+                    inner.append((var, {fresh}, fresh))
+                    free = free - {var} | {fresh}
+                var = fresh
+            inner.append(step)
+            free = free - {old} | fv
+        if not inner:
+            return t
+        if kind is Lam and var != t.var:
+            t = Lam(var, t.body)
+        elif kind is Nu and inner[-1][2] is None and t.name in free_names(u):
+            t = rename_bound_name(t, fresh_name(t.name, t, u))
+        return t, inner
 
-    def go(t):
-        if isinstance(t, Var):
-            return payload() if t.var == x else t
-        if isinstance(t, Lam):
-            if t.var == x:
-                return t
-            if x not in free_vars(t.body):
-                return t
-            if t.var in u_fvars:
-                y = fresh_var(t.var, u_fvars | free_vars(t.body))
-                body = substitute(t.body, t.var, Var(y))
-                return Lam(y, go(body))
-            return Lam(t.var, go(t.body))
-        if isinstance(t, Nu):
-            if x not in free_vars(t.body):
-                return t
-            if t.name in u_fnames:
-                t = rename_bound_name(t, fresh_name(t.name, t, u))
-            return Nu(t.name, go(t.body))
-        return map_children(t, go)
-
-    return go(t)
+    return _walk(t, [(x, free_vars(u), None)], enter)
 
 
 def substitute(t, x, u):
@@ -442,44 +474,39 @@ def alpha_eq(t, u):
     return True
 
 
+# canonical_str's expansions, but for variables and lambdas (see there)
+_CANONICAL = {
+    Const: lambda t: ("#c",),
+    Nu: lambda t: (")", t.body, f"(nu {t.name}. "),
+    App: lambda t: (")", t.arg, " ", t.fun, "("),
+    CbvApp: lambda t: (t.arg, "} ", t.fun, "{"),
+    Choice: lambda t: (")", t.right, f" (+{t.name}.{t.index}) ", t.left, "("),
+}
+
+
 def canonical_str(t):
     """Printed form with lambda binders renamed positionally; alpha-invariant,
     suitable as a dictionary key.  One environment serves the whole walk: a
-    lambda binds its variable for its body and then puts the outer binding
-    back, so memory stays linear in the depth."""
-    out = t._canonical_str
-    if out is not None:
-        return out
-    env = {}
+    lambda binds its variable for its body, and the empty tuple stacked after
+    the body puts the outer binding back, so memory stays linear in depth."""
+    if t._canonical_str is not None:
+        return t._canonical_str
+    env, hidden = {}, []  # per open lambda: its variable, the binding it hides
 
-    def go(t, depth):
-        if isinstance(t, Var):
-            return env.get(t.var, t.var)
-        if isinstance(t, Const):
-            return "#c"
-        if isinstance(t, Lam):
-            outer = env.get(t.var)
-            env[t.var] = f"${depth}"
-            out = f"(\\${depth}. {go(t.body, depth + 1)})"
-            if outer is None:
-                del env[t.var]
-            else:
-                env[t.var] = outer
-            return out
-        if isinstance(t, Nu):
-            return f"(nu {t.name}. {go(t.body, depth)})"
-        if isinstance(t, App):
-            return f"({go(t.fun, depth)} {go(t.arg, depth)})"
-        if isinstance(t, CbvApp):
-            return f"{{{go(t.fun, depth)}}} {go(t.arg, depth)}"
-        if isinstance(t, Choice):
-            return (
-                f"({go(t.left, depth)} (+{t.name}.{t.index}) "
-                f"{go(t.right, depth)})"
-            )
-        raise TypeError(t)
+    def bind(t):
+        label = f"${len(hidden)}"
+        hidden.append((t.var, env.get(t.var)))
+        env[t.var] = label
+        return (), ")", t.body, f"(\\{label}. "
 
-    out = go(t, 0)
+    def unbind(_):
+        var, outer = hidden.pop()
+        env[var] = outer
+        return ()
+
+    expand = {**_CANONICAL, Lam: bind, tuple: unbind}
+    expand[Var] = lambda t: (env.get(t.var) or t.var,)
+    out = _text(t, expand)
     _set_fact(t, "_canonical_str", out)
     return out
 
@@ -490,32 +517,21 @@ def canonical_str(t):
 
 def project(t, names, valuation):
     """Resolve choices on names in `names` using `valuation`, a finite map
-    (Name, index) -> bit.  Other choices and all generators are kept.
+    (Name, index) -> bit.  Other choices and all generators are kept.  A nu
+    binder re-binding a name of `names` shields its scope: the outer bits do
+    not apply there."""
 
-    A nu binder re-binding a name of `names` shields its scope: the outer
-    bits do not apply there.
-    """
-    names = set(names)
-
-    def go(t, active):
-        if isinstance(t, Choice) and t.name in active:
+    def enter(t, active):
+        while type(t) is Choice and t.name in active:
             key = (t.name, t.index)
             if key not in valuation:
-                raise UndefinedBitError(
-                    f"no bit for ({t.name}, {t.index})"
-                )
-            side = t.left if valuation[key] == 1 else t.right
-            return go(side, active)
-        if isinstance(t, Choice):
-            return Choice(
-                go(t.left, active), go(t.right, active), t.name, t.index
-            )
-        if isinstance(t, Nu):
-            inner = active - {t.name} if t.name in active else active
-            return Nu(t.name, go(t.body, inner))
-        return map_children(t, lambda c: go(c, active))
+                raise UndefinedBitError(f"no bit for ({t.name}, {t.index})")
+            t = t.left if valuation[key] == 1 else t.right
+        if type(t) is Nu and t.name in active:
+            return t, active - {t.name}
+        return t if type(t) is Var or type(t) is Const else (t, active)
 
-    return go(t, frozenset(names))
+    return _walk(t, frozenset(names), enter)
 
 
 # ---------------------------------------------------------------------------
@@ -659,43 +675,26 @@ def parse_term(text):
     return t
 
 
+def _paren(t, kinds):
+    return (")", t, "(") if type(t) in kinds else (t,)
+
+
+_OPEN = (Lam, Nu, Choice)  # reach to the right: bracketed before more text
+_COMPOUND = _OPEN + (App, CbvApp)  # bracketed as an argument
+# print_term's expansion of each node, last item first
+_PRINT = {
+    Var: lambda t: (t.var,),
+    Const: lambda t: ("#c",),
+    Lam: lambda t: (t.body, f"\\{t.var}. "),
+    Nu: lambda t: (t.body, f"nu {t.name}. "),
+    App: lambda t: (*_paren(t.arg, _COMPOUND), " ", *_paren(t.fun, _OPEN)),
+    CbvApp: lambda t: (*_paren(t.arg, _COMPOUND), "} ", t.fun, "{"),
+    Choice: lambda t: (
+        *_paren(t.right, _OPEN), f" (+{t.name}.{t.index}) ", *_paren(t.left, _OPEN)
+    ),
+}
+
+
 def print_term(t):
     """Inverse of parse_term up to whitespace (and alpha for reparse)."""
-
-    def atom(t):
-        if isinstance(t, Var):
-            return t.var
-        if isinstance(t, Const):
-            return "#c"
-        return f"({go(t)})"
-
-    def appish(t):
-        if isinstance(t, (App, CbvApp, Var, Const)):
-            return go(t)
-        return atom(t)
-
-    def go(t):
-        if isinstance(t, Var):
-            return t.var
-        if isinstance(t, Const):
-            return "#c"
-        if isinstance(t, Lam):
-            return f"\\{t.var}. {go(t.body)}"
-        if isinstance(t, Nu):
-            return f"nu {t.name}. {go(t.body)}"
-        if isinstance(t, App):
-            return f"{appish(t.fun)} {atom(t.arg)}"
-        if isinstance(t, CbvApp):
-            return f"{{{go(t.fun)}}} {atom(t.arg)}"
-        if isinstance(t, Choice):
-            left = atom(t.left) if isinstance(t.left, Choice) else appish_or_atom(t.left)
-            right = appish_or_atom(t.right)
-            return f"{left} (+{t.name}.{t.index}) {right}"
-        raise TypeError(t)
-
-    def appish_or_atom(t):
-        if isinstance(t, (Lam, Nu, Choice)):
-            return atom(t)
-        return go(t)
-
-    return go(t)
+    return _text(t, _PRINT)

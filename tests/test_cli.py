@@ -4,15 +4,18 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    D,
     braces_coin_derivation,
     cbv_fixture_corpus,
     church_two_cbv_derivation,
     coin_derivation,
     cut_proof,
     half_id_proof,
+    identity_derivation,
 )
 from lampe.cli import run
 from lampe.proofs import proof_to_json
+from lampe.terms import Choice, Lam, Name, Nu, Var, alpha_eq, parse_term
 from lampe.typesys import derivation_to_json
 
 
@@ -505,11 +508,31 @@ def test_reduced_output_reparses(capsys):
     assert code2 == 0 and out2 == out
 
 
-def test_deep_input_reports_depth(capsys):
-    binders = "".join(f"\\x{i}. " for i in range(3000))
-    code, out, err = invoke(capsys, "pnf", f"nu a. {binders}u (+a.0) v")
+def test_deep_input_reports_depth(capsys, tmp_path):
+    """`json.loads` recurses once per nesting level, and a derivation node
+    costs two (its object and its premise list), so a file 500 `or` nodes
+    deep meets the interpreter's limit before the checker sees it."""
+    base = identity_derivation()
+    node = derivation_to_json(D("or", base.judgement, (base,)))
+    head, _, tail = json.dumps({**node, "premises": [None]}).partition("null")
+    path = tmp_path / "deep.json"
+    path.write_text(head * 500 + json.dumps(node["premises"][0]) + tail * 500)
+    code, out, err = invoke(capsys, "check", "--system", "cbv", str(path))
     assert code == 1 and err.startswith("E_DEPTH")
     assert "Traceback" not in out + err
+
+
+def test_deep_pnf_prints_its_normal_form(capsys):
+    """The printer keeps an explicit stack, so 3,000 binders print.  The
+    normal form, worked out by hand: the choice moves above the lambdas,
+    each branch keeping all of them."""
+    binders = "".join(f"\\x{i}. " for i in range(3000))
+    code, out, err = invoke(capsys, "pnf", f"nu a. {binders}u (+a.0) v")
+    assert code == 0 and err == ""
+    left, right = Var("u"), Var("v")
+    for i in reversed(range(3000)):
+        left, right = Lam(f"x{i}", left), Lam(f"x{i}", right)
+    assert alpha_eq(parse_term(out), Nu(Name("a"), Choice(left, right, Name("a"), 0)))
 
 
 def test_dist_keeps_no_trace(capsys):

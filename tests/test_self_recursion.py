@@ -39,19 +39,7 @@ RECURSIVE = {
     "proofs._translate_node",
     "proofs.proof_to_json",
     "proofs.proof_from_json",
-    "terms.bound_names",
-    "terms.rename_names",
-    "terms.count_free_occurrences",
-    "terms.substitute",
-    "terms.substitute_indexed",
-    "terms.substitute_indexed.go",
-    "terms.canonical_str.go",
-    "terms.project.go",
     "terms.parse_term.term",
-    "terms.print_term.go",
-    "terms.print_term.atom",
-    "terms.print_term.appish",
-    "terms.print_term.appish_or_atom",
     "transport.or_leaves",
     "transport.ctx_weaken.go",
     "transport.subst_typing.go",

@@ -375,10 +375,11 @@ def _chain(var, depth, body):
 
 
 def test_term_core_survives_10000_nested_lambdas():
-    """The fact record pass, the redex scan and `alpha_eq` keep explicit
-    stacks, so 10,000 nested lambdas fit in the default recursion limit.
-    `print_term`, `canonical_str` and `substitute` still recurse, and none
-    of them runs here."""
+    """The fact record pass, the redex scan, `alpha_eq` and every walk that
+    rebuilds or prints a term keep explicit stacks, so 10,000 nested lambdas
+    and a 10,000-deep application spine fit in the default recursion limit.
+    Each expected value is built by hand from the definitions, and compared
+    through its printed form, since dataclass `==` recurses."""
     depth = 10_000
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
@@ -398,6 +399,47 @@ def test_term_core_survives_10000_nested_lambdas():
         assert not alpha_eq(left, _chain("y", depth, Var("y_2")))
         result, trace = pnf(Nu(a, Choice(left, right, a, 0)))
         assert [s.rule for s in trace] == ["i", "not-nu"] and result is left
+
+        # w occurs twice under the lambdas, once inside a generator on b
+        nested = Nu(a, _chain("x", depth, parse_term("w (x_1 (+a.0) (nu b. w))")))
+        binders = "".join(f"\\x_{i}. " for i in range(1, depth + 1))
+        assert print_term(nested) == f"nu a. {binders}w (x_1 (+a.0) (nu b. w))"
+        opened = "".join(f"(\\${i}. " for i in range(depth))
+        assert canonical_str(nested) == (
+            f"(nu a. {opened}(w ($0 (+a.0) (nu b. w)))" + ")" * depth + ")"
+        )
+        assert bound_names(nested) == {a, b}
+        assert count_free_occurrences(nested, "w") == 2
+        assert count_free_occurrences(nested, "x_1") == 0
+        # a payload with a generator lands twice, so the second copy is a variant
+        u = parse_term("nu b. y (+b.0) z")
+        assert print_term(substitute(nested, "w", u)) == (
+            f"nu a. {binders}(nu b. y (+b.0) z) "
+            "(x_1 (+a.0) (nu b. nu b~2. y (+b~2.0) z))"
+        )
+        # x_5 would be captured by the fifth binder, which becomes x_5'
+        captured = substitute(nested.body, "w", Var("x_5"))
+        assert print_term(captured) == binders.replace("x_5.", "x_5'.") + (
+            "x_5 (x_1 (+a.0) (nu b. x_5))"
+        )
+        assert print_term(variant_copy(nested, 3)) == (
+            f"nu a~3. {binders}w (x_1 (+a~3.0) (nu b~3. w))"
+        )
+        assert rename_names(nested, {}, lambda n: n) is nested
+        # the outer nu shields its scope from the bits on a
+        assert project(nested, {a}, {(a, 0): 1}) is nested
+        assert print_term(project(nested.body, {a}, {(a, 0): 1})) == f"{binders}w x_1"
+
+        app = Var("w")
+        for _ in range(depth):
+            app = App(app, Choice(Var("x"), Var("y"), a, 0))
+        assert print_term(app) == "w" + " (x (+a.0) y)" * depth
+        assert canonical_str(app) == "(" * depth + "w" + " (x (+a.0) y))" * depth
+        assert bound_names(app) == set() and variant_copy(app, 2) is app
+        assert count_free_occurrences(app, "x") == depth
+        for bit, side in ((1, "z"), (0, "y")):
+            picked = project(substitute(app, "x", Var("z")), {a}, {(a, 0): bit})
+            assert print_term(picked) == "w" + f" {side}" * depth
     finally:
         sys.setrecursionlimit(limit)
 
