@@ -18,7 +18,7 @@ child's shares that frozenset.  `canonical_str` and the normal-form marks of
 `rewrite` are kept the same way.
 
 Every walk that rebuilds a term or writes its text runs on an explicit stack,
-through one of two drivers, `_walk` and `_text`, so none costs an interpreter
+through one of two loops, `_walk` and `_text`, so none costs an interpreter
 frame per level of the term.
 """
 
@@ -388,7 +388,7 @@ def substitute_indexed(t, x, u, start, duplicating):
         if kind is not Lam and kind is not Nu:
             return t if kind is Const else (t, pending)
         var = t.var if kind is Lam else None
-        free = free_vars(t.body)  # as the substitutions so far leave the body
+        free = free_vars(t.body)  # kept up to date as each pending step applies
         inner = []
         for step in pending:
             old, fv, new = step
