@@ -1361,8 +1361,10 @@ def reference_alpha_eq(t, u, env_t=None, env_u=None, depth=0):
 
 
 # Reference term walks: the recursive substitution, renaming, projection and
-# printers that the explicit-stack walks of `lampe.terms` replaced, kept as
-# they were so each walk is compared against an independent copy
+# printers that the explicit-stack walks of `lampe.terms` replaced, each with
+# its old case split (print_term's four helpers included), so each walk is
+# compared against an independent copy.  canonical_str's memo is left out,
+# and free occurrences are counted by plain scoping, not by the stored facts
 
 
 def _reference_map_children(t, f):
@@ -1500,8 +1502,10 @@ def reference_canonical_str(t):
 
 def reference_print_term(t):
     def atom(t):
-        if isinstance(t, (Var, Const)):
-            return go(t)
+        if isinstance(t, Var):
+            return t.var
+        if isinstance(t, Const):
+            return "#c"
         return f"({go(t)})"
 
     def appish(t):
@@ -1522,8 +1526,16 @@ def reference_print_term(t):
             return f"{appish(t.fun)} {atom(t.arg)}"
         if isinstance(t, CbvApp):
             return f"{{{go(t.fun)}}} {atom(t.arg)}"
-        left = atom(t.left) if isinstance(t.left, Choice) else appish(t.left)
-        return f"{left} (+{t.name}.{t.index}) {appish(t.right)}"
+        if isinstance(t, Choice):
+            left = atom(t.left) if isinstance(t.left, Choice) else appish_or_atom(t.left)
+            right = appish_or_atom(t.right)
+            return f"{left} (+{t.name}.{t.index}) {right}"
+        raise TypeError(t)
+
+    def appish_or_atom(t):
+        if isinstance(t, (Lam, Nu, Choice)):
+            return atom(t)
+        return go(t)
 
     return go(t)
 
