@@ -17,9 +17,15 @@ none, the constant's class holds its record, and a node whose set equals a
 child's shares that frozenset.  `canonical_str` and the normal-form marks of
 `rewrite` are kept the same way.
 
-Every walk that rebuilds a term or writes its text runs on an explicit stack,
-through one of two loops, `_walk` and `_text`, so none costs an interpreter
-frame per level of the term.
+Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
+name through one function and its bound choices follow it, and a choice on a
+free name is renamed through a map.  `rename_bound_name` (freshening a binder
+against capture) and `variant_copy` (the k-th copy of a duplicated scope) are
+calls of it.
+
+Every walk over a whole term runs on an explicit stack, so none costs an
+interpreter frame per level: the rebuilding walks through `_walk`, and the
+printers and the remaining queries through loops of their own.
 """
 
 from __future__ import annotations
@@ -139,8 +145,10 @@ _REBUILD = {
     Nu: lambda t, i, new: Nu(t.name, new),
     App: lambda t, i, new: App(new, t.arg) if i == 0 else App(t.fun, new),
     CbvApp: lambda t, i, new: CbvApp(new, t.arg) if i == 0 else CbvApp(t.fun, new),
-    Choice: lambda t, i, new: Choice(
-        *((new, t.right) if i == 0 else (t.left, new)), t.name, t.index
+    Choice: lambda t, i, new: (
+        Choice(new, t.right, t.name, t.index)
+        if i == 0
+        else Choice(t.left, new, t.name, t.index)
     ),
 }
 
@@ -184,20 +192,6 @@ def _walk(t, ctx, enter):
             for c in reversed(kids):
                 stack.append((c, ctx, None))
     return done[0]
-
-
-def _text(t, expand):
-    """The text of t from a stack of items: a string is written out, and any
-    other item x is replaced by `expand[type(x)](x)`, the items it stands
-    for, last first."""
-    out, stack = [], [t]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        else:
-            stack.extend(expand[type(item)](item))
-    return "".join(out)
 
 
 # The shape hash erases variable names, so terms equal up to alpha share it.
@@ -474,39 +468,42 @@ def alpha_eq(t, u):
     return True
 
 
-# canonical_str's expansions, but for variables and lambdas (see there)
-_CANONICAL = {
-    Const: lambda t: ("#c",),
-    Nu: lambda t: (")", t.body, f"(nu {t.name}. "),
-    App: lambda t: (")", t.arg, " ", t.fun, "("),
-    CbvApp: lambda t: (t.arg, "} ", t.fun, "{"),
-    Choice: lambda t: (")", t.right, f" (+{t.name}.{t.index}) ", t.left, "("),
-}
-
-
 def canonical_str(t):
     """Printed form with lambda binders renamed positionally; alpha-invariant,
-    suitable as a dictionary key.  One environment serves the whole walk: a
-    lambda binds its variable for its body, and the empty tuple stacked after
-    the body puts the outer binding back, so memory stays linear in depth."""
+    suitable as a dictionary key.  One loop writes the text from a stack of
+    strings and pending nodes.  One environment serves the whole walk: a
+    lambda binds its variable for its body, and the `None` entry stacked
+    after the body puts the outer binding back."""
     if t._canonical_str is not None:
         return t._canonical_str
     env, hidden = {}, []  # per open lambda: its variable, the binding it hides
-
-    def bind(t):
-        label = f"${len(hidden)}"
-        hidden.append((t.var, env.get(t.var)))
-        env[t.var] = label
-        return (), ")", t.body, f"(\\{label}. "
-
-    def unbind(_):
-        var, outer = hidden.pop()
-        env[var] = outer
-        return ()
-
-    expand = {**_CANONICAL, Lam: bind, tuple: unbind}
-    expand[Var] = lambda t: (env.get(t.var) or t.var,)
-    out = _text(t, expand)
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        kind = type(s)
+        if kind is str:
+            out.append(s)
+        elif kind is Var:
+            out.append(env.get(s.var) or s.var)
+        elif kind is Lam:
+            label = f"${len(hidden)}"
+            hidden.append((s.var, env.get(s.var)))
+            env[s.var] = label
+            stack += None, ")", s.body, f"(\\{label}. "
+        elif s is None:
+            var, outer = hidden.pop()
+            env[var] = outer
+        elif kind is App:
+            stack += ")", s.arg, " ", s.fun, "("
+        elif kind is Choice:
+            stack += ")", s.right, f" (+{s.name}.{s.index}) ", s.left, "("
+        elif kind is Nu:
+            stack += ")", s.body, f"(nu {s.name}. "
+        elif kind is CbvApp:
+            stack += s.arg, "} ", s.fun, "{"
+        else:
+            out.append("#c")
+    out = "".join(out)
     _set_fact(t, "_canonical_str", out)
     return out
 
@@ -517,9 +514,11 @@ def canonical_str(t):
 
 def project(t, names, valuation):
     """Resolve choices on names in `names` using `valuation`, a finite map
-    (Name, index) -> bit.  Other choices and all generators are kept.  A nu
-    binder re-binding a name of `names` shields its scope: the outer bits do
-    not apply there."""
+    (Name, index) -> bit.  Other choices and all generators are kept.
+
+    A nu binder re-binding a name of `names` shields its scope: the outer
+    bits do not apply there.
+    """
 
     def enter(t, active):
         while type(t) is Choice and t.name in active:
@@ -696,5 +695,14 @@ _PRINT = {
 
 
 def print_term(t):
-    """Inverse of parse_term up to whitespace (and alpha for reparse)."""
-    return _text(t, _PRINT)
+    """Inverse of parse_term up to whitespace (and alpha for reparse).  The
+    text is written from a stack of strings and pending nodes, each node
+    replaced by its `_PRINT` expansion."""
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(_PRINT[type(item)](item))
+    return "".join(out)
