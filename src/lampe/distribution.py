@@ -167,8 +167,10 @@ def hnv_lower_bound(t, fuel, mode=PE):
         if not steps:
             break
         used += len(steps)
-        if all(alpha_eq(result, cell[0]) for cell, result in steps):
-            # deterministic head rounds hit a fixpoint: nothing will change
+        if len(steps) == len(redexes) and all(
+            alpha_eq(result, cell[0]) for cell, result in steps
+        ):
+            # a whole round reproduced every redex: nothing will change
             break
         for cell, result in steps:
             _, t = _rebuild(cell, result)

@@ -1743,7 +1743,7 @@ def reference_hnv_lower_bound(t, fuel, mode):
     from lampe.terms import replace_at
 
     def head_round(t, limit):
-        applied = [0]
+        found_and_applied = [0, 0]
 
         def go(t):
             if isinstance(t, Nu):
@@ -1751,13 +1751,16 @@ def reference_hnv_lower_bound(t, fuel, mode):
             if isinstance(t, Choice):
                 return Choice(go(t.left), go(t.right), t.name, t.index)
             found = _reference_head_redex_in_value(t, (), mode)
-            if found is None or applied[0] >= limit:
+            if found is None:
+                return t
+            found_and_applied[0] += 1
+            if found_and_applied[1] >= limit:
                 return t
             _, path, result = found
-            applied[0] += 1
+            found_and_applied[1] += 1
             return replace_at(t, path, result)
 
-        return go(t), applied[0]
+        return go(t), *found_and_applied
 
     used, best = 0, Fraction(0)
     while True:
@@ -1766,9 +1769,10 @@ def reference_hnv_lower_bound(t, fuel, mode):
         best = max(best, hnv_mass(t, mode))
         if used >= fuel:
             return best, fuel, False
-        t2, n = head_round(t, fuel - used)
+        t2, found, n = head_round(t, fuel - used)
         used += n
-        if n == 0 or alpha_eq(t2, t):
+        # a round the fuel cut short is no fixpoint, whatever it reproduced
+        if n == 0 or (n == found and alpha_eq(t2, t)):
             return best, min(used, fuel), True
         t = t2
 

@@ -74,6 +74,27 @@ def test_hnv_lower_bound_examples():
     assert est3.value == Fraction(1, 2)
 
 
+def test_hnv_round_cut_short_by_the_fuel_is_not_exact():
+    """A round that takes only the redexes the fuel allows is no fixpoint,
+    even when each redex it took reproduced itself: at fuel 1 only OMEGA's
+    step runs, and I I is still waiting."""
+    from helpers import reference_hnv_lower_bound
+
+    text = "nu a. OMEGA (+a.0) (I I)"
+    expected = {
+        0: (0, 0, False),
+        1: (0, 1, False),
+        2: (Fraction(1, 2), 2, False),
+        3: (Fraction(1, 2), 3, True),
+        4: (Fraction(1, 2), 3, True),
+        5: (Fraction(1, 2), 3, True),
+    }
+    for fuel, answer in expected.items():
+        est = hnv_lower_bound(parse_term(text), fuel)
+        assert (est.value, est.fuel_used, est.exact) == answer
+        assert reference_hnv_lower_bound(parse_term(text), fuel, PE) == answer
+
+
 def test_hnv_monotone_in_fuel():
     t = parse_term(r"nu a. (\x.\y.(y (+a.0) I) x) (nu b. I (+b.0) OMEGA)")
     values = [hnv_lower_bound(t, f).value for f in (0, 2, 5, 10, 50, 200)]
