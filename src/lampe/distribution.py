@@ -20,6 +20,11 @@ distribution, and the others give the cells of the round's head redexes,
 left to right.  Only those the fuel lets the round take are contracted,
 through `rewrite._rebuild`, as `_segment`'s head steps are.
 
+A run of `hnv_lower_bound` or `nf_mass` that ends exact cut no round or
+segment short, so any larger fuel replays it step for step: the argument
+node keeps its (value, fuel_used), one slot per functional and mode, and a
+later call on the node with fuel > fuel_used answers from it.
+
 `nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
 normalization plus head beta steps, until a generator or a head normal value
 appears, a head step reproduces its term, or the fuel limit is passed.
@@ -35,6 +40,7 @@ from fractions import Fraction
 from .errors import ModeViolationError, OpenNamesError, PreconditionError
 from .rewrite import (
     PE,
+    PE_BRACES,
     _branches,
     _check_fuel,
     _contract,
@@ -44,6 +50,7 @@ from .rewrite import (
     _normal_fact,
     _rebuild,
     _require_closed_pnf,
+    _require_mode,
     _tree_leaves,
     is_hnv,
     pnf,
@@ -144,6 +151,27 @@ def _head_round(t, mode):
     return mass, redexes
 
 
+# the slot of each functional's exact bound in a term's `_bounds`
+_HNV_SLOT = {PE: 0, PE_BRACES: 1}
+_NF_SLOT = 2
+
+
+def _known_bound(t, slot, fuel):
+    """The exact bound kept on t in `slot`, if a run with `fuel` replays it."""
+    known = t._bounds and t._bounds[slot]
+    if known and fuel > known[1]:
+        return TerminationEstimate(known[0], known[1], True)
+    return None
+
+
+def _keep_bound(t, slot, est):
+    if est.exact:
+        bounds = list(t._bounds or (None, None, None))
+        bounds[slot] = (est.value, est.fuel_used)
+        object.__setattr__(t, "_bounds", tuple(bounds))
+    return est
+
+
 def hnv_lower_bound(t, fuel, mode=PE):
     """Fuel-bounded under-approximation of the head-normalization
     probability: head-reduce fairly across branches, keeping the best mass
@@ -151,7 +179,11 @@ def hnv_lower_bound(t, fuel, mode=PE):
     _check_fuel(fuel)
     if free_names(t):
         raise OpenNamesError("term has free names")
-    used = 0
+    _require_mode(t, mode)
+    known = _known_bound(t, _HNV_SLOT[mode], fuel)
+    if known is not None:
+        return known
+    root, used = t, 0
     best = Fraction(0)
     exact = True
     while True:
@@ -174,7 +206,8 @@ def hnv_lower_bound(t, fuel, mode=PE):
             break
         for cell, result in steps:
             _, t = _rebuild(cell, result)
-    return TerminationEstimate(best, min(used, fuel), exact)
+    est = TerminationEstimate(best, min(used, fuel), exact)
+    return _keep_bound(root, _HNV_SLOT[mode], est)
 
 
 def _segment(t, mode, limit):
@@ -251,8 +284,11 @@ def nf_mass(t, fuel, mode=PE):
         )
     if free_names(t):
         raise OpenNamesError("term has free names")
+    known = _known_bound(t, _NF_SLOT, fuel)
+    if known is not None:
+        return known
     value, used, exact = _nf_rec(t, fuel, PE)
-    return TerminationEstimate(value, min(used, fuel), exact)
+    return _keep_bound(t, _NF_SLOT, TerminationEstimate(value, min(used, fuel), exact))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ stays in the instance's inline attribute values, with no per-node dict.
 One iterative pass builds a non-leaf node's fact record (free variables,
 free names, contains CbV, shape hash) from its children's; a variable keeps
 none, the constant's class holds its record, and a node whose set equals a
-child's shares that frozenset.  `canonical_str` and the normal-form marks of
-`rewrite` are kept the same way.
+child's shares that frozenset.  `canonical_str`, the normal-form marks of
+`rewrite` (`_normal`) and the exact termination bounds of `distribution`
+(`_bounds`, numbers only) are kept the same way.
 
 Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
 name through one function and its bound choices follow it, and a choice on a
@@ -77,6 +78,7 @@ class Term:
     _facts = None
     _canonical_str = None
     _normal = 0
+    _bounds = None
 
 
 @dataclass(frozen=True)

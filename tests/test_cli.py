@@ -219,6 +219,22 @@ def test_sample_and_estimate(capsys):
     assert 0.3 < int(num) / int(den) < 0.7
 
 
+def test_sample_prints_head_normal_or_exhausted(capsys):
+    term = "nu a. I (+a.0) OMEGA"
+    code, out, _ = invoke(capsys, "sample", "--seed", "0", "--fuel", "400", term)
+    assert (code, out) == (0, "HEAD_NORMAL \\x. x\n")
+    code, out, _ = invoke(capsys, "sample", "--seed", "1", "--fuel", "400", term)
+    assert (code, out) == (0, "EXHAUSTED\n")
+
+
+def test_hnv_round_cut_short_prints_the_exhausted_line(capsys):
+    term = "nu a. OMEGA (+a.0) (I I)"
+    code, out, err = invoke(capsys, "hnv", "--fuel", "1", term)
+    assert (code, out, err) == (0, "0/1\n", "lower bound (fuel exhausted)\n")
+    code, out, err = invoke(capsys, "hnv", "--fuel", "3", term)
+    assert (code, out, err) == (0, "1/2\n", "")
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import random
@@ -326,10 +327,13 @@ def test_segment_hint_matches_the_restarting_loop(monkeypatch):
         return result, trace
 
     monkeypatch.setattr(dist, "pnf", checked_pnf)
-    terms = [t for n in range(1, 6) for t in termination_terms(n)]
-    terms += [parse_term(text) for text in _FIXED_TERMS + [_STEPS_ABOVE_THE_HINT]]
-    for t in terms:
+    texts = [print_term(t) for n in range(1, 6) for t in termination_terms(n)]
+    texts += _FIXED_TERMS + [_STEPS_ABOVE_THE_HINT]
+    for text in texts:
         for fuel in (60, 400, 1000):
+            # a fresh parse for each fuel: an exact nf_mass bound kept on
+            # the node would answer the larger fuels without a segment
+            t = parse_term(text)
             dist._segment(t, PE, fuel)
             nf_mass(t, fuel)
     assert sum(hinted) >= 100
@@ -442,3 +446,103 @@ def test_nf_mass_of_a_spine_that_grows_each_head_step():
     t = parse_term(r"(\v0. (nu a. v0) (nu b. v0)) (nu c. \v0. v0 v0 v0)")
     est = nf_mass(t, 400)
     assert (est.value, est.fuel_used, est.exact) == (0, 400, False)
+
+
+def _bound_answer(functional, t, fuel, mode):
+    try:
+        est = functional(t, fuel, mode)
+    except Exception as error:  # the error is part of the answer
+        return type(error), str(error)
+    return est.value, est.fuel_used, est.exact
+
+
+def _fuel_sweep_texts():
+    from helpers import random_term
+
+    rng = random.Random(41)
+    terms = [
+        random_term(rng, rng.randrange(3, 16), [], [], allow_cbv=i % 3 == 0)
+        for i in range(200)
+    ]
+    terms += [t for n in range(1, 5) for t in termination_terms(n)]
+    texts = [print_term(t) for t in terms] + ["nu a. OMEGA (+a.0) (I I)"]
+    assert all(parse_term(print_term(t)) == t for t in terms)
+    return texts
+
+
+_SWEEP_FUELS = list(range(30)) + [60, 1000]
+
+
+def test_fuel_sweep_answers_match_a_fresh_parse():
+    """An exact bound kept on a node answers later calls with more fuel; in
+    any order of fuels, every answer on one shared node, error or estimate,
+    is the answer for a fresh parse of the term, and the kept facts are
+    numbers only."""
+    from lampe.terms import Term
+
+    shuffled = list(_SWEEP_FUELS)
+    random.Random(43).shuffle(shuffled)
+    orders = [_SWEEP_FUELS, _SWEEP_FUELS[::-1], shuffled]
+    reused = kept = 0
+    for text in _fuel_sweep_texts():
+        for mode in (PE, PE_BRACES):
+            for functional in (hnv_lower_bound, nf_mass):
+                fresh = {
+                    fuel: _bound_answer(functional, parse_term(text), fuel, mode)
+                    for fuel in _SWEEP_FUELS
+                }
+                for fuels in orders:
+                    shared = parse_term(text)
+                    for fuel in fuels:
+                        known = shared._bounds
+                        answer = _bound_answer(functional, shared, fuel, mode)
+                        assert answer == fresh[fuel], (text, mode, fuel)
+                        reused += known is not None and answer[-1] is True
+                    if shared._bounds is not None:
+                        kept += 1
+                        for fact in shared._bounds:
+                            assert fact is None or (
+                                type(fact) is tuple
+                                and type(fact[0]) is Fraction
+                                and type(fact[1]) is int
+                            )
+                            assert not isinstance(fact, Term)
+    assert reused >= 30000 and kept >= 1500
+    names = {f.name for f in dataclasses.fields(parse_term("I"))}
+    assert "_bounds" not in names
+
+
+def test_fuel_sweep_fact_keeps_the_checks():
+    """A kept fact answers only after the checks a full run makes: negative
+    fuel, open names, CbV under plain PE and an unknown mode still raise."""
+    from lampe.errors import PreconditionError
+
+    closed = parse_term("nu a. I (+a.0) OMEGA")
+    assert hnv_lower_bound(closed, 60).exact and nf_mass(closed, 60).exact
+    cbv = parse_term(r"{\x. x} (nu a. I (+a.0) OMEGA)")
+    assert hnv_lower_bound(cbv, 60, PE_BRACES).exact
+    for t in (closed, cbv):
+        assert t._bounds is not None
+        for functional in (hnv_lower_bound, nf_mass):
+            with pytest.raises(PreconditionError):
+                functional(t, -1)
+    with pytest.raises(ModeViolationError):
+        hnv_lower_bound(cbv, 60, PE)
+    with pytest.raises(ModeViolationError):
+        nf_mass(cbv, 60)
+    with pytest.raises(ModeViolationError):
+        nf_mass(closed, 60, PE_BRACES)
+    with pytest.raises(ValueError):
+        hnv_lower_bound(closed, 60, "no-such-mode")
+    # a fact planted in every slot of a node the checks reject is never read
+    full = ((Fraction(1), 0),) * 3
+    opened = parse_term(r"\x. x (+a.0) I")
+    for t in (opened, cbv):
+        object.__setattr__(t, "_bounds", full)
+    for functional in (hnv_lower_bound, nf_mass):
+        with pytest.raises(OpenNamesError):
+            functional(opened, 60)
+    with pytest.raises(ModeViolationError):
+        hnv_lower_bound(cbv, 60, PE)
+    with pytest.raises(ModeViolationError):
+        nf_mass(cbv, 60)
