@@ -523,10 +523,6 @@ def test_fuel_sweep_fact_keeps_the_checks():
             with pytest.raises(PreconditionError):
                 functional(t, -1)
     with pytest.raises(ModeViolationError):
-        hnv_lower_bound(cbv, 60, PE)
-    with pytest.raises(ModeViolationError):
-        nf_mass(cbv, 60)
-    with pytest.raises(ModeViolationError):
         nf_mass(closed, 60, PE_BRACES)
     with pytest.raises(ValueError):
         hnv_lower_bound(closed, 60, "no-such-mode")
