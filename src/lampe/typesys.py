@@ -55,6 +55,7 @@ from .terms import (
     Var,
     alpha_eq,
     free_names,
+    free_vars,
     parse_term,
     print_term,
     substitute,
@@ -500,6 +501,10 @@ def _check_judgement_wf(j, system):
     if not free_names(j.term) <= j.names:
         raise RuleShapeError(
             f"term names escape the judgement name set in {j.format()}"
+        )
+    if not free_vars(j.term) <= seen:
+        raise RuleShapeError(
+            f"term variables escape the judgement context in {j.format()}"
         )
     _shape(
         formula_names(j.constraint) <= j.names,

@@ -722,6 +722,19 @@ def test_escaping_term_name_message_quotes_the_judgement():
     )
 
 
+def test_a_variable_outside_the_context_is_rejected():
+    """|- \\x. v : o => o in the empty context: the lam premise declares v
+    itself, so its bound variable would capture the body's free v."""
+    premise = D("id", J((("v", O),), (), Var("v"), TOP, O))
+    d = D("lam", J((), (), Lam("x", Var("v")), TOP, Arrow(O, O)), (premise,))
+    with pytest.raises(RuleShapeError) as err:
+        check_derivation(d, CBV)
+    assert str(err.value) == (
+        "E_RULE_SHAPE: term variables escape the judgement context in "
+        f"{d.judgement.format()}"
+    )
+
+
 def test_hn_and_n_rules_in_derivations():
     from lampe.typesys import HN, N
 
@@ -1026,6 +1039,13 @@ def test_a_type_that_failed_validation_fails_again():
     # the valid domain keeps its own mark
     assert t.body.dom.__dict__["_valid_under"] == (CN,)
 
+
+
+def test_an_unknown_system_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown system 'foo'"):
+        check_derivation(identity_derivation(), "foo")
+    with pytest.raises(ValueError, match="foo"):
+        validate_type(O, "foo")
 
 
 @pytest.mark.parametrize("q", ["3/2", "0"])
