@@ -11,7 +11,10 @@ resolving the rearranged choices the same way on both sides; a generator
 permutation is a generator lift (`_lift_nu`), which re-associates each
 counting leaf of the generator's typing with its neighbour and puts one
 counting node over the result.  Disjunction nodes are peeled into their
-leaves and reassembled around the transformed pieces.
+leaves and reassembled around the transformed pieces.  The handlers test no
+node's rule: `transport_subject_reduction` checks the derivation first, and
+the CbV checker types each term former by exactly one rule, so the subject
+that `apply_rule_at` matched fixes the rule of every node a handler reads.
 
 The structural rewrites that keep every node's rule (adding names, renaming a
 context variable, renaming generator names) are labelling functions handed
@@ -27,15 +30,12 @@ from .formulas import And, Atom, Not, _one_manager, rename_formula_names
 from .rewrite import apply_rule_at
 from .terms import (
     CbvApp,
-    Choice,
     Nu,
     Var,
     alpha_eq,
     bound_names,
     copy_variant_name,
     count_free_occurrences,
-    free_names,
-    free_vars,
     rename_names,
     substitute,
     substitute_indexed,
@@ -230,13 +230,6 @@ def subst_typing(d, x, arg_derivation):
                 )
                 return _or([plugged], new_j)
             return _node("id", new_j, ())
-        if d.rule == "lam":
-            binder = _binder(d)
-            premise = d.premises[0]
-            if binder in free_vars(u) or binder == x:
-                fresh = _fresh_var(binder, free_vars(u) | {z for z, _ in j.ctx} | {x})
-                premise = rename_derivation_var(premise, binder, fresh)
-            return _node("lam", new_j, [go(premise, offset)], d.side)
         offsets = premise_offsets(d, offset)
         return _node(
             d.rule,
@@ -252,22 +245,13 @@ def subst_typing(d, x, arg_derivation):
 # Harvesting typed pieces out of choice / generator typings
 
 
-def typed_leaves(d, rules, kind):
-    """The or-leaves of d, each of which must be typed by one of `rules`."""
-    leaves = or_leaves(d)
-    for leaf in leaves:
-        if leaf.rule not in rules:
-            _unsupported(f"{kind} subject typed by rule {leaf.rule}")
-    return leaves
-
-
 def branch_typings(d, want_left):
     """Sub-derivations typing the chosen branch of a choice subject, whose
     constraints jointly cover the subject constraint under the pivot literal."""
     keep = "plus-l" if want_left else "plus-r"
     return [
         leaf.premises[0]
-        for leaf in typed_leaves(d, ("plus-l", "plus-r"), "choice")
+        for leaf in or_leaves(d)
         if leaf.rule == keep
     ]
 
@@ -318,11 +302,9 @@ def _split(j, after, piece):
 
 
 def _root_beta(d, j, after):
-    if d.rule != "app":
-        _unsupported("beta step against a non-application typing")
     dfun, darg = d.premises
     pieces = []
-    for lf in typed_leaves(dfun, ("lam",), "lambda"):
+    for lf in or_leaves(dfun):
         binder = _binder(lf)
         for la in or_leaves(darg):
             pieces.append(subst_typing(lf.premises[0], binder, la))
@@ -351,12 +333,8 @@ def _root_same_pivot(d, j, after, nested_left):
 
 def _root_plus_lam(d, j, after):
     # \x. (l (+a.i) r) ~> (\x. l) (+a.i) (\x. r)
-    if d.rule != "lam":
-        _unsupported("plus-lam against a non-lambda typing")
     body_deriv = d.premises[0]
     pb = body_deriv.judgement
-    if not isinstance(pb.term, Choice):
-        _unsupported("lambda body premise is not a choice typing")
 
     def piece(bv, left):
         core = _chosen(body_deriv, left, pb.term.left if left else pb.term.right, bv)
@@ -369,8 +347,6 @@ def _root_plus_lam(d, j, after):
 def _root_plus_app(d, j, after, fun_side):
     """The four choice-past-application permutations."""
     expected = "cbv" if isinstance(j.term, CbvApp) else "app"
-    if d.rule != expected:
-        _unsupported(f"step against a non-{expected} typing")
     dfun, darg = d.premises
     choice_deriv, other_deriv = (dfun, darg) if fun_side else (darg, dfun)
 
@@ -416,8 +392,6 @@ def _root_plus_plus(d, j, after, left_nested):
 
 def _root_plus_nu(d, j, after):
     # nu b. (l (+a.i) r) ~> (nu b. l) (+a.i) (nu b. r)
-    if d.rule != "mu":
-        _unsupported("plus-nu against a non-counting typing")
     inner = d.premises[0]
     dloc, q = d.side["d"], d.side["q"]
 
@@ -437,7 +411,7 @@ def _lift_nu(j, after, gen, body):
     of `after`'s body and the constraint, exponent and side data of the
     counting node over it."""
     pieces = []
-    for leaf in typed_leaves(gen, ("mu",), "generator"):
+    for leaf in or_leaves(gen):
         premise, constraint, q, side = body(leaf)
         ty = Counted(q, premise.judgement.type)
         mu_j = _with(j, term=after, constraint=constraint, type_=ty)
@@ -447,8 +421,6 @@ def _lift_nu(j, after, gen, body):
 
 def _root_nu_lam(d, j, after):
     # \x. nu b. B ~> nu b. \x. B
-    if d.rule != "lam":
-        _unsupported("nu-lam against a non-lambda typing")
     nu_deriv = d.premises[0]
     arg_type = dict(nu_deriv.judgement.ctx)[_binder(d)]
 
@@ -474,13 +446,10 @@ def _root_nu_lam(d, j, after):
 
 def _root_nu_fun(d, j, after):
     # (nu b. F) w ~> nu b. (F w)
-    if d.rule != "app":
-        _unsupported("nu-fun against a non-application typing")
     dfun, darg = d.premises
-    # the premises are typed with the old name, which rewrite renames on capture
+    # the premises keep the old name: a checked mu premise keeps it out of
+    # the name set, which holds the argument's free names, so no capture
     name = j.term.fun.name
-    if name in free_names(j.term.arg):
-        _unsupported("argument captures the generator name")
     bw = darg.judgement.constraint
     arg_named = names_weaken(darg, {name})
 
@@ -505,13 +474,10 @@ def _root_nu_fun(d, j, after):
 
 def _root_cbv_nu(d, j, after):
     # {F} (nu b. U) ~> nu b. (F U)
-    if d.rule != "cbv":
-        _unsupported("cbv-nu against a non-cbv typing")
     dfun, darg = d.premises
-    # the premises are typed with the old name, which rewrite renames on capture
+    # the premises keep the old name: a checked mu premise keeps it out of
+    # the name set, which holds the function's free names, so no capture
     name = j.term.arg.name
-    if name in free_names(j.term.fun):
-        _unsupported("function captures the generator name")
     q = darg.judgement.type.q * _get_scale(d)
     bf = dfun.judgement.constraint
     fun_named = names_weaken(dfun, {name})
@@ -585,11 +551,9 @@ def _descend(d, rule, path, mode):
     new_term = _reapply(j.term, rule, path, mode)
     if child not in mapping:
         # untyped branch of a one-sided choice rule: the typing is unaffected
-        if d.rule in ("plus-l", "plus-r"):
-            return TypingDerivation(
-                d.rule, _with(j, term=new_term), d.premises, d.side
-            )
-        _unsupported(f"cannot descend child {child} of rule {d.rule}")
+        return TypingDerivation(
+            d.rule, _with(j, term=new_term), d.premises, d.side
+        )
     idx = mapping[child]
     new_premise = _descend(d.premises[idx], rule, path[1:], mode)
     premises = list(d.premises)
@@ -604,7 +568,7 @@ def _reapply(term, rule, path, mode):
     try:
         return apply_rule_at(term, rule, path, mode)
     except NotPnfError as exc:
-        _unsupported(str(exc))
+        _unsupported(exc.message)
 
 
 @_one_manager

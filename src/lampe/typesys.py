@@ -106,9 +106,6 @@ class Mset:
     # read by validate_type when a multiset stands where a type should
     _valid_under = ()
 
-    def __len__(self):
-        return len(self.items)
-
 
 O = Ground(GROUND_O)
 HN = Ground(GROUND_HN)
