@@ -197,6 +197,23 @@ def test_simulate_cli(capsys, tmp_path):
     assert "0 failures" in out
 
 
+def test_simulate_cli_reports_a_failed_witness(capsys, tmp_path, monkeypatch):
+    """A witness that takes no step leaves the proof term unreduced: the
+    entry reports both terms and the command exits with an error."""
+    from lampe import proofs
+
+    monkeypatch.setitem(proofs._WITNESS_STEPS, "m-imp-e-fun", ())
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(proof_to_json(cut_proof())))
+    code, out, err = invoke(capsys, "simulate", "--fuel", "1000", str(path))
+    assert code == 1
+    assert err.strip() == "E_INTERNAL: simulation failures"
+    (failed,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed.startswith("FAIL m-imp-e-fun (0 steps) reached ")
+    assert ", expected " in failed
+    assert out.splitlines()[-1].endswith(" steps, 1 failures")
+
+
 def test_sample_and_estimate(capsys):
     code, out, _ = invoke(
         capsys, "sample", "--seed", "1", "--fuel", "50", "nu a. I (+a.0) OMEGA"

@@ -45,6 +45,7 @@ from lampe.proofs import (
     proof_to_json,
     translate,
     verify_simulation,
+    weaken_proof,
 )
 from lampe.terms import Name, alpha_eq, parse_term, print_term, subterm_at
 from lampe.typesys import CBV, check_derivation, print_type
@@ -158,6 +159,25 @@ def test_an_unknown_rule_is_reported_after_its_premises():
     with pytest.raises(RuleShapeError) as err:
         check_proof(P("foo", S((A,), TOP, A), (good, good)))
     assert err.value.message == "unknown proof rule foo"
+
+
+def test_proof_walks_reject_an_unknown_rule():
+    """weaken_proof and proof_term, which check_proof's callers reach only
+    with checked proofs, still name a rule they do not know."""
+    unknown = P("foo", S((A,), TOP, A))
+    with pytest.raises(RuleShapeError) as err:
+        weaken_proof(unknown, TOP)
+    assert err.value.message == "foo"
+    with pytest.raises(RuleShapeError) as err:
+        proof_term(unknown)
+    assert err.value.message == "foo"
+
+
+def test_weakening_a_proof_by_its_bound_name_is_ill_formed():
+    """The half-identity's ci node binds a, so a constraint on a would be
+    captured by it."""
+    with pytest.raises(IllFormedError, match="collides with a bound name"):
+        weaken_proof(half_id_proof(), Atom(a, 0))
 
 
 def test_checking_survives_a_10000_deep_proof():

@@ -165,6 +165,11 @@ def test_reduce_negative_fuel_is_a_precondition_error(strategy):
         reduce_term(parse_term(r"(\x. x) y"), PE, strategy, -1)
 
 
+def test_reduce_rejects_an_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy 'inner'"):
+        reduce_term(parse_term(r"(\x. x) y"), PE, "inner")
+
+
 def test_reduce_cbn_reaches_four_branch_pnf():
     t = parse_term(r"(\y.\x.{y}(y x)) (nu a. I (+a.0) OMEGA)")
     out = reduce_term(t, PE_BRACES, "full", 200)

@@ -5,6 +5,9 @@ import pytest
 
 from helpers import (
     A_,
+    C1O,
+    D,
+    J,
     cbv_fixture_corpus,
     choice_tree_derivation,
     clash_derivation,
@@ -185,6 +188,60 @@ def test_transport_renames_a_binder_that_the_plugged_context_adds(mode):
     assert same_judgement(out.judgement, expected_judgement(d, s))
     binders = {x for n in tree_nodes(out) for x, _ in n.judgement.ctx}
     assert binders == {"y", "y'"}
+
+
+def test_transport_refuses_a_rule_that_does_not_apply():
+    """A step of the derivation's own subject whose rule does not apply at
+    its path is refused with the rewrite's message under one code."""
+    from lampe.rewrite import ReductionStep
+
+    d = coin_derivation()
+    t = d.judgement.term
+    with pytest.raises(UnsupportedStepError) as err:
+        transport_subject_reduction(d, ReductionStep("plus-lam", (), t, t), PE_BRACES)
+    assert str(err.value) == (
+        "E_UNSUPPORTED_STEP: rule plus-lam does not apply at path ()"
+    )
+
+
+def test_transport_refuses_a_name_weakening_that_collides():
+    """z: o, y: o |-{} (nu a. \\x. z) (nu a. y) : T ~> C[1/1] o.  The nu-fun
+    step lifts the function's generator a over the argument, whose own
+    generator binds a too."""
+    from fractions import Fraction
+
+    from lampe.terms import App, Lam, Nu, Var
+    from lampe.typesys import Arrow, Counted
+
+    ctx = (("z", O), ("y", O))
+    one = Fraction(1)
+    lam = Lam("x", Var("z"))
+    body = D("id", J(ctx + (("x", C1O),), {A_}, Var("z"), TOP, O))
+    fun = D(
+        "mu",
+        J(ctx, (), Nu(A_, lam), TOP, Counted(one, Arrow(C1O, O))),
+        (D("lam", J(ctx, {A_}, lam, TOP, Arrow(C1O, O)), (body,)),),
+        {"d": TOP, "q": one},
+    )
+    arg = D(
+        "mu",
+        J(ctx, (), Nu(A_, Var("y")), TOP, C1O),
+        (D("id", J(ctx, {A_}, Var("y"), TOP, O)),),
+        {"d": TOP, "q": one},
+    )
+    t = App(fun.judgement.term, arg.judgement.term)
+    d = D("app", J(ctx, (), t, TOP, C1O), (fun, arg))
+    assert d.judgement.format() == (
+        r"z: o, y: o |-{} (nu a. \x. z) (nu a. y) : T ~> C[1/1] o"
+    )
+    check_derivation(d, CBV)
+    (s,) = step(t, PE_BRACES)
+    assert (s.rule, s.path) == ("nu-fun", ())
+    with pytest.raises(UnsupportedStepError) as err:
+        transport_subject_reduction(d, s, PE_BRACES)
+    assert str(err.value) == (
+        "E_UNSUPPORTED_STEP: name weakening collides with bound name a"
+    )
 
 
 def test_weakenings_reject_a_colliding_name():
