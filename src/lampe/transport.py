@@ -29,7 +29,6 @@ from .errors import NotPnfError, UnsupportedStepError
 from .formulas import And, Atom, Not, _one_manager, rename_formula_names
 from .rewrite import apply_rule_at
 from .terms import (
-    CbvApp,
     Nu,
     Var,
     alpha_eq,
@@ -346,7 +345,6 @@ def _root_plus_lam(d, j, after):
 
 def _root_plus_app(d, j, after, fun_side):
     """The four choice-past-application permutations."""
-    expected = "cbv" if isinstance(j.term, CbvApp) else "app"
     dfun, darg = d.premises
     choice_deriv, other_deriv = (dfun, darg) if fun_side else (darg, dfun)
 
@@ -355,7 +353,7 @@ def _root_plus_app(d, j, after, fun_side):
         core = _chosen(choice_deriv, left, app.fun if fun_side else app.arg, bv)
         partner = weaken_constraint(other_deriv, bv)
         premises = [core, partner] if fun_side else [partner, core]
-        return _node(expected, _with(j, term=app, constraint=bv), premises, d.side)
+        return _node(d.rule, _with(j, term=app, constraint=bv), premises, d.side)
 
     return _split(j, after, piece)
 

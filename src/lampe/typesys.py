@@ -838,6 +838,46 @@ _RULE_CHECKERS = {
 # The admissible generalized counting rule
 
 
+def _atom_mask(bit, rows):
+    """The `rows`-bit int whose bit r is bit `bit` of r: a period of 2^bit
+    zeros and 2^bit ones, doubled by shift-and-or until it spans the rows."""
+    half = 1 << bit
+    mask, width = ((1 << half) - 1) << half, half << 1
+    while width < rows:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+def _truth_table(b, bits, rows):
+    """The truth table of b as a `rows`-bit int whose bit r is set iff b
+    holds on row r, where atom x takes bit `bits[x]` of r.  Bit-parallel
+    (Knuth, TAOCP 4A §7.1.1): one pass over b on an explicit stack, where a
+    connective's class stands for applying it to the tables on top, so each
+    operand's table is dropped as soon as its parent has read it."""
+    full = (1 << rows) - 1
+    tables = []
+    stack = [b]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if f is Not:
+            tables[-1] ^= full
+        elif f is And:
+            tables.append(tables.pop() & tables.pop())
+        elif f is fm.Or:
+            tables.append(tables.pop() | tables.pop())
+        elif kind is Atom:
+            tables.append(_atom_mask(bits[f.name, f.index], rows))
+        elif kind is Not:
+            stack += (Not, f.arg)
+        elif kind is And or kind is fm.Or:
+            stack += (kind, f.right, f.left)
+        else:
+            tables.append(full if kind is fm.Top else 0)
+    return tables[0]
+
+
 @_one_manager
 def apply_mu_star(d, order=None):
     """Discharge every name of the root judgement at once, scaling the
@@ -845,9 +885,11 @@ def apply_mu_star(d, order=None):
 
     A row picks one complete minterm per name over that name's atoms in
     the constraint, so it decides the constraint, and the rows that satisfy
-    it partition it.  One recursive fold walks the rows in product order,
-    name by name, keeps a row iff the constraint evaluates true on it, and
-    discharges each name with the summing counting rule over the surviving
+    it partition it.  The constraint's truth table over the rows in product
+    order, name by name, is one int, computed once.  One recursive fold
+    walks the rows in that order, skips every row prefix whose span of the
+    table is 0, puts one `or` node over `d` under each row whose bit is set,
+    and discharges each name with the summing counting rule over the kept
     rows under its prefix, innermost first.  Without `order` the names go
     in text order.  The opening check of `d` already rejects a root type
     without its quantifier and a constraint that names a name outside the
@@ -863,47 +905,58 @@ def apply_mu_star(d, order=None):
     if len(names) != len(j.names) or set(names) != j.names:
         raise PreconditionError("name order must enumerate the judgement names")
 
-    minterms = []  # per name, in product order: (minterm, measure, bits)
+    minterms = []  # per name, in product order: (minterm, measure)
+    row_atoms = []  # the atoms a row sets, in product order
     for a in names:
         indices = sorted(i for (n, i) in fm.atoms(b) if n is a)
+        row_atoms += ((a, i) for i in indices)
         per_name = []
         for signs in itertools.product((0, 1), repeat=len(indices)):
-            bits = {(a, i): sign for i, sign in zip(indices, signs)}
-            m = conj(Atom(a, i) if bits[a, i] else Not(Atom(a, i)) for i in indices)
-            per_name.append((m, measure(m), bits))
+            m = conj(
+                Atom(a, i) if sign else Not(Atom(a, i))
+                for i, sign in zip(indices, signs)
+            )
+            per_name.append((m, measure(m)))
         minterms.append(per_name)
+    # the p-th of the n row atoms is bit n - 1 - p of a row's index
+    n = len(row_atoms)
+    bits = {x: n - 1 - p for p, x in enumerate(row_atoms)}
+    rows = 1 << n
 
-    def fold(k, prefix, valuation):
-        """The derivation under the row prefix, whose minterms `prefix`
-        conjoins, or None when no row under it satisfies the constraint.
-        A row's formula is one object, shared by the sub-derivation's root
-        and the case node above it, except at the top, where the case is
-        And(TOP, m) over the minterm m itself."""
+    def fold(k, prefix, table, width):
+        """The derivation under the row prefix whose minterms `prefix`
+        conjoins, where `table`, never 0, is the `width`-row span of the
+        truth table under that prefix.  A complete row is one `or` node over
+        `d`; above it, each name's `mu-sigma` node takes the derivations of
+        its nonzero sub-spans directly as premises, found lowest first by
+        the lowest set bit, so the zero spans between them cost nothing.  At
+        the top a premise's constraint is the minterm m, not And(TOP, m),
+        which `_check_mu_sigma` accepts as equivalent."""
         if k == len(names):
-            if not fm.eval_formula(b, valuation):
-                return None
             leaf = Judgement(j.ctx, j.names, j.term, prefix, j.type)
             return TypingDerivation("or", leaf, (d,), {})
+        per_name = minterms[k]
+        width //= len(per_name)
+        span = (1 << width) - 1
         premises = []
         cases = []
         total = Fraction(0)
-        for m, s, bits in minterms[k]:
-            case_formula = And(prefix, m)
-            row = case_formula if k else m
-            sub = fold(k + 1, row, {**valuation, **bits})
-            if sub is None:
-                continue
-            pj = sub.judgement
-            case = Judgement(pj.ctx, pj.names, pj.term, case_formula, pj.type)
-            premises.append(TypingDerivation("or", case, (sub,), {}))
+        i = 0  # the minterm whose span is at the bottom of `table`
+        while table:
+            skip = ((table & -table).bit_length() - 1) // width
+            table >>= skip * width
+            i += skip
+            m, s = per_name[i]
+            sub = fold(k + 1, And(prefix, m) if k else m, table & span, width)
+            table >>= width
+            i += 1
+            premises.append(sub)
             cases.append((m, s))
-            total += pj.type.q * s
-        if not premises:
-            return None
+            total += sub.judgement.type.q * s
         root = Judgement(
             j.ctx,
             j.names - set(names[k:]),
-            Nu(names[k], pj.term),
+            Nu(names[k], sub.judgement.term),
             prefix,
             Counted(total, j.type.body),
         )
@@ -911,11 +964,7 @@ def apply_mu_star(d, order=None):
             "mu-sigma", root, tuple(premises), {"cases": tuple(cases)}
         )
 
-    folded = fold(0, TOP, {})
-    fj = folded.judgement
-    result = TypingDerivation(
-        "or", Judgement(fj.ctx, fj.names, fj.term, TOP, fj.type), (folded,), {}
-    )
+    result = fold(0, TOP, _truth_table(b, bits, rows), rows)
     check_derivation(result, INT)
     expected = Counted(j.type.q * measure(b), j.type.body)
     if result.judgement.type != expected:

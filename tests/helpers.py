@@ -1059,7 +1059,10 @@ def reference_mu_star(d, order=None):
     """The row-enumeration construction of `apply_mu_star` that the fold
     replaced: every complete minterm row in product order is tested with the
     oracle, then the kept rows are regrouped level by level under their
-    printed prefixes.  Kept only to pin the fold's output."""
+    printed prefixes.  Each kept row is one `or` node over `d`, and each
+    `mu-sigma` node takes its sub-derivations directly as premises, so the
+    result's root is the outermost `mu-sigma` node.  Kept only to pin the
+    fold's output."""
     import itertools
 
     from lampe.formulas import atoms, conj, entails, print_formula, satisfiable
@@ -1109,7 +1112,7 @@ def reference_mu_star(d, order=None):
                 dloc = row[-1]
                 s = measure(dloc)
                 pj = deriv.judgement
-                premises.append(weaken(deriv, And(prefix_formula, dloc), pj.names))
+                premises.append(deriv)
                 cases.append((dloc, s))
                 total += pj.type.q * s
             first = premises[0].judgement
@@ -1123,8 +1126,7 @@ def reference_mu_star(d, order=None):
             new_level.append((prefix_row, D("mu-sigma", root_j, premises, {"cases": cases})))
         level = new_level
     assert len(level) == 1
-    result = level[0][1]
-    return weaken(result, TOP, result.judgement.names)
+    return level[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,13 @@ from lampe.errors import (
 )
 from lampe import typesys
 from lampe.formulas import (
+    BOT,
     And,
     Atom,
     Not,
     Or,
     TOP,
+    conj,
     parse_formula,
     print_formula,
     satisfiable,
@@ -485,11 +487,38 @@ def _two_name_premise():
     return D("or", J((), names, t, Or(c1, c2), ty1), (top_l, top_r))
 
 
+def _restating_or_nodes(d):
+    """The `or` nodes of d whose one premise has the node's own judgement."""
+    return [
+        n
+        for n in tree_nodes(d)
+        if n.rule == "or"
+        and len(n.premises) == 1
+        and typesys.same_judgement(n.premises[0].judgement, n.judgement)
+    ]
+
+
 def test_mu_star_two_name_instance():
     star = apply_mu_star(_two_name_premise(), order=[A_, B_])
     assert star.judgement.type == Counted(Fraction(3, 8), INT_OO)
     assert star.judgement.constraint == TOP
     assert isinstance(star.judgement.term, Nu)
+    assert not _restating_or_nodes(star)
+
+
+def test_mu_star_prunes_a_sparse_constraint():
+    """One row of 2^20 satisfies a conjunction of 20 literals over two
+    names; the fold skips every prefix whose span of the truth table is 0,
+    so it builds that row alone, where a row-by-row fold visits all 2^20."""
+    literals = [
+        Atom(n, i) if (i + k) % 3 else Not(Atom(n, i))
+        for k, n in enumerate((A_, B_))
+        for i in range(10)
+    ]
+    star = apply_mu_star(int_identity(names={A_, B_}, constraint=conj(literals)))
+    assert star.judgement.type == Counted(Fraction(1, 2**20), INT_OO)
+    assert [n.rule for n in tree_nodes(star)].count("or") == 1
+    assert not _restating_or_nodes(star)
 
 
 def _single_atom_premise():
@@ -646,9 +675,23 @@ def test_mu_star_matches_reference_construction():
         (int_identity(names={A_}, constraint=TOP), [A_]),
         (_scaled_premise(), [A_]),
     ]
+    c = Name("c")
+    a0, a1, b0, b1 = Atom(A_, 0), Atom(A_, 1), Atom(B_, 0), Atom(B_, 1)
+    # constraints with T and F inside them
+    for b in (
+        And(a0, Or(b1, TOP)),
+        Or(Not(a1), BOT),
+        Not(And(BOT, b0)),
+        Or(And(Not(TOP), a0), And(b1, Not(BOT))),
+    ):
+        cases.append((int_identity(names={A_, B_}, constraint=b), None))
+    # a 10-atom conjunction that one row of 2^10 satisfies
+    row = [a0, Atom(c, 2), Not(b0), Not(a1), Atom(c, 0), b1, Atom(A_, 2)]
+    row += [Not(Atom(B_, 2)), Not(Atom(c, 1)), Atom(B_, 3)]
+    cases.append((int_identity(names={A_, B_, c}, constraint=conj(row)), [c, A_, B_]))
     rng = random.Random(4)
-    all_names = [A_, B_, Name("c")]
-    while len(cases) < 60:
+    all_names = [A_, B_, c]
+    while len(cases) < 65:
         names = all_names[: rng.randint(1, 3)]
         pool = [(n, i) for n in names for i in range(3)]
         b = _random_constraint(rng, pool, rng.randint(1, min(6, len(pool))))
