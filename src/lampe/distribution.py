@@ -25,6 +25,15 @@ segment short, so any larger fuel replays it step for step: the argument
 node keeps its (value, fuel_used), one slot per functional and mode, and a
 later call on the node with fuel > fuel_used answers from it.
 
+A run that the fuel cuts keeps its loop state at its first cut on the node
+it started from (`_resume`, one slot per functional and mode, dropped once
+the exact bound of that slot is kept): `hnv_lower_bound` the state after the
+pnf of its first cut round, `_segment` its last PNF when it runs out.  Every
+round or step before that state ran in full, so a later call whose fuel
+covers the steps taken before the state replays them exactly, and resumes
+from the state instead.  Only the first cut is kept: a round truncated to
+the fuel left is not the round a larger fuel runs, so no state after it is.
+
 `nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
 normalization plus head beta steps, until a generator or a head normal value
 appears, a head step reproduces its term, or the fuel limit is passed.
@@ -151,9 +160,12 @@ def _head_round(t, mode):
     return mass, redexes
 
 
-# the slot of each functional's exact bound in a term's `_bounds`
+# the slot of each functional's exact bound in a term's `_bounds`, and of its
+# cut-run state in `_resume`; nf_mass runs its segments in PE, so its slot is
+# that of `_segment` in PE
 _HNV_SLOT = {PE: 0, PE_BRACES: 1}
-_NF_SLOT = 2
+_SEGMENT_SLOT = {PE: 2, PE_BRACES: 3}
+_NF_SLOT = _SEGMENT_SLOT[PE]
 
 
 def _known_bound(t, slot, fuel):
@@ -164,35 +176,53 @@ def _known_bound(t, slot, fuel):
     return None
 
 
+def _keep_resume(t, slot, state):
+    """Keep a cut run's state in t's `_resume` slot; None drops the slot."""
+    resume = list(t._resume or (None,) * 4)
+    if resume[slot] is not state:
+        resume[slot] = state
+        object.__setattr__(t, "_resume", tuple(resume) if any(resume) else None)
+
+
 def _keep_bound(t, slot, est):
     if est.exact:
         bounds = list(t._bounds or (None, None, None))
         bounds[slot] = (est.value, est.fuel_used)
         object.__setattr__(t, "_bounds", tuple(bounds))
+        # the bound answers every larger fuel, so no call resumes any more
+        _keep_resume(t, slot, None)
     return est
 
 
 def hnv_lower_bound(t, fuel, mode=PE):
     """Fuel-bounded under-approximation of the head-normalization
     probability: head-reduce fairly across branches, keeping the best mass
-    seen at each permutation-normal stage."""
+    seen at each permutation-normal stage.  A run the fuel cuts keeps the
+    state after the pnf of its first cut round on t; a later call with fuel
+    at least the steps taken before that pnf resumes from it."""
     _check_fuel(fuel)
     if free_names(t):
         raise OpenNamesError("term has free names")
     _require_mode(t, mode)
-    known = _known_bound(t, _HNV_SLOT[mode], fuel)
+    slot = _HNV_SLOT[mode]
+    known = _known_bound(t, slot, fuel)
     if known is not None:
         return known
-    root, used = t, 0
-    best = Fraction(0)
-    exact = True
-    while True:
+    root, cut = t, None
+    # a round's state after its pnf: the PNF, the steps taken before the pnf
+    # and after it, and the best mass of the rounds before
+    state = t._resume and t._resume[slot]
+    if not state or fuel < state[1]:
         t, trace = pnf(t, mode)
-        used += len(trace)
+        state = (t, 0, len(trace), Fraction(0))
+    t, before, used, best = state
+    while True:
         mass, redexes = _head_round(t, mode)
+        # the first round the fuel cuts, by its pnf or by the steps it allows
+        if cut is None and (used >= fuel or len(redexes) > fuel - used):
+            cut = (t, before, used, best)
         best = max(best, mass)
         if used >= fuel:
-            exact = False
             break
         # one head step in each of the leftmost branches the fuel allows
         steps = [(cell, _contract(cell[0])) for cell in redexes[: fuel - used]]
@@ -206,8 +236,13 @@ def hnv_lower_bound(t, fuel, mode=PE):
             break
         for cell, result in steps:
             _, t = _rebuild(cell, result)
-    est = TerminationEstimate(best, min(used, fuel), exact)
-    return _keep_bound(root, _HNV_SLOT[mode], est)
+        before = used
+        t, trace = pnf(t, mode)
+        used += len(trace)
+    if cut is not None:
+        _keep_resume(root, slot, cut)
+    est = TerminationEstimate(best, min(used, fuel), cut is None)
+    return _keep_bound(root, slot, est)
 
 
 def _segment(t, mode, limit):
@@ -215,26 +250,36 @@ def _segment(t, mode, limit):
     normalization plus head beta steps.  Returns (kind, term, steps); kind is
     "gen" (a generator PNF), "hnv" (a head normal value), "diverged" (a head
     step reproduces its term) or "out" (more than `limit` steps, counting
-    the head step that passed it)."""
-    steps, path = 0, ()
+    the head step that passed it).  A segment that runs out keeps its last
+    PNF and the steps taken to it, its first cut state, on t; a later call
+    with a limit of at least those steps resumes from it."""
+    slot = _SEGMENT_SLOT[mode]
+    state = t._resume and t._resume[slot]
+    if state and limit >= state[1]:
+        u, steps = state
+    else:
+        u, trace = pnf(t, mode)
+        steps = len(trace)
     while True:
-        # t is normal outside the last head step's subtree and its ancestors
-        t, trace = pnf(t, mode, _from=path)
-        steps += len(trace)
+        # u is a PNF reached in `steps` steps
         if steps > limit:
-            return "out", t, steps
-        if isinstance(t, Nu):
-            return "gen", t, steps
-        cell = _first_head_redex(t, mode)
+            _keep_resume(t, slot, (u, steps))
+            return "out", u, steps
+        if isinstance(u, Nu):
+            return "gen", u, steps
+        cell = _first_head_redex(u, mode)
         if cell is None:
-            return "hnv", t, steps
-        steps += 1
-        if steps > limit:
-            return "out", t, steps
+            return "hnv", u, steps
+        if steps == limit:
+            _keep_resume(t, slot, (u, steps))
+            return "out", u, steps + 1
         result = _contract(cell[0])
         if alpha_eq(result, cell[0]):
-            return "diverged", t, steps
-        path, t = _rebuild(cell, result)
+            return "diverged", u, steps + 1
+        path, u = _rebuild(cell, result)
+        # u is normal outside the head step's subtree and its ancestors
+        u, trace = pnf(u, mode, _from=path)
+        steps += 1 + len(trace)
 
 
 def _spine_args(t):
@@ -276,7 +321,9 @@ def _nf_rec(t, limit, mode):
 
 def nf_mass(t, fuel, mode=PE):
     """Fuel-bounded lower bound for the probability of reaching a normal
-    form.  Only defined on the plain calculus."""
+    form.  Only defined on the plain calculus.  A run the fuel cuts keeps
+    the first cut state of each segment that ran out (see `_segment`), so a
+    later call with more fuel resumes those segments."""
     _check_fuel(fuel)
     if mode != PE or contains_cbv(t):
         raise ModeViolationError(
@@ -310,6 +357,7 @@ def sample_run(t, seed, fuel, mode=PE, _caches=None):
     PNF, fresh bits from the seeded PRNG resolve its tree.  Reproducible for
     a fixed seed."""
     _check_fuel(fuel)
+    _require_mode(t, mode)
     rng = random.Random(seed)
     # segments depend on the fuel limit only, which is fixed for the run
     cache = _caches if _caches is not None else {}

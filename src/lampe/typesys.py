@@ -10,7 +10,6 @@ may quote an equivalent formula.
 
 from __future__ import annotations
 
-import itertools
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -905,19 +904,12 @@ def apply_mu_star(d, order=None):
     if len(names) != len(j.names) or set(names) != j.names:
         raise PreconditionError("name order must enumerate the judgement names")
 
-    minterms = []  # per name, in product order: (minterm, measure)
+    name_atoms = []  # per name, in product order: (name, its atoms' indices)
     row_atoms = []  # the atoms a row sets, in product order
     for a in names:
         indices = sorted(i for (n, i) in fm.atoms(b) if n is a)
         row_atoms += ((a, i) for i in indices)
-        per_name = []
-        for signs in itertools.product((0, 1), repeat=len(indices)):
-            m = conj(
-                Atom(a, i) if sign else Not(Atom(a, i))
-                for i, sign in zip(indices, signs)
-            )
-            per_name.append((m, measure(m)))
-        minterms.append(per_name)
+        name_atoms.append((a, indices))
     # the p-th of the n row atoms is bit n - 1 - p of a row's index
     n = len(row_atoms)
     bits = {x: n - 1 - p for p, x in enumerate(row_atoms)}
@@ -935,9 +927,10 @@ def apply_mu_star(d, order=None):
         if k == len(names):
             leaf = Judgement(j.ctx, j.names, j.term, prefix, j.type)
             return TypingDerivation("or", leaf, (d,), {})
-        per_name = minterms[k]
-        width //= len(per_name)
+        a, indices = name_atoms[k]
+        width >>= len(indices)
         span = (1 << width) - 1
+        s = Fraction(1, 1 << len(indices))  # the measure of each minterm
         premises = []
         cases = []
         total = Fraction(0)
@@ -946,7 +939,11 @@ def apply_mu_star(d, order=None):
             skip = ((table & -table).bit_length() - 1) // width
             table >>= skip * width
             i += skip
-            m, s = per_name[i]
+            # the i-th minterm in product order: its first atom is the top bit
+            m = conj(
+                Atom(a, x) if i >> (len(indices) - 1 - p) & 1 else Not(Atom(a, x))
+                for p, x in enumerate(indices)
+            )
             sub = fold(k + 1, And(prefix, m) if k else m, table & span, width)
             table >>= width
             i += 1
@@ -956,7 +953,7 @@ def apply_mu_star(d, order=None):
         root = Judgement(
             j.ctx,
             j.names - set(names[k:]),
-            Nu(names[k], sub.judgement.term),
+            Nu(a, sub.judgement.term),
             prefix,
             Counted(total, j.type.body),
         )

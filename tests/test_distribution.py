@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -510,27 +511,37 @@ def test_fuel_sweep_answers_match_a_fresh_parse():
 
 def test_fuel_sweep_fact_keeps_the_checks():
     """A kept fact answers only after the checks a full run makes: negative
-    fuel, open names, CbV under plain PE and an unknown mode still raise."""
+    fuel, open names, CbV under plain PE and an unknown mode still raise.
+    So does a cut run's state, which sample_run's segments read too."""
     from lampe.errors import PreconditionError
 
     closed = parse_term("nu a. I (+a.0) OMEGA")
     assert hnv_lower_bound(closed, 60).exact and nf_mass(closed, 60).exact
     cbv = parse_term(r"{\x. x} (nu a. I (+a.0) OMEGA)")
     assert hnv_lower_bound(cbv, 60, PE_BRACES).exact
+    # a cut run's state in every slot, which any fuel would resume
+    head = parse_term("I")
+    resume = ((head, 0, 0, Fraction(1)),) * 2 + ((head, 0),) * 2
     for t in (closed, cbv):
         assert t._bounds is not None
+        object.__setattr__(t, "_resume", resume)
         for functional in (hnv_lower_bound, nf_mass):
             with pytest.raises(PreconditionError):
                 functional(t, -1)
+        with pytest.raises(PreconditionError):
+            sample_run(t, 0, -1, PE_BRACES)
     with pytest.raises(ModeViolationError):
         nf_mass(closed, 60, PE_BRACES)
     with pytest.raises(ValueError):
         hnv_lower_bound(closed, 60, "no-such-mode")
+    with pytest.raises(ValueError):
+        sample_run(closed, 0, 60, "no-such-mode")
     # a fact planted in every slot of a node the checks reject is never read
     full = ((Fraction(1), 0),) * 3
     opened = parse_term(r"\x. x (+a.0) I")
     for t in (opened, cbv):
         object.__setattr__(t, "_bounds", full)
+        object.__setattr__(t, "_resume", resume)
     for functional in (hnv_lower_bound, nf_mass):
         with pytest.raises(OpenNamesError):
             functional(opened, 60)
@@ -538,3 +549,86 @@ def test_fuel_sweep_fact_keeps_the_checks():
         hnv_lower_bound(cbv, 60, PE)
     with pytest.raises(ModeViolationError):
         nf_mass(cbv, 60)
+    with pytest.raises(ModeViolationError):
+        sample_run(cbv, 0, 60, PE)
+
+
+def _kept_state(t, slot):
+    return t._resume[slot] if t._resume else None
+
+
+def test_fuel_cut_checkpoint_resumes_with_the_steps_past_it(monkeypatch):
+    """Fuel 60 cuts every run on the size-5 termination families.  On the
+    same node, fuel 1000 then resumes from the kept state: its pnf calls are
+    the fresh run's without those the state already holds, and its answer is
+    the fresh run's.  Fuel 30, short of the state, answers as a fresh run."""
+    dist = importlib.import_module("lampe.distribution")
+    real_pnf = dist.pnf
+    calls = []  # the steps of each pnf call
+
+    def recorded_pnf(t, mode, _from=()):
+        result, trace = real_pnf(t, mode, _from=_from)
+        calls.append([(s.rule, s.path) for s in trace])
+        return result, trace
+
+    monkeypatch.setattr(dist, "pnf", recorded_pnf)
+    runs = [(hnv_lower_bound, mode, dist._HNV_SLOT[mode]) for mode in (PE, PE_BRACES)]
+    runs += [
+        (lambda t, fuel, mode: dist._segment(t, mode, fuel), mode, dist._SEGMENT_SLOT[mode])
+        for mode in (PE, PE_BRACES)
+    ]
+    runs.append((nf_mass, PE, dist._NF_SLOT))
+    resumed = saved = 0
+    for text in [print_term(t) for t in termination_terms(5)]:
+        for functional, mode, slot in runs:
+            calls.clear()
+            fresh = functional(parse_term(text), 1000, mode)
+            fresh_calls = list(calls)
+            shared = parse_term(text)
+            functional(shared, 60, mode)
+            state = _kept_state(shared, slot)
+            short = parse_term(text)
+            functional(short, 60, mode)
+            assert functional(short, 30, mode) == functional(parse_term(text), 30, mode)
+            calls.clear()
+            assert functional(shared, 1000, mode) == fresh, (text, mode)
+            tail = fresh_calls[len(fresh_calls) - len(calls):]
+            assert calls == tail, (text, mode)
+            if state is not None:
+                # the kept state holds at least the first pnf of the run
+                assert len(calls) < len(fresh_calls), (text, mode)
+                resumed += 1
+                saved += sum(map(len, fresh_calls)) - sum(map(len, calls))
+    # every run keeps its state on the node but the three segment runs on
+    # the fair pick between I and the coin iteration: its first segment is a
+    # generator after two steps, and the cut comes in a leaf's segment
+    assert resumed == 5 * len(runs) - 3
+    assert saved >= 60 * resumed
+    # the loop's segment runs out after 401 steps, then after 101
+    for mode in (PE, PE_BRACES):
+        t = parse_term(_PERIOD_TWO)
+        assert dist._segment(t, mode, 400)[::2] == ("out", 401)
+        assert dist._segment(t, mode, 100) == dist._segment(parse_term(_PERIOD_TWO), mode, 100)
+
+
+def test_fuel_cut_checkpoint_is_dropped_with_the_exact_bound_and_dies_with_its_node():
+    """A cut run's state lives on its node until that functional's exact bound
+    is kept there, and no longer than the node."""
+    dist = importlib.import_module("lampe.distribution")
+    for text in [print_term(t) for t in termination_terms(5)]:
+        t = parse_term(text)
+        hnv_lower_bound(t, 60, PE_BRACES)
+        nf_mass(t, 60)
+        slot = dist._HNV_SLOT[PE_BRACES]
+        held = weakref.ref(_kept_state(t, slot)[0])
+        assert hnv_lower_bound(t, 1000, PE_BRACES).exact
+        assert _kept_state(t, slot) is None and held() is None
+        assert nf_mass(t, 1000).exact
+        assert t._resume is None and t._bounds[dist._NF_SLOT] is not None
+        # the state of a run that stays cut dies with its node
+        u = parse_term(text)
+        hnv_lower_bound(u, 60)
+        node = weakref.ref(u)
+        state = weakref.ref(_kept_state(u, dist._HNV_SLOT[PE])[0])
+        del u
+        assert node() is None and state() is None
