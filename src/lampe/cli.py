@@ -236,7 +236,8 @@ _FLAGS = {
     "samples": {"type": int, "default": 1000},
 }
 
-# name: (handler, help, positional arguments, flags the handler reads)
+# name: (handler, help, positional arguments, flags the handler reads); a
+# flag written flag=value has that default in this subcommand
 _SUBCOMMANDS = {
     "parse": (cmd_parse, "echo a term", "term", ""),
     "pnf": (cmd_pnf, "permutative normal form", "term", "mode json trace"),
@@ -251,7 +252,10 @@ _SUBCOMMANDS = {
     "check": (cmd_check, "check a typing derivation", "file", "system"),
     "mu-star": (cmd_mu_star, "discharge all names at once", "file", "json"),
     "transport": (
-        cmd_transport, "subject reduction transport", "file", "mode json step-index"
+        cmd_transport,
+        "subject reduction transport",
+        "file",
+        "mode=pe-braces json step-index",
     ),
     "check-proof": (cmd_check_proof, "check a proof", "file", ""),
     "normalize-proof": (cmd_normalize_proof, "normalize a proof", "file", "fuel json"),
@@ -273,7 +277,9 @@ def build_parser():
     for name, (_, help_text, positionals, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags.split():
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            flag, _, default = flag.partition("=")
+            options = dict(_FLAGS[flag], default=default) if default else _FLAGS[flag]
+            p.add_argument(f"--{flag}", **options)
         for positional in positionals.split():
             p.add_argument(positional)
     return parser

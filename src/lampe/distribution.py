@@ -25,18 +25,26 @@ segment short, so any larger fuel replays it step for step: the argument
 node keeps its (value, fuel_used), one slot per functional and mode, and a
 later call on the node with fuel > fuel_used answers from it.
 
-A run that the fuel cuts keeps its loop state at its first cut on the node
-it started from (`_resume`, one slot per functional and mode, dropped once
-the exact bound of that slot is kept): `hnv_lower_bound` the state after the
-pnf of its first cut round, `_segment` its last PNF when it runs out.  Every
-round or step before that state ran in full, so a later call whose fuel
-covers the steps taken before the state replays them exactly, and resumes
-from the state instead.  Only the first cut is kept: a round truncated to
-the fuel left is not the round a larger fuel runs, so no state after it is.
+`nf_mass`, `sample_run` and the single-branch prefix of `hnv_lower_bound`
+share one segment driver, `_segment`: permutative normalization plus head
+beta steps, until a generator or a head normal value appears, a head step
+reproduces its term, or the fuel limit is passed.  No PNF of a segment but
+its last has head-normal mass, so `hnv_lower_bound`'s rounds start there
+with best mass 0.
 
-`nf_mass` and `sample_run` share one segment driver, `_segment`: permutative
-normalization plus head beta steps, until a generator or a head normal value
-appears, a head step reproduces its term, or the fuel limit is passed.
+After every run, `_segment` keeps its last PNF on the node it started from
+(`_resume`, one slot per mode) as (PNF, before, steps), with the steps taken
+before that PNF's pnf and after it.  A segment never truncates a step, so
+that state is one of every run with a limit of at least `before`, and such a
+call resumes from it.  The slot goes, and is not written again, once each
+functional that reads it in that mode holds its exact bound on the node
+(`hnv_lower_bound`, and `nf_mass` in PE).
+
+A run of `hnv_lower_bound` that the fuel cuts keeps in its own slot, until
+its exact bound is kept, the state after the pnf of its first cut round: a
+later call whose fuel covers the steps taken before that pnf replays every
+earlier round, and resumes from the state instead.  Only the first cut is
+kept: a round truncated to the fuel left is not the round a larger fuel runs.
 """
 
 from __future__ import annotations
@@ -161,7 +169,7 @@ def _head_round(t, mode):
 
 
 # the slot of each functional's exact bound in a term's `_bounds`, and of its
-# cut-run state in `_resume`; nf_mass runs its segments in PE, so its slot is
+# run state in `_resume`; nf_mass runs its segments in PE, so its slot is
 # that of `_segment` in PE
 _HNV_SLOT = {PE: 0, PE_BRACES: 1}
 _SEGMENT_SLOT = {PE: 2, PE_BRACES: 3}
@@ -177,20 +185,28 @@ def _known_bound(t, slot, fuel):
 
 
 def _keep_resume(t, slot, state):
-    """Keep a cut run's state in t's `_resume` slot; None drops the slot."""
+    """Keep a run's state in t's `_resume` slot; None drops the slot."""
     resume = list(t._resume or (None,) * 4)
     if resume[slot] is not state:
         resume[slot] = state
         object.__setattr__(t, "_resume", tuple(resume) if any(resume) else None)
 
 
-def _keep_bound(t, slot, est):
+def _segment_wanted(t, mode):
+    """False once each reader of t's segment slot in `mode` holds its exact
+    bound on t: hnv_lower_bound in `mode`, and nf_mass in PE."""
+    bounds = t._bounds
+    return not (bounds and bounds[_HNV_SLOT[mode]] and (mode != PE or bounds[_NF_SLOT]))
+
+
+def _keep_bound(t, slot, mode, est):
     if est.exact:
         bounds = list(t._bounds or (None, None, None))
         bounds[slot] = (est.value, est.fuel_used)
         object.__setattr__(t, "_bounds", tuple(bounds))
-        # the bound answers every larger fuel, so no call resumes any more
-        _keep_resume(t, slot, None)
+        # the segment slot goes once each of its readers holds its bound
+        if not _segment_wanted(t, mode):
+            _keep_resume(t, _SEGMENT_SLOT[mode], None)
     return est
 
 
@@ -213,8 +229,8 @@ def hnv_lower_bound(t, fuel, mode=PE):
     # and after it, and the best mass of the rounds before
     state = t._resume and t._resume[slot]
     if not state or fuel < state[1]:
-        t, trace = pnf(t, mode)
-        state = (t, 0, len(trace), Fraction(0))
+        # the single-branch prefix has no head-normal mass before its end
+        state = (*_segment(t, mode, fuel)[3], Fraction(0))
     t, before, used, best = state
     while True:
         mass, redexes = _head_round(t, mode)
@@ -239,47 +255,50 @@ def hnv_lower_bound(t, fuel, mode=PE):
         before = used
         t, trace = pnf(t, mode)
         used += len(trace)
-    if cut is not None:
-        _keep_resume(root, slot, cut)
+    # an exact run, cut nowhere, answers every larger fuel from its bound
+    _keep_resume(root, slot, cut)
     est = TerminationEstimate(best, min(used, fuel), cut is None)
-    return _keep_bound(root, slot, est)
+    return _keep_bound(root, slot, mode, est)
+
+
+def _segment_end(t, mode, kind, steps, state):
+    """A segment's result; t keeps its state while a reader may resume it."""
+    if _segment_wanted(t, mode):
+        _keep_resume(t, _SEGMENT_SLOT[mode], state)
+    return kind, state[0], steps, state
 
 
 def _segment(t, mode, limit):
     """Run the deterministic part of a head reduction: permutative
-    normalization plus head beta steps.  Returns (kind, term, steps); kind is
-    "gen" (a generator PNF), "hnv" (a head normal value), "diverged" (a head
-    step reproduces its term) or "out" (more than `limit` steps, counting
-    the head step that passed it).  A segment that runs out keeps its last
-    PNF and the steps taken to it, its first cut state, on t; a later call
-    with a limit of at least those steps resumes from it."""
-    slot = _SEGMENT_SLOT[mode]
-    state = t._resume and t._resume[slot]
-    if state and limit >= state[1]:
-        u, steps = state
-    else:
+    normalization plus head beta steps.  Returns (kind, term, steps, state);
+    kind is "gen" (a generator PNF), "hnv" (a head normal value), "diverged"
+    (a head step reproduces its term) or "out" (more than `limit` steps,
+    counting the head step that passed it), and term is the last PNF, which
+    state holds as (term, steps before its pnf, steps after).  t keeps the
+    state after every run; a later call with a limit of at least the steps
+    before resumes from it."""
+    state = t._resume and t._resume[_SEGMENT_SLOT[mode]]
+    if not state or limit < state[1]:
         u, trace = pnf(t, mode)
-        steps = len(trace)
+        state = (u, 0, len(trace))
     while True:
-        # u is a PNF reached in `steps` steps
+        u, _, steps = state
         if steps > limit:
-            _keep_resume(t, slot, (u, steps))
-            return "out", u, steps
+            return _segment_end(t, mode, "out", steps, state)
         if isinstance(u, Nu):
-            return "gen", u, steps
+            return _segment_end(t, mode, "gen", steps, state)
         cell = _first_head_redex(u, mode)
         if cell is None:
-            return "hnv", u, steps
+            return _segment_end(t, mode, "hnv", steps, state)
         if steps == limit:
-            _keep_resume(t, slot, (u, steps))
-            return "out", u, steps + 1
+            return _segment_end(t, mode, "out", steps + 1, state)
         result = _contract(cell[0])
         if alpha_eq(result, cell[0]):
-            return "diverged", u, steps + 1
+            return _segment_end(t, mode, "diverged", steps + 1, state)
         path, u = _rebuild(cell, result)
         # u is normal outside the head step's subtree and its ancestors
         u, trace = pnf(u, mode, _from=path)
-        steps += 1 + len(trace)
+        state = (u, steps + 1, steps + 1 + len(trace))
 
 
 def _spine_args(t):
@@ -296,7 +315,7 @@ def _spine_args(t):
 def _nf_rec(t, limit, mode):
     """Lower bound for the normalization probability of a name-closed term
     within `limit` steps.  Returns (value, steps used, exact)."""
-    kind, t, used = _segment(t, mode, limit)
+    kind, t, used, _ = _segment(t, mode, limit)
     if kind == "out":
         return Fraction(0), used, False
     if kind == "diverged":
@@ -321,9 +340,9 @@ def _nf_rec(t, limit, mode):
 
 def nf_mass(t, fuel, mode=PE):
     """Fuel-bounded lower bound for the probability of reaching a normal
-    form.  Only defined on the plain calculus.  A run the fuel cuts keeps
-    the first cut state of each segment that ran out (see `_segment`), so a
-    later call with more fuel resumes those segments."""
+    form.  Only defined on the plain calculus.  Each segment keeps its last
+    state on the node it started from (see `_segment`), so a later call with
+    more fuel resumes those segments."""
     _check_fuel(fuel)
     if mode != PE or contains_cbv(t):
         raise ModeViolationError(
@@ -335,7 +354,7 @@ def nf_mass(t, fuel, mode=PE):
     if known is not None:
         return known
     value, used, exact = _nf_rec(t, fuel, PE)
-    return _keep_bound(t, _NF_SLOT, TerminationEstimate(value, min(used, fuel), exact))
+    return _keep_bound(t, _NF_SLOT, PE, TerminationEstimate(value, min(used, fuel), exact))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +386,7 @@ def sample_run(t, seed, fuel, mode=PE, _caches=None):
         segment = cache.get(key)
         if segment is None:
             segment = cache[key] = _segment(t, mode, fuel)
-        kind, cur, steps = segment
+        kind, cur, steps, _ = segment
         if kind in ("diverged", "out") or steps > remaining:
             return SampleOutcome("exhausted")
         remaining -= steps

@@ -16,8 +16,8 @@ free names, contains CbV, shape hash) from its children's; a variable keeps
 none, the constant's class holds its record, and a node whose set equals a
 child's shares that frozenset.  `canonical_str`, the normal-form marks of
 `rewrite` (`_normal`), the exact termination bounds of `distribution`
-(`_bounds`, numbers only) and the loop state of its fuel-cut runs
-(`_resume`, dropped once the exact bound is kept) are kept the same way.
+(`_bounds`, numbers only) and the loop state of its runs (`_resume`,
+dropped once the exact bounds that read it are kept) are kept the same way.
 
 Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
 name through one function and its bound choices follow it, and a choice on a

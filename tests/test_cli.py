@@ -156,6 +156,25 @@ def test_transport_cli(capsys, tmp_path):
     assert code == 0 and "C[1/2]" in out
 
 
+def test_transport_cli_defaults_to_the_library_mode(capsys, tmp_path):
+    """Without --mode, transport runs the step list of PE_BRACES, the default
+    of transport_subject_reduction, whose rules the CbV system covers."""
+    differs = 0
+    for k, (deriv, _) in enumerate(cbv_fixture_corpus()):
+        path = tmp_path / f"deriv-{k}.json"
+        path.write_text(json.dumps(derivation_to_json(deriv)))
+        for index in ("0", "1", "2"):
+            for extra in ((), ("--json",)):
+                argv = ("transport", *extra, "--step-index", index, str(path))
+                plain = invoke(capsys, *argv)
+                assert plain == invoke(capsys, *argv[:1], "--mode", "pe-braces", *argv[1:])
+                differs += plain[0] == 0 and plain != invoke(
+                    capsys, *argv[:1], "--mode", "pe", *argv[1:]
+                )
+    # the CbV fixtures that PE rejects before any step
+    assert differs >= 4
+
+
 def test_check_proof_cli(capsys, tmp_path):
     path = tmp_path / "half.json"
     path.write_text(json.dumps(proof_to_json(half_id_proof())))

@@ -332,11 +332,11 @@ def test_segment_hint_matches_the_restarting_loop(monkeypatch):
     texts += _FIXED_TERMS + [_STEPS_ABOVE_THE_HINT]
     for text in texts:
         for fuel in (60, 400, 1000):
-            # a fresh parse for each fuel: an exact nf_mass bound kept on
-            # the node would answer the larger fuels without a segment
-            t = parse_term(text)
-            dist._segment(t, PE, fuel)
-            nf_mass(t, fuel)
+            # a fresh parse for each call: an exact nf_mass bound kept on
+            # the node would answer the larger fuels without a segment, and
+            # a kept segment state would answer nf_mass's first segment
+            dist._segment(parse_term(text), PE, fuel)
+            nf_mass(parse_term(text), fuel)
     assert sum(hinted) >= 100
 
 
@@ -521,7 +521,7 @@ def test_fuel_sweep_fact_keeps_the_checks():
     assert hnv_lower_bound(cbv, 60, PE_BRACES).exact
     # a cut run's state in every slot, which any fuel would resume
     head = parse_term("I")
-    resume = ((head, 0, 0, Fraction(1)),) * 2 + ((head, 0),) * 2
+    resume = ((head, 0, 0, Fraction(1)),) * 2 + ((head, 0, 0),) * 2
     for t in (closed, cbv):
         assert t._bounds is not None
         object.__setattr__(t, "_resume", resume)
@@ -599,10 +599,8 @@ def test_fuel_cut_checkpoint_resumes_with_the_steps_past_it(monkeypatch):
                 assert len(calls) < len(fresh_calls), (text, mode)
                 resumed += 1
                 saved += sum(map(len, fresh_calls)) - sum(map(len, calls))
-    # every run keeps its state on the node but the three segment runs on
-    # the fair pick between I and the coin iteration: its first segment is a
-    # generator after two steps, and the cut comes in a leaf's segment
-    assert resumed == 5 * len(runs) - 3
+    # every run keeps its state on the node
+    assert resumed == 5 * len(runs)
     assert saved >= 60 * resumed
     # the loop's segment runs out after 401 steps, then after 101
     for mode in (PE, PE_BRACES):
@@ -613,7 +611,8 @@ def test_fuel_cut_checkpoint_resumes_with_the_steps_past_it(monkeypatch):
 
 def test_fuel_cut_checkpoint_is_dropped_with_the_exact_bound_and_dies_with_its_node():
     """A cut run's state lives on its node until that functional's exact bound
-    is kept there, and no longer than the node."""
+    is kept there, and no longer than the node.  The segment state in PE
+    also waits for hnv_lower_bound's bound in PE, which reads it too."""
     dist = importlib.import_module("lampe.distribution")
     for text in [print_term(t) for t in termination_terms(5)]:
         t = parse_term(text)
@@ -624,11 +623,76 @@ def test_fuel_cut_checkpoint_is_dropped_with_the_exact_bound_and_dies_with_its_n
         assert hnv_lower_bound(t, 1000, PE_BRACES).exact
         assert _kept_state(t, slot) is None and held() is None
         assert nf_mass(t, 1000).exact
+        assert _kept_state(t, dist._NF_SLOT) is not None
+        assert hnv_lower_bound(t, 1000).exact
         assert t._resume is None and t._bounds[dist._NF_SLOT] is not None
         # the state of a run that stays cut dies with its node
         u = parse_term(text)
         hnv_lower_bound(u, 60)
         node = weakref.ref(u)
         state = weakref.ref(_kept_state(u, dist._HNV_SLOT[PE])[0])
+        del u
+        assert node() is None and state() is None
+
+
+def test_segment_checkpoint_is_shared_by_the_functionals(monkeypatch):
+    """hnv_lower_bound, nf_mass and sample_run run their single-branch prefix
+    through one segment driver, whose last state the node keeps after every
+    run.  On one node, in either order, each answer is a fresh parse's, and
+    the second functional's pnf calls are its fresh run's less those of the
+    shared prefix, unless every reader's exact bound dropped the state."""
+    dist = importlib.import_module("lampe.distribution")
+    real_pnf = dist.pnf
+    calls = []
+
+    def recorded_pnf(t, mode, _from=()):
+        result, trace = real_pnf(t, mode, _from=_from)
+        calls.append([(s.rule, s.path) for s in trace])
+        return result, trace
+
+    def run(functional, t):
+        calls.clear()
+        return functional(t), list(calls)
+
+    monkeypatch.setattr(dist, "pnf", recorded_pnf)
+    pairs = [
+        (lambda t: hnv_lower_bound(t, 60), lambda t: nf_mass(t, 60), PE),
+        (
+            lambda t: hnv_lower_bound(t, 60, PE_BRACES),
+            lambda t: sample_run(t, 7, 60, PE_BRACES),
+            PE_BRACES,
+        ),
+    ]
+    shared = 0
+    for text in [print_term(t) for n in range(1, 6) for t in termination_terms(n)]:
+        for first, second, mode in pairs:
+            slot = dist._SEGMENT_SLOT[mode]
+            prefix = len(run(lambda t: dist._segment(t, mode, 60), parse_term(text))[1])
+            for a, b in ((first, second), (second, first)):
+                t = parse_term(text)
+                assert run(a, t) == run(a, parse_term(text)), (text, mode)
+                kept = _kept_state(t, slot)
+                assert (kept is None) == (not dist._segment_wanted(t, mode))
+                answer, tail = run(b, t)
+                fresh, fresh_calls = run(b, parse_term(text))
+                assert answer == fresh, (text, mode)
+                assert tail == fresh_calls[prefix if kept else 0 :], (text, mode)
+                shared += kept is not None
+    # all but hnv_lower_bound in PE_BRACES before sample_run below size 5:
+    # its bound there is exact, and no other reader of that slot keeps one
+    assert shared == 80
+    # a node that holds every reader's exact bound holds no segment state,
+    # and runs no longer keep one there
+    for text in [print_term(t) for n in range(1, 6) for t in termination_terms(n)]:
+        t = parse_term(text)
+        assert nf_mass(t, 1000).exact and _kept_state(t, dist._NF_SLOT) is not None
+        assert hnv_lower_bound(t, 1000).exact and hnv_lower_bound(t, 1000, PE_BRACES).exact
+        sample_run(t, 7, 400)
+        sample_run(t, 7, 400, PE_BRACES)
+        assert t._resume is None
+        # the kept PNF dies with its node
+        u = parse_term(text)
+        sample_run(u, 7, 60)
+        node, state = weakref.ref(u), weakref.ref(_kept_state(u, dist._NF_SLOT)[0])
         del u
         assert node() is None and state() is None
