@@ -69,7 +69,7 @@ from threading import get_ident
 from weakref import ref
 
 from .errors import ParseError, TooManyAtomsError, UndefinedBitError
-from .terms import Name, token_pattern, tokenize
+from .terms import Name, token_at, token_pattern, tokenize
 
 ATOM_CAP = 24
 
@@ -611,7 +611,8 @@ _FORMULA_TOKENS = token_pattern(
 
 def parse_formula(text):
     """Parse an event formula; `!` binds tighter than `&`, and `&` tighter
-    than `|`.  Each parenthesis level costs one interpreter frame."""
+    than `|`.  Each parenthesis level costs one interpreter frame.  Tokens
+    are told apart by their text: an atom is the one in ["a", "{")."""
     toks = tokenize(_FORMULA_TOKENS, text)
     i = 0
 
@@ -621,29 +622,33 @@ def parse_formula(text):
         out = conj = None
         while True:
             start = i
-            while toks[i][1] == "!":
+            while toks[i] == "!":
                 i += 1
             nots = i - start
-            kind, val, pos = toks[i]
+            tok = toks[i]
             i += 1
-            if kind == "atom":
-                name, _, index = val.partition(".")
+            if "a" <= tok < "{":
+                name, _, index = tok.partition(".")
                 operand = Atom(Name(name), int(index))
-            elif kind == "const":
-                operand = TOP if val == "T" else BOT
-            elif val == "(":
+            elif tok == "T":
+                operand = TOP
+            elif tok == "F":
+                operand = BOT
+            elif tok == "(":
                 operand = disjunction()
-                if toks[i][1] != ")":
-                    raise ParseError("expected ')'", toks[i][2])
+                if toks[i] != ")":
+                    pos = token_at(_FORMULA_TOKENS, text, i)[1]
+                    raise ParseError("expected ')'", pos)
                 i += 1
-            elif kind == "eof":
-                raise ParseError("unexpected end of formula", pos)
             else:
+                kind, pos = token_at(_FORMULA_TOKENS, text, i - 1)
+                if kind == "eof":
+                    raise ParseError("unexpected end of formula", pos)
                 raise ParseError(f"unexpected character {text[pos]!r} in formula", pos)
             for _ in range(nots):
                 operand = Not(operand)
             conj = operand if conj is None else And(conj, operand)
-            op = toks[i][1]
+            op = toks[i]
             if op == "|":
                 out = conj if out is None else Or(out, conj)
                 conj = None
@@ -652,31 +657,42 @@ def parse_formula(text):
             i += 1
 
     out = disjunction()
-    kind, _, pos = toks[i]
-    if kind != "eof":
+    if i != len(toks) - 1:
+        pos = token_at(_FORMULA_TOKENS, text, i)[1]
         raise ParseError("trailing input in formula", pos)
     return out
 
 
-def print_formula(b):
-    def go(b, prec):
-        if isinstance(b, Top):
-            return "T"
-        if isinstance(b, Bot):
-            return "F"
-        if isinstance(b, Atom):
-            return f"{b.name}.{b.index}"
-        if isinstance(b, Not):
-            return "!" + go(b.arg, 3)
-        if isinstance(b, And):
-            s = f"{go(b.left, 2)} & {go(b.right, 3)}"
-            return f"({s})" if prec > 2 else s
-        if isinstance(b, Or):
-            s = f"{go(b.left, 1)} | {go(b.right, 2)}"
-            return f"({s})" if prec > 1 else s
-        raise TypeError(b)
+def _bracket(wrap, *items):
+    return (")", *items, "(") if wrap else items
 
-    return go(b, 0)
+
+# print_formula's expansion of a node printed at a precedence (0 at the top,
+# 1 left of `|`, 2 left of `&` or right of `|`, 3 right of `&` or under `!`),
+# last item first
+_PRINT = {
+    Top: lambda b, prec: ("T",),
+    Bot: lambda b, prec: ("F",),
+    Atom: lambda b, prec: (f"{b.name}.{b.index}",),
+    Not: lambda b, prec: ((b.arg, 3), "!"),
+    And: lambda b, prec: _bracket(prec > 2, (b.right, 3), " & ", (b.left, 2)),
+    Or: lambda b, prec: _bracket(prec > 1, (b.right, 2), " | ", (b.left, 1)),
+}
+
+
+def print_formula(b):
+    """The text that parse_formula reads back as `b`, with brackets only
+    where precedence needs them.  It is written from a stack of strings and
+    pending `(node, precedence)` pairs, each pair replaced by its node's
+    `_PRINT` expansion."""
+    out, stack = [], [(b, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(_PRINT[type(item[0])](*item))
+    return "".join(out)
 
 
 def parse_rational(text):

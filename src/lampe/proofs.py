@@ -59,6 +59,7 @@ from .terms import (
     free_names,
     print_term,
     subterm_at,
+    token_at,
     token_pattern,
     tokenize,
 )
@@ -122,7 +123,8 @@ _PROOF_FORMULA_TOKENS = token_pattern(
 def parse_proof_formula(text):
     """Parse a counting propositional formula; `->` associates to the right.
     Arrows and quantifier prefixes are read in loops, and each parenthesis
-    level costs one interpreter frame."""
+    level costs one interpreter frame.  Tokens are told apart by their text:
+    past the quantifiers, a variable is the one from "A" up."""
     toks = tokenize(_PROOF_FORMULA_TOKENS, text)
     i = 0
 
@@ -131,25 +133,27 @@ def parse_proof_formula(text):
         parts = []
         while True:
             counts = []
-            kind, val, pos = toks[i]
-            while kind == "count":
-                counts.append(count_exponent(val, pos))
+            tok = toks[i]
+            while tok[:2] == "C[":
+                counts.append(count_exponent(tok, _PROOF_FORMULA_TOKENS, text, i))
                 i += 1
-                kind, val, pos = toks[i]
+                tok = toks[i]
             i += 1
-            if kind == "var":
-                out = PropVar(val)
-            elif val == "(":
+            if tok >= "A":
+                out = PropVar(tok)
+            elif tok == "(":
                 out = implication()
-                if toks[i][1] != ")":
-                    raise ParseError("expected ')'", toks[i][2])
+                if toks[i] != ")":
+                    pos = token_at(_PROOF_FORMULA_TOKENS, text, i)[1]
+                    raise ParseError("expected ')'", pos)
                 i += 1
             else:
+                pos = token_at(_PROOF_FORMULA_TOKENS, text, i - 1)[1]
                 raise ParseError("expected a propositional variable", pos)
             for q in reversed(counts):
                 out = Count(q, out)
             parts.append(out)
-            if toks[i][1] != "->":
+            if toks[i] != "->":
                 break
             i += 1
         out = parts.pop()
@@ -158,8 +162,8 @@ def parse_proof_formula(text):
         return out
 
     out = implication()
-    kind, _, pos = toks[i]
-    if kind != "eof":
+    if i != len(toks) - 1:
+        pos = token_at(_PROOF_FORMULA_TOKENS, text, i)[1]
         raise ParseError("trailing input in formula", pos)
     return out
 

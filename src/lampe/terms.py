@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ParseError, UndefinedBitError
 
@@ -549,21 +550,47 @@ _ABBREVIATIONS = {
 
 
 def token_pattern(*groups):
-    """One grammar's tokens as one compiled alternation: `groups` are
-    `(kind, regex)` pairs, tried in order, none of which matches whitespace.
-    A non-space character that no group matches is a token of kind "?"."""
-    alternatives = "".join(f"(?P<{kind}>{regex})|" for kind, regex in groups)
-    return re.compile(rf"{alternatives}(\S)")
+    """One grammar's tokens: `groups` are `(kind, regex)` pairs, tried in
+    order, none of which matches whitespace or the empty text.  Returns the
+    compiled pattern that `tokenize` runs and, as text, its named form.
+
+    The compiled pattern is the groups' alternation as one capturing group,
+    then a catch-all for one non-space character outside it, so a character
+    that no group matches (a stray, of kind "?") comes back from `findall` as
+    "", which no token is.  The named form has one `(?P<kind>...)` group per
+    kind and the catch-all as a last, unnamed group; its matches are the
+    same, one for one.  Only an error message needs a token's kind or
+    position, so the named form stays text and `re`'s own cache compiles it
+    on the first error."""
+    named = "".join(f"(?P<{kind}>{regex})|" for kind, regex in groups)
+    tokens = "|".join(regex for _, regex in groups)
+    return re.compile(rf"({tokens})|\S"), rf"{named}(\S)"
 
 
 def tokenize(pattern, text):
-    """The `(kind, text, position)` tokens of `text` under `pattern`, in one
-    pass, closed by an `eof` token at len(text).  Whitespace separates
-    tokens: no match starts on it, so the search skips it."""
-    end = len(text)  # first, so a non-text input fails alike in every grammar
-    out = [(m.lastgroup or "?", m.group(), m.start()) for m in pattern.finditer(text)]
-    out.append(("eof", "", end))
-    return out
+    """The token texts of `text` under `pattern`, from one C-level
+    `findall`, closed by "" for the end of the text (a stray character is
+    "" too).  Whitespace separates tokens: no match starts on it, so the
+    search skips it.  Parsers dispatch on the texts; `token_at` gives the
+    kind and position of token i when an error needs them."""
+    len(text)  # first: a non-text input raises len()'s TypeError, as it always has
+    toks = pattern[0].findall(text)
+    toks.append("")
+    return toks
+
+
+def token_kinds(pattern, text):
+    """The `(kind, position)` of each token that `tokenize` lists, from the
+    named form of `pattern`: a stray is of kind "?", and the closing token
+    is ("eof", len(text))."""
+    for m in re.finditer(pattern[1], text):
+        yield m.lastgroup or "?", m.start()
+    yield "eof", len(text)
+
+
+def token_at(pattern, text, i):
+    """The `(kind, position)` of token i of `text` under `pattern`."""
+    return next(islice(token_kinds(pattern, text), i, None))
 
 
 _TERM_TOKENS = token_pattern(
@@ -592,57 +619,67 @@ def parse_term(text):
 
     Binders are read in a loop, and each parenthesis or brace level costs
     one interpreter frame.  A character outside the grammar is reported
-    before any error of structure, wherever it occurs."""
+    before any error of structure, wherever it occurs.
+
+    Tokens are told apart by their text.  Of the texts `tokenize` gives
+    here, those in ["a", "{") are "nu" and the identifiers, those in
+    ["A", "[") the abbreviations other than "2", and a choice is the one
+    longer than two characters that starts with "(+"."""
     toks = tokenize(_TERM_TOKENS, text)
     i = 0
+
+    def at(j):
+        return token_at(_TERM_TOKENS, text, j)
 
     def term():
         # binders* (application (choice application)*)
         nonlocal i
         binders = []
-        kind = toks[i][0]
-        while kind == "lam" or kind == "nu":
+        tok = toks[i]
+        while tok == "\\" or tok == "nu":
             var = toks[i + 1]
-            if var[0] != "ident":
-                raise ParseError(f"expected ident, found {var[0]}", var[2])
-            dot = toks[i + 2]
-            if dot[0] != "dot":
-                raise ParseError(f"expected dot, found {dot[0]}", dot[2])
-            binders.append((kind, var[1]))
+            if not "a" <= var < "{" or var == "nu":
+                kind, pos = at(i + 1)
+                raise ParseError(f"expected ident, found {kind}", pos)
+            if toks[i + 2] != ".":
+                kind, pos = at(i + 2)
+                raise ParseError(f"expected dot, found {kind}", pos)
+            binders.append((tok, var))
             i += 3
-            kind = toks[i][0]
+            tok = toks[i]
         t = label = None
         while True:
             app = None
             while True:
-                kind, val, pos = toks[i]
-                if kind == "ident":
+                tok = toks[i]
+                if "a" <= tok < "{" and tok != "nu":
                     i += 1
-                    atom = Var(val)
-                elif kind == "lpar" or kind == "lbrace":
-                    if kind == "lbrace" and app is not None:
+                    atom = Var(tok)
+                elif tok == "(" or tok == "{":
+                    if tok == "{" and app is not None:
+                        pos = at(i)[1]
                         raise ParseError("CbV function {t} cannot be an argument", pos)
                     i += 1
                     atom = term()
-                    close = "rpar" if kind == "lpar" else "rbrace"
-                    if toks[i][0] != close:
-                        raise ParseError(
-                            f"expected {close}, found {toks[i][0]}", toks[i][2]
-                        )
+                    if toks[i] != (")" if tok == "(" else "}"):
+                        kind, pos = at(i)
+                        close = "rpar" if tok == "(" else "rbrace"
+                        raise ParseError(f"expected {close}, found {kind}", pos)
                     i += 1
-                    if kind == "lbrace":
+                    if tok == "{":
                         atom = _BraceFun(atom)
-                elif kind == "lam" or kind == "nu":
+                elif tok == "\\" or tok == "nu":
                     atom = term()
-                elif kind == "const":
+                elif tok == "#c":
                     i += 1
                     atom = CONST
-                elif kind == "abbrev":
-                    if val not in _ABBREVIATIONS:
-                        raise ParseError(f"unknown abbreviation {val}", pos)
+                elif tok in _ABBREVIATIONS:
                     i += 1
-                    atom = _ABBREVIATIONS[val]
+                    atom = _ABBREVIATIONS[tok]
+                elif "A" <= tok < "[":
+                    raise ParseError(f"unknown abbreviation {tok}", at(i)[1])
                 elif app is None:
+                    kind, pos = at(i)
                     raise ParseError(f"unexpected token {kind}", pos)
                 else:
                     break
@@ -653,27 +690,27 @@ def parse_term(text):
                 else:
                     app = App(app, atom)
             if isinstance(app, _BraceFun):
-                raise ParseError("CbV function {t} must be applied", pos)
+                raise ParseError("CbV function {t} must be applied", at(i)[1])
             t = app if t is None else Choice(t, app, Name(label), int(index))
-            if kind != "choice":
+            if tok[:2] != "(+" or tok == "(+":
                 break
-            label, _, index = val[2:-1].partition(".")
+            label, _, index = tok[2:-1].partition(".")
             i += 1
-        for kind, var in reversed(binders):
-            t = Lam(var, t) if kind == "lam" else Nu(Name(var), t)
+        for binder, var in reversed(binders):
+            t = Lam(var, t) if binder == "\\" else Nu(Name(var), t)
         return t
 
     try:
         t = term()
-        kind, _, pos = toks[i]
-        if kind != "eof":
+        if i != len(toks) - 1:
+            kind, pos = at(i)
             raise ParseError(f"trailing input at {kind}", pos)
     except (ParseError, RecursionError):
-        for kind, val, pos in toks:
+        for kind, pos in token_kinds(_TERM_TOKENS, text):
             if kind == "badchoice":
                 raise ParseError("malformed choice operator", pos) from None
             if kind == "?":
-                raise ParseError(f"unexpected character {val!r}", pos) from None
+                raise ParseError(f"unexpected character {text[pos]!r}", pos) from None
         raise
     return t
 

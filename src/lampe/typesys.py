@@ -58,6 +58,7 @@ from .terms import (
     parse_term,
     print_term,
     substitute,
+    token_at,
     token_pattern,
     tokenize,
 )
@@ -141,67 +142,72 @@ _TYPE_TOKENS = token_pattern(
 _EXPONENT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
-def count_exponent(token, pos):
-    """The rational `q` of a `C[q]` token found at `pos`."""
+def count_exponent(token, pattern, text, i):
+    """The rational `q` of `token`, a `C[q]` token that is token i of
+    `text` under `pattern` (which places an error)."""
     if not token.endswith("]"):
-        raise ParseError("unterminated 'C['", pos)
+        raise ParseError("unterminated 'C['", token_at(pattern, text, i)[1])
     m = _EXPONENT.fullmatch(token, 2, len(token) - 1)
     if m is None or m[2] is not None and int(m[2]) == 0:
-        raise ParseError(f"expected n or n/d with d > 0 in {token!r}", pos)
+        raise ParseError(
+            f"expected n or n/d with d > 0 in {token!r}", token_at(pattern, text, i)[1]
+        )
     return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def parse_type(text):
     """Parse a counting type.  Each arrow or multiset level costs one
-    interpreter frame; a quantifier prefix costs none."""
+    interpreter frame; a quantifier prefix costs none.  Tokens are told
+    apart by their text."""
     toks = tokenize(_TYPE_TOKENS, text)
     i = 0
 
     def typ():
         nonlocal i
         counts = []
-        kind, val, pos = toks[i]
-        while kind == "count":
-            counts.append(count_exponent(val, pos))
+        tok = toks[i]
+        while tok[:2] == "C[":
+            counts.append(count_exponent(tok, _TYPE_TOKENS, text, i))
             i += 1
-            kind, val, pos = toks[i]
+            tok = toks[i]
         i += 1
-        if kind == "ground":
-            out = Ground(val)
-        elif val == "(":
+        if tok == "o" or tok == "n" or tok == "hn":
+            out = Ground(tok)
+        elif tok == "(":
             dom = typ()
-            if toks[i][1] != "=>":
-                raise ParseError("expected '=>'", toks[i][2])
+            if toks[i] != "=>":
+                raise ParseError("expected '=>'", token_at(_TYPE_TOKENS, text, i)[1])
             i += 1
             cod = typ()
-            if toks[i][1] != ")":
-                raise ParseError("expected ')'", toks[i][2])
+            if toks[i] != ")":
+                raise ParseError("expected ')'", token_at(_TYPE_TOKENS, text, i)[1])
             i += 1
             out = Arrow(dom, cod)
-        elif val == "[":
+        elif tok == "[":
             items = []
-            sep = toks[i][1]
+            sep = toks[i]
             if sep == "]":
                 i += 1
             while sep != "]":
                 items.append(typ())
-                _, sep, pos = toks[i]
+                sep = toks[i]
                 i += 1
                 if sep != "," and sep != "]":
+                    pos = token_at(_TYPE_TOKENS, text, i - 1)[1]
                     raise ParseError("expected ',' or ']' in multiset", pos)
             out = mk_mset(items)
-        elif kind == "eof":
-            raise ParseError("unexpected end of type", pos)
         else:
+            kind, pos = token_at(_TYPE_TOKENS, text, i - 1)
+            if kind == "eof":
+                raise ParseError("unexpected end of type", pos)
             raise ParseError(f"unexpected character {text[pos]!r} in type", pos)
         for q in reversed(counts):
             out = Counted(q, out)
         return out
 
     out = typ()
-    kind, _, pos = toks[i]
-    if kind != "eof":
-        raise ParseError("trailing input in type", pos)
+    if i != len(toks) - 1:
+        raise ParseError("trailing input in type", token_at(_TYPE_TOKENS, text, i)[1])
     return out
 
 

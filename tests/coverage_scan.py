@@ -39,7 +39,7 @@ ALLOWED = {
     ("terms", "raise TypeError(t)"): _FALL_THROUGH,
     # print_type, srank, is_balanced, _mentions_unsafe
     ("typesys", "raise TypeError(t)"): _FALL_THROUGH,
-    # eval_formula, _SharedBDD.build, print_formula
+    # eval_formula, _SharedBDD.build
     ("formulas", "raise TypeError(b)"): _FALL_THROUGH,
     # print_proof_formula, formula_type
     ("proofs", "raise TypeError(a)"): _FALL_THROUGH,

@@ -1,9 +1,10 @@
 """Shared builders, fixtures, and random generators for the test suite."""
 
+import re
 from fractions import Fraction
 
-from lampe.errors import UndefinedBitError
-from lampe.formulas import And, Atom, BOT, Not, Or, TOP, measure
+from lampe.errors import ParseError, UndefinedBitError
+from lampe.formulas import And, Atom, BOT, Bot, Not, Or, TOP, Top, measure
 from lampe.proofs import (
     Count,
     Implies,
@@ -13,6 +14,8 @@ from lampe.proofs import (
 )
 from lampe.rewrite import PE, PE_BRACES
 from lampe.terms import (
+    _ABBREVIATIONS,
+    CONST,
     App,
     CbvApp,
     Choice,
@@ -22,6 +25,7 @@ from lampe.terms import (
     Nu,
     Var,
     _REBUILD,
+    _BraceFun,
     alpha_eq,
     children,
     copy_variant_name,
@@ -37,6 +41,7 @@ from lampe.typesys import (
     _RULE_CHECKERS,
     Arrow,
     Counted,
+    Ground,
     Judgement,
     O,
     TypingDerivation,
@@ -894,6 +899,30 @@ def random_formula(rng, atoms, depth):
         return Not(random_formula(rng, atoms, depth - 1))
     op = And if kind == "a" else Or
     return op(*(random_formula(rng, atoms, depth - 1) for _ in range(2)))
+
+
+def reference_print_formula(b):
+    """print_formula as it recursed, one frame per level, before it kept an
+    explicit stack."""
+
+    def go(b, prec):
+        if isinstance(b, Top):
+            return "T"
+        if isinstance(b, Bot):
+            return "F"
+        if isinstance(b, Atom):
+            return f"{b.name}.{b.index}"
+        if isinstance(b, Not):
+            return "!" + go(b.arg, 3)
+        if isinstance(b, And):
+            s = f"{go(b.left, 2)} & {go(b.right, 3)}"
+            return f"({s})" if prec > 2 else s
+        if isinstance(b, Or):
+            s = f"{go(b.left, 1)} | {go(b.right, 2)}"
+            return f"({s})" if prec > 1 else s
+        raise TypeError(b)
+
+    return go(b, 0)
 
 
 def reference_walk_atoms(*fs):
@@ -1983,3 +2012,319 @@ def reference_simulation(p, fuel=1000):
         used += max(len(steps), 1)
         p = nxt
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers: the tokenizer that listed each token's kind, text and
+# position from `finditer`, and the four parsers that dispatched on those
+# kinds, kept as they were before the token stream became one `findall` of
+# texts, so each parser's values and errors are compared against an
+# independent copy
+
+
+def reference_token_pattern(*groups):
+    """One grammar's tokens as one compiled alternation: `groups` are
+    `(kind, regex)` pairs, tried in order, none of which matches whitespace.
+    A non-space character that no group matches is a token of kind "?"."""
+    alternatives = "".join(f"(?P<{kind}>{regex})|" for kind, regex in groups)
+    return re.compile(rf"{alternatives}(\S)")
+
+
+def reference_tokenize(pattern, text):
+    """The `(kind, text, position)` tokens of `text` under `pattern`, in one
+    pass, closed by an `eof` token at len(text).  Whitespace separates
+    tokens: no match starts on it, so the search skips it."""
+    end = len(text)  # first, so a non-text input fails alike in every grammar
+    out = [(m.lastgroup or "?", m.group(), m.start()) for m in pattern.finditer(text)]
+    out.append(("eof", "", end))
+    return out
+
+
+_REFERENCE_TERM_TOKENS = reference_token_pattern(
+    ("choice", r"\(\+[a-z][a-zA-Z0-9_'~]*\.[0-9]+\)"),
+    ("badchoice", r"\(\+"),
+    ("lam", r"\\"),
+    ("dot", r"\."),
+    ("lpar", r"\("),
+    ("rpar", r"\)"),
+    ("lbrace", r"\{"),
+    ("rbrace", r"\}"),
+    ("const", "#c"),
+    ("nu", r"nu(?![a-zA-Z0-9_'~])"),
+    ("ident", r"[a-z][a-zA-Z0-9_'~]*"),
+    ("abbrev", r"[A-Z][A-Z0-9_]*|2"),
+)
+
+
+def reference_parse_term(text):
+    """Parse the ASCII term grammar.  Abbreviations: I, OMEGA, 2.
+
+    Binders are read in a loop, and each parenthesis or brace level costs
+    one interpreter frame.  A character outside the grammar is reported
+    before any error of structure, wherever it occurs."""
+    toks = reference_tokenize(_REFERENCE_TERM_TOKENS, text)
+    i = 0
+
+    def term():
+        # binders* (application (choice application)*)
+        nonlocal i
+        binders = []
+        kind = toks[i][0]
+        while kind == "lam" or kind == "nu":
+            var = toks[i + 1]
+            if var[0] != "ident":
+                raise ParseError(f"expected ident, found {var[0]}", var[2])
+            dot = toks[i + 2]
+            if dot[0] != "dot":
+                raise ParseError(f"expected dot, found {dot[0]}", dot[2])
+            binders.append((kind, var[1]))
+            i += 3
+            kind = toks[i][0]
+        t = label = None
+        while True:
+            app = None
+            while True:
+                kind, val, pos = toks[i]
+                if kind == "ident":
+                    i += 1
+                    atom = Var(val)
+                elif kind == "lpar" or kind == "lbrace":
+                    if kind == "lbrace" and app is not None:
+                        raise ParseError("CbV function {t} cannot be an argument", pos)
+                    i += 1
+                    atom = term()
+                    close = "rpar" if kind == "lpar" else "rbrace"
+                    if toks[i][0] != close:
+                        raise ParseError(
+                            f"expected {close}, found {toks[i][0]}", toks[i][2]
+                        )
+                    i += 1
+                    if kind == "lbrace":
+                        atom = _BraceFun(atom)
+                elif kind == "lam" or kind == "nu":
+                    atom = term()
+                elif kind == "const":
+                    i += 1
+                    atom = CONST
+                elif kind == "abbrev":
+                    if val not in _ABBREVIATIONS:
+                        raise ParseError(f"unknown abbreviation {val}", pos)
+                    i += 1
+                    atom = _ABBREVIATIONS[val]
+                elif app is None:
+                    raise ParseError(f"unexpected token {kind}", pos)
+                else:
+                    break
+                if app is None:
+                    app = atom
+                elif isinstance(app, _BraceFun):
+                    app = CbvApp(app.fun, atom)
+                else:
+                    app = App(app, atom)
+            if isinstance(app, _BraceFun):
+                raise ParseError("CbV function {t} must be applied", pos)
+            t = app if t is None else Choice(t, app, Name(label), int(index))
+            if kind != "choice":
+                break
+            label, _, index = val[2:-1].partition(".")
+            i += 1
+        for kind, var in reversed(binders):
+            t = Lam(var, t) if kind == "lam" else Nu(Name(var), t)
+        return t
+
+    try:
+        t = term()
+        kind, _, pos = toks[i]
+        if kind != "eof":
+            raise ParseError(f"trailing input at {kind}", pos)
+    except (ParseError, RecursionError):
+        for kind, val, pos in toks:
+            if kind == "badchoice":
+                raise ParseError("malformed choice operator", pos) from None
+            if kind == "?":
+                raise ParseError(f"unexpected character {val!r}", pos) from None
+        raise
+    return t
+
+
+_REFERENCE_FORMULA_TOKENS = reference_token_pattern(
+    ("sym", r"[()!&|]"),
+    ("const", r"[TF](?!\w)"),
+    ("atom", r"[a-z][a-zA-Z0-9_'~]*\.[0-9]+"),
+)
+
+
+def reference_parse_formula(text):
+    """Parse an event formula; `!` binds tighter than `&`, and `&` tighter
+    than `|`.  Each parenthesis level costs one interpreter frame."""
+    toks = reference_tokenize(_REFERENCE_FORMULA_TOKENS, text)
+    i = 0
+
+    def disjunction():
+        # negated operands joined by & and |
+        nonlocal i
+        out = conj = None
+        while True:
+            start = i
+            while toks[i][1] == "!":
+                i += 1
+            nots = i - start
+            kind, val, pos = toks[i]
+            i += 1
+            if kind == "atom":
+                name, _, index = val.partition(".")
+                operand = Atom(Name(name), int(index))
+            elif kind == "const":
+                operand = TOP if val == "T" else BOT
+            elif val == "(":
+                operand = disjunction()
+                if toks[i][1] != ")":
+                    raise ParseError("expected ')'", toks[i][2])
+                i += 1
+            elif kind == "eof":
+                raise ParseError("unexpected end of formula", pos)
+            else:
+                raise ParseError(f"unexpected character {text[pos]!r} in formula", pos)
+            for _ in range(nots):
+                operand = Not(operand)
+            conj = operand if conj is None else And(conj, operand)
+            op = toks[i][1]
+            if op == "|":
+                out = conj if out is None else Or(out, conj)
+                conj = None
+            elif op != "&":
+                return conj if out is None else Or(out, conj)
+            i += 1
+
+    out = disjunction()
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise ParseError("trailing input in formula", pos)
+    return out
+
+
+# `C[q]` up to the first `]`; without one, the token runs to the end of the
+# text and is reported as unterminated
+_REFERENCE_COUNT_TOKEN = ("count", r"C\[[^\]]*\]?")
+
+_REFERENCE_TYPE_TOKENS = reference_token_pattern(
+    _REFERENCE_COUNT_TOKEN, ("ground", r"(?:hn|n|o)\b"), ("sym", r"=>|[()\[\],]")
+)
+
+
+# `q` in `C[q]`: ASCII `n` or `n/d`
+_REFERENCE_EXPONENT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def reference_count_exponent(token, pos):
+    """The rational `q` of a `C[q]` token found at `pos`."""
+    if not token.endswith("]"):
+        raise ParseError("unterminated 'C['", pos)
+    m = _REFERENCE_EXPONENT.fullmatch(token, 2, len(token) - 1)
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise ParseError(f"expected n or n/d with d > 0 in {token!r}", pos)
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
+def reference_parse_type(text):
+    """Parse a counting type.  Each arrow or multiset level costs one
+    interpreter frame; a quantifier prefix costs none."""
+    toks = reference_tokenize(_REFERENCE_TYPE_TOKENS, text)
+    i = 0
+
+    def typ():
+        nonlocal i
+        counts = []
+        kind, val, pos = toks[i]
+        while kind == "count":
+            counts.append(reference_count_exponent(val, pos))
+            i += 1
+            kind, val, pos = toks[i]
+        i += 1
+        if kind == "ground":
+            out = Ground(val)
+        elif val == "(":
+            dom = typ()
+            if toks[i][1] != "=>":
+                raise ParseError("expected '=>'", toks[i][2])
+            i += 1
+            cod = typ()
+            if toks[i][1] != ")":
+                raise ParseError("expected ')'", toks[i][2])
+            i += 1
+            out = Arrow(dom, cod)
+        elif val == "[":
+            items = []
+            sep = toks[i][1]
+            if sep == "]":
+                i += 1
+            while sep != "]":
+                items.append(typ())
+                _, sep, pos = toks[i]
+                i += 1
+                if sep != "," and sep != "]":
+                    raise ParseError("expected ',' or ']' in multiset", pos)
+            out = mk_mset(items)
+        elif kind == "eof":
+            raise ParseError("unexpected end of type", pos)
+        else:
+            raise ParseError(f"unexpected character {text[pos]!r} in type", pos)
+        for q in reversed(counts):
+            out = Counted(q, out)
+        return out
+
+    out = typ()
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise ParseError("trailing input in type", pos)
+    return out
+
+
+_REFERENCE_PROOF_FORMULA_TOKENS = reference_token_pattern(
+    _REFERENCE_COUNT_TOKEN, ("var", "[a-zA-Z][a-zA-Z0-9_]*"), ("sym", "->|[()]")
+)
+
+
+def reference_parse_proof_formula(text):
+    """Parse a counting propositional formula; `->` associates to the right.
+    Arrows and quantifier prefixes are read in loops, and each parenthesis
+    level costs one interpreter frame."""
+    toks = reference_tokenize(_REFERENCE_PROOF_FORMULA_TOKENS, text)
+    i = 0
+
+    def implication():
+        nonlocal i
+        parts = []
+        while True:
+            counts = []
+            kind, val, pos = toks[i]
+            while kind == "count":
+                counts.append(reference_count_exponent(val, pos))
+                i += 1
+                kind, val, pos = toks[i]
+            i += 1
+            if kind == "var":
+                out = PropVar(val)
+            elif val == "(":
+                out = implication()
+                if toks[i][1] != ")":
+                    raise ParseError("expected ')'", toks[i][2])
+                i += 1
+            else:
+                raise ParseError("expected a propositional variable", pos)
+            for q in reversed(counts):
+                out = Count(q, out)
+            parts.append(out)
+            if toks[i][1] != "->":
+                break
+            i += 1
+        out = parts.pop()
+        while parts:
+            out = Implies(parts.pop(), out)
+        return out
+
+    out = implication()
+    kind, _, pos = toks[i]
+    if kind != "eof":
+        raise ParseError("trailing input in formula", pos)
+    return out

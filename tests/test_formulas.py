@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from lampe.formulas import (
     satisfiable,
 )
 from lampe.terms import Name
-from helpers import random_formula, reference_walk_atoms
+from helpers import random_formula, reference_print_formula, reference_walk_atoms
 
 a = Name("a")
 b = Name("b")
@@ -104,6 +105,9 @@ def test_entails_examples():
         ("a.x", "unexpected character 'a' in formula", 0),
         ("!)", "unexpected character ')' in formula", 1),
         ("a.0 & | b.0", "unexpected character '|' in formula", 6),
+        # T and F are constants only when no word character follows them
+        ("Tx.1", "unexpected character 'T' in formula", 0),
+        ("a.0 & F1", "unexpected character 'F' in formula", 6),
     ],
 )
 def test_formula_parse_error_table(text, message, position):
@@ -145,6 +149,13 @@ def formulas(draw, depth=3, names=("a", "b", "c"), kinds=_KINDS):
 
 # up to 4 names x 3 indices, depth 5: the reference stays at <= 4096 rows
 wide_formulas = formulas(depth=5, names=("a", "b", "c", "d"))
+
+
+@given(formulas(depth=6))
+@settings(max_examples=300, deadline=None)
+def test_print_formula_matches_its_reference(f):
+    assert print_formula(f) == reference_print_formula(f)
+    assert parse_formula(print_formula(f)) is f
 
 
 @given(formulas())
@@ -695,6 +706,28 @@ def test_oracle_flat_chains_and_not_runs_need_no_frame_per_link(capsys):
         assert cli.run(["mu", text]) == 0
         assert cli.run(["entails", text, text]) == 0
         assert capsys.readouterr() == (f"{format_rational(mu)}\ntrue\n", "")
+
+
+def test_flat_chains_and_not_runs_print_in_10000_links():
+    """print_formula keeps an explicit stack, so a 10,000-link run of one
+    connective prints at CPython's default recursion limit, and its text
+    parses back to the same interned node."""
+    links = 10_000
+    texts = [
+        " & ".join(f"a.{i}" for i in range(links)),
+        " | ".join(f"a.{i}" for i in range(links)),
+        "!" * links + "a.0",
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for text in texts:
+            x = parse_formula(text)
+            printed = print_formula(x)
+            assert printed == text
+            assert parse_formula(printed) is x
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ RECURSIVE = {
     "formulas.rename_formula_names",
     "formulas.eval_formula",
     "formulas.parse_formula.disjunction",
-    "formulas.print_formula.go",
     "formulas._SharedBDD.build",
     "formulas._SharedBDD.conj",
     "formulas._SharedBDD.disj",

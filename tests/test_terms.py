@@ -108,6 +108,10 @@ def test_parse_errors_have_positions():
         ("x 3", "unexpected character '3'", 2),
         # a character outside the grammar is reported before the bad ')'
         (") $", "unexpected character '$'", 2),
+        # "nu" is a binder only when no identifier character follows it
+        ("nux. x", "trailing input at dot", 3),
+        ("#x", "unexpected character '#'", 0),
+        ("\\x. \u00e9", "unexpected character '\u00e9'", 4),
     ],
 )
 def test_term_parse_error_table(text, message, position):

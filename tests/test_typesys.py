@@ -121,6 +121,9 @@ def test_type_parse_print_roundtrip():
         ("x", "unexpected character 'x' in type", 0),
         ("on", "unexpected character 'o' in type", 0),
         ("=> o", "unexpected character '=' in type", 0),
+        # a ground type ends at a word boundary
+        ("nx", "unexpected character 'n' in type", 0),
+        ("(o => hnv)", "unexpected character 'h' in type", 6),
         ("o o", "trailing input in type", 2),
         ("C[1/2 o", "unterminated 'C['", 0),
         ("(o => C[1", "unterminated 'C['", 6),
