@@ -25,7 +25,7 @@ builds the proof term once and hands each premise its part of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -36,6 +36,7 @@ from .formulas import (
     BoolFormula,
     Not,
     Or,
+    _bracket,
     _one_manager,
     entails,
     equivalent,
@@ -72,17 +73,19 @@ from .typesys import (
     O,
     TypingDerivation,
     _check_tree,
-    _decode_side,
     _decoded,
-    _encode_side,
     _expect,
     _freeze_side,
     _get_scale,
     _one_decode,
+    _rebuilt,
     _shape,
     _side,
+    _tree_from_json,
+    _tree_to_json,
     check_derivation,
     count_exponent,
+    fold,
     relabel,
     strip_prefix,
     wrap_prefix,
@@ -168,20 +171,28 @@ def parse_proof_formula(text):
     return out
 
 
+# print_proof_formula's expansion of a node, last item first; the flag says
+# whether an implication there is bracketed
+_PROOF_PRINT = {
+    PropVar: lambda a, wrap: (a.name,),
+    Count: lambda a, wrap: ((a.body, True), f"C[{a.q.numerator}/{a.q.denominator}] "),
+    Implies: lambda a, wrap: _bracket(
+        wrap, (a.consequent, False), " -> ", (a.antecedent, True)
+    ),
+}
+
+
 def print_proof_formula(a):
-    if isinstance(a, PropVar):
-        return a.name
-    if isinstance(a, Count):
-        inner = print_proof_formula(a.body)
-        if isinstance(a.body, Implies):
-            inner = f"({inner})"
-        return f"C[{a.q.numerator}/{a.q.denominator}] {inner}"
-    if isinstance(a, Implies):
-        left = print_proof_formula(a.antecedent)
-        if isinstance(a.antecedent, Implies):
-            left = f"({left})"
-        return f"{left} -> {print_proof_formula(a.consequent)}"
-    raise TypeError(a)
+    """The text that parse_proof_formula reads back as `a`, written from a
+    stack as print_formula writes formulas."""
+    out, stack = [], [(a, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(_PROOF_PRINT[type(item[0])](*item))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +335,25 @@ def _local_constraint(p):
 
 def weaken_proof(p, new_constraint):
     """Replace the ambient constraint by a stronger one throughout."""
+    return fold(p, new_constraint, _weaken_down, _rebuilt)
+
+
+def _weaken_down(p, constraint):
     s = p.sequent
-    new_s = Sequent(s.ctx, new_constraint, s.formula)
+    new_s = Sequent(s.ctx, constraint, s.formula)
     if p.rule in ("id", "bot"):
-        return ProofDerivation(p.rule, new_s, (), p.side)
+        return ProofDerivation(p.rule, new_s, (), p.side), None
     if p.rule == "m":
-        return ProofDerivation(p.rule, new_s, p.premises, p.side)
+        return ProofDerivation(p.rule, new_s, p.premises, p.side), None
     if p.rule in ("imp-i", "imp-e", "ce"):
-        return ProofDerivation(
-            p.rule,
-            new_s,
-            tuple(weaken_proof(q, new_constraint) for q in p.premises),
-            p.side,
-        )
+        return new_s, [(q, constraint) for q in p.premises]
     if p.rule == "ci":
         d = _local_constraint(p)
-        if formula_names(new_constraint) & formula_names(d):
+        if formula_names(constraint) & formula_names(d):
             raise IllFormedError(
                 "constraint strengthening collides with a bound name"
             )
-        return ProofDerivation(
-            p.rule,
-            new_s,
-            (weaken_proof(p.premises[0], And(new_constraint, d)),),
-            p.side,
-        )
+        return new_s, [(p.premises[0], And(constraint, d))]
     raise RuleShapeError(p.rule)
 
 
@@ -371,10 +376,12 @@ def ctx_insert_proof(p, pos, extra):
 def counting_names(p):
     """Names bound by counting introductions inside a proof."""
     out = set()
-    if p.rule == "ci":
-        out |= formula_names(_local_constraint(p))
-    for q in p.premises:
-        out |= counting_names(q)
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        if p.rule == "ci":
+            out |= formula_names(_local_constraint(p))
+        stack += p.premises
     return out
 
 
@@ -398,20 +405,19 @@ def subst_proof(p, k, replacement):
     proof-term order to stay in lockstep with term substitution."""
     du = replacement.sequent.constraint
     base_len = len(replacement.sequent.ctx)
-    total = _count_uses(p, k)
     internal = counting_names(replacement) - formula_names(du)
     hits = [0]
 
     def plugged_copy():
         hits[0] += 1
-        if total > 1 and internal and hits[0] > 1:
+        if internal and hits[0] > 1:
             mapping = {
                 name: copy_variant_name(name, hits[0]) for name in internal
             }
             return rename_proof_names(replacement, mapping)
         return replacement
 
-    def go(p):
+    def down(p, _):
         s = p.sequent
         new_ctx = s.ctx[:k] + s.ctx[k + 1 :]
         new_c = And(s.constraint, du)
@@ -423,25 +429,17 @@ def subst_proof(p, k, replacement):
                 copy = plugged_copy()
                 return weaken_proof(
                     ctx_insert_proof(copy, base_len, extra), new_c
-                )
+                ), None
             new_idx = idx - 1 if idx > k else idx
-            return ProofDerivation("id", new_s, (), {"index": new_idx})
+            return ProofDerivation("id", new_s, (), {"index": new_idx}), None
         if p.rule == "ce":
             # term order visits the minor (the CbV function body) first
-            minor = go(p.premises[1])
-            major = go(p.premises[0])
-            return ProofDerivation(p.rule, new_s, (major, minor), p.side)
-        return ProofDerivation(
-            p.rule, new_s, tuple(go(q) for q in p.premises), p.side
-        )
+            return new_s, [(p.premises[1], None), (p.premises[0], None)]
+        return new_s, [(q, None) for q in p.premises]
 
-    return go(p)
-
-
-def _count_uses(p, k):
-    if p.rule == "id":
-        return 1 if p.side["index"] == k else 0
-    return sum(_count_uses(q, k) for q in p.premises)
+    return fold(p, None, down, lambda p, new_s, premises: _rebuilt(
+        p, new_s, premises[::-1] if p.rule == "ce" else premises
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +504,7 @@ def _at_ce(p):
 def _at_m(p):
     left, right = p.premises
     s = p.sequent
-    if left == right:
+    if _same_proof(left, right):
         return "m-idem", weaken_proof(left, s.constraint)
     # m-m-left/right: premise k mixes on the same pivot, so its branch k is
     # the only one reachable there
@@ -516,6 +514,21 @@ def _at_m(p):
         if inner.rule == "m" and _pivot_atom(inner) == pivot:
             return kind, _mix(_with_premise(p, k, inner.premises[k]), pivot, s)
     return None
+
+
+def _same_proof(p, q):
+    """`p == q`, compared pair by pair on a stack: rule, sequent and side,
+    then the premises, skipping a node paired with itself."""
+    stack = [(p, q)]
+    while stack:
+        p, q = stack.pop()
+        if p is not q:
+            if (p.rule, p.sequent, p.side, len(p.premises)) != (
+                q.rule, q.sequent, q.side, len(q.premises)
+            ):
+                return False
+            stack += zip(p.premises, q.premises)
+    return True
 
 
 def _at_imp_i(p):
@@ -568,18 +581,24 @@ _REDEX_AT = {
 
 def _proof_step(p):
     """(path, kind, next proof) for the leftmost-outermost redex of p, or
-    None when p is normal; the redex's ancestors are rebuilt on the way
-    back."""
-    at = _REDEX_AT.get(p.rule)
-    found = None if at is None else at(p)
-    if found is not None:
-        return ((), *found)
-    for i, q in enumerate(p.premises):
-        found = _proof_step(q)
+    None when p is normal.  A stack entry (node, premise index, parent's
+    entry) links its node to the root, to rebuild the redex's ancestors."""
+    stack = [(p, None, None)]
+    while stack:
+        entry = stack.pop()
+        p = entry[0]
+        at = _REDEX_AT.get(p.rule)
+        found = None if at is None else at(p)
         if found is not None:
-            path, kind, new = found
-            premises = _with_premise(p, i, new)
-            return (i, *path), kind, ProofDerivation(p.rule, p.sequent, premises, p.side)
+            kind, new = found
+            path = []
+            while entry[2] is not None:
+                _, i, entry = entry
+                parent = entry[0]
+                new = _rebuilt(parent, parent.sequent, _with_premise(parent, i, new))
+                path.append(i)
+            return tuple(reversed(path)), kind, new
+        stack += reversed([(q, i, entry) for i, q in enumerate(p.premises)])
     return None
 
 
@@ -623,16 +642,26 @@ def normalize_proof(p, max_steps=10000):
 
 
 def formula_type(a):
-    """The type corresponding to a formula."""
-    if isinstance(a, PropVar):
-        return O
-    if isinstance(a, Count):
-        return Counted(a.q, formula_type(a.body))
-    if isinstance(a, Implies):
-        target = formula_type(a.consequent)
-        qs, body = strip_prefix(target)
-        return wrap_prefix(qs, Arrow(formula_type(a.antecedent), body))
-    raise TypeError(a)
+    """The type corresponding to a formula: C[q] A types as C[q] of A's type,
+    and A -> B moves the prefix of B's type out over the arrow.  Evaluated
+    from one stack of formulas and pending steps, as `_truth_table` is: a
+    `(q,)` counts the type on top, and `Implies` joins the top two."""
+    out, stack = [], [a]
+    while stack:
+        a = stack.pop()
+        kind = type(a)
+        if a is Implies:
+            qs, body = strip_prefix(out.pop())
+            out.append(wrap_prefix(qs, Arrow(out.pop(), body)))
+        elif kind is tuple:
+            out.append(Counted(a[0], out.pop()))
+        elif kind is Implies:
+            stack += (Implies, a.consequent, a.antecedent)
+        elif kind is Count:
+            stack += ((a.q,), a.body)
+        else:
+            out.append(O)
+    return out[0]
 
 
 def _hyp_var(i):
@@ -641,35 +670,35 @@ def _hyp_var(i):
 
 def proof_term(p):
     """The proof term alone (variables named by hypothesis position)."""
-    s = p.sequent
+    return fold(p, None, _term_down, _term_up)
+
+
+def _term_down(p, _):
+    """A leaf's term, or the premises in term order: the ce minor is the body
+    of the CbV function."""
     if p.rule == "id":
-        return Var(_hyp_var(p.side["index"]))
+        return Var(_hyp_var(p.side["index"])), None
     if p.rule == "bot":
-        return CONST
+        return CONST, None
+    pairs = [(q, None) for q in p.premises]
+    return None, pairs[::-1] if p.rule == "ce" else pairs
+
+
+def _term_up(p, _, t):
     if p.rule == "m":
         pivot = _pivot_atom(p)
-        return Choice(
-            proof_term(p.premises[0]),
-            proof_term(p.premises[1]),
-            pivot.name,
-            pivot.index,
-        )
-    if p.rule == "imp-i":
-        return Lam(_hyp_var(len(s.ctx)), proof_term(p.premises[0]))
+        return Choice(t[0], t[1], pivot.name, pivot.index)
     if p.rule == "imp-e":
-        return App(proof_term(p.premises[0]), proof_term(p.premises[1]))
+        return App(t[0], t[1])
     if p.rule == "ci":
-        d = _local_constraint(p)
-        names = formula_names(d)
+        names = formula_names(_local_constraint(p))
         if len(names) != 1:
-            raise IllFormedError(
-                "translation needs a single-name local constraint"
-            )
-        (a,) = names
-        return Nu(a, proof_term(p.premises[0]))
+            raise IllFormedError("translation needs a single-name local constraint")
+        return Nu(next(iter(names)), t[0])
+    if p.rule == "imp-i":
+        return Lam(_hyp_var(len(p.sequent.ctx)), t[0])
     if p.rule == "ce":
-        minor = Lam(_hyp_var(len(s.ctx)), proof_term(p.premises[1]))
-        return CbvApp(minor, proof_term(p.premises[0]))
+        return CbvApp(Lam(_hyp_var(len(p.sequent.ctx)), t[0]), t[1])
     raise RuleShapeError(p.rule)
 
 
@@ -691,51 +720,47 @@ def translate(p):
     check_proof(p)
     term = proof_term(p)
     root_names = frozenset(formula_names(p.sequent.constraint) | free_names(term))
-    deriv = _translate_node(p, root_names, term)
+    deriv = fold(p, (root_names, term), _translate_down, _translate_up)
     check_derivation(deriv, CBV)
     return term, deriv
 
 
-def _ctx_types(ctx):
-    return tuple(
-        (_hyp_var(i), formula_type(a)) for i, a in enumerate(ctx)
-    )
-
-
-def _translate_node(p, names, term):
-    """The typing derivation of `term`, the proof term of p, with the
-    generator names `names` in scope."""
+def _translate_down(p, under):
+    """The conclusion that types `term`, p's proof term, with `names` in
+    scope, where `under` is (names, term); each premise gets its own."""
+    names, term = under
     s = p.sequent
-    ctx = _ctx_types(s.ctx)
-    ty = formula_type(s.formula)
-    j = Judgement(ctx, names, term, s.constraint, ty)
-    inner = names
+    ctx = tuple((_hyp_var(i), formula_type(a)) for i, a in enumerate(s.ctx))
+    j = Judgement(ctx, names, term, s.constraint, formula_type(s.formula))
     if p.rule == "ci":
         if term.name in names:
             raise IllFormedError(f"generator name {term.name} is already in scope")
-        inner = names | {term.name}
-    subs = tuple(
-        _translate_node(q, inner, subterm_at(term, at))
+        names = names | {term.name}
+    return j, [
+        (q, (names, subterm_at(term, at)))
         for q, at in zip(p.premises, _PREMISE_AT[p.rule])
-    )
-    if p.rule == "id":
-        return TypingDerivation("id", j, (), {})
-    if p.rule == "bot":
-        return TypingDerivation("or", j, (), {})
+    ]
+
+
+# the CbV rule of a proof rule's node whose premises are its premises' typings
+_TYPED_BY = {"id": "id", "bot": "or", "imp-i": "lam", "imp-e": "app"}
+
+
+def _translate_up(p, j, subs):
+    """The typing derivation of p's proof term, from its premises' ones."""
+    s = p.sequent
+    subs = tuple(subs)
+    if p.rule in _TYPED_BY:
+        return TypingDerivation(_TYPED_BY[p.rule], j, subs, {})
     if p.rule == "m":
         pivot = _pivot_atom(p)
         sides = (
             TypingDerivation(
-                rule, Judgement(ctx, names, term, And(q.judgement.constraint, sign), ty),
-                (q,), {},
+                rule, replace(j, constraint=And(q.judgement.constraint, sign)), (q,), {}
             )
             for rule, q, sign in zip(("plus-l", "plus-r"), subs, (pivot, Not(pivot)))
         )
         return TypingDerivation("or", j, tuple(sides), {})
-    if p.rule == "imp-i":
-        return TypingDerivation("lam", j, subs, {})
-    if p.rule == "imp-e":
-        return TypingDerivation("app", j, subs, {})
     if p.rule == "ci":
         return TypingDerivation(
             "mu", j, subs, {"d": _local_constraint(p), "q": s.formula.q}
@@ -746,7 +771,7 @@ def _translate_node(p, names, term):
     arg_type = formula_type(p.premises[0].sequent.formula.body)
     lam_node = TypingDerivation(
         "lam",
-        Judgement(ctx, names, term.fun, s.constraint, wrap_prefix(qs, Arrow(arg_type, body))),
+        replace(j, term=j.term.fun, type=wrap_prefix(qs, Arrow(arg_type, body))),
         (minor,),
         {},
     )
@@ -848,32 +873,20 @@ def verify_simulation(p, fuel=1000):
 
 
 def proof_to_json(p):
-    s = p.sequent
-    return {
-        "rule": p.rule,
-        "sequent": {
-            "ctx": [print_proof_formula(a) for a in s.ctx],
-            "constraint": print_formula(s.constraint),
-            "formula": print_proof_formula(s.formula),
-        },
-        "side": _encode_side(p.side),
-        "premises": [proof_to_json(q) for q in p.premises],
-    }
+    return _tree_to_json(p, "sequent", lambda s: {
+        "ctx": [print_proof_formula(a) for a in s.ctx],
+        "constraint": print_formula(s.constraint),
+        "formula": print_proof_formula(s.formula),
+    })
 
 
 @_one_decode
 def proof_from_json(obj):
-    rule = _expect(obj["rule"], str, "the rule as a string")
-    premises = _expect(obj.get("premises", []), list, "the premises as a list")
-    seq = obj["sequent"]
-    ctx = _expect(seq["ctx"], list, "the hypotheses as a list")
-    return ProofDerivation(
-        rule,
-        Sequent(
-            tuple(_decoded(parse_proof_formula, a) for a in ctx),
-            _decoded(parse_formula, seq["constraint"]),
-            _decoded(parse_proof_formula, seq["formula"]),
+    return _tree_from_json(obj, ProofDerivation, "sequent", lambda seq: Sequent(
+        tuple(
+            _decoded(parse_proof_formula, a)
+            for a in _expect(seq["ctx"], list, "the hypotheses as a list")
         ),
-        tuple(map(proof_from_json, premises)),
-        _decode_side(obj.get("side", {})),
-    )
+        _decoded(parse_formula, seq["constraint"]),
+        _decoded(parse_proof_formula, seq["formula"]),
+    ))

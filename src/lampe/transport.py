@@ -46,7 +46,9 @@ from .typesys import (
     Judgement,
     TypingDerivation,
     _get_scale,
+    _rebuilt,
     check_derivation,
+    fold,
     relabel,
     same_judgement,
     strip_prefix,
@@ -60,12 +62,14 @@ def _unsupported(msg):
 
 def or_leaves(d):
     """Non-disjunction leaves of the top layer of disjunction nodes."""
-    if d.rule == "or":
-        out = []
-        for p in d.premises:
-            out.extend(or_leaves(p))
-        return out
-    return [d]
+    out, stack = [], [d]
+    while stack:
+        d = stack.pop()
+        if d.rule == "or":
+            stack += reversed(d.premises)
+        else:
+            out.append(d)
+    return out
 
 
 def _or(premises, judgement):
@@ -136,7 +140,7 @@ def ctx_weaken(d, pairs):
         return d
     new_vars = {x for x, _ in pairs}
 
-    def go(d):
+    def down(d, _):
         for x, _ in d.judgement.ctx:
             if x in new_vars:
                 _unsupported(f"context weakening collides with {x}")
@@ -147,15 +151,10 @@ def ctx_weaken(d, pairs):
             for x in clash:
                 taken = {y for y, _ in p.judgement.ctx} | new_vars
                 p = rename_derivation_var(p, x, _fresh_var(x, taken))
-            premises.append(go(p))
-        return TypingDerivation(
-            d.rule,
-            _with(d.judgement, ctx=d.judgement.ctx + tuple(pairs)),
-            tuple(premises),
-            d.side,
-        )
+            premises.append((p, None))
+        return _with(d.judgement, ctx=d.judgement.ctx + tuple(pairs)), premises
 
-    return go(d)
+    return fold(d, None, down, _rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,7 @@ def subst_typing(d, x, arg_derivation):
             return [offset, offset + count(t.fun)]
         return [offset] * len(d.premises)
 
-    def go(d, offset):
+    def down(d, offset):
         j = d.judgement
         new_ctx = tuple((y, a) for y, a in j.ctx if y != x)
         new_constraint = And(j.constraint, du)
@@ -227,17 +226,11 @@ def subst_typing(d, x, arg_derivation):
                 plugged = names_weaken(
                     ctx_weaken(plug, extra), j.names - base_names
                 )
-                return _or([plugged], new_j)
-            return _node("id", new_j, ())
-        offsets = premise_offsets(d, offset)
-        return _node(
-            d.rule,
-            new_j,
-            [go(p, off) for p, off in zip(d.premises, offsets)],
-            d.side,
-        )
+                return _or([plugged], new_j), None
+            return _node("id", new_j, ()), None
+        return new_j, list(zip(d.premises, premise_offsets(d, offset)))
 
-    return go(d, 0)
+    return fold(d, 0, down, _rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -533,32 +526,35 @@ _CHILD_PREMISE = {
 
 
 def _descend(d, rule, path, mode):
-    j = d.judgement
-    if d.rule == "or":
-        new_premises = [_descend(p, rule, path, mode) for p in d.premises]
-        term = (
-            new_premises[0].judgement.term
-            if new_premises
-            else _reapply(j.term, rule, path, mode)
-        )
-        return _or(new_premises, _with(j, term=term))
-    if not path:
-        return _transport_root(d, rule, mode)
-    child = path[0]
-    mapping = _CHILD_PREMISE.get(d.rule, {})
-    new_term = _reapply(j.term, rule, path, mode)
-    if child not in mapping:
-        # untyped branch of a one-sided choice rule: the typing is unaffected
-        return TypingDerivation(
-            d.rule, _with(j, term=new_term), d.premises, d.side
-        )
-    idx = mapping[child]
-    new_premise = _descend(d.premises[idx], rule, path[1:], mode)
-    premises = list(d.premises)
-    premises[idx] = new_premise
-    return TypingDerivation(
-        d.rule, _with(j, term=new_term), tuple(premises), d.side
-    )
+    """Rebuild d along `path` to the redex: an `or` node passes the path to
+    each premise, and premises off the path pass through untouched."""
+
+    def down(d, path):
+        j = d.judgement
+        if d.rule == "or":
+            return path, [(p, path) for p in d.premises]
+        if not path:
+            return _transport_root(d, rule, mode), None
+        mapping = _CHILD_PREMISE.get(d.rule, {})
+        new_j = _with(j, term=_reapply(j.term, rule, path, mode))
+        if path[0] not in mapping:
+            # untyped branch of a one-sided choice rule: the typing is unaffected
+            return TypingDerivation(d.rule, new_j, d.premises, d.side), None
+        return (new_j, mapping[path[0]]), [(d.premises[mapping[path[0]]], path[1:])]
+
+    def up(d, head, premises):
+        if d.rule == "or":
+            term = (
+                premises[0].judgement.term
+                if premises
+                else _reapply(d.judgement.term, rule, head, mode)
+            )
+            return _or(premises, _with(d.judgement, term=term))
+        new_j, idx = head
+        new = d.premises[:idx] + tuple(premises) + d.premises[idx + 1 :]
+        return TypingDerivation(d.rule, new_j, new, d.side)
+
+    return fold(d, path, down, up)
 
 
 def _reapply(term, rule, path, mode):

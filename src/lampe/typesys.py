@@ -451,14 +451,45 @@ class TypingDerivation:
     _checked_under = ()
 
 
+def fold(root, arg, down, up):
+    """The one bottom-up walk of a tree, on an explicit stack.  `down(node,
+    arg)`, called in a recursive walk's order, returns `(value, pairs)`: with
+    `pairs` None, `value` is the node's result; else `pairs` lists the
+    `(child, arg)` to visit, and `up(node, value, results)` builds the node's
+    result from the list of theirs."""
+    results = []
+    stack = [(root, arg)]
+    while stack:
+        item = stack.pop()
+        if len(item) == 3:
+            node, value, cut = item
+            results[cut:] = (up(node, value, results[cut:]),)
+            continue
+        value, pairs = down(*item)
+        if pairs is None:
+            results.append(value)
+        else:
+            stack.append((item[0], value, len(results)))
+            stack += reversed(pairs)
+    return results[0]
+
+
 def relabel(node, label):
     """Rebuild a derivation or proof node by node with the same rules: a node
     becomes `type(node)(node.rule, conclusion, premises, side)`, where
     `label(node)` gives the new (conclusion, side) and is called on a node
     before its premises."""
-    conclusion, side = label(node)
-    premises = tuple(relabel(p, label) for p in node.premises)
-    return type(node)(node.rule, conclusion, premises, side)
+    return fold(
+        node,
+        None,
+        lambda n, _: (label(n), [(p, None) for p in n.premises]),
+        lambda n, new, premises: type(n)(n.rule, new[0], tuple(premises), new[1]),
+    )
+
+
+def _rebuilt(node, conclusion, premises):
+    """`node` with a new conclusion and premises: the `up` of most folds."""
+    return type(node)(node.rule, conclusion, tuple(premises), node.side)
 
 
 RULES_BY_SYSTEM = {
@@ -891,11 +922,11 @@ def apply_mu_star(d, order=None):
     A row picks one complete minterm per name over that name's atoms in
     the constraint, so it decides the constraint, and the rows that satisfy
     it partition it.  The constraint's truth table over the rows in product
-    order, name by name, is one int, computed once.  One recursive fold
-    walks the rows in that order, skips every row prefix whose span of the
-    table is 0, puts one `or` node over `d` under each row whose bit is set,
-    and discharges each name with the summing counting rule over the kept
-    rows under its prefix, innermost first.  Without `order` the names go
+    order, name by name, is one int, computed once.  One `fold` walks the
+    rows in that order, skips every row prefix whose span of the table is
+    0, puts one `or` node over `d` under each row whose bit is set, and
+    discharges each name with the summing counting rule over the kept rows
+    under its prefix, innermost first.  Without `order` the names go
     in text order.  The opening check of `d` already rejects a root type
     without its quantifier and a constraint that names a name outside the
     judgement.
@@ -921,25 +952,25 @@ def apply_mu_star(d, order=None):
     bits = {x: n - 1 - p for p, x in enumerate(row_atoms)}
     rows = 1 << n
 
-    def fold(k, prefix, table, width):
-        """The derivation under the row prefix whose minterms `prefix`
-        conjoins, where `table`, never 0, is the `width`-row span of the
-        truth table under that prefix.  A complete row is one `or` node over
-        `d`; above it, each name's `mu-sigma` node takes the derivations of
-        its nonzero sub-spans directly as premises, found lowest first by
-        the lowest set bit, so the zero spans between them cost nothing.  At
-        the top a premise's constraint is the minterm m, not And(TOP, m),
-        which `_check_mu_sigma` accepts as equivalent."""
+    def down(k, under):
+        """A row prefix as a `fold` node: k indexes the next name, and `under`
+        holds the conjunction of the prefix's minterms, the prefix's span of
+        the truth table, never 0, and its width in rows.  A complete row is
+        one `or` node over `d`; above it, each name's `mu-sigma` node takes
+        the derivations of its nonzero sub-spans directly as premises, found
+        lowest first by the lowest set bit, so the zero spans between them
+        cost nothing.  At the top a premise's constraint is the minterm m,
+        not And(TOP, m), which `_check_mu_sigma` accepts as equivalent."""
+        prefix, table, width = under
         if k == len(names):
             leaf = Judgement(j.ctx, j.names, j.term, prefix, j.type)
-            return TypingDerivation("or", leaf, (d,), {})
+            return TypingDerivation("or", leaf, (d,), {}), None
         a, indices = name_atoms[k]
         width >>= len(indices)
         span = (1 << width) - 1
         s = Fraction(1, 1 << len(indices))  # the measure of each minterm
-        premises = []
         cases = []
-        total = Fraction(0)
+        pairs = []
         i = 0  # the minterm whose span is at the bottom of `table`
         while table:
             skip = ((table & -table).bit_length() - 1) // width
@@ -950,24 +981,25 @@ def apply_mu_star(d, order=None):
                 Atom(a, x) if i >> (len(indices) - 1 - p) & 1 else Not(Atom(a, x))
                 for p, x in enumerate(indices)
             )
-            sub = fold(k + 1, And(prefix, m) if k else m, table & span, width)
+            cases.append((m, s))
+            pairs.append((k + 1, (And(prefix, m) if k else m, table & span, width)))
             table >>= width
             i += 1
-            premises.append(sub)
-            cases.append((m, s))
-            total += sub.judgement.type.q * s
+        return (prefix, tuple(cases)), pairs
+
+    def up(k, head, premises):
+        prefix, cases = head
+        total = sum(p.judgement.type.q * s for p, (_, s) in zip(premises, cases))
         root = Judgement(
             j.ctx,
             j.names - set(names[k:]),
-            Nu(a, sub.judgement.term),
+            Nu(names[k], premises[-1].judgement.term),
             prefix,
             Counted(total, j.type.body),
         )
-        return TypingDerivation(
-            "mu-sigma", root, tuple(premises), {"cases": tuple(cases)}
-        )
+        return TypingDerivation("mu-sigma", root, tuple(premises), {"cases": cases})
 
-    result = fold(0, TOP, _truth_table(b, bits, rows), rows)
+    result = fold(0, (TOP, _truth_table(b, bits, rows), rows), down, up)
     check_derivation(result, INT)
     expected = Counted(j.type.q * measure(b), j.type.body)
     if result.judgement.type != expected:
@@ -1067,20 +1099,45 @@ def _encode_side(side):
     return {k: _SIDE_CODECS.get(k, _PASS_THROUGH)[1](v) for k, v in side.items()}
 
 
-def derivation_to_json(d):
-    j = d.judgement
-    return {
-        "rule": d.rule,
-        "judgement": {
-            "ctx": [[x, print_type(a)] for x, a in j.ctx],
-            "names": sorted(str(n) for n in j.names),
-            "term": print_term(j.term),
-            "constraint": print_formula(j.constraint),
-            "type": print_type(j.type),
+def _tree_to_json(root, key, encode):
+    """The JSON object of a derivation or proof, whose nodes keep their
+    conclusion in the attribute `key`, written out by `encode`."""
+    return fold(
+        root,
+        None,
+        lambda node, _: (None, [(p, None) for p in node.premises]),
+        lambda node, _, premises: {
+            "rule": node.rule,
+            key: encode(getattr(node, key)),
+            "side": _encode_side(node.side),
+            "premises": premises,
         },
-        "side": _encode_side(d.side),
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
+    )
+
+
+def _tree_from_json(obj, cls, key, decode):
+    """The `cls` tree that `obj` encodes, `decode` reading its conclusions
+    from `key`: rule, premise list and conclusion before the premises, and
+    the side data after them."""
+
+    def down(obj, _):
+        rule = _expect(obj["rule"], str, "the rule as a string")
+        premises = _expect(obj.get("premises", []), list, "the premises as a list")
+        return (rule, decode(obj[key])), [(p, None) for p in premises]
+
+    return fold(obj, None, down, lambda obj, head, premises: cls(
+        *head, tuple(premises), _decode_side(obj.get("side", {}))
+    ))
+
+
+def derivation_to_json(d):
+    return _tree_to_json(d, "judgement", lambda j: {
+        "ctx": [[x, print_type(a)] for x, a in j.ctx],
+        "names": sorted(str(n) for n in j.names),
+        "term": print_term(j.term),
+        "constraint": print_formula(j.constraint),
+        "type": print_type(j.type),
+    })
 
 
 @_one_decode
@@ -1105,11 +1162,4 @@ def judgement_from_json(obj):
 
 @_one_decode
 def derivation_from_json(obj):
-    rule = _expect(obj["rule"], str, "the rule as a string")
-    premises = _expect(obj.get("premises", []), list, "the premises as a list")
-    return TypingDerivation(
-        rule,
-        judgement_from_json(obj["judgement"]),
-        tuple(map(derivation_from_json, premises)),
-        _decode_side(obj.get("side", {})),
-    )
+    return _tree_from_json(obj, TypingDerivation, "judgement", judgement_from_json)

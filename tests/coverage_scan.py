@@ -41,8 +41,6 @@ ALLOWED = {
     ("typesys", "raise TypeError(t)"): _FALL_THROUGH,
     # eval_formula, _SharedBDD.build
     ("formulas", "raise TypeError(b)"): _FALL_THROUGH,
-    # print_proof_formula, formula_type
-    ("proofs", "raise TypeError(a)"): _FALL_THROUGH,
     # transport_subject_reduction's closing comparison and the plus-plus
     # pivot check
     ("transport", "raise UnsupportedStepError("): _SELF_CHECK,

@@ -742,6 +742,27 @@ def proof_fixture_corpus():
     return [half_id_proof(), duplicator_proof(), cut_proof()]
 
 
+def mixed_chain_proof(depth, base=None):
+    """A proof of A from the hypotheses A, A: `depth` nested `m` nodes over
+    `base`, by default `id 0`, the i-th mixing the nodes below it with `id 1`
+    on its own pivot a.i.  The chain adds no redex, so a chain over a normal
+    base is normal."""
+    A = PropVar("A")
+    ctx = (A, A)
+    p = base or P("id", S(ctx, TOP, A), (), {"index": 0})
+    right = P("id", S(ctx, TOP, A), (), {"index": 1})
+    for i in range(depth):
+        p = P("m", S(ctx, TOP, A), (p, right), {"pivot": Atom(A_, i)})
+    return p
+
+
+def mixed_copies_proof(depth, base=None):
+    """An `m` node mixing two equal, separately built copies of
+    `mixed_chain_proof(depth, base)`, an `m-idem` redex at the root."""
+    left, right = (mixed_chain_proof(depth, base) for _ in range(2))
+    return P("m", left.sequent, (left, right), {"pivot": Atom(A_, depth)})
+
+
 def mixed_premise_proof(rule, k):
     """An imp-e or ce node whose premise k is a mix on a.0 of two hypothesis
     proofs, and whose other premise is a hypothesis."""

@@ -12,11 +12,13 @@ from helpers import (
     cut_proof,
     half_id_proof,
     identity_derivation,
+    int_identity,
+    mixed_copies_proof,
 )
 from lampe.cli import run
 from lampe.proofs import proof_to_json
 from lampe.terms import Choice, Lam, Name, Nu, Var, alpha_eq, parse_term
-from lampe.typesys import derivation_to_json
+from lampe.typesys import apply_mu_star, derivation_to_json
 
 
 def invoke(capsys, *argv):
@@ -144,6 +146,17 @@ def test_mu_star_cli(capsys, tmp_path):
     path.write_text(json.dumps(derivation_to_json(_two_name_premise())))
     code, out, _ = invoke(capsys, "mu-star", str(path))
     assert code == 0 and "C[3/8]" in out
+
+
+def test_mu_star_cli_discharges_1000_names(capsys, tmp_path):
+    """The row fold keeps its own stack, so the CLI prints the judgement of a
+    1,000-name premise.  (`--json` may still stop in `json.dumps`.)"""
+    premise = int_identity(names={Name(f"a{i}") for i in range(1000)})
+    path = tmp_path / "premise.json"
+    path.write_text(json.dumps(derivation_to_json(premise)))
+    code, out, err = invoke(capsys, "mu-star", str(path))
+    assert (code, err) == (0, "")
+    assert out == apply_mu_star(premise).judgement.format() + "\n"
 
 
 def test_transport_cli(capsys, tmp_path):
@@ -435,6 +448,18 @@ def _set_hypotheses(blob, value):
     blob["premises"][0]["premises"][0]["premises"][0]["sequent"]["ctx"] = value
 
 
+def _set_names_over_a_bad_premise(blob, value):
+    # a node's conclusion is read before its premises
+    blob["judgement"]["names"] = value
+    blob["premises"][0]["rule"] = []
+
+
+def _set_side_over_a_bad_premise(blob, value):
+    # a node's side data is read after its premises
+    blob["side"] = value
+    blob["premises"][0]["rule"] = []
+
+
 # Without the decoders' field checks each of these decoded: the rule `[]`
 # reached the checker and failed with `E_INTERNAL: TypeError: unhashable type:
 # 'list'`, the names "a" and the hypotheses "A" read a string as a list of
@@ -476,6 +501,20 @@ def _set_hypotheses(blob, value):
             "A",
             "the hypotheses as a list, got str",
         ),
+        (
+            "check",
+            coin_derivation,
+            _set_names_over_a_bad_premise,
+            "a",
+            "the names as a list, got str",
+        ),
+        (
+            "check-proof",
+            half_id_proof,
+            _set_side_over_a_bad_premise,
+            {"d": 7},
+            "the rule as a string, got list",
+        ),
     ],
     ids=[
         "rule-list",
@@ -487,6 +526,8 @@ def _set_hypotheses(blob, value):
         "proof-rule-list",
         "proof-premises-object",
         "proof-hypotheses-string",
+        "names-before-premises",
+        "side-after-premises",
     ],
 )
 def test_field_of_the_wrong_type_is_a_schema_error(
@@ -561,19 +602,58 @@ def test_reduced_output_reparses(capsys):
 
 
 def test_deep_input_reports_depth(capsys, tmp_path):
-    """A file 3,000 `or` nodes deep is too deep on every supported Python.
-    Before 3.12 `json.loads` counts against the recursion limit, two levels
-    per node (its object and its premise list), and fails first.  From 3.12
-    on it does not, but `derivation_from_json` still costs one interpreter
-    frame per node and meets the limit of 1,000."""
+    """A file 6,000 `or` nodes deep is too deep for `json.loads` on every
+    supported Python, and `json.loads` stops first: the decoders keep their
+    own stack (see test_the_decoders_add_no_depth_limit_of_their_own).  Each
+    node nests two JSON levels, an object and its premise list.  At
+    recursion limit 1,000, `json.loads` reads about 500 such nodes on 3.10
+    and 3.11.7 and about 750 on 3.12.1.  On 3.13 it counts levels against a
+    C recursion limit of 10,000, so it reads about 5,000, and a 3,000-node
+    file checks there.  The recursive decoder and its `_one_decode` wrapper
+    took two interpreter frames per node and stopped near 500 nodes on
+    every version."""
     base = identity_derivation()
     node = derivation_to_json(D("or", base.judgement, (base,)))
     head, _, tail = json.dumps({**node, "premises": [None]}).partition("null")
     path = tmp_path / "deep.json"
-    path.write_text(head * 3000 + json.dumps(node["premises"][0]) + tail * 3000)
+    path.write_text(head * 6000 + json.dumps(node["premises"][0]) + tail * 6000)
     code, out, err = invoke(capsys, "check", "--system", "cbv", str(path))
     assert code == 1 and err.startswith("E_DEPTH")
     assert "Traceback" not in out + err
+
+
+def test_m_idem_compares_a_301_deep_proof_file(capsys, tmp_path):
+    """The root of the file mixes two equal, separately decoded copies of a
+    300-deep chain; `m-idem` compares them node by node on a stack, where
+    the generated `==` took about four interpreter frames per level."""
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps(proof_to_json(mixed_copies_proof(300))))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert (code, out, err) == (0, "A, A |- T ~> A\n", "")
+    code, out, err = invoke(capsys, "normalize-proof", str(path))
+    assert (code, out, err) == (0, "A, A |- T ~> A\n", "1 steps\n")
+
+
+def test_proof_commands_on_a_3000_link_formula(capsys, tmp_path):
+    """A one-node proof over a 3,000-link arrow chain checks, normalizes and
+    prints: the proof-formula printer keeps a stack.  `translate` still
+    answers E_DEPTH, from the generated `==` of two equal 3,000-deep types in
+    the `id` rule's check."""
+    chain = "A -> " * 3000 + "A"
+    blob = {
+        "rule": "id",
+        "sequent": {"ctx": [chain], "constraint": "T", "formula": chain},
+        "side": {"index": 0},
+        "premises": [],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "check-proof", str(path))
+    assert (code, out, err) == (0, f"{chain} |- T ~> {chain}\n", "")
+    code, out, err = invoke(capsys, "normalize-proof", "--json", str(path))
+    assert (code, out, err) == (0, json.dumps(blob, indent=2) + "\n", "0 steps\n")
+    code, out, err = invoke(capsys, "translate", str(path))
+    assert (code, out) == (1, "") and err.startswith("E_DEPTH")
 
 
 def test_deep_pnf_prints_its_normal_form(capsys):

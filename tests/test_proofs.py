@@ -1,5 +1,7 @@
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from helpers import (
     cut_proof,
     duplicator_proof,
     half_id_proof,
+    mixed_copies_proof,
     mixed_premise_proof,
     proof_fixture_corpus,
     proof_kind_corpus,
@@ -33,6 +36,7 @@ from lampe.proofs import (
     Implies,
     PropVar,
     _proof_step,
+    _same_proof,
     _term_path,
     check_proof,
     formula_type,
@@ -48,7 +52,7 @@ from lampe.proofs import (
     weaken_proof,
 )
 from lampe.terms import Name, alpha_eq, parse_term, print_term, subterm_at
-from lampe.typesys import CBV, check_derivation, print_type
+from lampe.typesys import CBV, O, Counted, check_derivation, print_type
 
 A = PropVar("A")
 a = Name("a")
@@ -178,6 +182,52 @@ def test_weakening_a_proof_by_its_bound_name_is_ill_formed():
     captured by it."""
     with pytest.raises(IllFormedError, match="collides with a bound name"):
         weaken_proof(half_id_proof(), Atom(a, 0))
+
+
+def _spine(ty):
+    """The exponents and the arrow domains met down a type's spine of
+    quantifier bodies and arrow codomains, in order, and the ground type at
+    its end."""
+    qs, doms = [], []
+    while type(ty) is not type(O):
+        if type(ty) is Counted:
+            qs.append(ty.q)
+            ty = ty.body
+        else:
+            doms.append(ty.dom)
+            ty = ty.cod
+    return qs, doms, ty
+
+
+def test_proof_formula_walks_loop_over_3000_links():
+    """The printer and `formula_type` keep a stack, so at CPython's default
+    recursion limit a 3,000-link arrow chain and a 3,000-quantifier prefix,
+    which the parser reads in loops, print back and get their types; the
+    quantifiers of 3,000 consequents move out over all the arrows."""
+    counted_arrow = Implies(A, Count(HALF, A))
+    floated = A
+    for _ in range(3000):
+        floated = Implies(A, Count(HALF, floated))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        cases = [
+            (parse_proof_formula(text), text, spine)
+            for text, spine in (
+                ("A -> " * 3000 + "A", ([], [O] * 3000, O)),
+                ("C[1/2] " * 3000 + "A", ([HALF] * 3000, [], O)),
+                (
+                    "(A -> C[1/2] A) -> " * 3000 + "A",
+                    ([], [formula_type(counted_arrow)] * 3000, O),
+                ),
+            )
+        ]
+        cases.append((floated, None, ([HALF] * 3000, [O] * 3000, O)))
+        for f, text, spine in cases:
+            assert text is None or print_proof_formula(f) == text
+            assert _spine(formula_type(f)) == spine
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_checking_survives_a_10000_deep_proof():
@@ -339,10 +389,52 @@ def test_simulation_records_replay_failures(monkeypatch):
 
 
 def test_proof_json_roundtrip():
-    for p in proof_fixture_corpus():
+    golden = json.loads((Path(__file__).parent / "golden" / "proof_cli.json").read_text())
+    inputs = list(golden["inputs"].values())
+    for p in proof_fixture_corpus() + [proof_from_json(obj) for obj in inputs]:
         back = proof_from_json(proof_to_json(p))
         assert check_proof(back) == check_proof(p)
         assert alpha_eq(proof_term(back), proof_term(p))
+    assert [proof_to_json(proof_from_json(obj)) for obj in inputs] == inputs
+
+
+def test_proof_walks_return_on_10000_deep_proofs():
+    """Every walk over proof trees keeps an explicit stack, so at CPython's
+    default recursion limit they all return on a proof 10,001 levels deep:
+    the codec, the proof term, the translation, and normalization and its
+    simulation, whose two steps are the root's `m-idem`, which compares the
+    two copies node by node, and the one at the bottom of the kept copy."""
+    base_side = P("id", S((A, A), TOP, A), (), {"index": 0})
+    base = P("m", base_side.sequent, (base_side, base_side), {"pivot": Atom(B_, 0)})
+    p = mixed_copies_proof(10_000, base)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        assert proof_from_json(proof_to_json(p)).sequent == p.sequent
+        term, deriv = translate(p)
+        assert alpha_eq(term, proof_term(p)) and deriv.judgement.term is term
+        normal, steps = normalize_proof(p)
+        assert steps == 2 and normal.premises[0].rule == "m"
+        entries = verify_simulation(p).entries
+        assert [(e.kind, e.ok) for e in entries] == [("m-idem", True)] * 2
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_the_m_idem_comparison_answers_as_eq(random_proofs):
+    """`_same_proof` compares on a stack with the answer of the generated
+    `==`, over every pair of corpus proofs and their nodes, equal copies
+    included, and nodes that differ only in their side data (`id 0` and
+    `id 1` on one sequent) or in their number of premises."""
+    proofs = proof_fixture_corpus() + proof_kind_corpus() + random_proofs[:10]
+    proofs.append(mixed_copies_proof(2))
+    nodes = [q for p in proofs for q in tree_nodes(p)]
+    nodes += [proof_from_json(proof_to_json(q)) for q in nodes[::7]]
+    nodes += [P(q.rule, q.sequent, q.premises[:1], q.side) for q in nodes if q.rule == "m"]
+    assert any(p is not q and p == q for p in nodes for q in nodes)
+    for p in nodes:
+        for q in nodes:
+            assert _same_proof(p, q) == (p == q)
 
 
 def test_translation_well_typed_on_random_proofs():

@@ -27,22 +27,7 @@ RECURSIVE = {
     "formulas._SharedBDD.implies",
     "formulas._SharedBDD.neg",
     "proofs.parse_proof_formula.implication",
-    "proofs.print_proof_formula",
-    "proofs.weaken_proof",
-    "proofs.counting_names",
-    "proofs.subst_proof.go",
-    "proofs._count_uses",
-    "proofs._proof_step",
-    "proofs.formula_type",
-    "proofs.proof_term",
-    "proofs._translate_node",
-    "proofs.proof_to_json",
-    "proofs.proof_from_json",
     "terms.parse_term.term",
-    "transport.or_leaves",
-    "transport.ctx_weaken.go",
-    "transport.subst_typing.go",
-    "transport._descend",
     "typesys.print_type",
     "typesys.parse_type.typ",
     "typesys.subtype",
@@ -51,10 +36,6 @@ RECURSIVE = {
     "typesys.srank",
     "typesys.is_balanced",
     "typesys._mentions_unsafe",
-    "typesys.relabel",
-    "typesys.apply_mu_star.fold",
-    "typesys.derivation_to_json",
-    "typesys.derivation_from_json",
     "typesys.validate_type",
     "typesys._check_type",
 }

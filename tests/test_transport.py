@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -41,6 +42,28 @@ def test_transport_all_fixture_steps():
         for s in step(d.judgement.term, PE_BRACES):
             out = transport_subject_reduction(d, s, PE_BRACES)
             assert same_judgement(out.judgement, expected_judgement(d, s))
+
+
+def test_transport_descends_a_10000_deep_or_chain():
+    """The walk down to the redex keeps its own stack, so at CPython's default
+    recursion limit a step of the coin transports under 10,000 `or` nodes."""
+    coin, _ = cbv_fixture_corpus()[1]
+    s = step(coin.judgement.term, PE_BRACES)[0]
+    d = coin
+    for _ in range(10_000):
+        d = D("or", d.judgement, (d,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        out = transport_subject_reduction(d, s, PE_BRACES)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same_judgement(out.judgement, expected_judgement(d, s))
+    inner = out
+    for _ in range(10_000):
+        assert inner.rule == "or" and len(inner.premises) == 1
+        inner = inner.premises[0]
+    assert same_judgement(inner.judgement, expected_judgement(coin, s))
 
 
 def test_transport_chains():

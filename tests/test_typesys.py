@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from helpers import (
     HALF,
     INT_OO,
     J,
+    P,
+    S,
     braces_coin_derivation,
     cbv_fixture_corpus,
     cn_fixture_corpus,
@@ -54,6 +57,7 @@ from lampe.formulas import (
     satisfiable,
 )
 from lampe.proofs import (
+    PropVar,
     check_proof,
     print_proof_formula,
     proof_from_json,
@@ -551,6 +555,23 @@ def test_mu_star_single_atom():
     assert star.judgement.type.q == HALF
 
 
+def test_mu_star_discharges_1000_names():
+    """The row fold keeps its own stack, so a premise with 1,000 names and
+    the constraint T gets 1,000 nested `mu-sigma` nodes over one row."""
+    names = {Name(f"a{i}") for i in range(1000)}
+    ident = int_identity(names=names)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        star = apply_mu_star(ident)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert star.judgement.type == ident.judgement.type
+    assert not star.judgement.names
+    rules = [n.rule for n in tree_nodes(star)]
+    assert rules.count("mu-sigma") == 1000 and rules.count("or") == 1
+
+
 def test_mu_star_top_constraint():
     ident = int_identity(names={A_}, constraint=TOP)
     star = apply_mu_star(ident, order=[A_])
@@ -606,6 +627,106 @@ def test_derivation_json_roundtrip():
     d = two_name_exact_bound_derivation()
     back = derivation_from_json(derivation_to_json(d))
     assert check_derivation(back, INT).type == d.judgement.type
+    golden = json.loads((Path(__file__).parent / "golden" / "derivation_cli.json").read_text())
+    for blob in golden["inputs"].values():
+        d = derivation_from_json(blob)
+        assert derivation_to_json(d) == blob
+        back = derivation_from_json(derivation_to_json(d))
+        assert back == d
+
+
+def test_fold_calls_down_in_preorder_and_up_after_the_children():
+    calls = []
+
+    def down(node, depth):
+        calls.append(("down", node[0], depth))
+        if len(node) == 1:
+            return node[0], None
+        return node[0], [(child, depth + 1) for child in node[1:]]
+
+    def up(node, value, results):
+        calls.append(("up", value, results))
+        return value + "(" + ",".join(results) + ")"
+
+    tree = ("a", ("b", ("c",), ("d",)), ("e",), ("f", ("g",)))
+    assert typesys.fold(tree, 0, down, up) == "a(b(c,d),e,f(g))"
+    assert [c[1] for c in calls if c[0] == "down"] == list("abcdefg")
+    assert [c[2] for c in calls if c[0] == "down"] == [0, 1, 2, 2, 1, 1, 2]
+    assert [c[1] for c in calls if c[0] == "up"] == list("bfa")
+    assert typesys.fold(("x",), 0, down, up) == "x"
+    assert typesys.fold(("x",), 0, lambda n, _: (n[0], []), up) == "x()"
+
+
+def test_the_derivation_codec_round_trips_a_10000_deep_derivation():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        d = identity_derivation()
+        for _ in range(10_000):
+            d = D("or", d.judgement, (d,))
+        back = derivation_from_json(derivation_to_json(d))
+        assert check_derivation(back, CBV) == d.judgement
+        assert len(tree_nodes(back)) == 10_002
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _deepest_loadable_chain(node, leaf):
+    """The JSON object of the longest chain of copies of `node` over `leaf`
+    that `json.loads` reads here, each copy's first premise the next, and
+    its length.  Found by doubling, then bisection."""
+    head, _, tail = json.dumps(node).partition("null")
+
+    def loads(n):
+        try:
+            return json.loads(head * n + json.dumps(leaf) + tail * n)
+        except RecursionError:
+            return None
+
+    low, high = 0, 1
+    while loads(high) is not None:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if loads(mid) is not None else (low, mid)
+    return loads(low), low
+
+
+def test_the_decoders_add_no_depth_limit_of_their_own():
+    """At CPython's default recursion limit, a derivation file and a proof
+    file one node inside `json.loads`' nesting limit on the Python running
+    the test decode and check: the decoders keep their own stack.  That
+    limit is near 500 nodes before 3.12, near 750 on 3.12.1 and near 5,000
+    on 3.13, whose C recursion limit is 10,000 levels."""
+    base = identity_derivation()
+    ident = P("id", S((PropVar("A"), PropVar("A")), TOP, PropVar("A")), (), {"index": 0})
+    other = P("id", ident.sequent, (), {"index": 1})
+    chains = (
+        (
+            {**derivation_to_json(D("or", base.judgement, (base,))), "premises": [None]},
+            derivation_to_json(base),
+            lambda obj: check_derivation(derivation_from_json(obj), CBV),
+            base.judgement,
+        ),
+        (
+            {
+                **proof_to_json(P("m", ident.sequent, (ident, other), {"pivot": Atom(A_, 0)})),
+                "premises": [None, proof_to_json(other)],
+            },
+            proof_to_json(ident),
+            lambda obj: check_proof(proof_from_json(obj)),
+            ident.sequent,
+        ),
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for node, leaf, decode_and_check, conclusion in chains:
+            obj, length = _deepest_loadable_chain(node, leaf)
+            assert length > 400
+            assert decode_and_check(obj) == conclusion
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _scaled_premise():
