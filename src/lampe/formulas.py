@@ -9,18 +9,19 @@ diagrams that builds no node and stops at the first counterexample.  `And`
 and `Or` each compile with one apply.  Each query is guarded by a hard cap,
 `ATOM_CAP`, on the number of distinct atoms in its operands.
 
-Formulas are hash-consed (Filliâtre & Conchon 2006): `Atom`, `Not`, `And`
-and `Or` are built through a `__new__` that returns the one live node of
-their structure, so equal formulas are one object however they were made
-(parsed, decoded, renamed or joined), and a manager's identity memos serve
-them all.  The table maps a key to a weak reference to its node, and an
-entry goes when its node does.  An atom's key is its (name, index); the key
-of any other node is its class with the `id`s of its children, each in a
-full 64-bit lane, so no two keys of live nodes collide.  An `id` is unique
-only among live objects, but a live node holds its children, so a live
-entry's key names exactly the children it was made from.  Equality and
-hashing stay structural: two threads that race to make one structure may
-each make a node, and that only misses a share, it changes no answer.
+Formulas are hash-consed (Filliâtre & Conchon 2006), as are the types of
+`typesys` and the formulas of `proofs`: every `Interned` class is built by one
+constructor, `_intern`, that returns the one live node of its structure, so
+equal nodes are one object however they were made (parsed, decoded, renamed,
+joined, copied or unpickled), and a manager's identity memos serve them all.
+So `==` and `hash` are by identity, and neither recurses.  One table maps a
+key, the node's field values and then its class, to a weak reference to the
+node; an entry goes when its node does.  A child in a key hashes and compares
+by identity, and the key holds it only as long as the node does.  The store
+is race-free: an entry goes in by `dict.setdefault`, so a thread that loses a
+race to make a structure takes the winner's node, and only its own callback
+takes a dead entry out, so a constructor that meets one waits and tries again.
+No two live nodes ever share a structure, as identity equality needs.
 
 Two facts live on each node, outside the dataclass fields, written with
 `object.__setattr__` once found: `_atoms`, its atom set, filled by the first
@@ -74,28 +75,6 @@ from .terms import Name, token_at, token_pattern, tokenize
 ATOM_CAP = 24
 
 
-@dataclass(frozen=True, init=False)
-class BoolFormula:
-    # node facts, not fields: see `atoms` and `measure`
-    _atoms = None
-    _measure = None
-
-    def __reduce__(self):
-        # copy, deepcopy and every pickle protocol rebuild through the
-        # class, so a copy of an interned node is the node itself
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-
-@dataclass(frozen=True)
-class Top(BoolFormula):
-    _atoms = frozenset()
-
-
-@dataclass(frozen=True)
-class Bot(BoolFormula):
-    _atoms = frozenset()
-
-
 # The one live node of each structure, by key: see the module docstring.
 _INTERNED = {}
 _set = object.__setattr__
@@ -108,83 +87,100 @@ class _Entry(ref):
 
 
 def _forget(entry):
-    # a newer node may have taken over the key of a dead one
+    # nothing else takes out or replaces a stored entry, so the check and the
+    # delete see the same one; an entry that lost a race was never stored
     if _INTERNED.get(entry.key) is entry:
-        _INTERNED.pop(entry.key, None)
+        del _INTERNED[entry.key]
 
 
-def _store(key, node):
-    # only a node whose fields are set, so no other thread reads one half made
+def _intern(cls, *values, **fields):
+    """The one live `cls` node with these field values, made and stored on
+    a miss."""
+    if fields:
+        # by name, as `dataclasses.replace` passes them
+        names = cls.__match_args__
+        values += tuple(fields.pop(f) for f in names[len(values) :] if f in fields)
+        if fields:
+            raise TypeError(f"{cls.__name__} takes the fields {names}")
+    key = values + (cls,)
+    entry = _INTERNED.get(key)
+    node = None if entry is None else entry()
+    if node is not None:
+        return node
+    names = cls.__match_args__
+    # a call with too few or too many values matches no node, so gets here
+    if len(values) != len(names):
+        raise TypeError(f"{cls.__name__} takes the fields {names}")
+    node = object.__new__(cls)
+    for name, value in zip(names, values):
+        _set(node, name, value)
+    # stored only once its fields are set, so no thread reads one half made
     entry = _Entry(node, _forget)
     entry.key = key
-    _INTERNED[key] = entry
+    while True:
+        found = _INTERNED.setdefault(key, entry)
+        if found is entry:
+            return node
+        other = found()
+        if other is not None:
+            # another thread stored this structure first
+            return other
+        # a dead entry, whose callback is taking it out: try again
 
 
-# `__new__` returns the interned node and sets the fields of a new one; with
-# no `__init__` of their own, the classes below take `object.__init__`, which
-# ignores the arguments of a class that defines `__new__`.
+class Interned:
+    """The base of every hash-consed class (see the module docstring).  A
+    copy or a pickle rebuilds through the class, so it is the node itself."""
+
+    __new__ = _intern
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True, init=False)
+# the decorator of every interned class: frozen fields that `_intern` sets, no
+# `__init__` (`object.__init__` ignores the arguments of a class that defines
+# `__new__`), and `==` and `hash` by identity
+interned = dataclass(frozen=True, eq=False, init=False)
+
+
+class BoolFormula(Interned):
+    # node facts, not fields: see `atoms` and `measure`
+    _atoms = None
+    _measure = None
+
+
+@interned
+class Top(BoolFormula):
+    _atoms = frozenset()
+
+
+@interned
+class Bot(BoolFormula):
+    _atoms = frozenset()
+
+
+@interned
 class Atom(BoolFormula):
     name: Name
     index: int
 
-    def __new__(cls, name, index):
-        key = (name, index)
-        entry = _INTERNED.get(key)
-        node = None if entry is None else entry()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "name", name)
-            _set(node, "index", index)
-            _store(key, node)
-        return node
 
-
-@dataclass(frozen=True, init=False)
+@interned
 class Not(BoolFormula):
     arg: BoolFormula
 
-    def __new__(cls, arg):
-        key = id(arg) << 2 | 1
-        entry = _INTERNED.get(key)
-        node = None if entry is None else entry()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "arg", arg)
-            _store(key, node)
-        return node
 
-
-def _binary(cls, left, right):
-    key = (id(left) << 64 | id(right)) << 2 | cls._tag
-    entry = _INTERNED.get(key)
-    node = None if entry is None else entry()
-    if node is None:
-        node = object.__new__(cls)
-        _set(node, "left", left)
-        _set(node, "right", right)
-        _store(key, node)
-    return node
-
-
-@dataclass(frozen=True, init=False)
+@interned
 class And(BoolFormula):
     left: BoolFormula
     right: BoolFormula
 
-    _tag = 2
-    __new__ = _binary
 
-
-@dataclass(frozen=True, init=False)
+@interned
 class Or(BoolFormula):
     left: BoolFormula
     right: BoolFormula
-
-    _tag = 3
-    __new__ = _binary
 
 
 TOP = Top()

@@ -2,10 +2,11 @@
 checking, normalization, and the proof-term translation into the CbV
 type system.
 
-Sequents are (hypothesis list, Boolean constraint, formula).  The identity
-rule carries the index of the hypothesis it uses; the mixing rule carries its
-pivot atom; the counting introduction carries its local one-name constraint
-and bound.
+Sequents are (hypothesis list, Boolean constraint, formula).  Formulas are
+interned as Boolean formulas are (see `formulas`), so `==` is identity.  The
+identity rule carries the index of the hypothesis it uses; the mixing rule
+carries its pivot atom; the counting introduction carries its local one-name
+constraint and bound.
 
 Normalization rewrites the proof tree: the two cuts go through an inlining
 substitution, and the mixing rule permutes past every other rule.  Each
@@ -34,6 +35,7 @@ from . import formulas as fm
 from .formulas import (
     And,
     BoolFormula,
+    Interned,
     Not,
     Or,
     _bracket,
@@ -41,6 +43,7 @@ from .formulas import (
     entails,
     equivalent,
     formula_names,
+    interned,
     measure,
     parse_formula,
     print_formula,
@@ -96,23 +99,22 @@ from .typesys import (
 # Formulas of the logic
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Interned):
     pass
 
 
-@dataclass(frozen=True)
+@interned
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@interned
 class Implies(Formula):
     antecedent: Formula
     consequent: Formula
 
 
-@dataclass(frozen=True)
+@interned
 class Count(Formula):
     q: Fraction
     body: Formula
@@ -600,12 +602,6 @@ def _proof_step(p):
             return tuple(reversed(path)), kind, new
         stack += reversed([(q, i, entry) for i, q in enumerate(p.premises)])
     return None
-
-
-def find_proof_redex(p):
-    """(path, kind) of the leftmost-outermost redex of p, or None."""
-    found = _proof_step(p)
-    return None if found is None else found[:2]
 
 
 def normalize_step(p):

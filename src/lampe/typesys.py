@@ -5,7 +5,8 @@ A derivation is an explicit tree that gets checked, never inferred: semantic
 side conditions (entailment and measure bounds) are discharged by the exact
 Boolean oracle.  Constraint positions prescribed as conjunctions by the
 counting rules are matched up to logical equivalence, since rules elsewhere
-may quote an equivalent formula.
+may quote an equivalent formula.  Types are interned as formulas are (see
+`formulas`), so equal types are one node and `==` is identity.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .formulas import (
     And,
     Atom,
     BoolFormula,
+    Interned,
     Not,
     TOP,
+    _bracket,
     _one_manager,
     _one_per_call,
     conj,
@@ -37,6 +40,7 @@ from .formulas import (
     entails,
     equivalent,
     formula_names,
+    interned,
     measure,
     parse_formula,
     parse_rational,
@@ -76,31 +80,30 @@ GROUND_N = "n"
 # Types
 
 
-@dataclass(frozen=True)
-class Type:
+class Type(Interned):
     # the systems the type passed under, a node fact (see validate_type)
     _valid_under = ()
 
 
-@dataclass(frozen=True)
+@interned
 class Ground(Type):
     kind: str
 
 
-@dataclass(frozen=True)
+@interned
 class Arrow(Type):
     dom: object  # Type, or Mset in the intersection system
     cod: Type
 
 
-@dataclass(frozen=True)
+@interned
 class Counted(Type):
     q: Fraction
     body: Type
 
 
-@dataclass(frozen=True)
-class Mset:
+@interned
+class Mset(Interned):
     items: tuple
 
     # read by validate_type when a multiset stands where a type should
@@ -116,17 +119,26 @@ def mk_mset(items):
     return Mset(tuple(sorted(items, key=print_type)))
 
 
+# print_type's expansion of a node, last item first
+_TYPE_PRINT = {
+    Ground: lambda t: (t.kind,),
+    Counted: lambda t: (t.body, f"C[{t.q.numerator}/{t.q.denominator}] "),
+    Arrow: lambda t: _bracket(True, t.cod, " => ", t.dom),
+    Mset: lambda t: ("]", *[x for i in reversed(t.items) for x in (i, ", ")][:-1], "["),
+}
+
+
 def print_type(t):
-    if isinstance(t, Ground):
-        return t.kind
-    if isinstance(t, Counted):
-        q = t.q
-        return f"C[{q.numerator}/{q.denominator}] {print_type(t.body)}"
-    if isinstance(t, Arrow):
-        return f"({print_type(t.dom)} => {print_type(t.cod)})"
-    if isinstance(t, Mset):
-        return "[" + ", ".join(print_type(i) for i in t.items) + "]"
-    raise TypeError(t)
+    """The text that parse_type reads back as `t`, written from a stack as
+    print_formula writes formulas."""
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack.extend(_TYPE_PRINT[type(item)](item))
+    return "".join(out)
 
 
 # `C[q]` up to the first `]`; without one, the token runs to the end of the
@@ -285,14 +297,6 @@ def wrap_prefix(qs, body):
     for q in reversed(qs):
         body = Counted(q, body)
     return body
-
-
-def prefix_product(t):
-    qs, _ = strip_prefix(t)
-    out = Fraction(1)
-    for q in qs:
-        out *= q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1017,9 +1021,9 @@ def apply_mu_star(d, order=None):
 # One decode of a derivation, judgement or proof parses each distinct text
 # once, so equal texts in one input decode to one shared object; parsed values
 # are immutable (a node only gains facts derived from itself), so sharing
-# them is sound.  Formulas are interned by their own constructors, so equal
-# formula texts give one node in any input; for them the memo saves the
-# parse.
+# them is sound.  Formulas, types and proof formulas are interned by their
+# own constructors, so equal texts give one node in any input; for them the
+# memo saves the parse.
 _DECODE_MEMO = ContextVar("lampe_open_decode_memo", default=None)
 _one_decode = _one_per_call(_DECODE_MEMO, dict)
 

@@ -37,7 +37,7 @@ _SUBPROCESS = "the console entry point runs only in a subprocess"
 ALLOWED = {
     # children
     ("terms", "raise TypeError(t)"): _FALL_THROUGH,
-    # print_type, srank, is_balanced, _mentions_unsafe
+    # srank, is_balanced, _mentions_unsafe
     ("typesys", "raise TypeError(t)"): _FALL_THROUGH,
     # eval_formula, _SharedBDD.build
     ("formulas", "raise TypeError(b)"): _FALL_THROUGH,

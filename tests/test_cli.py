@@ -635,10 +635,10 @@ def test_m_idem_compares_a_301_deep_proof_file(capsys, tmp_path):
 
 
 def test_proof_commands_on_a_3000_link_formula(capsys, tmp_path):
-    """A one-node proof over a 3,000-link arrow chain checks, normalizes and
-    prints: the proof-formula printer keeps a stack.  `translate` still
-    answers E_DEPTH, from the generated `==` of two equal 3,000-deep types in
-    the `id` rule's check."""
+    """A one-node proof over a 3,000-link arrow chain checks, normalizes,
+    translates and prints: the proof-formula and type printers keep a stack,
+    and the `id` rule's check compares two interned 3,000-deep types by
+    identity."""
     chain = "A -> " * 3000 + "A"
     blob = {
         "rule": "id",
@@ -653,7 +653,8 @@ def test_proof_commands_on_a_3000_link_formula(capsys, tmp_path):
     code, out, err = invoke(capsys, "normalize-proof", "--json", str(path))
     assert (code, out, err) == (0, json.dumps(blob, indent=2) + "\n", "0 steps\n")
     code, out, err = invoke(capsys, "translate", str(path))
-    assert (code, out) == (1, "") and err.startswith("E_DEPTH")
+    typ = "(o => " * 3000 + "o" + ")" * 3000
+    assert (code, out, err) == (0, f"x0\nx0: {typ} |-{{}} x0 : T ~> {typ}\n", "")
 
 
 def test_deep_pnf_prints_its_normal_form(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -647,9 +648,13 @@ def test_oracle_intern_copies_and_replacements_are_the_node():
 
 def test_oracle_intern_threads_parsing_and_querying_get_truth_table_answers():
     """More threads than cores parse and query the same texts with a short
-    switch interval, so they race to intern the same nodes."""
-    import sys
+    switch interval, so they race to intern the same nodes: formulas, which
+    die and are made again, and types and proof formulas, new in each round
+    and kept by each worker, so every worker must get the one node of each."""
     import threading
+
+    from lampe.proofs import formula_type, parse_proof_formula
+    from lampe.typesys import parse_type
 
     texts = [
         f"(a.{i % 3} | !b.{i % 2}) & (c.{i % 4} | a.{(i + 1) % 3}) | !(b.{i % 3} & c.0)"
@@ -660,20 +665,34 @@ def test_oracle_intern_threads_parsing_and_querying_get_truth_table_answers():
         _table_answers(parse_formula(s), parse_formula(t)) for s, t in pairs
     ]
     rounds, workers = 20, 4
+    kept_texts = [
+        (
+            f"C[1/{r + 2}] (C[{i % 3 + 1}/7] o => ([C[1/{r + 2}] o] => C[1/{r + 3}] o))",
+            f"C[1/{r + 2}] (A{i % 3} -> C[2/{r + 3}] B) -> A{i % 3}",
+        )
+        for r in range(rounds)
+        for i in range(6)
+    ]
     start = threading.Barrier(workers)
     seen = [[] for _ in range(workers)]
+    kept = [[] for _ in range(workers)]
 
-    def worker(out):
+    def worker(out, keep):
         start.wait()
-        for _ in range(rounds):
+        for r in range(rounds):
             for s, t in pairs:
                 f, g = parse_formula(s), parse_formula(t)
                 out.append((measure(f), satisfiable(f), entails(f, g), equivalent(f, g)))
+            for ty, pf in kept_texts[6 * r : 6 * r + 6]:
+                a = parse_proof_formula(pf)
+                keep.append((parse_type(ty), a, formula_type(a)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+        threads = [
+            threading.Thread(target=worker, args=pair) for pair in zip(seen, kept)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -683,6 +702,12 @@ def test_oracle_intern_threads_parsing_and_querying_get_truth_table_answers():
     assert not any(thread.is_alive() for thread in threads)
     for out in seen:
         assert out == expected * rounds
+    first = list(itertools.chain(*kept[0]))
+    for keep in kept[1:]:
+        nodes = list(itertools.chain(*keep))
+        assert len(nodes) == len(first) and all(map(operator.is_, nodes, first))
+    for (ty, pf), (t, a, ft) in zip(kept_texts, kept[0]):
+        assert (t, a, ft) == (parse_type(ty), parse_proof_formula(pf), formula_type(a))
 
 
 def test_oracle_flat_chains_and_not_runs_need_no_frame_per_link(capsys):

@@ -4,9 +4,10 @@ One mix of the library's entry points runs three times in one process.  Its
 random number generator is seeded once, so each pass draws new terms and
 formulas from the same distribution, as a long-running process would see
 new inputs; their names and atoms come from fixed pools.  State that outlives
-a call (per-node facts, the decode memo, interned names and formulas, the
-retained oracle manager) must then hold no more after the third pass than
-after the second, and no name or formula may stay interned past its use.
+a call (per-node facts, the decode memo, interned names, formulas, types and
+proof formulas, the retained oracle manager) must then hold no more after the
+third pass than after the second, and no name or node may stay interned past
+its use.
 """
 
 import gc
@@ -20,7 +21,7 @@ from lampe import formulas as fm
 from lampe.distribution import distribution, hnv_lower_bound
 from lampe.errors import LampeError
 from lampe.formulas import And, Atom, Not, Or, entails, equivalent, measure, parse_formula
-from lampe.proofs import check_proof, proof_from_json
+from lampe.proofs import check_proof, proof_from_json, translate
 from lampe.rewrite import PE_BRACES, pnf, step
 from lampe.terms import Name, free_names
 from lampe.transport import transport_subject_reduction
@@ -98,6 +99,7 @@ def _mix(rng):
         p = _attempt(proof_from_json, blob)
         if p is not None:
             _attempt(check_proof, p)
+            _attempt(translate, p)
     # a last standalone query on a formula no other query reads, so the
     # retained manager holds the same after every pass
     measure(parse_formula("end.0 & !end.1"))

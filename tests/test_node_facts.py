@@ -237,10 +237,10 @@ def test_node_facts_interned_formulas_keep_fields_equality_hash_repr_and_json():
     assert f._atoms is None and f._measure is None
     before = [_views(node, encode) for node, encode in nodes]
     pickled = pickle.dumps(f)
-    # what a frozen dataclass of the same fields gives: field names, a hash
-    # of the field values, the field-by-field repr
+    # what a frozen dataclass of the same fields gives: field names and the
+    # field-by-field repr; `==` and `hash` are by identity
     assert [field.name for field in dataclasses.fields(f)] == ["left", "right"]
-    assert _hash_or_error(f) == hash((f.left, f.right))
+    assert _hash_or_error(f) == object.__hash__(f)
     clause = "Or(left=Atom(name=Name('a'), index=0), right=Not(arg=Atom(name=Name('b'), index=1)))"
     assert repr(f) == (
         f"And(left=And(left={clause}, right={clause}), "
@@ -261,10 +261,8 @@ def test_node_facts_interned_formulas_keep_fields_equality_hash_repr_and_json():
     # an equal formula is the same node, and compares and hashes as one
     assert fm.parse_formula(text) is f and f.left.left is f.left.right
     assert f == And(f.left, f.right) and hash(f) == hash(And(f.left, f.right))
-    # constants are not interned: one with a fact equals one without
-    fresh = Top()
-    assert "_measure" not in vars(fresh)
-    assert TOP == fresh and hash(TOP) == hash(fresh) and repr(TOP) == repr(fresh)
+    # constants are interned too: a new one is the node, with its fact
+    assert Top() is TOP and fm.Bot() is fm.BOT and Top()._measure == 1
     for cls in (Atom, And, fm.Not, Top):
         names = {field.name for field in dataclasses.fields(cls)}
         assert not names & {"_atoms", "_measure"}

@@ -18,6 +18,7 @@ from helpers import (
     proof_fixture_corpus,
     proof_kind_corpus,
     random_proof,
+    reference_find_proof_redex,
     reference_normalization,
     reference_simulation,
     tree_nodes,
@@ -467,10 +468,10 @@ def test_normalization_terminates_on_random_proofs():
 
 @pytest.mark.parametrize("rule, kind", [("imp-e", "m-imp-e-arg"), ("ce", "m-ce-minor")])
 def test_mix_in_argument_or_minor_premise_is_split(rule, kind):
-    from lampe.proofs import find_proof_redex, weaken_proof
+    from lampe.proofs import weaken_proof
 
     p = mixed_premise_proof(rule, 1)
-    assert find_proof_redex(p) == ((), kind)
+    assert _proof_step(p)[:2] == reference_find_proof_redex(p) == ((), kind)
     hyp, mix = p.premises
     pieces = []
     for branch in mix.premises:

@@ -28,7 +28,6 @@ RECURSIVE = {
     "formulas._SharedBDD.neg",
     "proofs.parse_proof_formula.implication",
     "terms.parse_term.term",
-    "typesys.print_type",
     "typesys.parse_type.typ",
     "typesys.subtype",
     "typesys.mset_subtype",
