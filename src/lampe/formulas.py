@@ -14,14 +14,15 @@ Formulas are hash-consed (Filliâtre & Conchon 2006), as are the types of
 constructor, `_intern`, that returns the one live node of its structure, so
 equal nodes are one object however they were made (parsed, decoded, renamed,
 joined, copied or unpickled), and a manager's identity memos serve them all.
-So `==` and `hash` are by identity, and neither recurses.  One table maps a
-key, the node's field values and then its class, to a weak reference to the
-node; an entry goes when its node does.  A child in a key hashes and compares
-by identity, and the key holds it only as long as the node does.  The store
-is race-free: an entry goes in by `dict.setdefault`, so a thread that loses a
-race to make a structure takes the winner's node, and only its own callback
-takes a dead entry out, so a constructor that meets one waits and tries again.
-No two live nodes ever share a structure, as identity equality needs.
+So `==` and `hash` are by identity, and neither recurses, and a deep copy of
+a node is the node.  One table maps a key, the node's field values and then
+its class, to a weak reference to the node; an entry goes when its node
+does.  A child in a key hashes and compares by identity, and the key holds
+it only as long as the node does.  The store is race-free: an entry goes in
+by `dict.setdefault`, so a thread that loses a race to make a structure takes
+the winner's node, and only its own callback takes a dead entry out, so a
+constructor that meets one waits and tries again.  No two live nodes ever
+share a structure, as identity equality needs.
 
 Two facts live on each node, outside the dataclass fields, written with
 `object.__setattr__` once found: `_atoms`, its atom set, filled by the first
@@ -56,7 +57,11 @@ no manager retained, in this context or in a copy of it (the query marks
 its manager busy until it hands it back), so a half-updated unique table
 never serves another query.
 
-In both cases the cap is checked for each query, on the atom facts of its
+Some queries are settled by identity before any manager: `entails(b, c)`
+holds when b is c, c is T or b is F, and `equivalent(b, c)` when b is c.
+Such a query opens, keeps and replaces no manager.
+
+In every case the cap is checked for each query, on the atom facts of its
 operands, before any node is built.
 """
 
@@ -130,12 +135,17 @@ def _intern(cls, *values, **fields):
 
 class Interned:
     """The base of every hash-consed class (see the module docstring).  A
-    copy or a pickle rebuilds through the class, so it is the node itself."""
+    copy or a pickle rebuilds through the class, so it is the node itself.
+    A node is immutable and the one of its structure, so a deep copy is the
+    node itself, with no walk below it."""
 
     __new__ = _intern
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 # the decorator of every interned class: frozen fields that `_intern` sets, no
@@ -579,12 +589,21 @@ def measure(b):
 
 
 def entails(b, c):
-    """True iff every assignment satisfying b satisfies c."""
+    """True iff every assignment satisfying b satisfies c.  Identity settles
+    it, with no manager, when b is c, c is T or b is F."""
+    if b is c or c is TOP or b is BOT:
+        _check_cap(len(atoms(c if b is BOT else b)))
+        return True
     bdd = _manager(b, c)
     return _retain(bdd, bdd.implies(bdd.build(b), bdd.build(c)))
 
 
 def equivalent(b, c):
+    """True iff b and c hold under the same assignments; identity settles
+    it, with no manager, when b is c."""
+    if b is c:
+        _check_cap(len(atoms(b)))
+        return True
     bdd = _manager(b, c)
     return _retain(bdd, bdd.build(b) == bdd.build(c))
 

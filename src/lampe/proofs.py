@@ -3,10 +3,12 @@ checking, normalization, and the proof-term translation into the CbV
 type system.
 
 Sequents are (hypothesis list, Boolean constraint, formula).  Formulas are
-interned as Boolean formulas are (see `formulas`), so `==` is identity.  The
-identity rule carries the index of the hypothesis it uses; the mixing rule
-carries its pivot atom; the counting introduction carries its local one-name
-constraint and bound.
+interned as Boolean formulas are (see `formulas`), so `==` is identity, and a
+formula node keeps its CbV type as a fact, `_type`, once `formula_type` has
+found it: every hypothesis and conclusion that holds the node reads it, so
+`translate` walks each distinct formula once.  The identity rule carries the
+index of the hypothesis it uses; the mixing rule carries its pivot atom; the
+counting introduction carries its local one-name constraint and bound.
 
 Normalization rewrites the proof tree: the two cuts go through an inlining
 substitution, and the mixing rule permutes past every other rule.  Each
@@ -100,12 +102,15 @@ from .typesys import (
 
 
 class Formula(Interned):
-    pass
+    # a node fact, not a field: see `formula_type`
+    _type = None
 
 
 @interned
 class PropVar(Formula):
     name: str
+
+    _type = O
 
 
 @interned
@@ -639,24 +644,32 @@ def normalize_proof(p, max_steps=10000):
 
 def formula_type(a):
     """The type corresponding to a formula: C[q] A types as C[q] of A's type,
-    and A -> B moves the prefix of B's type out over the arrow.  Evaluated
-    from one stack of formulas and pending steps, as `_truth_table` is: a
-    `(q,)` counts the type on top, and `Implies` joins the top two."""
+    and A -> B moves the prefix of B's type out over the arrow.  The type is
+    kept on the formula node as its `_type` fact, which a variable's class
+    holds.  The first call that reaches a node finds it on one stack of
+    formulas and pending steps, as `_truth_table` evaluates: a node met again
+    as `(node,)` joins the types of its children on top, and a node that
+    already has its type is not entered."""
+    if a._type is not None:
+        return a._type
     out, stack = [], [a]
     while stack:
         a = stack.pop()
-        kind = type(a)
-        if a is Implies:
-            qs, body = strip_prefix(out.pop())
-            out.append(wrap_prefix(qs, Arrow(out.pop(), body)))
-        elif kind is tuple:
-            out.append(Counted(a[0], out.pop()))
-        elif kind is Implies:
-            stack += (Implies, a.consequent, a.antecedent)
-        elif kind is Count:
-            stack += ((a.q,), a.body)
+        if type(a) is tuple:
+            a = a[0]
+            if type(a) is Implies:
+                qs, body = strip_prefix(out.pop())
+                t = wrap_prefix(qs, Arrow(out.pop(), body))
+            else:
+                t = Counted(a.q, out.pop())
+            object.__setattr__(a, "_type", t)
+            out.append(t)
+        elif a._type is not None:
+            out.append(a._type)
+        elif type(a) is Implies:
+            stack += ((a,), a.consequent, a.antecedent)
         else:
-            out.append(O)
+            stack += ((a,), a.body)
     return out[0]
 
 

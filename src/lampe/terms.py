@@ -13,11 +13,13 @@ field); a node's own value is written once with `object.__setattr__` and
 stays in the instance's inline attribute values, with no per-node dict.
 One iterative pass builds a non-leaf node's fact record (free variables,
 free names, contains CbV, shape hash) from its children's; a variable keeps
-none, the constant's class holds its record, and a node whose set equals a
-child's shares that frozenset.  `canonical_str`, the normal-form marks of
-`rewrite` (`_normal`), the exact termination bounds of `distribution`
-(`_bounds`, numbers only) and the loop state of its runs (`_resume`,
-dropped once the exact bounds that read it are kept) are kept the same way.
+none, the constant's class holds its record, a node whose set equals a
+child's shares that frozenset, and every empty set is the one `_EMPTY`.
+`canonical_str`, the normal-form marks of `rewrite` (`_normal`), the exact
+termination bounds of `distribution` (`_bounds`, numbers only) and the loop
+state of its runs (`_resume`, dropped once the exact bounds that read it are
+kept) are kept the same way.  `alpha_eq` reads the shape hashes, and skips a
+subterm that both sides share while they bind alike.
 
 Names are renamed by one scoped walk, `rename_names`: a nu binder gets a new
 name through one function and its bound choices follow it, and a choice on a
@@ -234,11 +236,11 @@ def _fill(root):
         fv, fn, cbv, h = fa or (frozenset((a.var,)), _EMPTY, False, _VAR_HASH)
         if kind is Lam:
             if t.var in fv:
-                fv = fv - {t.var}
+                fv = fv - {t.var} if len(fv) > 1 else _EMPTY
             h = hash(("l", h))
         elif kind is Nu:
             if t.name in fn:
-                fn = fn - {t.name}
+                fn = fn - {t.name} if len(fn) > 1 else _EMPTY
             h = hash(("n", t.name.text, h))
         else:
             fv2, fn2, cbv2, h2 = fb or (frozenset((b.var,)), _EMPTY, False, _VAR_HASH)
@@ -271,14 +273,6 @@ def contains_cbv(t):
     if type(t) is Var:
         return False
     return (t._facts or _fill(t))[2]
-
-
-def shape_hash(t):
-    """Alpha-invariant structural hash: equal terms up to alpha share it, so
-    it serves as a fast reject."""
-    if type(t) is Var:
-        return _VAR_HASH
-    return (t._facts or _fill(t))[3]
 
 
 def bound_names(t):
@@ -431,7 +425,10 @@ def alpha_eq(t, u):
     fact record; no record is filled only to compare.  Otherwise one walk
     over both terms on an explicit stack decides.  Each lambda pair binds
     its two variables to one fresh number, and the `None` entry stacked
-    under its bodies puts the outer bindings back once they are done."""
+    under its bodies puts the outer bindings back once they are done.  Each
+    entry carries a flag that holds while every enclosing lambda pair binds
+    one variable name on both sides: both sides then bind alike, so a pair
+    of one shared object is equal and is not entered."""
     if t is u:
         return True
     ft, fu = t._facts, u._facts
@@ -439,12 +436,14 @@ def alpha_eq(t, u):
         return False
     env_t, env_u = {}, {}
     pairs = 0
-    stack = [(t, u)]
+    stack = [(t, u, True)]
     while stack:
-        t, u = stack.pop()
+        t, u, same = stack.pop()
         if t is None:
             x, bx, y, by = u
             env_t[x], env_u[y] = bx, by
+            continue
+        if same and t is u:
             continue
         kind = type(t)
         if kind is not type(u):
@@ -454,22 +453,22 @@ def alpha_eq(t, u):
             if bt != env_u.get(u.var) or (bt is None and t.var != u.var):
                 return False
         elif kind is Lam:
-            stack.append((None, (t.var, env_t.get(t.var), u.var, env_u.get(u.var))))
+            stack.append((None, (t.var, env_t.get(t.var), u.var, env_u.get(u.var)), False))
             pairs += 1
             env_t[t.var] = env_u[u.var] = pairs
-            stack.append((t.body, u.body))
+            stack.append((t.body, u.body, same and t.var == u.var))
         elif kind is Nu:
             if t.name is not u.name:
                 return False
-            stack.append((t.body, u.body))
+            stack.append((t.body, u.body, same))
         elif kind is Choice:
             if t.name is not u.name or t.index != u.index:
                 return False
-            stack.append((t.right, u.right))
-            stack.append((t.left, u.left))
+            stack.append((t.right, u.right, same))
+            stack.append((t.left, u.left, same))
         elif kind is not Const:
-            stack.append((t.arg, u.arg))
-            stack.append((t.fun, u.fun))
+            stack.append((t.arg, u.arg, same))
+            stack.append((t.fun, u.fun, same))
     return True
 
 
@@ -658,7 +657,7 @@ def parse_term(text):
                 elif tok == "(" or tok == "{":
                     if tok == "{" and app is not None:
                         pos = at(i)[1]
-                        raise ParseError("CbV function {t} cannot be an argument", pos)
+                        raise ParseError("braced CbV function cannot be an argument", pos)
                     i += 1
                     atom = term()
                     if toks[i] != (")" if tok == "(" else "}"):
@@ -690,7 +689,7 @@ def parse_term(text):
                 else:
                     app = App(app, atom)
             if isinstance(app, _BraceFun):
-                raise ParseError("CbV function {t} must be applied", at(i)[1])
+                raise ParseError("braced CbV function must be applied", at(i)[1])
             t = app if t is None else Choice(t, app, Name(label), int(index))
             if tok[:2] != "(+" or tok == "(+":
                 break

@@ -596,8 +596,14 @@ def _check_tree(root, system, mark, check_down, check_up):
         object.__setattr__(node, mark, done + (system,))
 
 
+def _same_ctx(j, p):
+    """Whether p declares what j declares: equal context tuples settle it
+    before any map is built."""
+    return p.ctx == j.ctx or p.ctx_map() == j.ctx_map()
+
+
 def _same_env(j, p):
-    _shape(p.ctx_map() == j.ctx_map(), "premise context differs")
+    _shape(_same_ctx(j, p), "premise context differs")
     _shape(p.names == j.names, "premise name set differs")
 
 
@@ -729,8 +735,11 @@ def _check_app_int(d, system):
     _shape(j.type == wrap_prefix(qs, body.cod), "conclusion type must be the codomain")
 
 
+_ONE = Fraction(1)
+
+
 def _get_scale(d):
-    s = d.side.get("scale", Fraction(1))
+    s = d.side.get("scale", _ONE)
     if not 0 < s <= 1:
         raise SideConditionError(f"scale {s} outside (0,1]")
     return s
@@ -766,10 +775,15 @@ def _nu_common(d):
     _shape(isinstance(j.term, Nu), "subject must be a generator")
     a = j.term.name
     _shape(a not in j.names, "generator name already in scope")
+    names = j.names | {a}
     for p in d.premises:
         pj = p.judgement
-        _shape(pj.names == j.names | {a}, "premise name set must add the generator name")
-        _shape(pj.ctx_map() == j.ctx_map(), "premise context differs")
+        _shape(
+            pj.names is names or pj.names == names,
+            "premise name set must add the generator name",
+        )
+        names = pj.names  # premises that share one name set pass by identity
+        _shape(_same_ctx(j, pj), "premise context differs")
         _shape(alpha_eq(pj.term, j.term.body), "premise subject is not the body")
     return a
 

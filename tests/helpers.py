@@ -26,6 +26,7 @@ from lampe.terms import (
     Var,
     _REBUILD,
     _BraceFun,
+    _fill,
     alpha_eq,
     children,
     copy_variant_name,
@@ -1373,6 +1374,14 @@ def reference_contains_cbv(t):
     return isinstance(t, CbvApp) or any(map(reference_contains_cbv, children(t)))
 
 
+def stored_shape_hash(t):
+    """The shape hash kept in t's fact record, which the first read fills; a
+    variable keeps no record, so it reads the variable hash."""
+    if isinstance(t, Var):
+        return hash(("v",))
+    return (t._facts or _fill(t))[3]
+
+
 def reference_shape_hash(t):
     """The alpha-invariant shape hash: variable names erased, names and
     indices kept."""
@@ -2111,7 +2120,7 @@ def reference_parse_term(text):
                     atom = Var(val)
                 elif kind == "lpar" or kind == "lbrace":
                     if kind == "lbrace" and app is not None:
-                        raise ParseError("CbV function {t} cannot be an argument", pos)
+                        raise ParseError("braced CbV function cannot be an argument", pos)
                     i += 1
                     atom = term()
                     close = "rpar" if kind == "lpar" else "rbrace"
@@ -2143,7 +2152,7 @@ def reference_parse_term(text):
                 else:
                     app = App(app, atom)
             if isinstance(app, _BraceFun):
-                raise ParseError("CbV function {t} must be applied", pos)
+                raise ParseError("braced CbV function must be applied", pos)
             t = app if t is None else Choice(t, app, Name(label), int(index))
             if kind != "choice":
                 break

@@ -50,7 +50,7 @@ def test_braced_argument_is_a_syntax_error(capsys, text):
     position = text.index("{", 1)
     assert (code, out) == (1, "")
     assert err == (
-        f"E_SYNTAX: CbV function {{t}} cannot be an argument (at position {position})\n"
+        f"E_SYNTAX: braced CbV function cannot be an argument (at position {position})\n"
     )
 
 

@@ -159,6 +159,25 @@ def test_interned_10000_link_chains_compare_and_hash_at_the_default_limit():
         sys.setrecursionlimit(limit)
 
 
+def test_interned_deepcopy_of_10000_link_chains_is_the_node():
+    """A node is immutable and the one of its structure, so `deepcopy`
+    returns it without walking its children, under a recursion limit of
+    1000, and a container holding it copies around it."""
+    t, a = O, PropVar("A")
+    for _ in range(10000):
+        t, a = Arrow(O, t), Implies(PropVar("A"), a)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert copy.deepcopy(t) is t and copy.deepcopy(a) is a
+        held = {"chains": [t, a]}
+        copied = copy.deepcopy(held)
+        assert copied is not held and copied["chains"] is not held["chains"]
+        assert copied["chains"][0] is t and copied["chains"][1] is a
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_interned_translate_keeps_the_checked_mark_on_shared_types():
     """`formula_type` returns the interned type, so the mark that the closing
     CbV check leaves on it is what the next `formula_type` call returns."""
