@@ -261,36 +261,79 @@ def formula_names(b):
 
 
 def rename_formula_names(b, mapping):
-    """b with the name of each atom renamed through `mapping`."""
-    if isinstance(b, Atom):
-        new = mapping.get(b.name)
-        return Atom(new, b.index) if new is not None else b
-    if isinstance(b, Not):
-        return Not(rename_formula_names(b.arg, mapping))
-    if isinstance(b, (And, Or)):
-        left = rename_formula_names(b.left, mapping)
-        return type(b)(left, rename_formula_names(b.right, mapping))
-    return b
+    """b with the name of each atom renamed through `mapping`.  A post-order
+    walk on an explicit stack that renames each shared node once; a node
+    whose operands come back as the same nodes comes back itself."""
+    done = {}
+    stack = [b]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Atom:
+            new = mapping.get(node.name)
+            out = Atom(new, node.index) if new is not None else node
+        elif kind is Not:
+            arg = done.get(node.arg)
+            if arg is None:
+                stack.append(node.arg)
+                continue
+            out = node if arg is node.arg else Not(arg)
+        elif kind is And or kind is Or:
+            left, right = done.get(node.left), done.get(node.right)
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            same = left is node.left and right is node.right
+            out = node if same else kind(left, right)
+        else:
+            out = node
+        stack.pop()
+        done[node] = out
+    return done[b]
 
 
 def eval_formula(b, valuation):
-    """Evaluate under a finite map (Name, index) -> bit; missing bits error."""
-    if isinstance(b, Top):
-        return True
-    if isinstance(b, Bot):
-        return False
-    if isinstance(b, Atom):
-        key = (b.name, b.index)
-        if key not in valuation:
-            raise UndefinedBitError(f"no bit for ({b.name}, {b.index})")
-        return valuation[key] == 1
-    if isinstance(b, Not):
-        return not eval_formula(b.arg, valuation)
-    if isinstance(b, And):
-        return eval_formula(b.left, valuation) and eval_formula(b.right, valuation)
-    if isinstance(b, Or):
-        return eval_formula(b.left, valuation) or eval_formula(b.right, valuation)
-    raise TypeError(b)
+    """Evaluate under a finite map (Name, index) -> bit; missing bits error.
+    A loop on an explicit stack of the connectives whose first operand is
+    being evaluated: `&` and `|` go on to their right operand only when the
+    left one does not settle them, so a bit that is never reached may be
+    missing."""
+    stack = []
+    while True:
+        kind = type(b)
+        if kind is Not or kind is And or kind is Or:
+            stack.append(b)
+            b = b.arg if kind is Not else b.left
+            continue
+        if kind is Top:
+            value = True
+        elif kind is Bot:
+            value = False
+        elif kind is Atom:
+            key = (b.name, b.index)
+            if key not in valuation:
+                raise UndefinedBitError(f"no bit for ({b.name}, {b.index})")
+            value = valuation[key] == 1
+        else:
+            raise TypeError(b)
+        while stack:
+            op = stack.pop()
+            kind = type(op)
+            if kind is Not:
+                value = not value
+            elif value == (kind is And):
+                # a true left operand of `&`, or a false one of `|`: the
+                # right operand is the value
+                b = op.right
+                break
+        else:
+            return value
 
 
 def _check_cap(count):

@@ -37,6 +37,16 @@ Head steps go through cells too: the walks of the randomized context and of
 the head spine below each leaf build cells [node, index, parent] that share
 their ancestors, and `_rebuild` contracts a head redex in place, so the
 redexes of several branches, rebuilt one after another, compose.
+A scan without beta does not enter a subterm whose fact record (`terms`)
+says that no choice and no nu occurs in it; a subterm with no record yet is
+entered.  This holds for every subterm, whatever its free names and
+wherever it sits: each permutative rule fires at a choice (i, c1, c2,
+plus-plus) or a nu (plus-nu, not-nu), or at a node with a choice or a nu
+child (plus-lam, nu-lam, plus-fun, plus-arg, nu-fun, cbv-nu, cbv-plus), so
+a subterm without either holds no permutative redex, in either mode.  Beta
+fires at any application of a lambda, so the scans that include beta
+(`step`, full `reduce_term`, and `first_step` and `iter_steps` by default)
+enter every subterm.
 A scan that finds no redex marks the node "normal under this mode" (with or
 without beta): one bit of the node's `_normal` attribute, a node fact kept
 as `terms` keeps the others and read first by the next scan; names are
@@ -56,6 +66,7 @@ from .errors import (
     PreconditionError,
 )
 from .terms import (
+    _HAS_CHOICE_OR_NU,
     _REBUILD,
     App,
     CbvApp,
@@ -260,7 +271,8 @@ _LEAVES = frozenset((Var, Const))
 def _scan(stack, mode, include_beta):
     """Pre-order (rule, cell, local_result) triples: pop a cell, list the
     rules at its node, stack the cells of its children.  No leaf below the
-    root is stacked."""
+    root is stacked, and without beta no child whose record says it holds
+    no choice and no nu (see the module docstring)."""
     push = stack.append
     while stack:
         cell = stack.pop()
@@ -271,13 +283,20 @@ def _scan(stack, mode, include_beta):
         if kind is Lam or kind is Nu:
             if kind is Nu:
                 env = {**env, t.name: depth}
-            if type(t.body) not in _LEAVES:
-                push([t.body, 0, cell, env, depth + 1])
+            body = t.body
+            if type(body) not in _LEAVES and (
+                include_beta or (f := body._facts) is None or f[2] & _HAS_CHOICE_OR_NU
+            ):
+                push([body, 0, cell, env, depth + 1])
         elif kind not in _LEAVES:
             first, second = (t.left, t.right) if kind is Choice else (t.fun, t.arg)
-            if type(second) not in _LEAVES:
+            if type(second) not in _LEAVES and (
+                include_beta or (f := second._facts) is None or f[2] & _HAS_CHOICE_OR_NU
+            ):
                 push([second, 1, cell, env, depth + 1])
-            if type(first) not in _LEAVES:
+            if type(first) not in _LEAVES and (
+                include_beta or (f := first._facts) is None or f[2] & _HAS_CHOICE_OR_NU
+            ):
                 push([first, 0, cell, env, depth + 1])
 
 

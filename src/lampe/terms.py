@@ -12,9 +12,12 @@ declares each with a class-level default (no annotation, so it is not a
 field); a node's own value is written once with `object.__setattr__` and
 stays in the instance's inline attribute values, with no per-node dict.
 One iterative pass builds a non-leaf node's fact record (free variables,
-free names, contains CbV, shape hash) from its children's; a variable keeps
-none, the constant's class holds its record, a node whose set equals a
-child's shares that frozenset, and every empty set is the one `_EMPTY`.
+free names, kinds, shape hash) from its children's; a variable keeps none,
+the constant's class holds its record, a node whose set equals a child's
+shares that frozenset, and every empty set is the one `_EMPTY`.  The kinds
+are a small int of bits for what occurs in the term, at its root or below:
+`_HAS_CBV` for a CbV application, `_HAS_CHOICE_OR_NU` for a choice or a
+generator.
 `canonical_str`, the normal-form marks of `rewrite` (`_normal`), the exact
 termination bounds of `distribution` (`_bounds`, numbers only) and the loop
 state of its runs (`_resume`, dropped once the exact bounds that read it are
@@ -204,7 +207,11 @@ def _walk(t, ctx, enter):
 # The shape hash erases variable names, so terms equal up to alpha share it.
 _EMPTY = frozenset()
 _VAR_HASH = hash(("v",))
-Const._facts = (_EMPTY, _EMPTY, False, hash(("c",)))
+# the bits of a record's kinds slot: what occurs in the term, at its root or
+# below
+_HAS_CBV = 1
+_HAS_CHOICE_OR_NU = 2
+Const._facts = (_EMPTY, _EMPTY, 0, hash(("c",)))
 _set_fact = object.__setattr__
 
 
@@ -233,7 +240,7 @@ def _fill(root):
         stack.pop()
         if t._facts is not None:
             continue
-        fv, fn, cbv, h = fa or (frozenset((a.var,)), _EMPTY, False, _VAR_HASH)
+        fv, fn, kinds, h = fa or (frozenset((a.var,)), _EMPTY, 0, _VAR_HASH)
         if kind is Lam:
             if t.var in fv:
                 fv = fv - {t.var} if len(fv) > 1 else _EMPTY
@@ -241,18 +248,23 @@ def _fill(root):
         elif kind is Nu:
             if t.name in fn:
                 fn = fn - {t.name} if len(fn) > 1 else _EMPTY
+            kinds |= _HAS_CHOICE_OR_NU
             h = hash(("n", t.name.text, h))
         else:
-            fv2, fn2, cbv2, h2 = fb or (frozenset((b.var,)), _EMPTY, False, _VAR_HASH)
+            fv2, fn2, kinds2, h2 = fb or (frozenset((b.var,)), _EMPTY, 0, _VAR_HASH)
             fv = fv2 if fv <= fv2 else fv if fv2 <= fv else fv | fv2
             fn = fn2 if fn <= fn2 else fn if fn2 <= fn else fn | fn2
-            cbv = cbv or cbv2 or kind is CbvApp
+            kinds |= kinds2
             if kind is Choice:
+                kinds |= _HAS_CHOICE_OR_NU
                 fn = fn if t.name in fn else fn | {t.name}
                 h = hash(("p", t.name.text, t.index, h, h2))
+            elif kind is App:
+                h = hash(("a", h, h2))
             else:
-                h = hash(("a" if kind is App else "b", h, h2))
-        _set_fact(t, "_facts", (fv, fn, cbv, h))
+                kinds |= _HAS_CBV
+                h = hash(("b", h, h2))
+        _set_fact(t, "_facts", (fv, fn, kinds, h))
     return root._facts
 
 
@@ -272,7 +284,7 @@ def free_names(t):
 def contains_cbv(t):
     if type(t) is Var:
         return False
-    return (t._facts or _fill(t))[2]
+    return bool((t._facts or _fill(t))[2] & _HAS_CBV)
 
 
 def bound_names(t):

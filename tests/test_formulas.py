@@ -756,6 +756,63 @@ def test_flat_chains_and_not_runs_print_in_10000_links():
         sys.setrecursionlimit(limit)
 
 
+def test_eval_and_rename_walk_10000_link_chains():
+    """eval_formula and rename_formula_names keep explicit stacks, so a
+    10,000-deep `!` chain and 10,000-long `&` chains, nested to the left (as
+    parsed) and to the right, evaluate and rename at CPython's default
+    recursion limit."""
+    links = 10_000
+    x = Name("x")
+    right = Atom(a, links - 1)
+    for i in reversed(range(links - 1)):
+        right = And(Atom(a, i), right)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        nots = parse_formula("!" * links + "a.0")
+        left = parse_formula(" & ".join(f"a.{i}" for i in range(links)))
+        ones = {(a, i): 1 for i in range(links)}
+        assert eval_formula(nots, {(a, 0): 1}) is True
+        assert eval_formula(nots, {(a, 0): 0}) is False
+        for chain in (left, right):
+            assert eval_formula(chain, ones) is True
+            assert eval_formula(chain, {**ones, (a, links // 2): 0}) is False
+        assert rename_formula_names(nots, {a: x}) is parse_formula("!" * links + "x.0")
+        renamed = parse_formula(" & ".join(f"x.{i}" for i in range(links)))
+        assert rename_formula_names(left, {a: x}) is renamed
+        assert rename_formula_names(renamed, {x: a}) is left
+        back = rename_formula_names(rename_formula_names(right, {a: x}), {x: a})
+        assert back is right
+        assert rename_formula_names(right, {b: x}) is right
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_eval_reads_an_operand_only_when_it_decides():
+    """`&` and `|` read their right operand only when the left one does not
+    settle them, so a bit that the walk never reaches may be missing; a
+    missing bit that it reaches raises with the atom in the text."""
+    and_chain = parse_formula(" & ".join(f"a.{i}" for i in range(50)))
+    or_chain = parse_formula(" | ".join(f"a.{i}" for i in range(50)))
+    assert eval_formula(And(Atom(a, 0), Atom(b, 3)), {(a, 0): 0}) is False
+    assert eval_formula(Or(Atom(a, 0), Atom(b, 3)), {(a, 0): 1}) is True
+    assert eval_formula(Not(Or(Not(Atom(a, 0)), Atom(b, 3))), {(a, 0): 0}) is False
+    # the left spine is walked first: a.0 settles the whole chain
+    assert eval_formula(and_chain, {(a, 0): 0}) is False
+    assert eval_formula(or_chain, {(a, 0): 1}) is True
+    assert eval_formula(And(TOP, Or(BOT, Atom(a, 1))), {(a, 1): 1}) is True
+    cases = [
+        (And(Atom(a, 0), Atom(b, 3)), {(a, 0): 1}, "(b, 3)"),
+        (Or(Atom(a, 0), Atom(b, 3)), {(a, 0): 0}, "(b, 3)"),
+        (Not(And(Not(Atom(a, 0)), Atom(b, 3))), {(a, 0): 0}, "(b, 3)"),
+        (and_chain, {(a, i): 1 for i in range(49)}, "(a, 49)"),
+    ]
+    for f, valuation, missing in cases:
+        with pytest.raises(UndefinedBitError) as error:
+            eval_formula(f, valuation)
+        assert str(error.value) == f"E_UNDEFINED_BIT: no bit for {missing}"
+
+
 # ---------------------------------------------------------------------------
 # Node facts: atom sets and measures kept on the formula nodes
 

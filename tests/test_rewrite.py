@@ -486,6 +486,112 @@ def test_resumed_scan_matches_the_restarting_loop():
     assert compared >= 2 * (1000 + len(joins))
 
 
+def _count_dispatches(monkeypatch):
+    """A one-item list that counts the calls into the rule table."""
+    from lampe import rewrite
+
+    count = [0]
+    for kind, rules in list(rewrite._RULES_AT.items()):
+
+        def counted(*args, rules=rules):
+            count[0] += 1
+            return rules(*args)
+
+        monkeypatch.setitem(rewrite._RULES_AT, kind, counted)
+    return count
+
+
+def _size(t):
+    n, stack = 0, [t]
+    while stack:
+        n += 1
+        stack.extend(children(stack.pop()))
+    return n
+
+
+def test_permutative_scans_skip_subterms_without_choice_or_nu(monkeypatch):
+    """In nu a. (M (+a.0) N), with choice-free M and N of 10,000 nodes in
+    all, a scan without beta dispatches on the nu and the choice only: no
+    permutative rule fires inside a subterm with no choice and no nu.  A
+    scan with beta still enters M and finds the beta redex at the bottom of
+    its application spine."""
+    from lampe.rewrite import pnf_count
+    from lampe.terms import free_names
+
+    m = App(Lam("x", Var("x")), Var("u"))
+    for _ in range(2498):
+        m = App(m, Var("y"))
+    n = Var("z")
+    for i in range(4999):
+        n = Lam(f"x{i}", n)
+    assert _size(m) + _size(n) == 10_000
+    # the records of M and N, as any earlier query leaves them
+    free_names(m), free_names(n)
+    count = _count_dispatches(monkeypatch)
+    scans = {
+        "pnf": lambda t, mode: pnf(t, mode)[1],
+        "pnf_count": lambda t, mode: pnf_count(t, mode)[1],
+        "is_pnf": lambda t, mode: not is_pnf(t, mode),
+        "first_step": lambda t, mode: first_step(t, mode, include_beta=False),
+        "iter_steps": lambda t, mode: list(iter_steps(t, mode, include_beta=False)),
+    }
+    beta_path = (0, 0) + (0,) * 2498
+    for mode in (PE, PE_BRACES):
+        for name, scan in scans.items():
+            # a new root each time: a scan marks the root it proved normal
+            count[0] = 0
+            assert not scan(Nu(a, Choice(m, n, a, 0)), mode), name
+            assert count[0] == 2, (name, mode)
+        count[0] = 0
+        s = first_step(Nu(a, Choice(m, n, a, 0)), mode)
+        assert (s.rule, s.path) == ("beta", beta_path)
+        assert count[0] == 2 + 2499
+        [(rule, path, _)] = iter_steps(Nu(a, Choice(m, n, a, 0)), mode)
+        assert (rule, path) == ("beta", beta_path)
+
+
+def test_scans_without_beta_list_the_full_scan_less_its_beta_steps(monkeypatch):
+    """Over the corpus of the resumed-scan test and the fixtures, in both
+    modes, the scan without beta, which skips the subterms whose records
+    hold no choice and no nu, lists exactly the steps of the full scan less
+    its beta steps, in the same order.  pnf of a fresh parse, whose nodes
+    have no records until the scan's own queries fill some, equals pnf of
+    the filled term, step for step."""
+    from helpers import random_term
+    from lampe.terms import contains_cbv, free_names
+
+    rng = random.Random(2024)
+    corpus = [random_term(rng, rng.randrange(5, 41), [], []) for _ in range(1000)]
+    corpus += _fixture_terms()
+    count = _count_dispatches(monkeypatch)
+    compared = fewer = 0
+    for mode in (PE, PE_BRACES):
+        for t in corpus:
+            if mode == PE and contains_cbv(t):
+                continue
+            free_names(t)
+            count[0] = 0
+            full = [(s.rule, s.path, s.after) for s in step(t, mode)]
+            full_dispatches = count[0]
+            count[0] = 0
+            lean = [
+                (rule, path, replace_at(t, path, result))
+                for rule, path, result in iter_steps(t, mode, include_beta=False)
+            ]
+            fewer += count[0] < full_dispatches
+            assert lean == [entry for entry in full if entry[0] != "beta"]
+            fresh = parse_term(print_term(t))
+            assert fresh._facts is None and fresh == t
+            result, trace = pnf(t, mode)
+            fresh_result, fresh_trace = pnf(fresh, mode)
+            assert fresh_result == result
+            assert [(s.rule, s.path) for s in fresh_trace] == [
+                (s.rule, s.path) for s in trace
+            ]
+            compared += 1
+    assert compared >= 2000 and fewer >= 1000
+
+
 @pytest.mark.parametrize(
     "text, run, expected",
     [

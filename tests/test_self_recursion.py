@@ -18,8 +18,6 @@ import lampe
 RECURSIVE = {
     "distribution.distribution",
     "distribution._nf_rec",
-    "formulas.rename_formula_names",
-    "formulas.eval_formula",
     "formulas.parse_formula.disjunction",
     "formulas._SharedBDD.build",
     "formulas._SharedBDD.conj",
