@@ -58,8 +58,41 @@ def _read_json(path, decode):
         raise SchemaError(f"malformed input ({exc})") from None
 
 
+def _json_pieces(obj):
+    """The text of `json.dumps(obj, indent=2)`, piece by piece.  It is
+    written from a stack of strings and pending `(value, newline)` pairs,
+    where `newline` is the line break and indent of the value's level, so a
+    deep tree takes no frame per level.  Dict keys are strings, as in every
+    output here; scalars and keys are written by `json.dumps`."""
+    stack = [(obj, "\n")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        value, newline = item
+        if isinstance(value, dict) and value:
+            pairs = [(f"{json.dumps(k)}: ", v) for k, v in value.items()]
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)) and value:
+            pairs = [("", v) for v in value]
+            brackets = "[]"
+        else:
+            yield json.dumps(value)
+            continue
+        inner = newline + "  "
+        stack.append(newline + brackets[1])
+        for i in range(len(pairs) - 1, -1, -1):
+            key, v = pairs[i]
+            stack += ((v, inner), ("," if i else brackets[0]) + inner + key)
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
+    """Write `obj` as `json.dumps(obj, indent=2)` and a newline would print
+    it, streamed: an output can be far larger than its tree (each line of
+    a deep node is indented to its depth)."""
+    sys.stdout.writelines(_json_pieces(obj))
+    sys.stdout.write("\n")
 
 
 def cmd_parse(args):

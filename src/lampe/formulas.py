@@ -61,8 +61,18 @@ Some queries are settled by identity before any manager: `entails(b, c)`
 holds when b is c, c is T or b is F, and `equivalent(b, c)` when b is c.
 Such a query opens, keeps and replaces no manager.
 
-In every case the cap is checked for each query, on the atom facts of its
-operands, before any node is built.
+`disjoint(parts)` asks whether no two of its parts hold together, as the
+summing counting rule needs of its cases.  It runs on the open manager, or
+on one of its own for a standalone call, so it keeps and replaces no
+retained manager.  It keeps a running union node of the parts before the
+current one, tests the part against it with one `conj` and joins it with
+one `disj`, and builds no `And` or `Or` formula.  Before each part after
+the first it checks the cap on the atoms of the parts so far, where
+`entails(And(union, part), F)` would check it, so it raises at the same
+part and with the same text as such a loop.
+
+In every other case the cap is checked for each query, on the atom facts
+of its operands, before any node is built.
 """
 
 from __future__ import annotations
@@ -654,6 +664,30 @@ def equivalent(b, c):
 def satisfiable(b):
     bdd = _manager(b)
     return _retain(bdd, bdd.build(b) != 0)
+
+
+@_one_manager
+def disjoint(parts):
+    """True iff no two of the formulas `parts` hold together.  Each part
+    after the first is tested against the running union of the parts
+    before it with one `conj`, then joined to it with one `disj`, on the
+    open manager's diagrams; no `And` or `Or` formula is built.  Before each
+    test the cap is checked on the atoms of the parts so far, as
+    `entails(And(union, part), F)` would check them."""
+    bdd = _OPEN.get()
+    found = atoms(parts[0]) if parts else None
+    union = None
+    for b in parts[1:]:
+        more = atoms(b)
+        found = more if found <= more else found | more
+        _check_cap(len(found))
+        if union is None:
+            union = bdd.build(parts[0])
+        u = bdd.build(b)
+        if bdd.conj(union, u):
+            return False
+        union = bdd.disj(union, u)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 
 from .errors import (
@@ -822,6 +823,22 @@ def _check_mu(d, system):
     )
 
 
+def _sum_of_products(pairs):
+    """The exact sum of q * s over the `pairs` of rationals (ints or
+    Fractions), as one Fraction: each product is added in integers over the
+    least common denominator of the products before it."""
+    num, den = 0, 1
+    for q, s in pairs:
+        qn, qd = q.as_integer_ratio()
+        sn, sd = s.as_integer_ratio()
+        part = qd * sd
+        if den % part:
+            scale = part // gcd(den, part)
+            num, den = num * scale, den * scale
+        num += qn * sn * (den // part)
+    return Fraction(num, den)
+
+
 def _check_mu_sigma(d, system):
     j = d.judgement
     a = _nu_common(d)
@@ -829,7 +846,6 @@ def _check_mu_sigma(d, system):
     _shape(isinstance(cases, (list, tuple)) and cases, "mu-sigma needs its case list")
     _shape(len(cases) == len(d.premises), "one case per premise")
     _side(a not in formula_names(j.constraint), "bound name occurs in the constraint")
-    total = Fraction(0)
     sigma = None
     for (dloc, s), p in zip(cases, d.premises):
         _side(formula_names(dloc) <= {a}, "case formula must only use the bound name")
@@ -843,13 +859,18 @@ def _check_mu_sigma(d, system):
         if sigma is None:
             sigma = pj.type.body
         _shape(pj.type.body == sigma, "premises must share the quantified type")
-        total += pj.type.q * s
-    # pairwise disjoint iff each case misses the union of the earlier ones
-    union = cases[0][0]
-    for dloc, _ in cases[1:]:
-        _side(entails(And(union, dloc), fm.BOT), "case formulas must be pairwise disjoint")
-        union = fm.Or(union, dloc)
-    _shape(j.type == Counted(total, sigma), "conclusion exponent must be the sum")
+    total = _sum_of_products(
+        (p.judgement.type.q, s) for (_, s), p in zip(cases, d.premises)
+    )
+    _side(
+        fm.disjoint([dloc for dloc, _ in cases]),
+        "case formulas must be pairwise disjoint",
+    )
+    t = j.type
+    _shape(
+        type(t) is Counted and t.q == total and t.body is sigma,
+        "conclusion exponent must be the sum",
+    )
 
 
 def _check_ground(d, system):
@@ -948,6 +969,13 @@ def apply_mu_star(d, order=None):
     in text order.  The opening check of `d` already rejects a root type
     without its quantifier and a constraint that names a name outside the
     judgement.
+
+    What the nodes of one level share is built once per call: the level's
+    name set and `Nu` term, which every `mu-sigma` node of the level
+    concludes with, so the closing check compares them by identity; the
+    measure s of the level's minterms, so a node's exponent is s times the
+    sum of its premises' exponents; and each minterm of the level, once per
+    row index.
     """
     j = check_derivation(d, INT)
     b = j.constraint
@@ -959,12 +987,23 @@ def apply_mu_star(d, order=None):
     if len(names) != len(j.names) or set(names) != j.names:
         raise PreconditionError("name order must enumerate the judgement names")
 
-    name_atoms = []  # per name, in product order: (name, its atoms' indices)
+    # per name, in product order: (name, its atoms' indices, the measure of
+    # each of its minterms)
+    name_atoms = []
     row_atoms = []  # the atoms a row sets, in product order
     for a in names:
         indices = sorted(i for (n, i) in fm.atoms(b) if n is a)
         row_atoms += ((a, i) for i in indices)
-        name_atoms.append((a, indices))
+        name_atoms.append((a, indices, Fraction(1, 1 << len(indices))))
+    # the name set and the term of level k's nodes, shared by all of them;
+    # level len(names) is the rows'
+    level_names, level_terms = [j.names], [j.term]
+    for a in reversed(names):
+        level_names.append(level_names[-1] - {a})
+        level_terms.append(Nu(a, level_terms[-1]))
+    level_names.reverse()
+    level_terms.reverse()
+    minterms = [{} for _ in names]  # level k's minterms, by index
     # the p-th of the n row atoms is bit n - 1 - p of a row's index
     n = len(row_atoms)
     bits = {x: n - 1 - p for p, x in enumerate(row_atoms)}
@@ -983,10 +1022,9 @@ def apply_mu_star(d, order=None):
         if k == len(names):
             leaf = Judgement(j.ctx, j.names, j.term, prefix, j.type)
             return TypingDerivation("or", leaf, (d,), {}), None
-        a, indices = name_atoms[k]
+        a, indices, s = name_atoms[k]
         width >>= len(indices)
         span = (1 << width) - 1
-        s = Fraction(1, 1 << len(indices))  # the measure of each minterm
         cases = []
         pairs = []
         i = 0  # the minterm whose span is at the bottom of `table`
@@ -994,11 +1032,13 @@ def apply_mu_star(d, order=None):
             skip = ((table & -table).bit_length() - 1) // width
             table >>= skip * width
             i += skip
-            # the i-th minterm in product order: its first atom is the top bit
-            m = conj(
-                Atom(a, x) if i >> (len(indices) - 1 - p) & 1 else Not(Atom(a, x))
-                for p, x in enumerate(indices)
-            )
+            m = minterms[k].get(i)
+            if m is None:
+                # the i-th minterm in product order: its first atom is the top bit
+                m = minterms[k][i] = conj(
+                    Atom(a, x) if i >> (len(indices) - 1 - p) & 1 else Not(Atom(a, x))
+                    for p, x in enumerate(indices)
+                )
             cases.append((m, s))
             pairs.append((k + 1, (And(prefix, m) if k else m, table & span, width)))
             table >>= width
@@ -1007,13 +1047,11 @@ def apply_mu_star(d, order=None):
 
     def up(k, head, premises):
         prefix, cases = head
-        total = sum(p.judgement.type.q * s for p, (_, s) in zip(premises, cases))
+        # every case of the node has the measure s of its level
+        s = name_atoms[k][2]
+        total = _sum_of_products((p.judgement.type.q, s) for p in premises)
         root = Judgement(
-            j.ctx,
-            j.names - set(names[k:]),
-            Nu(names[k], premises[-1].judgement.term),
-            prefix,
-            Counted(total, j.type.body),
+            j.ctx, level_names[k], level_terms[k], prefix, Counted(total, j.type.body)
         )
         return TypingDerivation("mu-sigma", root, tuple(premises), {"cases": cases})
 

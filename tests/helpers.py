@@ -1,7 +1,9 @@
 """Shared builders, fixtures, and random generators for the test suite."""
 
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from lampe.errors import ParseError, UndefinedBitError
 from lampe.formulas import And, Atom, BOT, Bot, Not, Or, TOP, Top, measure
@@ -1178,6 +1180,35 @@ def reference_mu_star(d, order=None):
         level = new_level
     assert len(level) == 1
     return level[0][1]
+
+
+def reference_disjoint(parts):
+    """The pairwise-disjointness loop of the summing counting rule that
+    `formulas.disjoint` replaced: each part after the first must entail F
+    together with the running union of the parts before it.  Each
+    `entails(And(union, part), F)` checks the atom cap on the atoms of the
+    parts so far before it builds anything.  Kept only to pin `disjoint`'s
+    answers and errors."""
+    from lampe.formulas import entails
+
+    union = parts[0]
+    for part in parts[1:]:
+        if not entails(And(union, part), BOT):
+            return False
+        union = Or(union, part)
+    return True
+
+
+def kernel_mu_star_premises(seed):
+    """The `apply_mu_star` premises, as derivation JSON, of a 15 s `kernel`
+    run of `bench/run.py` with this seed: one per item, 432 in all."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import Kernel
+
+    kernel = Kernel(seed, Kernel.rounds_for(15))
+    return [premise for _, _, premise, _, _ in kernel.inputs]
 
 
 # ---------------------------------------------------------------------------

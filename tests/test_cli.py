@@ -1,3 +1,4 @@
+import contextlib
 import json
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from helpers import (
     int_identity,
     mixed_copies_proof,
 )
-from lampe.cli import run
+from lampe.cli import _json_pieces, run
 from lampe.proofs import proof_to_json
 from lampe.terms import Choice, Lam, Name, Nu, Var, alpha_eq, parse_term
 from lampe.typesys import apply_mu_star, derivation_to_json
@@ -148,15 +149,68 @@ def test_mu_star_cli(capsys, tmp_path):
     assert code == 0 and "C[3/8]" in out
 
 
+class _Tally:
+    """A stdout that keeps only the size, the ends and the `mu-sigma` rule
+    values of what is written to it."""
+
+    def __init__(self):
+        self.size, self.head, self.tail, self.mu_sigma = 0, "", "", 0
+
+    def write(self, text):
+        self.size += len(text)
+        self.head = (self.head + text)[:200] if len(self.head) < 200 else self.head
+        self.tail = (self.tail + text)[-200:]
+        self.mu_sigma += text == '"mu-sigma"'
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
 def test_mu_star_cli_discharges_1000_names(capsys, tmp_path):
     """The row fold keeps its own stack, so the CLI prints the judgement of a
-    1,000-name premise.  (`--json` may still stop in `json.dumps`.)"""
+    1,000-name premise, and the JSON writer keeps one too, so `--json`
+    prints its derivation.  That text is 1.4 GB, as each line is indented
+    to its depth, so a tally reads it in place of a capture."""
     premise = int_identity(names={Name(f"a{i}") for i in range(1000)})
     path = tmp_path / "premise.json"
     path.write_text(json.dumps(derivation_to_json(premise)))
     code, out, err = invoke(capsys, "mu-star", str(path))
     assert (code, err) == (0, "")
     assert out == apply_mu_star(premise).judgement.format() + "\n"
+    tally = _Tally()
+    with contextlib.redirect_stdout(tally):
+        code = run(["mu-star", "--json", str(path)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert tally.head.startswith('{\n  "rule": "mu-sigma",\n  "judgement": {\n')
+    assert tally.tail.endswith("\n      ]\n    }\n  ]\n}\n")
+    assert tally.mu_sigma == 1000 and tally.size > 10**9
+
+
+def test_json_writer_matches_json_dumps(capsys, tmp_path):
+    """The CLI's JSON writer prints what `json.dumps(obj, indent=2)` returns:
+    on every `--json` output of both golden files, on a 100-name `mu-star
+    --json`, and on empty and nested containers and escaped text."""
+    outputs = []
+    for file_name in ("derivation_cli.json", "proof_cli.json"):
+        golden = json.loads((Path(__file__).parent / "golden" / file_name).read_text())
+        for record in golden["records"]:
+            if "--json" in record["argv"] and record["exit"] == 0:
+                outputs.append(record["stdout"])
+    assert len(outputs) == 256
+    premise = int_identity(names={Name(f"a{i}") for i in range(100)})
+    path = tmp_path / "premise.json"
+    path.write_text(json.dumps(derivation_to_json(premise)))
+    code, out, err = invoke(capsys, "mu-star", "--json", str(path))
+    assert (code, err) == (0, "")
+    star = derivation_to_json(apply_mu_star(premise))
+    assert out == json.dumps(star, indent=2) + "\n"
+    outputs.append(out)
+    for text in outputs:
+        obj = json.loads(text)
+        assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2) == text[:-1]
+    for obj in ({}, [], {"a": [{}, [[]], ""]}, ["\u00e9\n\"", None, True, 0.5, -3]):
+        assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2)
 
 
 def test_transport_cli(capsys, tmp_path):

@@ -25,6 +25,7 @@ from lampe.formulas import (
     atoms,
     conj,
     disj,
+    disjoint,
     entails,
     equivalent,
     eval_formula,
@@ -36,7 +37,12 @@ from lampe.formulas import (
     satisfiable,
 )
 from lampe.terms import Name
-from helpers import random_formula, reference_print_formula, reference_walk_atoms
+from helpers import (
+    random_formula,
+    reference_disjoint,
+    reference_print_formula,
+    reference_walk_atoms,
+)
 
 a = Name("a")
 b = Name("b")
@@ -891,3 +897,77 @@ def test_oracle_facts_threads_measuring_fresh_nodes_agree():
     assert not any(thread.is_alive() for thread in threads)
     assert all(out == expected for out in seen)
     assert [f._measure for f in fs] == expected
+
+
+# ---------------------------------------------------------------------------
+# Pairwise disjointness
+
+
+@st.composite
+def part_lists(draw):
+    """One to six formulas, each drawn freely or carved out of the union of
+    the ones before it, so that lists of both verdicts come up."""
+    parts = []
+    for f in draw(st.lists(formulas(names=("a", "b", "c")), min_size=1, max_size=6)):
+        if parts and draw(st.booleans()):
+            f = And(f, Not(disj(parts)))
+        parts.append(f)
+    return parts
+
+
+@given(part_lists())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_disjoint_matches_the_entails_loop_and_truth_tables(parts):
+    expected = all(
+        sum(eval_formula(p, v) for p in parts) <= 1 for v in truth_table(*parts)
+    )
+    assert reference_disjoint(parts) == expected
+    assert disjoint(parts) == expected
+
+    @_one_manager
+    def shared():
+        # the open manager has met every part, in the other order, first
+        for p in reversed(parts):
+            satisfiable(p)
+        return disjoint(parts)
+
+    assert shared() == expected
+
+
+def test_disjoint_of_fewer_than_two_parts_holds():
+    wide = conj(Atom(Name("one30"), i) for i in range(30))
+    assert disjoint([]) and disjoint([wide]) and reference_disjoint([wide])
+
+
+def test_disjoint_checks_the_cap_where_the_entails_loop_did():
+    x = Atom(Name("capx"), 0)
+    first = And(x, conj(Atom(Name("capa"), i) for i in range(12)))
+    second = And(Not(x), conj(Atom(Name("capb"), i) for i in range(11)))
+    within = And(x, Not(x))  # no atom the two lack
+    beyond = Atom(Name("capc"), 0)  # the 25th atom
+    for run in (disjoint, reference_disjoint):
+        # 24 atoms in all
+        assert run([first, second, within])
+        # an overlap met before the 25th atom decides first
+        assert not run([first, x, second, beyond])
+        # the 25th atom is met before the overlap
+        for parts in ([first, second, beyond], [first, second, beyond, x]):
+            with pytest.raises(TooManyAtomsError) as err:
+                run(parts)
+            assert str(err.value) == "E_TOO_MANY_ATOMS: 25 atoms exceeds the cap of 24"
+
+
+def test_disjoint_leaves_the_retained_manager_as_it_found_it():
+    f, g = parse_formula("a.0 & b.1"), parse_formula("a.0 | c.2")
+    assert entails(f, g)
+    kept = _retained()
+    walked, levels, size = dict(kept._walked), dict(kept._var_level), len(kept._level)
+    assert disjoint([f, Not(g)])
+    assert not disjoint([g, f])
+    with pytest.raises(TooManyAtomsError):
+        disjoint([f, conj(Atom(Name("far"), i) for i in range(30))])
+    assert fm._OPEN.get() is None and _retained() is kept and not kept._busy
+    assert kept._walked == walked and kept._var_level == levels
+    assert len(kept._level) == size
+    # the next query on the pair still joins it
+    assert satisfiable(f) and _retained() is kept

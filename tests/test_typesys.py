@@ -30,6 +30,7 @@ from helpers import (
     half_id_proof,
     identity_derivation,
     int_identity,
+    kernel_mu_star_premises,
     proof_fixture_corpus,
     record_rule_checks,
     reference_mu_star,
@@ -461,6 +462,80 @@ def test_mu_sigma_disjointness_checks_every_pair():
     # only the second and the third case overlap (on !b.0 & b.1)
     with pytest.raises(SideConditionError, match="pairwise disjoint"):
         check_derivation(_three_case_node(And(Not(b0), b1)), INT)
+
+
+@pytest.mark.parametrize("seed", [47, 91])
+def test_mu_sigma_checks_a_fresh_copy_of_every_kernel_mu_star_result(seed):
+    """A JSON round trip of an `apply_mu_star` result is a tree of fresh
+    nodes with no check marks, one name set per node, and one `Nu` term per
+    distinct text; the checker must pass it as it passed the original."""
+    for blob in kernel_mu_star_premises(seed):
+        star = apply_mu_star(derivation_from_json(blob))
+        copy = derivation_from_json(derivation_to_json(star))
+        assert copy is not star and not copy._checked_under
+        assert check_derivation(copy, INT).format() == star.judgement.format()
+
+
+def test_mu_sigma_exponent_that_misses_a_case_is_rejected():
+    b0, b1 = Atom(B_, 0), Atom(B_, 1)
+    node = _three_case_node(And(b0, Not(b1)))
+    # the sum is 1/4 + 1/2 + 1/4; the conclusion drops the third case
+    j = node.judgement
+    short = J(j.ctx, j.names, j.term, j.constraint, Counted(Fraction(3, 4), INT_OO))
+    with pytest.raises(RuleShapeError) as err:
+        check_derivation(D("mu-sigma", short, node.premises, node.side), INT)
+    assert str(err.value) == "E_RULE_SHAPE: conclusion exponent must be the sum"
+
+
+def test_mu_sigma_premise_with_another_quantified_body_is_rejected():
+    node = _three_case_node(And(Atom(B_, 0), Not(Atom(B_, 1))))
+    j = node.judgement
+    # the exponent is the sum, but every premise quantifies INT_OO
+    other = J(j.ctx, j.names, j.term, j.constraint, Counted(Fraction(1), O))
+    with pytest.raises(RuleShapeError) as err:
+        check_derivation(D("mu-sigma", other, node.premises, node.side), INT)
+    assert str(err.value) == "E_RULE_SHAPE: conclusion exponent must be the sum"
+
+
+def test_mu_sigma_int_exponents_check():
+    """Exponents and case measures written as ints in Python.  The body is
+    one no other test builds, so that its `Counted` nodes are made here,
+    with int exponents."""
+    declared = Counted(1, N)
+    body = Arrow(mk_mset([declared]), N)
+    full = (("z", mk_mset([declared])),)
+
+    def premise(f):
+        ident = D("id-sub", J(full, {B_}, Var("z"), f, declared))
+        return D("lam", J((), {B_}, Lam("z", Var("z")), f, Counted(1, body)), (ident,))
+
+    b0 = Atom(B_, 0)
+    root = J((), (), Nu(B_, Lam("z", Var("z"))), TOP, Counted(1, body))
+    halves = D(
+        "mu-sigma",
+        root,
+        [premise(b0), premise(Not(b0))],
+        {"cases": [(b0, HALF), (Not(b0), HALF)]},
+    )
+    whole = D("mu-sigma", root, [premise(TOP)], {"cases": [(TOP, 1)]})
+    assert type(root.type.q) is int
+    assert all(type(p.judgement.type.q) is int for p in halves.premises)
+    for node in (halves, whole):
+        assert check_derivation(node, INT) is root
+
+
+def test_mu_sigma_nodes_of_one_level_share_their_term_and_name_set():
+    c = Name("c")
+    b = parse_formula("(a.0 | b.1) & (!a.1 | c.0) & (b.0 | !c.1)")
+    star = apply_mu_star(int_identity(names={A_, B_, c}, constraint=b))
+    levels = [[star]]
+    while levels[-1][0].rule == "mu-sigma":
+        levels.append([p for n in levels[-1] for p in n.premises])
+    assert [len(level) for level in levels] == [1, 4, 12, 27]
+    for level in levels:
+        assert len({id(n.judgement.term) for n in level}) == 1
+        assert len({id(n.judgement.names) for n in level}) == 1
+    assert levels[-1][0].judgement.names is levels[-1][0].premises[0].judgement.names
 
 
 def test_two_name_bound_exponents():
